@@ -47,7 +47,16 @@ class ProductVector:
         return self.inner(self)
 
     def with_blocks(self, blocks):
-        return ProductVector(blocks, self.weights)
+        """New blocks with these weights, which were checked on construction."""
+        b = np.asarray(blocks, dtype=float)
+        if b.ndim != 2:
+            raise ValueError("blocks must form a (p, d) array")
+        if b.shape[0] != self.p:
+            raise ValueError("one weight per block required")
+        out = object.__new__(ProductVector)
+        out.blocks = b
+        out.weights = self.weights
+        return out
 
 
 def diag_project(z):
@@ -187,7 +196,8 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9,
         corr2.append(state.zeta.with_blocks(
             state_next.zeta.blocks - z.blocks).norm2())
         state = state_next
-    return GcrifbaResult(state.zeta, state.zeta.bar(), len(ns), stopped,
+    return GcrifbaResult(state.zeta, state.zeta.bar(),
+                         len(ns) - (stopped == "tol"), stopped,
                          np.array(ns), np.array(vel2), np.array(corr2),
                          np.array(fpr2),
                          np.array(xs) if keep_x_hist else None)

@@ -4,13 +4,34 @@ Everything here is small and dense on purpose: problem dimensions stay in
 the tens, so eigendecompositions are cheap and exactly reproducible.
 """
 
+from functools import lru_cache
+
 import numpy as np
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+@lru_cache(maxsize=16)
+def _zeros(n):
+    z = np.zeros(n)
+    z.flags.writeable = False
+    return z
 
 
 def as_vector(x):
-    """Coerce to a 1-D float array and reject non-finite entries."""
-    v = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
-    if not np.all(np.isfinite(v)):
+    """Coerce to a 1-D float array and reject non-finite entries.
+
+    A 1-D float64 ndarray is returned as is. Finiteness is screened with
+    one dot against zeros: 0*x is exactly 0 for finite x and NaN for an
+    infinite or NaN entry, so the dot is 0 exactly when every entry is
+    finite, and it can neither overflow nor underflow. (An infinite entry
+    also sets numpy's invalid-value flag before the ValueError.)
+    """
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT64:
+        v = x
+    else:
+        v = np.asarray(x, dtype=float).reshape(-1)
+    if v.dot(_zeros(len(v))) != 0.0:
         raise ValueError("vector has non-finite entries")
     return v
 
@@ -51,8 +72,11 @@ def operator_norm(K, tol=1e-10, max_iter=200000):
 class SpdMap:
     """A symmetric positive definite matrix with cached spectral data.
 
-    Instances are immutable after construction; the eigendecomposition is
-    computed lazily and reused for solves, roots and eigenvalue queries.
+    Instances are immutable after construction (the matrix is read-only);
+    the eigendecomposition is computed lazily and reused for solves, roots
+    and eigenvalue queries. The identity of each dimension is one shared
+    instance, and products with it are skipped: for finite input they equal
+    the argument exactly, up to the sign of zero entries.
     """
 
     def __init__(self, matrix):
@@ -65,18 +89,18 @@ class SpdMap:
         if scale > 0 and np.abs(m - m.T).max() > 1e-10 * scale:
             raise ValueError("matrix is not symmetric")
         self.matrix = 0.5 * (m + m.T)
+        self.matrix.flags.writeable = False
         self.d = m.shape[0]
+        self.is_identity = np.array_equal(self.matrix, np.eye(self.d))
         self._eig = None
         if self.min_eigenvalue() <= 0.0:
             raise ValueError("matrix is not positive definite")
 
     @classmethod
+    @lru_cache(maxsize=None)
     def identity(cls, d):
+        """The identity map of dimension d, one shared instance per d."""
         return cls(np.eye(d))
-
-    @property
-    def is_identity(self):
-        return np.array_equal(self.matrix, np.eye(self.d))
 
     def _decomp(self):
         if self._eig is None:
@@ -85,6 +109,8 @@ class SpdMap:
         return self._eig
 
     def apply(self, x):
+        if self.is_identity:
+            return as_vector(x).copy()
         return self.matrix @ as_vector(x)
 
     def solve(self, b):
@@ -96,6 +122,8 @@ class SpdMap:
 
     def inner(self, x, y):
         """Weighted inner product <Mx, y>."""
+        if self.is_identity:
+            return float(as_vector(x) @ as_vector(y))
         return float(as_vector(x) @ self.matrix @ as_vector(y))
 
     def norm2(self, x):

@@ -236,14 +236,27 @@ def _p6_res_sum():
         certify_fn=lambda x: float(np.abs(as_vector(x) - 1.0).max()))
 
 
+# name -> builder, in catalog order; every call builds a fresh spec
+_BUILDERS = {
+    "p1_clamp": _p1_clamp,
+    "p2_lasso": _p2_lasso,
+    "p3_spectrum": _p3_spectrum,
+    "flat_interval": _flat_interval,
+    "p4_three": _p4_three,
+    "p5_saddle": _p5_saddle,
+    "p5_lasso_pd": _p5_lasso_pd,
+    "p6_res_sum": _p6_res_sum,
+}
+
+
 def catalog():
     """All shipped problems, in a stable order."""
-    return [_p1_clamp(), _p2_lasso(), _p3_spectrum(), _flat_interval(),
-            _p4_three(), _p5_saddle(), _p5_lasso_pd(), _p6_res_sum()]
+    return [build() for build in _BUILDERS.values()]
 
 
 def get(name):
-    for p in catalog():
-        if p.name == name:
-            return p
-    raise KeyError("unknown problem %r" % name)
+    """Build the named problem only."""
+    build = _BUILDERS.get(name) if isinstance(name, str) else None
+    if build is None:
+        raise KeyError("unknown problem %r" % name)
+    return build()

@@ -228,6 +228,39 @@ def test_saddle_solver_certifies():
     assert ok, r
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    step = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_n_iters_counts_steps_on_tolerance_stop(monkeypatch):
+    # every solver reports the steps it performed, counted here by wrapping
+    # its step function, also when the run ends on the tolerance test
+    from monosplit import crifba, cripda, gcrifba
+    steps = {mod: _count_calls(monkeypatch, mod, name) for mod, name in
+             ((crifba, "crifba_step"), (gcrifba, "gcrifba_step"),
+              (cripda, "cripda_step"))}
+    prob = problems.get("p1_clamp")
+    core = run(prob.A, prob.B, default_params(prob.L_map()), prob.start,
+               tol=1e-9)
+    prob = problems.get("p4_three")
+    lifted = run_gcrifba(prob.A_list, prob.B, default_gcrifba_params(prob.beta),
+                         prob.start, tol=1e-6)
+    prob = problems.get("p5_saddle")
+    saddle = run_cripda(prob.saddle, CripdaParams(tau=0.2, sigma=0.2),
+                        prob.start, np.zeros(2), tol=1e-9)
+    for mod, res in ((crifba, core), (gcrifba, lifted), (cripda, saddle)):
+        assert res.stopped == "tol", mod.__name__
+        assert res.n_iters == len(steps[mod]) > 0, mod.__name__
+
+
 # --- exact reductions ---------------------------------------------------
 
 def test_product_space_with_one_block_matches_core():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,53 @@ def test_construction_rejects_bad_input():
         as_vector([1.0, np.nan])
     with pytest.raises(ValueError):
         min_eigenvalue_sym([[0.0, 1.0], [2.0, 0.0]])
+
+
+def test_as_vector_accepts_large_finite_entries_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = as_vector([1e200, -1e200])
+    assert v.tolist() == [1e200, -1e200]
+
+
+# an infinite entry also sets numpy's invalid-value flag in the screen
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("form", ["list", "float32", "2d"])
+def test_as_vector_rejects_non_finite(bad, form):
+    entries = [1.0, bad, 2.0, 3.0]
+    x = {"list": entries,
+         "float32": np.array(entries, dtype=np.float32),
+         "2d": np.array(entries).reshape(2, 2)}[form]
+    with pytest.raises(ValueError):
+        as_vector(x)
+
+
+def test_as_vector_returns_float64_vector_as_is():
+    x = np.arange(3.0)
+    assert as_vector(x) is x
+    assert as_vector(np.arange(3)).dtype == np.float64
+    assert as_vector(np.ones((2, 2))).shape == (4,)
+    assert as_vector(2.5).shape == (1,)
+
+
+def test_identity_is_shared_and_read_only():
+    m = SpdMap.identity(4)
+    assert SpdMap.identity(4) is m
+    assert m.is_identity
+    with pytest.raises(ValueError):
+        m.matrix[0, 0] = 2.0
+    assert not SpdMap(2.0 * np.eye(4)).is_identity
+
+
+@pytest.mark.parametrize("d", [1, 5, 21])
+def test_identity_products_bit_equal_to_eye(d):
+    rng = np.random.default_rng(100 + d)
+    m = SpdMap.identity(d)
+    eye = np.eye(d)
+    for _ in range(20):
+        x = rng.standard_normal(d)
+        y = rng.standard_normal(d)
+        assert m.inner(x, y) == float(x @ eye @ y)
+        assert m.norm2(x) == float(x @ eye @ x)
+        assert np.array_equal(m.apply(x), eye @ x)

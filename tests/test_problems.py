@@ -12,11 +12,16 @@ EXPECTED_NAMES = ["p1_clamp", "p2_lasso", "p3_spectrum", "flat_interval",
 
 def test_catalog_names_and_order():
     assert [p.name for p in catalog()] == EXPECTED_NAMES
+    for name in EXPECTED_NAMES:
+        assert get(name).name == name
+        assert get(name) is not get(name)              # a fresh spec per call
 
 
 def test_get_unknown_raises():
     with pytest.raises(KeyError):
         get("nonexistent")
+    with pytest.raises(KeyError):
+        get(["p1_clamp"])
 
 
 def test_data_reproducibility():
