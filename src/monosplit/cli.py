@@ -42,7 +42,9 @@ def cmd_check(args):
     cfg = _load(args.config)
     report = harness.check_history(args.history, cfg)
     print(json.dumps(report, indent=2, default=float))
-    if report.get("status") != "ok":
+    if report["status"] == "error":
+        return 1
+    if report["status"] != "ok":
         return 0
     return 0 if report["all_passed"] else 1
 

@@ -134,12 +134,17 @@ def validate(params, d=None):
     return report
 
 
-def forward_backward(A, B, M, lam, x):
-    """One forward-backward image (M + lam A)^{-1}(M x - lam B(x))."""
+def forward_backward(A, B, M, lam, x, Bx=None):
+    """One forward-backward image (M + lam A)^{-1}(M x - lam B(x)).
+
+    Bx, when given, is B(x) evaluated already and is used in its place.
+    """
     x = as_vector(x)
+    if Bx is None:
+        Bx = B(x)
     if M is None or M.is_identity:
-        return generalized_resolvent(A, M, lam, x - lam * B(x))
-    return generalized_resolvent(A, M, lam, x - lam * M.solve(B(x)))
+        return generalized_resolvent(A, M, lam, x - lam * Bx)
+    return generalized_resolvent(A, M, lam, x - lam * M.solve(Bx))
 
 
 def residual_G(A, B, M, lam, x):
@@ -239,17 +244,27 @@ def energy(params, x, x_prev, v, n, s, q):
 
     E_n(s,q) = 1/2 ||s(q - x) - nu_n (x - x_prev)||^2_M
              + 1/2 s(e-s) ||x - q||^2_M + s(e + nu_n) <v, x - q>_M
+
+    x, x_prev and v may also be (k, d) blocks of rows that the caller has
+    screened, with n the array of their k indices; the result is then the
+    array of the k energies.
     """
     if not 0.0 < s <= params.e:
         raise ValueError("s must lie in (0, e]")
-    x = as_vector(x)
     q = as_vector(q)
-    M = params.metric(len(x))
+    if np.ndim(x) == 2:
+        M = params.metric(x.shape[1])
+        inner, norm2 = M.inner_rows, M.norm2_rows
+    else:
+        x, x_prev = as_vector(x), as_vector(x_prev)
+        M = params.metric(len(x))
+        inner, norm2 = M.inner, M.norm2
     nu_n = params.s1 * n + params.nu0
-    xdot = x - as_vector(x_prev)
-    t1 = 0.5 * M.norm2(s * (q - x) - nu_n * xdot)
-    t2 = 0.5 * s * (params.e - s) * M.norm2(x - q)
-    t3 = s * (params.e + nu_n) * M.inner(v, x - q)
+    xdot = x - x_prev
+    # expand_dims makes an array of nu_n a column that scales each row
+    t1 = 0.5 * norm2(s * (q - x) - np.expand_dims(nu_n, -1) * xdot)
+    t2 = 0.5 * s * (params.e - s) * norm2(x - q)
+    t3 = s * (params.e + nu_n) * inner(v, x - q)
     return t1 + t2 + t3
 
 
@@ -262,9 +277,19 @@ def graph_sequence(x, v, z_prev, params, B):
     x = as_vector(x)
     v = as_vector(v)
     M = params.metric(len(x))
-    y = x + (1.0 - 1.0 / params.w) * v
-    ystar = M.apply(v) / (params.lam * params.w) + B(y) - B(as_vector(z_prev))
-    return y, ystar
+    y = graph_point(x, v, params)
+    return y, graph_element(M.apply(v), B(y), B(as_vector(z_prev)), params)
+
+
+def graph_point(x, v, params):
+    """y = x + (1 - 1/w) v, for one point or row-wise for (k, d) blocks."""
+    return x + (1.0 - 1.0 / params.w) * v
+
+
+def graph_element(Mv, By, Bz_prev, params):
+    """y* = (lam w)^{-1} M v + B(y) - B(z_prev) from the evaluated terms,
+    for one point or row-wise for (k, d) blocks."""
+    return Mv / (params.lam * params.w) + By - Bz_prev
 
 
 @dataclass
@@ -355,7 +380,11 @@ def decade_trend(ns, values):
     values = np.asarray(values, dtype=float)
     lo = values[(ns >= 1) & (ns <= 10)]
     hi = values[ns >= ns.max() // 10]
-    first = float(lo.max()) if len(lo) else 0.0
-    last = float(hi.max()) if len(hi) else 0.0
+    return decade_ratio(float(lo.max()) if len(lo) else 0.0,
+                        float(hi.max()) if len(hi) else 0.0)
+
+
+def decade_ratio(first, last):
+    """The decade_trend record of a series' first- and final-decade maxima."""
     return {"first_decade_max": first, "final_decade_max": last,
             "ratio": last / first if first > 0 else 0.0}

@@ -34,11 +34,11 @@ def _crifba_params(problem, solver_cfg):
 
 def validate_config(cfg):
     """Run every applicable validator; returns (ok, report)."""
-    problem = problems.get(cfg["problem"])
     solver = cfg.get("solver", {})
     kind = solver.get("kind", "crifba")
-    report = {"problem": problem.name, "kind": kind}
+    report = {"problem": cfg.get("problem"), "kind": kind}
     try:
+        problem = problems.get(cfg["problem"])
         if kind == "crifba":
             params = _crifba_params(problem, solver)
             ok, reasons = crifba.validate_core(params)
@@ -224,7 +224,10 @@ def run_config(cfg, outdir=None):
 
 def check_history(history_path, cfg):
     """Replay every checker over a stored run history."""
-    problem = problems.get(cfg["problem"])
+    try:
+        problem = problems.get(cfg["problem"])
+    except KeyError as exc:
+        return {"status": "error", "error": str(exc)}
     solver = cfg.get("solver", {})
     if solver.get("kind", "crifba") != "crifba":
         return {"status": "skipped", "reason": "history replay only covers the core solver"}

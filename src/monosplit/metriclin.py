@@ -120,6 +120,18 @@ class SpdMap:
             raise ArithmeticError("solve failed to reach tolerance; map may not be SPD")
         return x
 
+    def solve_rows(self, rows):
+        """Solve M x_i = b_i for every row b_i of a (k, d) block in one
+        multi-right-hand-side solve; each row gets the residual check of
+        solve."""
+        b = np.asarray(rows, dtype=float)
+        as_vector(b.reshape(-1))
+        x = np.linalg.solve(self.matrix, b.T).T
+        res = np.linalg.norm(x @ self.matrix - b, axis=1)
+        if np.any(res > 1e-10 * np.maximum(np.linalg.norm(b, axis=1), 1e-300)):
+            raise ArithmeticError("solve failed to reach tolerance; map may not be SPD")
+        return x
+
     def inner(self, x, y):
         """Weighted inner product <Mx, y>."""
         if self.is_identity:
@@ -128,7 +140,25 @@ class SpdMap:
 
     def norm2(self, x):
         """Squared weighted norm <Mx, x>."""
-        return self.inner(x, x)
+        v = as_vector(x)
+        if self.is_identity:
+            return float(v @ v)
+        return float(v @ self.matrix @ v)
+
+    # Row-block forms for (k, d) arrays whose rows the caller has already
+    # screened; M is symmetric, so the rows of X @ M are the M x_i.
+
+    def apply_rows(self, X):
+        """M x_i for every row; X itself for the identity."""
+        return X if self.is_identity else X @ self.matrix
+
+    def inner_rows(self, X, Y):
+        """Row-wise weighted inner products <M x_i, y_i>."""
+        return np.einsum("ij,ij->i", self.apply_rows(X), Y)
+
+    def norm2_rows(self, X):
+        """Row-wise squared weighted norms <M x_i, x_i>."""
+        return self.inner_rows(X, X)
 
     def norm_of(self, x):
         return np.sqrt(max(self.norm2(x), 0.0))

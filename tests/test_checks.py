@@ -1,13 +1,17 @@
+import copy
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from monosplit import problems
-from monosplit.checks import (check_energy_decrease, check_estimg2,
+import _reference_checks as reference
+from monosplit import cripda, problems
+from monosplit.checks import (BLOCK_ROWS, check_energy_decrease, check_estimg2,
                               check_g_cocoercivity, check_gfru0_identity,
                               check_graph_inclusion, check_residual_ratio,
                               check_rilo, check_step_identities,
                               check_ystar_bound, standard_suite)
-from monosplit.crifba import default_params, run
+from monosplit.crifba import CrifbaParams, default_params, run
 from monosplit.metriclin import SpdMap
 
 
@@ -127,3 +131,112 @@ def test_report_serialization(clamp_run):
     assert d["name"] == "step_identities"
     assert isinstance(d["worst_violation"], float)
     assert d["passed"] is True
+
+
+# --- the blocked replay against the per-row reference loops -------------
+
+LONG = 3 * BLOCK_ROWS + 7          # crosses three block seams
+EPS = np.finfo(float).eps
+
+
+@lru_cache(maxsize=None)
+def recorded(name, steps):
+    """(A, B, q, run) for a catalog problem; p5_saddle is the stacked
+    inclusion in its block metric."""
+    prob = problems.get(name)
+    if name == "p5_saddle":
+        A, B = cripda.stacked_operators(prob.saddle)
+        M = cripda.build_metric(prob.saddle, 0.2, 0.2)
+        params = CrifbaParams(lam=1.0, w=0.5, M=M, L=B.certificate_L)
+        q = np.concatenate(prob.certified_solution)
+        x0 = np.concatenate((prob.start, np.full(prob.saddle.d_dual, 0.5)))
+    else:
+        A, B, q = prob.A, prob.B, prob.certified_solution
+        # delta above its floor lam ||L|| / 4 (0.225 here) gives the B terms
+        # of rilo the weight alpha = 1/16; at the floor alpha is 0
+        params = default_params(prob.L_map(), delta=0.24)
+        x0 = prob.start
+    return A, B, q, run(A, B, params, x0, max_iter=steps, tol=0.0)
+
+
+def assert_matches_reference(reports, expected, d, rel=False):
+    """Equal verdicts and counts; worst violations within 64 d eps
+    (relative to the worst violation when rel is set)."""
+    bound = 64 * d * EPS
+    assert [r.name for r in reports] == [r.name for r in expected]
+    for got, want in zip(reports, expected):
+        assert (got.n_checked, got.passed, got.status) == \
+            (want.n_checked, want.passed, want.status), got.name
+        assert set(got.details) == set(want.details), got.name
+        if got.name == "graph_inclusion":
+            assert got.worst_violation == want.worst_violation
+        else:
+            scale = max(1.0, abs(want.worst_violation)) if rel else 1.0
+            assert abs(got.worst_violation - want.worst_violation) <= bound * scale, \
+                (got.name, got.worst_violation, want.worst_violation)
+        for key in ("alpha", "selector", "rho", "const"):
+            if key in want.details:
+                assert got.details[key] == want.details[key], (got.name, key)
+        for key in ("E_first", "E_last"):
+            if key in want.details:
+                assert got.details[key] == pytest.approx(want.details[key],
+                                                         rel=bound, abs=0.0)
+        if "drift_trend" in want.details:
+            for key, value in want.details["drift_trend"].items():
+                assert got.details["drift_trend"][key] == pytest.approx(
+                    value, rel=bound, abs=0.0), key
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, LONG])
+@pytest.mark.parametrize("name", ["p1_clamp", "p2_lasso", "p3_spectrum", "p5_saddle"])
+def test_standard_suite_matches_per_row_reference(name, steps):
+    A, B, q, res = recorded(name, steps)
+    assert_matches_reference(standard_suite(res, A, B, q=q),
+                             reference.standard_suite(res, A, B, q=q),
+                             res.X.shape[1])
+
+
+def test_each_checker_reports_as_in_the_suite():
+    A, B, q, res = recorded("p2_lasso", LONG)
+    suite = {r.name: r for r in standard_suite(res, A, B, q=q)}
+    alone = [check_step_identities(res, A, B), check_estimg2(res),
+             check_residual_ratio(res), check_ystar_bound(res, B),
+             check_graph_inclusion(res, A, B),
+             check_energy_decrease(res, q), check_rilo(res, B, q)]
+    assert [r.name for r in alone] == list(suite)
+    for rep in alone:
+        assert rep == suite[rep.name]
+
+
+@pytest.mark.parametrize("row", [BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_corruption_on_a_block_seam_is_caught(row):
+    A, B, q, res = recorded("p2_lasso", LONG)
+    bad = copy.deepcopy(res)
+    bad.X[row] += 0.05
+    bad.V[row] -= 0.05
+    reports = standard_suite(bad, A, B, q=q)
+    assert_matches_reference(reports, reference.standard_suite(bad, A, B, q=q),
+                             res.X.shape[1], rel=True)
+    failed = {r.name for r in reports if not r.passed}
+    assert failed >= {"step_identities", "energy_decrease", "rilo"}
+
+
+@pytest.mark.parametrize("field", ["X", "Z", "V"])
+def test_non_finite_history_is_rejected(field):
+    A, B, q, res = recorded("p2_lasso", LONG)
+    bad = copy.deepcopy(res)
+    getattr(bad, field)[2 * BLOCK_ROWS + 3, 1] = np.nan
+    with pytest.raises(ValueError):
+        standard_suite(bad, A, B, q=q)
+
+
+@pytest.mark.parametrize("field, name", [("res2", "residual_ratio"),
+                                         ("x_prev_init", "step_identities")])
+def test_nan_outside_the_screen_fails_the_oracle(field, name):
+    A, B, q, res = recorded("p2_lasso", LONG)
+    bad = copy.deepcopy(res)
+    # in the first block, so the NaN must survive the later blocks
+    getattr(bad, field)[1] = np.nan
+    rep = {r.name: r for r in standard_suite(bad, A, B, q=q)}[name]
+    assert not rep.passed
+    assert np.isnan(rep.worst_violation)

@@ -218,3 +218,18 @@ def test_cli_compare(tmp_path):
                    {"problem": "p1_clamp", "solver": {"kind": "fba"},
                     "stop": {"max_iter": 2000, "tol": 1e-10}, "output": "c2"})
     assert cli.main(["compare", c1, c2, "--outdir", str(tmp_path)]) == 0
+
+
+def test_unknown_problem_is_reported_not_raised(tmp_path, capsys):
+    _, paths = harness.run_config(CLAMP_CFG, outdir=str(tmp_path))
+    bad = write_cfg(tmp_path, "bad.json", {"problem": "p9_nope"})
+    assert cli.main(["validate", bad]) == 1
+    assert "p9_nope" in json.loads(capsys.readouterr().out)["error"]
+    assert cli.main(["run", bad, "--outdir", str(tmp_path)]) == 1
+    assert "p9_nope" in json.loads(capsys.readouterr().out)["error"]
+    assert cli.main(["check", paths["history"], bad]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "error"
+    assert cli.main(["compare", bad, "--outdir", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().out)[0]["status"] == "invalid"
+    ok, report = harness.validate_config({})
+    assert not ok and "error" in report

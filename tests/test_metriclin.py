@@ -168,3 +168,59 @@ def test_identity_products_bit_equal_to_eye(d):
         assert m.inner(x, y) == float(x @ eye @ y)
         assert m.norm2(x) == float(x @ eye @ x)
         assert np.array_equal(m.apply(x), eye @ x)
+
+
+def test_norm2_screens_its_argument_once(monkeypatch):
+    from monosplit import metriclin
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return as_vector(x)
+
+    monkeypatch.setattr(metriclin, "as_vector", counting)
+    rng = np.random.default_rng(3)
+    for m in (SpdMap.identity(4), random_spd(rng, 4)):
+        x = rng.standard_normal(4)
+        calls.clear()
+        assert m.norm2(x) == m.inner(x, x)
+        assert len(calls) == 3      # once in norm2, twice in inner
+    with pytest.raises(ValueError):
+        SpdMap.identity(2).norm2([1.0, np.nan])
+
+
+@pytest.mark.parametrize("identity", [True, False])
+def test_row_forms_match_per_row_products(identity):
+    rng = np.random.default_rng(5)
+    d = 6
+    m = SpdMap.identity(d) if identity else random_spd(rng, d)
+    X = rng.standard_normal((9, d))
+    Y = rng.standard_normal((9, d))
+    bound = 64 * d * np.finfo(float).eps
+    inner = m.inner_rows(X, Y)
+    norm2 = m.norm2_rows(X)
+    applied = m.apply_rows(X)
+    solved = m.solve_rows(Y)
+    for i in range(9):
+        assert inner[i] == pytest.approx(m.inner(X[i], Y[i]), rel=bound)
+        assert norm2[i] == pytest.approx(m.norm2(X[i]), rel=bound)
+        assert np.allclose(applied[i], m.apply(X[i]), rtol=bound, atol=0.0)
+        assert np.allclose(solved[i], m.solve(Y[i]), rtol=1e-12, atol=0.0)
+
+
+def test_solve_rows_checks_every_row(monkeypatch):
+    m = SpdMap(np.diag([2.0, 4.0]))
+    B = np.array([[2.0, 4.0], [4.0, 8.0], [6.0, 12.0]])
+    assert np.array_equal(m.solve_rows(B), [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    with pytest.raises(ValueError):
+        m.solve_rows(np.array([[1.0, np.nan]]))
+    solve = np.linalg.solve
+
+    def off_in_one_row(a, b):
+        x = solve(a, b)
+        x[0, -1] += 1e-6
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", off_in_one_row)
+    with pytest.raises(ArithmeticError):
+        m.solve_rows(B)
