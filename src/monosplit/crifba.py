@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metriclin import SpdMap, as_vector, min_eigenvalue_sym
+from .metriclin import SpdMap, all_finite, as_vector, min_eigenvalue_sym
 from .operators import generalized_resolvent
 
 
@@ -138,8 +138,9 @@ def forward_backward(A, B, M, lam, x, Bx=None):
     """One forward-backward image (M + lam A)^{-1}(M x - lam B(x)).
 
     Bx, when given, is B(x) evaluated already and is used in its place.
+    x is not screened again here: B screens its argument, and a caller that
+    passes Bx has screened x already.
     """
-    x = as_vector(x)
     if Bx is None:
         Bx = B(x)
     if M is None or M.is_identity:
@@ -148,8 +149,10 @@ def forward_backward(A, B, M, lam, x, Bx=None):
 
 
 def residual_G(A, B, M, lam, x):
-    """Fixed-point residual; vanishes exactly on the solution set."""
-    x = as_vector(x)
+    """Fixed-point residual; vanishes exactly on the solution set.
+
+    x is screened where it enters B (see forward_backward).
+    """
     return (x - forward_backward(A, B, M, lam, x)) / lam
 
 
@@ -170,16 +173,21 @@ class StepTrace:
 
 
 def crifba_step(state, params, A, B):
-    """Advance one iteration; returns the new state and a trace of it."""
-    M = params.metric(len(state.x))
+    """Advance one iteration; returns the new state and a trace of it.
+
+    z_n is screened where it enters B, the resolvent output by
+    generalized_resolvent and x_{n+1} here. The metric is params.M as
+    given: None is the identity to forward_backward.
+    """
+    lam, w = params.lam, params.w
     v = state.z_prev - state.x
     _, theta, gamma, _ = schedule(params, state.n)
     z = state.x + theta * (state.x - state.x_prev) + gamma * v
-    fb = forward_backward(A, B, M, params.lam, z)
-    x_next = (1.0 - params.w) * z + params.w * fb
-    if not np.all(np.isfinite(x_next)):
+    fb = forward_backward(A, B, params.M, lam, z)
+    x_next = (1.0 - w) * z + w * fb
+    if not all_finite(x_next):
         raise ArithmeticError("non-finite iterate at n=%d" % state.n)
-    g = (z - fb) / params.lam
+    g = (z - fb) / lam
     return (CrifbaState(state.n + 1, state.x, x_next, z),
             StepTrace(v, z, x_next, g))
 
@@ -206,12 +214,18 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
     The cold-start default sets x_{-1} = z_{-1} = x_0, so v_0 = 0 and the
     initial velocity is zero. The residual column is computed directly at
     x_n with its own resolvent call each iteration.
+
+    The metric and lam are bound once per run. Every x_n has been screened
+    (x_0 here, later ones by crifba_step), and the divergence test reuses
+    x_{n+1}.x_{n+1}: np.linalg.norm of a 1-D float array is the square root
+    of that same dot.
     """
     validate(params, d=len(as_vector(x0)))
     x = as_vector(x0).copy()
     xp = x.copy() if x_prev is None else as_vector(x_prev).copy()
     zp = x.copy() if z_prev is None else as_vector(z_prev).copy()
     M = params.metric(len(x))
+    lam = params.lam
     xs = [x.copy()]
     zs = []
     vs = [zp - x]
@@ -219,21 +233,21 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
     stopped = "max_iter"
     state = CrifbaState(0, xp, x, zp)
     for n in range(max_iter):
-        g_here = residual_G(A, B, M, params.lam, state.x)
-        res2.append(M.norm2(g_here))
-        if np.sqrt(res2[-1]) <= tol:
+        r2 = M.norm2(residual_G(A, B, M, lam, state.x))
+        res2.append(r2)
+        if np.sqrt(r2) <= tol:
             stopped = "tol"
             break
         state, tr = crifba_step(state, params, A, B)
-        xs.append(tr.x_next)
+        x_next = tr.x_next
+        xs.append(x_next)
         zs.append(tr.z)
-        vs.append(tr.z - tr.x_next)
-        if np.linalg.norm(tr.x_next) > 1e12:
+        vs.append(tr.z - x_next)
+        if np.sqrt(x_next.dot(x_next)) > 1e12:
             stopped = "diverged"
             break
     if stopped == "max_iter" or stopped == "diverged":
-        g_here = residual_G(A, B, M, params.lam, state.x)
-        res2.append(M.norm2(g_here))
+        res2.append(M.norm2(residual_G(A, B, M, lam, state.x)))
     return RunResult(np.array(xs), np.array(zs).reshape(len(zs), len(x)),
                      np.array(vs), np.array(res2), xp,
                      len(xs) - 1, stopped, params)

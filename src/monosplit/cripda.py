@@ -10,12 +10,13 @@ each step costs one prox of G and one prox of F*. The step index is fixed
 to one; tau and sigma carry the step-size role inside the metric.
 """
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .metriclin import SpdMap, as_vector, operator_norm
+from .metriclin import SpdMap, all_finite, as_vector, operator_norm
 from .operators import MonotoneOp, CocoerciveMap
 
 
@@ -152,33 +153,41 @@ def cripda_step(state, params, problem):
 
     The reflected point fed to the dual prox is twice the primal resolvent
     output minus the extrapolated primal point, recovering the classical
-    reflected primal-dual scheme when inertia and correction vanish.
+    reflected primal-dual scheme when inertia and correction vanish. Both
+    prox outputs are screened as they return and the new iterates here.
     """
+    tau, sigma, w = params.tau, params.sigma, params.w
     _, theta, gamma, _ = params.schedule(state.n)
     xi = state.x + theta * (state.x - state.x_prev) + gamma * (state.xi_prev - state.x)
     chi = state.y + theta * (state.y - state.y_prev) + gamma * (state.chi_prev - state.y)
     K = problem.K
     x_hat = as_vector(problem.prox_G(
-        params.tau, xi - params.tau * (problem.grad_Q(xi) + K.T @ chi)))
-    x_next = (1.0 - params.w) * xi + params.w * x_hat
-    xi_bar = 2.0 / params.w * (x_next - (1.0 - params.w) * xi) - xi
+        tau, xi - tau * (problem.grad_Q(xi) + K.T @ chi)))
+    x_next = (1.0 - w) * xi + w * x_hat
+    xi_bar = 2.0 / w * (x_next - (1.0 - w) * xi) - xi
     y_hat = as_vector(problem.prox_Fstar(
-        params.sigma, chi - params.sigma * (problem.grad_Pstar(chi) - K @ xi_bar)))
-    y_next = (1.0 - params.w) * chi + params.w * y_hat
-    if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(y_next))):
+        sigma, chi - sigma * (problem.grad_Pstar(chi) - K @ xi_bar)))
+    y_next = (1.0 - w) * chi + w * y_hat
+    if not (all_finite(x_next) and all_finite(y_next)):
         raise ArithmeticError("non-finite iterate at n=%d" % state.n)
     return SaddleState(state.n + 1, state.x, x_next, state.y, y_next, xi, chi)
 
 
 def fixed_point_residual(problem, params, M, x, y):
-    """M-norm distance between (x, y) and its half-step image."""
+    """M-norm distance between (x, y) and its half-step image.
+
+    u = (x, y) is the only vector stacked: the gradients are subtracted
+    from the blocks of M u, and u becomes the difference in place.
+    """
     dx = len(x)
+    gq, gp = problem.grad_Q(x), problem.grad_Pstar(y)
     u = np.concatenate([x, y])
-    smooth = np.concatenate([problem.grad_Q(x), problem.grad_Pstar(y)])
-    r = M.apply(u) - smooth
-    px, py = precond_resolvent(problem, params.tau, params.sigma, r[:dx], r[dx:])
-    diff = u - np.concatenate([px, py])
-    return np.sqrt(max(M.norm2(diff), 0.0))
+    r = M.apply(u)
+    px, py = precond_resolvent(problem, params.tau, params.sigma,
+                               r[:dx] - gq, r[dx:] - gp)
+    u[:dx] -= px
+    u[dx:] -= py
+    return np.sqrt(max(M.norm2(u), 0.0))
 
 
 @dataclass
@@ -194,16 +203,40 @@ class CripdaResult:
     selector: int
 
 
+def _constant_gradients(problem, x0, y0):
+    """The pair itself, or a shallow copy whose gradients with a declared
+    Lipschitz constant of 0 return their one value, evaluated and screened
+    here once (a 0-Lipschitz gradient is constant)."""
+    if problem.lip_Q != 0.0 and problem.lip_Pstar != 0.0:
+        return problem
+    pair = copy.copy(problem)
+    for name, lip, at in (("grad_Q", problem.lip_Q, x0),
+                          ("grad_Pstar", problem.lip_Pstar, y0)):
+        if lip == 0.0:
+            g = as_vector(getattr(problem, name)(at)).copy()
+            g.flags.writeable = False
+            setattr(pair, name, lambda _, g=g: g)
+    return pair
+
+
 def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):
-    """Iterate the saddle solver until the metric residual is below tol."""
+    """Iterate the saddle solver until the metric residual is below tol.
+
+    The metric and any constant gradient are fixed once per run. The
+    stacked iterate u_{n+1} is built once per step: it is the history row,
+    gives the step u_{n+1} - u_n, and its dot with itself is the divergence
+    test (np.linalg.norm of a 1-D float array is the root of that dot).
+    """
     selector, _ = validate_cripda(params, problem)
     M = build_metric(problem, params.tau, params.sigma)
     x0 = as_vector(x0)
     y0 = as_vector(y0)
+    problem = _constant_gradients(problem, x0, y0)
     state = SaddleState(0, x0.copy(), x0.copy(), y0.copy(), y0.copy(),
                         x0.copy(), y0.copy())
     ns, vel2, fpr2 = [], [], []
-    hist = [np.concatenate([x0, y0])]
+    u = np.concatenate([x0, y0])
+    hist = [u]
     stopped = "max_iter"
     for n in range(max_iter):
         res = fixed_point_residual(problem, params, M, state.x, state.y)
@@ -213,15 +246,14 @@ def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):
             stopped = "tol"
             vel2.append(0.0)
             break
-        state_next = cripda_step(state, params, problem)
-        step = np.concatenate([state_next.x - state.x, state_next.y - state.y])
-        vel2.append(M.norm2(step))
-        hist.append(np.concatenate([state_next.x, state_next.y]))
-        if np.linalg.norm(hist[-1]) > 1e12:
+        state = cripda_step(state, params, problem)
+        u_next = np.concatenate([state.x, state.y])
+        vel2.append(M.norm2(u_next - u))
+        hist.append(u_next)
+        u = u_next
+        if np.sqrt(u.dot(u)) > 1e12:
             stopped = "diverged"
-            state = state_next
             break
-        state = state_next
     return CripdaResult(state.x, state.y, len(ns) - (1 if stopped == "tol" else 0),
                         stopped, np.array(ns), np.array(vel2), np.array(fpr2),
                         np.array(hist), selector)

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metriclin import as_vector
+from .metriclin import all_finite, as_vector
 
 
 class ProductVector:
@@ -113,12 +113,13 @@ def apply_T(z, A_list, B, lam):
     Block k of the output is J_{(lam/rho_k) A_k}(2 zbar - lam B(zbar) - z_k)
     - zbar + z_k, with zbar the weighted mean.
     """
+    blocks, weights = z.blocks, z.weights
     zbar = z.bar()
     fw = 2.0 * zbar - lam * B(zbar)
-    out = np.empty_like(z.blocks)
-    for k in range(z.p):
-        out[k] = A_list[k].resolvent(lam / z.weights[k], fw - z.blocks[k]) \
-            - zbar + z.blocks[k]
+    out = np.empty_like(blocks)
+    for k in range(len(blocks)):
+        out[k] = A_list[k].resolvent(lam / weights[k], fw - blocks[k]) \
+            - zbar + blocks[k]
     return z.with_blocks(out)
 
 
@@ -131,23 +132,26 @@ class GcrifbaState:
 
 
 def gcrifba_step(state, params, A_list, B):
-    """One inertial-corrected relaxed step over the product space."""
+    """One inertial-corrected relaxed step over the product space.
+
+    The forward point 2u - lam B(u) is formed once for all blocks; the new
+    blocks are screened together with one dot.
+    """
+    lam, w, weights = params.lam, params.w, state.zeta.weights
     _, theta, gamma, _ = params.schedule(state.n)
-    z_blocks = (state.zeta.blocks
-                + theta * (state.zeta.blocks - state.zeta_prev.blocks)
-                + gamma * (state.z_prev.blocks - state.zeta.blocks))
+    zb = state.zeta.blocks
+    z_blocks = (zb + theta * (zb - state.zeta_prev.blocks)
+                + gamma * (state.z_prev.blocks - zb))
     z = state.zeta.with_blocks(z_blocks)
     u = z.bar()
-    Bu = B(u)
-    new_blocks = np.empty_like(z.blocks)
-    for k in range(z.p):
-        res = A_list[k].resolvent(params.lam / z.weights[k],
-                                  2.0 * u - params.lam * Bu - z.blocks[k])
-        new_blocks[k] = z.blocks[k] + params.w * (res - u)
-    zeta_next = z.with_blocks(new_blocks)
-    if not np.all(np.isfinite(new_blocks)):
+    fw = 2.0 * u - lam * B(u)
+    new_blocks = np.empty_like(z_blocks)
+    for k in range(len(z_blocks)):
+        res = A_list[k].resolvent(lam / weights[k], fw - z_blocks[k])
+        new_blocks[k] = z_blocks[k] + w * (res - u)
+    if not all_finite(new_blocks.ravel()):
         raise ArithmeticError("non-finite iterate at n=%d" % state.n)
-    return GcrifbaState(state.n + 1, state.zeta, zeta_next, z), z
+    return GcrifbaState(state.n + 1, state.zeta, z.with_blocks(new_blocks), z), z
 
 
 @dataclass
@@ -175,16 +179,22 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9,
     validate_gcrifba(params)
     p = len(A_list)
     zeta = constant_product(x0, p, weights)
+    lam = params.lam
+    wcol = zeta.weights[:, None]
+
+    def norm2(blocks):
+        # ProductVector.norm2 of these blocks, the weight column bound once
+        return float((wcol * blocks * blocks).sum())
+
     state = GcrifbaState(0, zeta, zeta, zeta)
     ns, vel2, corr2, fpr2 = [], [], [], []
     xs = []
     stopped = "max_iter"
     for n in range(max_iter):
-        t_here = apply_T(state.zeta, A_list, B, params.lam)
-        r2 = state.zeta.with_blocks(t_here.blocks - state.zeta.blocks).norm2()
+        zb = state.zeta.blocks
+        r2 = norm2(apply_T(state.zeta, A_list, B, lam).blocks - zb)
         ns.append(n)
-        vel2.append(state.zeta.with_blocks(
-            state.zeta.blocks - state.zeta_prev.blocks).norm2())
+        vel2.append(norm2(zb - state.zeta_prev.blocks))
         fpr2.append(r2)
         if keep_x_hist:
             xs.append(state.zeta.bar())
@@ -193,8 +203,7 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9,
             corr2.append(0.0)
             break
         state_next, z = gcrifba_step(state, params, A_list, B)
-        corr2.append(state.zeta.with_blocks(
-            state_next.zeta.blocks - z.blocks).norm2())
+        corr2.append(norm2(state_next.zeta.blocks - z.blocks))
         state = state_next
     return GcrifbaResult(state.zeta, state.zeta.bar(),
                          len(ns) - (stopped == "tol"), stopped,

@@ -36,6 +36,12 @@ def as_vector(x):
     return v
 
 
+def all_finite(v):
+    """True when every entry of the 1-D float array v is finite: the
+    one-dot screen of as_vector, for vectors the caller built itself."""
+    return v.dot(_zeros(len(v))) == 0.0
+
+
 def operator_norm(K, tol=1e-10, max_iter=200000):
     """Largest singular value of a rectangular matrix.
 

@@ -15,7 +15,7 @@ def prox_box(lo, hi, x):
     """Componentwise clamp onto [lo, hi]."""
     if lo > hi:
         raise ValueError("empty box: lo > hi")
-    return np.clip(as_vector(x), lo, hi)
+    return as_vector(x).clip(lo, hi)
 
 
 def prox_quadratic(lam, Q, b, x):
@@ -72,11 +72,11 @@ def box_op(lo, hi):
     def graph_member(x, u, tol=1e-8):
         x = as_vector(x)
         u = as_vector(u)
-        if np.any(x < lo - tol) or np.any(x > hi + tol):
+        if (x < lo - tol).any() or (x > hi + tol).any():
             return False
         up_ok = (u <= tol) | (x >= hi - tol)
         lo_ok = (u >= -tol) | (x <= lo + tol)
-        return bool(np.all(up_ok) and np.all(lo_ok))
+        return bool(up_ok.all() and lo_ok.all())
 
     return MonotoneOp(lambda lam, x: prox_box(lo, hi, x),
                       graph_member=graph_member,
@@ -91,10 +91,10 @@ def l1_op(weight=1.0):
     def graph_member(x, u, tol=1e-8):
         x = as_vector(x)
         u = as_vector(u)
-        if np.any(np.abs(u) > weight + tol):
+        if (np.abs(u) > weight + tol).any():
             return False
         active = np.abs(x) > tol
-        return bool(np.all(np.abs(u[active] - weight * np.sign(x[active])) <= tol))
+        return bool((np.abs(u[active] - weight * np.sign(x[active])) <= tol).all())
 
     return MonotoneOp(lambda lam, x: prox_l1(lam * weight, x),
                       graph_member=graph_member,
@@ -121,8 +121,13 @@ def generalized_resolvent(A, M, lam, u):
     Dispatch: identity metric uses the plain resolvent; affine operators get
     a direct linear solve; otherwise the operator must carry its own closed
     form. Anything else is rejected rather than approximated.
+
+    An ndarray u is taken as given: in the solvers it is x - lam B(x) for a
+    screened x, and every path below screens either u itself (M.apply) or
+    the resolvent's output. Other input is coerced and screened here.
     """
-    u = as_vector(u)
+    if type(u) is not np.ndarray:
+        u = as_vector(u)
     if M is None or M.is_identity:
         return as_vector(A.resolvent(lam, u))
     if A.gen_resolvent is not None:

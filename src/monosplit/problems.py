@@ -1,6 +1,7 @@
 """Desk-scale test problems with independently certified solutions."""
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Optional
 
@@ -111,13 +112,30 @@ def lasso_cert(K, b, mu, x, tol_active=1e-9):
     return parts.max() if parts.size else 0.0
 
 
-def _p2_lasso():
+@lru_cache(maxsize=None)
+def _lasso_instance():
+    """K, b, mu and the oracle solution q of the seeded lasso instance,
+    computed once per process (the oracle takes 3^5 solves); read-only."""
     rng = np.random.default_rng(SEED)
     K = rng.standard_normal((5, 5))
     b = rng.standard_normal(5)
     mu = 0.3 * np.abs(K.T @ b).max()
-    beta = 1.0 / operator_norm(K) ** 2
     q = lasso_oracle(K, b, mu)
+    for a in (K, b, q):
+        a.flags.writeable = False
+    return K, b, mu, q
+
+
+def _lasso_data():
+    """Fresh copies of the lasso instance for one spec: mutating them
+    cannot reach the cache or another spec."""
+    K, b, mu, q = _lasso_instance()
+    return K.copy(), b.copy(), mu, q.copy()
+
+
+def _p2_lasso():
+    K, b, mu, q = _lasso_data()
+    beta = 1.0 / operator_norm(K) ** 2
     A = l1_op(mu)
     B = CocoerciveMap(lambda x: K.T @ (K @ x - b),
                       SpdMap(np.eye(5) / beta), label="least_squares_grad")
@@ -203,17 +221,13 @@ def _p5_saddle():
 
 
 def _p5_lasso_pd():
-    base = _p2_lasso()
-    K = base.extras["K"]
-    b = base.extras["b"]
-    mu = base.extras["mu"]
+    K, b, mu, q = _lasso_data()
     pair = SaddleFunctionPair(
         prox_G=lambda tau, u: prox_l1(tau * mu, u),
         prox_Fstar=lambda sigma, u: (as_vector(u) - sigma * b) / (1.0 + sigma),
         grad_Q=lambda x: np.zeros_like(as_vector(x)), lip_Q=0.0,
         grad_Pstar=lambda y: np.zeros_like(as_vector(y)), lip_Pstar=0.0,
         K=K, label="l1_least_squares_saddle")
-    q = base.certified_solution
 
     def cert(candidate):
         x = as_vector(candidate[0])

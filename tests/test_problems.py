@@ -37,6 +37,30 @@ def test_data_reproducibility():
     assert np.array_equal(s1.extras["K"], s2.extras["K"])
 
 
+def test_lasso_specs_do_not_share_data():
+    # the lasso instance is computed once per process, but every spec gets
+    # its own copies: mutating one reaches neither a later spec nor the
+    # other lasso problem, and the specs still match a fresh computation
+    first = get("p2_lasso")
+    pd = get("p5_lasso_pd")
+    K, b, mu = first.extras["K"].copy(), first.extras["b"].copy(), first.extras["mu"]
+    q = lasso_oracle(K, b, mu)
+    for arr in (first.extras["K"], first.extras["b"], first.certified_solution,
+                pd.extras["K"], pd.extras["b"], pd.certified_solution[0]):
+        arr[...] = 7.0
+    for spec in (get("p2_lasso"), get("p5_lasso_pd")):
+        assert np.array_equal(spec.extras["K"], K)
+        assert np.array_equal(spec.extras["b"], b)
+        assert spec.extras["mu"] == mu
+    again = get("p2_lasso")
+    assert again is not first
+    assert np.array_equal(again.certified_solution, q)
+    assert np.array_equal(get("p5_lasso_pd").certified_solution[0], q)
+    assert np.array_equal(get("p5_lasso_pd").certified_solution[1], K @ q - b)
+    ok, r = certify(again, q)
+    assert ok, r
+
+
 def test_clamp_certificate():
     p = get("p1_clamp")
     ok, r = certify(p, [1.0])
