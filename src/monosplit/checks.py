@@ -7,17 +7,22 @@ scaled by 1 + (magnitude of the participating terms) so that a single
 tolerance works across iterate scales.
 
 A replay is one pass over the recorded history in blocks of BLOCK_ROWS
-rows. X, Z and V are screened for finiteness once, up front. Each user
-operator is evaluated once per row, one row at a time: B(z_n), the
-resolvent at z_n fed with that B(z_n), B(y_n) and the graph membership
-test. Everything else is array arithmetic over the block, and each oracle
-is an accumulator fed block by block, carrying at most one row across a
-block seam, so the memory on top of the history is O(BLOCK_ROWS * d).
-``standard_suite`` runs the pass once for all its oracles; each public
-``check_*`` replay runs it with its one oracle. Row-wise sums are not
-always added in the order of a per-row loop, so a worst violation may
-differ from one computed row by row by at most 64 * d * eps (float64
-machine epsilon), and E_first/E_last by that relative amount.
+rows. X, Z and V are screened for finiteness once, up front. The user
+operators are called once per block through their row forms (see
+``operators``): B at the z_n block, the resolvent at z_n fed with those
+B(z_n), B at the y_n block and the graph membership test. An operator
+without row forms falls back to one scalar call per row, and so does the
+forward-backward image in a metric other than the identity; the scalar
+path is the reference the row forms are tested against. Everything else
+is array arithmetic over the block, and each oracle is an accumulator fed
+block by block, carrying at most one row across a block seam, so the
+memory on top of the history is O(BLOCK_ROWS * d). ``standard_suite``
+runs the pass once for all its oracles; each public ``check_*`` replay
+runs it with its one oracle. Row-wise sums, and the row form of an
+operator that takes matrix products, are not bound to the summation order
+of a per-row loop, so a worst violation may differ from one computed row
+by row by at most 64 * d * eps (float64 machine epsilon), and
+E_first/E_last by that relative amount.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .crifba import (decade_ratio, energy, forward_backward, graph_element,
-                     graph_point, residual_G, schedule, validate_metric)
+                     graph_point, schedule, validate_metric)
 from .metriclin import SpdMap, as_vector
 
 
@@ -113,7 +118,8 @@ def check_g_cocoercivity(A, B, M, lam, pairs, delta=None, tol=DEFAULT_TOL):
 
     Checks the base inequality and its two shifted variants: one trading
     accuracy for an identity shift delta (valid for any delta > 0), one
-    with the metric shifted by lam*L.
+    with the metric shifted by lam*L. The first and the second points of
+    the pairs are evaluated as two row blocks.
     """
     L = B.certificate_L
     Lnorm = L.norm()
@@ -122,22 +128,23 @@ def check_g_cocoercivity(A, B, M, lam, pairs, delta=None, tol=DEFAULT_TOL):
     alpha1 = 1.0 - lam * Lnorm / (4.0 * delta)
     H1 = M.matrix - delta * np.eye(M.d)
     H2 = M.matrix - lam * L.matrix
-    violations = {"base": [], "shift_identity": [], "shift_metric": []}
-    for x1, x2 in pairs:
-        x1 = as_vector(x1)
-        x2 = as_vector(x2)
-        dG = residual_G(A, B, M, lam, x1) - residual_G(A, B, M, lam, x2)
-        dB = B(x1) - B(x2)
-        lhs = M.inner(dG, x1 - x2)
-        dB_linv = float(dB @ L.solve(dB))
-        rhs0 = dB_linv + lam * M.norm2(dG) - lam * float(dG @ dB)
-        violations["base"].append(_scaled(rhs0 - lhs, lhs, dB_linv,
-                                          lam * M.norm2(dG), lam * float(dG @ dB)))
-        rhs1 = alpha1 * dB_linv + lam * float(dG @ (H1 @ dG))
-        violations["shift_identity"].append(_scaled(rhs1 - lhs, lhs, rhs1))
-        rhs2 = 0.75 * dB_linv + lam * float(dG @ (H2 @ dG))
-        violations["shift_metric"].append(_scaled(rhs2 - lhs, lhs, rhs2))
-    allv = np.concatenate([np.asarray(v) for v in violations.values()])
+    P = np.asarray(pairs, dtype=float).reshape(-1, 2, M.d)
+    X1, X2 = P[:, 0], P[:, 1]
+    B1, B2 = B.apply_rows(X1), B.apply_rows(X2)
+    dG = ((X1 - _forward_backward_rows(A, B, M, lam, X1, B1)) / lam
+          - (X2 - _forward_backward_rows(A, B, M, lam, X2, B2)) / lam)
+    dB = B1 - B2
+    lhs = M.inner_rows(dG, X1 - X2)
+    dB_linv = _dots(dB, L.solve_rows(dB))
+    dG_M = lam * M.norm2_rows(dG)
+    dG_dB = lam * _dots(dG, dB)
+    rhs0 = dB_linv + dG_M - dG_dB
+    rhs1 = alpha1 * dB_linv + lam * _dots(dG @ H1, dG)
+    rhs2 = 0.75 * dB_linv + lam * _dots(dG @ H2, dG)
+    violations = {"base": _scaled(rhs0 - lhs, lhs, dB_linv, dG_M, dG_dB),
+                  "shift_identity": _scaled(rhs1 - lhs, lhs, rhs1),
+                  "shift_metric": _scaled(rhs2 - lhs, lhs, rhs2)}
+    allv = np.concatenate(list(violations.values()))
     details = {k: float(np.max(v)) for k, v in violations.items()}
     details["delta"] = delta
     return _report("g_cocoercivity", allv, tol=tol, details=details)
@@ -252,9 +259,24 @@ def _screened(name, rows):
     return rows
 
 
+def _forward_backward_rows(A, B, M, lam, X, BX):
+    """forward_backward(A, B, M, lam, x_i, B(x_i)) for every row x_i of X,
+    given BX, the rows B(x_i): one block resolvent in the identity metric,
+    row by row in any other."""
+    if M.is_identity:
+        return A.resolvent_rows(lam, X - lam * BX)
+    return np.array([forward_backward(A, B, M, lam, x, bx)
+                     for x, bx in zip(X, BX)]).reshape(X.shape)
+
+
+def _dots(X, Y):
+    """Row-wise dot products <x_i, y_i>."""
+    return np.einsum("ij,ij->i", X, Y)
+
+
 def _norms(rows):
     """Euclidean norm of every row."""
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    return np.sqrt(_dots(rows, rows))
 
 
 def _mnorms(M, rows):
@@ -314,14 +336,13 @@ class _Block:
     @cached_property
     def Bz(self):
         """B(z_k)."""
-        return np.array([self.run.B(z) for z in self.Z])
+        return self.run.B.apply_rows(self.Z)
 
     @cached_property
     def FB(self):
         """Forward-backward image of z_k, fed with B(z_k)."""
         r = self.run
-        return np.array([forward_backward(r.A, r.B, r.M, r.p.lam, z, bz)
-                         for z, bz in zip(self.Z, self.Bz)])
+        return _forward_backward_rows(r.A, r.B, r.M, r.p.lam, self.Z, self.Bz)
 
     @cached_property
     def Y(self):
@@ -331,7 +352,7 @@ class _Block:
     @cached_property
     def By(self):
         """B(y_{k+1})."""
-        return np.array([self.run.B(y) for y in self.Y])
+        return self.run.B.apply_rows(self.Y)
 
     @cached_property
     def Ystar(self):
@@ -428,7 +449,7 @@ class _Rilo(_Oracle):
         Bz2 = np.concatenate((self.prev, blk.Bz))
         differenced = Bz2[1:] - Bz2[:-1]        # B(z_n) - B(z_{n-1}), n = k >= 1
         dB = np.concatenate((anchored, differenced))
-        quad = np.einsum("ij,ij->i", dB, self.L.solve_rows(dB))
+        quad = _dots(dB, self.L.solve_rows(dB))
         lhs = M.inner_rows(blk.V1, blk.X1 - self.q)
         rhs = self.weight * quad[:len(anchored)] + self.coef * M.norm2_rows(blk.V1)
         self.acc.add(_scaled(rhs - lhs, lhs, rhs))
@@ -506,18 +527,17 @@ class _YstarBound(_Oracle):
 class _GraphInclusion(_Oracle):
     def __init__(self, run, tol=GRAPH_TOL):
         super().__init__("graph_inclusion", tol)
-        self.member = run.A.graph_member
-        if self.member is None:
+        self.A = run.A
+        if self.A.graph_member is None:
             self.skip = "operator has no membership test"
         self.N = run.N
         self.bad = 0
 
     def feed(self, blk):
         ystar = blk.Ystar
-        scale = 1.0 + _norms(ystar)
-        for y, u, s in zip(blk.Y, ystar - blk.By, scale):
-            if not self.member(y, u, self.tol * s):
-                self.bad += 1
+        tol = self.tol * (1.0 + _norms(ystar))
+        ok = self.A.member_rows(blk.Y, ystar - blk.By, tol)
+        self.bad += len(ok) - int(np.count_nonzero(ok))
 
     def report(self):
         if self.skip is not None:

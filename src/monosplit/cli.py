@@ -7,6 +7,7 @@ Subcommands: validate, run, check, compare. Exit codes: 0 pass,
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import harness
 
@@ -67,7 +68,10 @@ def cmd_compare(args):
     return 0 if all(t["status"] == "ok" for t in table) else 1
 
 
-def main(argv=None):
+@lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     ap = argparse.ArgumentParser(prog="monosplit",
                                  description="splitting solver benchmark harness")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -90,8 +94,11 @@ def main(argv=None):
     p.add_argument("configs", nargs="+")
     p.add_argument("--outdir", default=None)
     p.set_defaults(fn=cmd_compare)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

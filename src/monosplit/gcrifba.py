@@ -5,6 +5,7 @@ block weights rho_k, projecting onto the diagonal with the weighted mean,
 and evaluating one resolvent per block and step.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -174,7 +175,8 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9,
     The averaged primal point is the weighted block mean of zeta. Trace
     columns (all in the weighted product norm, squared): block velocity,
     correction distance |zeta_{n+1} - z_n|, and fixed-point residual
-    |T(zeta_n) - zeta_n|; the run stops on the latter.
+    |T(zeta_n) - zeta_n|; the run stops on the latter. A non-finite
+    residual ends the run with ArithmeticError.
     """
     validate_gcrifba(params)
     p = len(A_list)
@@ -193,6 +195,10 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9,
     for n in range(max_iter):
         zb = state.zeta.blocks
         r2 = norm2(apply_T(state.zeta, A_list, B, lam).blocks - zb)
+        # a non-finite entry of T(zeta_n) makes r2 non-finite, and this test
+        # costs a fraction of a screen of T(zeta_n)
+        if not math.isfinite(r2):
+            raise ArithmeticError("non-finite residual at n=%d" % n)
         ns.append(n)
         vel2.append(norm2(zb - state.zeta_prev.blocks))
         fpr2.append(r2)

@@ -18,6 +18,21 @@ def prox_box(lo, hi, x):
     return as_vector(x).clip(lo, hi)
 
 
+def _screened_rows(rows):
+    """rows as a (k, d) float array, screened with the one dot of
+    as_vector over the whole block (same ValueError)."""
+    rows = np.asarray(rows, dtype=float)
+    as_vector(rows.reshape(-1))
+    return rows
+
+
+def _per_row(fn, rows):
+    """The fallback of the row forms: the scalar fn on each row of a (k, d)
+    block in turn, the results stacked as rows."""
+    out = [fn(row) for row in rows]
+    return np.array(out) if out else np.empty((0, np.shape(rows)[-1]))
+
+
 def prox_quadratic(lam, Q, b, x):
     """Resolvent of the affine map u -> Qu + b, i.e. (I + lam Q)^{-1}(x - lam b).
 
@@ -43,15 +58,41 @@ class MonotoneOp:
     only the inclusion diagnostics need it. affine=(Q, b) marks operators of
     the form A(x) = Qx + b, for which preconditioned resolvents have a
     direct linear solve.
+
+    Row forms are opt-in. The resolvent_rows callable maps lam and a (k, d)
+    block to the (k, d) block of resolvents of its rows; member_rows tests
+    every row pair (x_i, u_i) against a (k, 1) tolerance column, screening
+    as graph_member does, and returns k booleans. Both must agree with the
+    scalar forms row by row. Without them, the methods of the same names
+    loop over the scalar forms.
     """
 
     def __init__(self, resolvent, graph_member=None, label="", affine=None,
-                 gen_resolvent=None):
+                 gen_resolvent=None, resolvent_rows=None, member_rows=None):
         self.resolvent = resolvent
         self.graph_member = graph_member
         self.label = label
         self.affine = affine
         self.gen_resolvent = gen_resolvent
+        self._resolvent_rows = resolvent_rows
+        self._member_rows = member_rows
+
+    def resolvent_rows(self, lam, X):
+        """(I + lam A)^{-1} x_i for every row x_i of a (k, d) block; the
+        input and output blocks are screened as the scalar path screens
+        its vectors."""
+        if self._resolvent_rows is None:
+            return _per_row(lambda x: as_vector(self.resolvent(lam, x)), X)
+        return _screened_rows(self._resolvent_rows(lam, _screened_rows(X)))
+
+    def member_rows(self, X, U, tol):
+        """graph_member(x_i, u_i, tol_i) for every row pair, as k booleans;
+        tol is a length-k array."""
+        if self._member_rows is None:
+            return np.array([bool(self.graph_member(x, u, t))
+                             for x, u, t in zip(X, U, tol)], dtype=bool)
+        return np.asarray(self._member_rows(X, U, np.asarray(tol)[:, None]),
+                          dtype=bool)
 
     def __repr__(self):
         return "MonotoneOp(%s)" % (self.label or "anonymous")
@@ -61,7 +102,9 @@ def zero_op():
     return MonotoneOp(lambda lam, x: as_vector(x),
                       graph_member=lambda x, u, tol=1e-8: bool(np.all(np.abs(u) <= tol)),
                       label="zero",
-                      affine=(None, None))
+                      affine=(None, None),
+                      resolvent_rows=lambda lam, X: X,
+                      member_rows=lambda X, U, tol: np.all(np.abs(U) <= tol, axis=1))
 
 
 def box_op(lo, hi):
@@ -78,9 +121,19 @@ def box_op(lo, hi):
         lo_ok = (u >= -tol) | (x <= lo + tol)
         return bool(up_ok.all() and lo_ok.all())
 
+    def member_rows(X, U, tol):
+        X = _screened_rows(X)
+        U = _screened_rows(U)
+        outside = ((X < lo - tol) | (X > hi + tol)).any(axis=1)
+        ok = ((U <= tol) | (X >= hi - tol)) & ((U >= -tol) | (X <= lo + tol))
+        return ~outside & ok.all(axis=1)
+
     return MonotoneOp(lambda lam, x: prox_box(lo, hi, x),
                       graph_member=graph_member,
-                      label="normal_cone[%g,%g]" % (lo, hi))
+                      label="normal_cone[%g,%g]" % (lo, hi),
+                      resolvent_rows=lambda lam, X: prox_box(
+                          lo, hi, X.reshape(-1)).reshape(X.shape),
+                      member_rows=member_rows)
 
 
 def l1_op(weight=1.0):
@@ -96,9 +149,19 @@ def l1_op(weight=1.0):
         active = np.abs(x) > tol
         return bool((np.abs(u[active] - weight * np.sign(x[active])) <= tol).all())
 
+    def member_rows(X, U, tol):
+        X = _screened_rows(X)
+        U = _screened_rows(U)
+        outside = (np.abs(U) > weight + tol).any(axis=1)
+        ok = (np.abs(X) <= tol) | (np.abs(U - weight * np.sign(X)) <= tol)
+        return ~outside & ok.all(axis=1)
+
     return MonotoneOp(lambda lam, x: prox_l1(lam * weight, x),
                       graph_member=graph_member,
-                      label="l1_subdiff(w=%g)" % weight)
+                      label="l1_subdiff(w=%g)" % weight,
+                      resolvent_rows=lambda lam, X: prox_l1(
+                          lam * weight, X.reshape(-1)).reshape(X.shape),
+                      member_rows=member_rows)
 
 
 def affine_op(Q, b, label="affine"):
@@ -148,15 +211,27 @@ class CocoerciveMap:
 
     The certificate means <Bx - By, x - y> >= ||Bx - By||^2 in the L^{-1}
     norm. With L = (1/beta) I this is the usual beta-co-coercivity.
+
+    The apply_rows callable, when given, maps a (k, d) block to the (k, d)
+    block of B(x_i) and must agree with apply row by row; without it, the
+    method of the same name loops over apply.
     """
 
-    def __init__(self, apply, certificate_L, label=""):
+    def __init__(self, apply, certificate_L, label="", apply_rows=None):
         self._apply = apply
         self.certificate_L = certificate_L
         self.label = label
+        self._apply_rows = apply_rows
 
     def __call__(self, x):
         return as_vector(self._apply(as_vector(x)))
+
+    def apply_rows(self, X):
+        """B(x_i) for every row x_i of a (k, d) block; the input and
+        output blocks are screened as __call__ screens its vectors."""
+        if self._apply_rows is None:
+            return _per_row(self, X)
+        return _screened_rows(self._apply_rows(_screened_rows(X)))
 
     def __repr__(self):
         return "CocoerciveMap(%s)" % (self.label or "anonymous")

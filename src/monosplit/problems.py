@@ -43,9 +43,20 @@ def certify(problem, candidate, tol=1e-6):
     return r <= tol, r
 
 
+def _broadcasting_map(apply, d, label):
+    """A 1-co-coercive map whose apply broadcasts over (k, d) blocks as it
+    is, so that it serves as its own row form."""
+    return CocoerciveMap(apply, SpdMap(np.eye(d)), label=label, apply_rows=apply)
+
+
+def _shift_map(c, label):
+    """x -> x - c in one dimension."""
+    return _broadcasting_map(lambda x: x - c, 1, label)
+
+
 def _p1_clamp():
     A = box_op(0.0, np.inf)
-    B = CocoerciveMap(lambda x: x - 1.0, SpdMap(np.eye(1)), label="shifted_identity")
+    B = _shift_map(1.0, "shifted_identity")
 
     def cert(x):
         x = as_vector(x)
@@ -137,8 +148,16 @@ def _p2_lasso():
     K, b, mu, q = _lasso_data()
     beta = 1.0 / operator_norm(K) ** 2
     A = l1_op(mu)
+
+    def grad_rows(X):
+        # stacked products: on numpy 2.4 they match K.T @ (K @ x - b) row
+        # by row bit for bit, where X @ K.T does not
+        R = (K @ X[:, :, None])[:, :, 0] - b
+        return (K.T @ R[:, :, None])[:, :, 0]
+
     B = CocoerciveMap(lambda x: K.T @ (K @ x - b),
-                      SpdMap(np.eye(5) / beta), label="least_squares_grad")
+                      SpdMap(np.eye(5) / beta), label="least_squares_grad",
+                      apply_rows=grad_rows)
 
     def theta(x):
         x = as_vector(x)
@@ -167,7 +186,7 @@ def _p3_spectrum():
     Q = np.diag(mus)
     # mu <= 1 for every mode, so Q - Q^2 is PSD and the identity certifies
     # co-coercivity with modulus 1
-    B = CocoerciveMap(lambda x: mus * x, SpdMap(np.eye(d)), label="degenerate_quadratic")
+    B = _broadcasting_map(lambda x: mus * x, d, "degenerate_quadratic")
     return ProblemSpec(
         name="p3_spectrum", d=d, start=np.ones(d), A=zero_op(), B=B, beta=1.0,
         certified_solution=np.zeros(d),
@@ -177,8 +196,8 @@ def _p3_spectrum():
 
 
 def _flat_interval():
-    B = CocoerciveMap(lambda x: x - np.clip(x, -1.0, 1.0),
-                      SpdMap(np.eye(1)), label="outside_interval_pull")
+    B = _broadcasting_map(lambda x: x - np.clip(x, -1.0, 1.0), 1,
+                          "outside_interval_pull")
     return ProblemSpec(
         name="flat_interval", d=1, start=np.array([3.0]), A=zero_op(), B=B,
         beta=1.0, certified_solution=np.array([0.5]),
@@ -187,7 +206,7 @@ def _flat_interval():
 
 
 def _p4_three():
-    B = CocoerciveMap(lambda x: x - 1.5, SpdMap(np.eye(1)), label="shifted_identity")
+    B = _shift_map(1.5, "shifted_identity")
     return ProblemSpec(
         name="p4_three", d=1, start=np.array([4.0]),
         A_list=[box_op(-np.inf, 2.0), box_op(1.0, np.inf)], B=B, beta=1.0,
@@ -241,7 +260,7 @@ def _p5_lasso_pd():
 
 
 def _p6_res_sum():
-    B = CocoerciveMap(lambda x: x - 3.0, SpdMap(np.eye(1)), label="anchor_pull")
+    B = _shift_map(3.0, "anchor_pull")
     return ProblemSpec(
         name="p6_res_sum", d=1, start=np.array([0.0]),
         A_list=[l1_op(1.0), l1_op(1.0)], B=B, beta=1.0,

@@ -71,6 +71,41 @@ def check_energy_decrease(result, q, tol=DEFAULT_TOL):
                    details={"E_first": float(E[0]), "E_last": float(E[-1])})
 
 
+def check_g_cocoercivity(A, B, M, lam, pairs, delta=None, tol=DEFAULT_TOL):
+    """Co-coercivity of the fixed-point residual on sample pairs.
+
+    Checks the base inequality and its two shifted variants: one trading
+    accuracy for an identity shift delta (valid for any delta > 0), one
+    with the metric shifted by lam*L.
+    """
+    L = B.certificate_L
+    Lnorm = L.norm()
+    if delta is None:
+        delta = lam * Lnorm / 2.0 if Lnorm > 0 else 1.0
+    alpha1 = 1.0 - lam * Lnorm / (4.0 * delta)
+    H1 = M.matrix - delta * np.eye(M.d)
+    H2 = M.matrix - lam * L.matrix
+    violations = {"base": [], "shift_identity": [], "shift_metric": []}
+    for x1, x2 in pairs:
+        x1 = as_vector(x1)
+        x2 = as_vector(x2)
+        dG = residual_G(A, B, M, lam, x1) - residual_G(A, B, M, lam, x2)
+        dB = B(x1) - B(x2)
+        lhs = M.inner(dG, x1 - x2)
+        dB_linv = float(dB @ L.solve(dB))
+        rhs0 = dB_linv + lam * M.norm2(dG) - lam * float(dG @ dB)
+        violations["base"].append(_scaled(rhs0 - lhs, lhs, dB_linv,
+                                          lam * M.norm2(dG), lam * float(dG @ dB)))
+        rhs1 = alpha1 * dB_linv + lam * float(dG @ (H1 @ dG))
+        violations["shift_identity"].append(_scaled(rhs1 - lhs, lhs, rhs1))
+        rhs2 = 0.75 * dB_linv + lam * float(dG @ (H2 @ dG))
+        violations["shift_metric"].append(_scaled(rhs2 - lhs, lhs, rhs2))
+    allv = np.concatenate([np.asarray(v) for v in violations.values()])
+    details = {k: float(np.max(v)) for k, v in violations.items()}
+    details["delta"] = delta
+    return _report("g_cocoercivity", allv, tol=tol, details=details)
+
+
 def check_rilo(result, B, q, tol=DEFAULT_TOL):
     """Lower bounds on the anchored and differenced correction products.
 

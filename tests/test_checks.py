@@ -13,6 +13,7 @@ from monosplit.checks import (BLOCK_ROWS, check_energy_decrease, check_estimg2,
                               check_ystar_bound, standard_suite)
 from monosplit.crifba import CrifbaParams, default_params, run
 from monosplit.metriclin import SpdMap
+from monosplit.operators import CocoerciveMap, MonotoneOp, affine_op
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +189,8 @@ def assert_matches_reference(reports, expected, d, rel=False):
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2, LONG])
-@pytest.mark.parametrize("name", ["p1_clamp", "p2_lasso", "p3_spectrum", "p5_saddle"])
+@pytest.mark.parametrize("name", ["p1_clamp", "p2_lasso", "p3_spectrum",
+                                  "flat_interval", "p5_saddle"])
 def test_standard_suite_matches_per_row_reference(name, steps):
     A, B, q, res = recorded(name, steps)
     assert_matches_reference(standard_suite(res, A, B, q=q),
@@ -240,3 +242,79 @@ def test_nan_outside_the_screen_fails_the_oracle(field, name):
     rep = {r.name: r for r in standard_suite(bad, A, B, q=q)}[name]
     assert not rep.passed
     assert np.isnan(rep.worst_violation)
+
+
+# --- the row-form protocol against its scalar fallback ---------------------
+
+def counted(fn, calls, key):
+    def wrapper(*args):
+        calls[key] = calls.get(key, 0) + 1
+        return fn(*args)
+    return wrapper
+
+
+def with_scalar_counts(A, B, calls, row_forms):
+    """A and B with counted scalar forms, keeping or dropping their row
+    forms."""
+    A2 = MonotoneOp(counted(A.resolvent, calls, "resolvent"),
+                    graph_member=counted(A.graph_member, calls, "member"),
+                    label=A.label,
+                    resolvent_rows=A._resolvent_rows if row_forms else None,
+                    member_rows=A._member_rows if row_forms else None)
+    B2 = CocoerciveMap(counted(B._apply, calls, "B"), B.certificate_L,
+                       label=B.label,
+                       apply_rows=B._apply_rows if row_forms else None)
+    return A2, B2
+
+
+@pytest.mark.parametrize("name", ["p1_clamp", "p2_lasso", "p3_spectrum",
+                                  "flat_interval"])
+def test_user_operators_without_row_forms_report_the_same(name):
+    A, B, q, res = recorded(name, LONG)
+    rows_calls, scalar_calls = {}, {}
+    with_rows = standard_suite(res, *with_scalar_counts(A, B, rows_calls, True), q=q)
+    fallback = standard_suite(res, *with_scalar_counts(A, B, scalar_calls, False), q=q)
+    # the row forms leave only B(q) of rilo to the scalar path
+    assert rows_calls == {"B": 1}
+    assert scalar_calls == {"B": 2 * LONG + 1, "resolvent": LONG, "member": LONG}
+    if name == "p2_lasso":      # a matrix form: within 64 d eps
+        assert_matches_reference(with_rows, fallback, res.X.shape[1])
+    else:                       # elementwise forms: the same bits
+        assert [r.to_dict() for r in with_rows] == [r.to_dict() for r in fallback]
+        assert [r.worst_violation.hex() for r in with_rows] == \
+            [r.worst_violation.hex() for r in fallback]
+
+
+def g_cocoercivity_cases():
+    rng = np.random.default_rng(0x5EED)
+    lasso = problems.get("p2_lasso")
+    pairs5 = [(rng.standard_normal(5), rng.standard_normal(5)) for _ in range(300)]
+    # pairs on the l1 kinks and with a shared point
+    pairs5 += [(np.zeros(5), np.full(5, 0.5)), (np.ones(5), np.ones(5))]
+    lam = 0.9 * 4 * 0.25 * lasso.beta
+    yield "lasso_identity", (lasso.A, lasso.B, SpdMap.identity(5), lam, pairs5), 5
+    raw = rng.standard_normal((3, 3))
+    A = affine_op(raw @ raw.T, rng.standard_normal(3))
+    U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    S = U @ np.diag(rng.uniform(0.05, 1.0, 3)) @ U.T
+    B = CocoerciveMap(lambda x: S @ x, SpdMap(np.eye(3)))
+    pairs3 = [(2 * rng.standard_normal(3), 2 * rng.standard_normal(3))
+              for _ in range(300)]
+    for delta in (None, 0.05):
+        yield ("affine_metric_delta=%s" % delta,
+               (A, B, SpdMap(np.diag([1.0, 1.5, 2.0])), 0.2, pairs3, delta), 3)
+
+
+@pytest.mark.parametrize("case, args, d", list(g_cocoercivity_cases()),
+                         ids=[c[0] for c in g_cocoercivity_cases()])
+def test_g_cocoercivity_matches_per_pair_reference(case, args, d):
+    got = check_g_cocoercivity(*args)
+    want = reference.check_g_cocoercivity(*args)
+    bound = 64 * d * EPS
+    assert (got.name, got.n_checked, got.passed, got.status) == \
+        (want.name, want.n_checked, want.passed, want.status)
+    assert abs(got.worst_violation - want.worst_violation) <= bound
+    assert set(got.details) == set(want.details)
+    assert got.details["delta"] == want.details["delta"]
+    for key in ("base", "shift_identity", "shift_metric"):
+        assert abs(got.details[key] - want.details[key]) <= bound, key

@@ -200,6 +200,23 @@ def test_cli_parse_error_exits_2(tmp_path):
     assert err.value.code == 2
 
 
+def test_cli_parser_is_built_once_and_keeps_its_usage_errors(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, "cfg.json", CLAMP_CFG)
+    assert cli._parser() is cli._parser()
+    for argv in ([], ["frobnicate"], ["run"], ["validate", cfg_path, "--bogus"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "usage: monosplit" in capsys.readouterr().err
+    # parsing leaves no state behind in the shared parser
+    assert cli._parser().parse_args(["run", cfg_path, "--outdir", "x"]).outdir == "x"
+    assert cli._parser().parse_args(["run", cfg_path]).outdir is None
+    assert cli.main(["validate", cfg_path]) == 0
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--help"])
+    assert err.value.code == 0
+
+
 def test_cli_check(tmp_path):
     cfg_path = write_cfg(tmp_path, "cfg.json", CLAMP_CFG)
     cli.main(["run", cfg_path, "--outdir", str(tmp_path)])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from monosplit import problems
 from monosplit.metriclin import SpdMap
-from monosplit.operators import (CocoerciveMap, affine_op, box_op,
+from monosplit.operators import (CocoerciveMap, MonotoneOp, affine_op, box_op,
                                  cocoercive_from_beta, cocoercivity_check,
                                  generalized_resolvent, l1_op, prox_box,
                                  prox_l1, prox_quadratic, zero_op)
@@ -140,3 +141,169 @@ def test_cocoercivity_matrix_certificate():
     B = CocoerciveMap(lambda x: S @ x, SpdMap(np.eye(4)))
     pairs = [(rng.standard_normal(4), rng.standard_normal(4)) for _ in range(300)]
     assert cocoercivity_check(B, pairs)["passed"]
+
+
+# --- the row-block forms against the scalar forms ------------------------
+
+EPS = np.finfo(float).eps
+
+
+def catalog_operators():
+    """(problem name, operator) for every B and every resolvent-carrying
+    operator of the catalog problems."""
+    out = []
+    for prob in problems.catalog():
+        for op in [prob.A, prob.B, prob.B_resolvent] + list(prob.A_list or []):
+            if op is not None:
+                out.append((prob.name, op))
+    return out
+
+
+CATALOG = catalog_operators()
+IDS = ["%s:%s" % (name, op.label) for name, op in CATALOG]
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 0.3, -0.3, 1.5, 2.0, 3.0])
+
+
+def random_block(rng, k, d, special=()):
+    """k random rows, about a third of the entries replaced by special
+    values (kinks, box faces, signed zeros)."""
+    X = 2.0 * rng.standard_normal((k, d))
+    values = np.concatenate((SPECIAL, special))
+    pick = rng.random((k, d)) < 0.35
+    X[pick] = rng.choice(values, size=int(pick.sum()))
+    return X
+
+
+def assert_rows_match(got, want, elementwise, d):
+    assert got.shape == want.shape
+    if elementwise:
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    else:
+        bound = 64 * d * EPS * max(1.0, float(np.abs(want).max(initial=0.0)))
+        assert float(np.abs(got - want).max(initial=0.0)) <= bound
+
+
+def scalar_rows(fn, X, d):
+    return np.array([fn(x) for x in X]).reshape(len(X), d)
+
+
+@pytest.mark.parametrize("k", [0, 1, 513])
+@pytest.mark.parametrize("name, op", CATALOG, ids=IDS)
+def test_row_forms_match_scalar_forms(name, op, k):
+    d = problems.get(name).d
+    rng = np.random.default_rng(k + 17)
+    if isinstance(op, CocoerciveMap):
+        X = random_block(rng, k, d)
+        # only the lasso gradient is a matrix form
+        assert_rows_match(op.apply_rows(X), scalar_rows(op, X, d),
+                          name != "p2_lasso", d)
+        return
+    for lam in (0.3, 1.0, 2.5):
+        # the l1 kinks sit at +-lam * weight
+        X = random_block(rng, k, d, special=(lam, -lam, 0.3 * lam, -0.3 * lam))
+        want = scalar_rows(lambda x: op.resolvent(lam, x), X, d)
+        # elementwise row forms, or the fallback for the affine resolvent
+        assert_rows_match(op.resolvent_rows(lam, X), want, True, d)
+
+
+@pytest.mark.parametrize("k", [0, 1, 513])
+@pytest.mark.parametrize("make", [zero_op, lambda: box_op(0.0, 1.0),
+                                  lambda: box_op(-np.inf, 2.0),
+                                  lambda: l1_op(0.7), lambda: l1_op(0.0)])
+def test_member_rows_match_graph_member(make, k):
+    op = make()
+    d = 3
+    rng = np.random.default_rng(k + 5)
+    tol = rng.choice([0.0, 1e-8, 0.25], size=k)
+    t = tol[:, None]
+    # points on the box faces and the l1 kinks, normals at the l1 bound,
+    # and values exactly one tolerance away from every edge
+    X = random_block(rng, k, d)
+    U = random_block(rng, k, d, special=(0.7, -0.7))
+    edges_x = (t, -t, 1.0 + t, -t)
+    edges_u = (0.7 + t, -(0.7 + t), t, -t)
+    pick = rng.integers(0, 5, size=(k, d))
+    for j in range(4):
+        X = np.where(pick == j, edges_x[j], X)
+        U = np.where(pick == j, edges_u[j], U)
+    want = np.array([op.graph_member(x, u, tt) for x, u, tt in zip(X, U, tol)],
+                    dtype=bool)
+    got = op.member_rows(X, U, tol)
+    assert got.dtype == bool and got.shape == (k,)
+    assert np.array_equal(got, want)
+    if k > 100:
+        assert 0 < want.sum() < k        # both verdicts are exercised
+
+
+def nan_map():
+    # finite input, non-finite output on rows with a large first entry
+    def f(x):
+        return np.where(x > 5.0, np.nan, x)
+    return CocoerciveMap(f, SpdMap(np.eye(2)), apply_rows=f)
+
+
+def nan_resolvent_op():
+    def f(lam, x):
+        return np.where(x > 5.0, np.inf, x)
+    return MonotoneOp(f, resolvent_rows=f)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_row_forms_screen_input_blocks(bad):
+    X = np.ones((4, 2))
+    X[2, 1] = bad
+    for call in (lambda: l1_op(1.0).resolvent_rows(0.5, X),
+                 lambda: box_op(0.0, 1.0).resolvent_rows(0.5, X),
+                 lambda: zero_op().resolvent_rows(0.5, X),
+                 lambda: cocoercive_from_beta(lambda x: x, 1.0, 2).apply_rows(X),
+                 lambda: nan_map().apply_rows(X),
+                 lambda: l1_op(1.0).member_rows(X, np.zeros((4, 2)), np.ones(4)),
+                 lambda: box_op(0.0, 1.0).member_rows(np.zeros((4, 2)), X, np.ones(4))):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+                call()
+
+
+def test_row_forms_screen_output_blocks():
+    X = np.ones((4, 2))
+    X[3, 0] = 6.0
+    B = nan_map()
+    A = nan_resolvent_op()
+    for scalar, rows in ((lambda: B(X[3]), lambda: B.apply_rows(X)),
+                         (lambda: generalized_resolvent(A, None, 1.0, X[3]),
+                          lambda: A.resolvent_rows(1.0, X))):
+        for call in (scalar, rows):
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+                    call()
+
+
+def test_fallback_loops_over_the_scalar_forms():
+    calls = []
+
+    def apply(x):
+        calls.append("B")
+        return 2.0 * x
+
+    def resolvent(lam, x):
+        calls.append("J")
+        return np.asarray(x) / (1.0 + lam)
+
+    def member(x, u, tol):
+        calls.append("G")
+        return bool(np.all(np.abs(u - x) <= tol))
+
+    B = CocoerciveMap(apply, SpdMap(np.eye(3)))
+    A = MonotoneOp(resolvent, graph_member=member)
+    X = np.arange(15.0).reshape(5, 3)
+    assert np.array_equal(B.apply_rows(X), 2.0 * X)
+    assert np.array_equal(A.resolvent_rows(1.0, X), X / 2.0)
+    assert np.array_equal(A.member_rows(X, X + [[0.0], [0.0], [1.0], [0.0], [0.5]],
+                                        np.full(5, 0.5)),
+                          [True, True, False, True, True])
+    assert calls == ["B"] * 5 + ["J"] * 5 + ["G"] * 5
+    empty = np.empty((0, 3))
+    assert B.apply_rows(empty).shape == (0, 3)
+    assert A.resolvent_rows(1.0, empty).shape == (0, 3)
+    assert A.member_rows(empty, empty, np.empty(0)).shape == (0,)

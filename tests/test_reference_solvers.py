@@ -325,19 +325,25 @@ def test_gcrifba_nan_from_B(k):
 
 @pytest.mark.parametrize("k", [0, 1, 7, 8])
 def test_gcrifba_nan_from_resolvent(k):
-    # resolvent calls alternate between T(zeta_n) for the residual (even
-    # k: the NaN only enters that step's residual column) and the step
-    # itself (odd k: the new blocks are non-finite)
+    # resolvent calls alternate between T(zeta_n) for the residual (even k)
+    # and the step itself (odd k: the new blocks are non-finite)
     def go(solve):
         A_list, B, params, x0 = _three_with(resolvent=k)
         return solve(A_list, B, params, x0, max_iter=50, tol=0.0)
-    got = same_outcome(lambda: go(gcrifba.run_gcrifba),
-                       lambda: go(reference.run_gcrifba))
     if k % 2:
+        got = same_outcome(lambda: go(gcrifba.run_gcrifba),
+                           lambda: go(reference.run_gcrifba))
         assert type(got) is ArithmeticError
         assert str(got) == "non-finite iterate at n=%d" % (k // 2)
     else:
-        assert np.isnan(got.fpr2[k // 2]) and got.stopped == "max_iter"
+        # the residual screen ends the run where the reference loop
+        # records a NaN residual and runs on to max_iter
+        with pytest.raises(ArithmeticError) as err:
+            go(gcrifba.run_gcrifba)
+        assert type(err.value) is ArithmeticError
+        assert str(err.value) == "non-finite residual at n=%d" % (k // 2)
+        ref = go(reference.run_gcrifba)
+        assert np.isnan(ref.fpr2[k // 2]) and ref.stopped == "max_iter"
 
 
 def test_gcrifba_overflowing_start():
