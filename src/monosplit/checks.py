@@ -145,7 +145,7 @@ def check_g_cocoercivity(A, B, M, lam, pairs, delta=None, tol=DEFAULT_TOL):
                   "shift_identity": _scaled(rhs1 - lhs, lhs, rhs1),
                   "shift_metric": _scaled(rhs2 - lhs, lhs, rhs2)}
     allv = np.concatenate(list(violations.values()))
-    details = {k: float(np.max(v)) for k, v in violations.items()}
+    details = {k: _report(k, v).worst_violation for k, v in violations.items()}
     details["delta"] = delta
     return _report("g_cocoercivity", allv, tol=tol, details=details)
 

@@ -9,6 +9,12 @@ The update at step n reads
     x_{n+1} = (1-w) z_n + w (M + lam A)^{-1} (M z_n - lam B(z_n))
 
 with theta_n, gamma_n derived from the affine index nu_n = s1 n + nu0.
+
+The product-space (gcrifba) and primal-dual (cripda) solvers take the same
+corrected Krasnosel'skii-Mann step on another space, so the state, the
+schedule and its inequalities, the extrapolation and the loop are written
+once here: KMState, schedule, schedule_violations, extrapolate and
+iterate.
 """
 
 from dataclasses import dataclass, field
@@ -63,21 +69,31 @@ def schedule(params, n):
     return nu_n, theta, gamma, tau
 
 
-def validate_core(params):
-    """Strict parameter inequalities; returns (ok, list of violations)."""
+def schedule_violations(params):
+    """The violated inequalities of the schedule and the relaxation,
+    s1 >= 0, nu0 >= 0, 2 s1 < s0 < e and 0 < w < 1, as a list of reasons.
+
+    params is the parameter record of any of the three solvers.
+    """
     reasons = []
     if not params.s1 >= 0:
         reasons.append("s1 must be nonnegative")
+    if not params.nu0 >= 0:
+        reasons.append("nu0 must be nonnegative")
     if not 2.0 * params.s1 < params.s0:
         reasons.append("2*s1 < s0 violated (got 2*%g >= %g)" % (params.s1, params.s0))
     if not params.s0 < params.e:
         reasons.append("s0 < e violated (got %g >= %g)" % (params.s0, params.e))
     if not 0.0 < params.w < 1.0:
         reasons.append("w in (0,1) violated (got %g)" % params.w)
+    return reasons
+
+
+def validate_core(params):
+    """Strict parameter inequalities; returns (ok, list of violations)."""
+    reasons = schedule_violations(params)
     if not params.lam > 0:
         reasons.append("lam must be positive")
-    if not params.nu0 >= 0:
-        reasons.append("nu0 must be nonnegative")
     return (not reasons), reasons
 
 
@@ -157,39 +173,59 @@ def residual_G(A, B, M, lam, x):
 
 
 @dataclass
-class CrifbaState:
+class KMState:
+    """x_{n-1}, x_n and z_{n-1} at step n of any of the three solvers.
+
+    x is a vector for crifba, the stacked (x, y) for cripda and the (p, d)
+    block array for gcrifba; x_prev and z_prev have its shape.
+    """
     n: int
     x_prev: np.ndarray
     x: np.ndarray
     z_prev: np.ndarray
 
 
-@dataclass
-class StepTrace:
-    v: np.ndarray
-    z: np.ndarray
-    x_next: np.ndarray
-    g: np.ndarray  # residual operator evaluated at z_n
+def extrapolate(params, state):
+    """z_n = x_n + theta_n (x_n - x_{n-1}) + gamma_n (z_{n-1} - x_n)."""
+    _, theta, gamma, _ = schedule(params, state.n)
+    x = state.x
+    return x + theta * (x - state.x_prev) + gamma * (state.z_prev - x)
+
+
+def iterate(state, step, residual, record, max_iter, tol):
+    """The corrected Krasnosel'skii-Mann loop of all three solvers.
+
+    Each pass stops on residual(state) <= tol, else sets state = step(state),
+    hands the new state to record and stops when the Euclidean norm of its
+    iterate exceeds 1e12. residual records its solver's columns at state
+    and returns the norm to test. Returns the last state, whose n is the
+    number of steps taken, and the stop reason: "tol", "max_iter" or
+    "diverged".
+    """
+    for _ in range(max_iter):
+        if residual(state) <= tol:
+            return state, "tol"
+        state = step(state)
+        record(state)
+        x = state.x.ravel()
+        if np.sqrt(x.dot(x)) > 1e12:
+            return state, "diverged"
+    return state, "max_iter"
 
 
 def crifba_step(state, params, A, B):
-    """Advance one iteration; returns the new state and a trace of it.
+    """Advance one iteration; returns the new state.
 
     z_n is screened where it enters B, the resolvent output by
     generalized_resolvent and x_{n+1} here. The metric is params.M as
     given: None is the identity to forward_backward.
     """
-    lam, w = params.lam, params.w
-    v = state.z_prev - state.x
-    _, theta, gamma, _ = schedule(params, state.n)
-    z = state.x + theta * (state.x - state.x_prev) + gamma * v
-    fb = forward_backward(A, B, params.M, lam, z)
-    x_next = (1.0 - w) * z + w * fb
+    w = params.w
+    z = extrapolate(params, state)
+    x_next = (1.0 - w) * z + w * forward_backward(A, B, params.M, params.lam, z)
     if not all_finite(x_next):
         raise ArithmeticError("non-finite iterate at n=%d" % state.n)
-    g = (z - fb) / lam
-    return (CrifbaState(state.n + 1, state.x, x_next, z),
-            StepTrace(v, z, x_next, g))
+    return KMState(state.n + 1, state.x, x_next, z)
 
 
 @dataclass
@@ -213,12 +249,9 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
 
     The cold-start default sets x_{-1} = z_{-1} = x_0, so v_0 = 0 and the
     initial velocity is zero. The residual column is computed directly at
-    x_n with its own resolvent call each iteration.
-
-    The metric and lam are bound once per run. Every x_n has been screened
-    (x_0 here, later ones by crifba_step), and the divergence test reuses
-    x_{n+1}.x_{n+1}: np.linalg.norm of a 1-D float array is the square root
-    of that same dot.
+    x_n with its own resolvent call each iteration, and once more at the
+    last x_n when the run does not stop on it. The correction residuals
+    v_{n+1} = z_n - x_{n+1} are formed from Z and X once the run is over.
     """
     validate(params, d=len(as_vector(x0)))
     x = as_vector(x0).copy()
@@ -226,31 +259,26 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
     zp = x.copy() if z_prev is None else as_vector(z_prev).copy()
     M = params.metric(len(x))
     lam = params.lam
-    xs = [x.copy()]
-    zs = []
-    vs = [zp - x]
-    res2 = []
-    stopped = "max_iter"
-    state = CrifbaState(0, xp, x, zp)
-    for n in range(max_iter):
+    xs, zs, res2 = [x], [], []
+
+    def residual(state):
         r2 = M.norm2(residual_G(A, B, M, lam, state.x))
         res2.append(r2)
-        if np.sqrt(r2) <= tol:
-            stopped = "tol"
-            break
-        state, tr = crifba_step(state, params, A, B)
-        x_next = tr.x_next
-        xs.append(x_next)
-        zs.append(tr.z)
-        vs.append(tr.z - x_next)
-        if np.sqrt(x_next.dot(x_next)) > 1e12:
-            stopped = "diverged"
-            break
-    if stopped == "max_iter" or stopped == "diverged":
-        res2.append(M.norm2(residual_G(A, B, M, lam, state.x)))
-    return RunResult(np.array(xs), np.array(zs).reshape(len(zs), len(x)),
-                     np.array(vs), np.array(res2), xp,
-                     len(xs) - 1, stopped, params)
+        return np.sqrt(r2)
+
+    def record(state):
+        xs.append(state.x)
+        zs.append(state.z_prev)
+
+    state, stopped = iterate(KMState(0, xp, x, zp),
+                             lambda s: crifba_step(s, params, A, B),
+                             residual, record, max_iter, tol)
+    if stopped != "tol":
+        residual(state)
+    X = np.array(xs)
+    Z = np.array(zs).reshape(len(zs), len(x))
+    V = np.concatenate([(zp - x)[None], Z - X[1:]])
+    return RunResult(X, Z, V, np.array(res2), xp, state.n, stopped, params)
 
 
 def energy(params, x, x_prev, v, n, s, q):

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .crifba import KMState, extrapolate, iterate, schedule_violations
 from .metriclin import SpdMap, all_finite, as_vector, operator_norm
 from .operators import MonotoneOp, CocoerciveMap
 
@@ -31,11 +32,6 @@ class CripdaParams:
     nu0: float = 0.0
     delta: Optional[float] = None
 
-    def schedule(self, n):
-        nu_n = self.s1 * n + self.nu0
-        tau_n = self.e + self.s1 * (n + 1) + self.nu0
-        return nu_n, 1.0 - (self.e + self.s1) / tau_n, 1.0 - self.s0 / tau_n, tau_n
-
 
 def build_metric(problem, tau, sigma):
     """Assemble the block metric as a dense SpdMap."""
@@ -50,8 +46,11 @@ def validate_cripda(params, problem):
     """Check the two admissibility conditions; returns (selector, margins).
 
     Zero Lipschitz constants make the corresponding box constraint vacuous.
-    Raises when neither condition holds.
+    Raises when the schedule is infeasible or neither condition holds.
     """
+    reasons = schedule_violations(params)
+    if reasons:
+        raise ValueError("invalid saddle parameters: " + "; ".join(reasons))
     lq = problem.lip_Q
     lp = problem.lip_Pstar
     ww = params.w * (1.0 - params.w)
@@ -137,40 +136,30 @@ def _sigma_of(M, dx, dy):
     return 1.0 / M.matrix[dx, dx]
 
 
-@dataclass
-class SaddleState:
-    n: int
-    x_prev: np.ndarray
-    x: np.ndarray
-    y_prev: np.ndarray
-    y: np.ndarray
-    xi_prev: np.ndarray
-    chi_prev: np.ndarray
-
-
 def cripda_step(state, params, problem):
     """One primal-dual step with inertia, correction and relaxation.
 
-    The reflected point fed to the dual prox is twice the primal resolvent
-    output minus the extrapolated primal point, recovering the classical
-    reflected primal-dual scheme when inertia and correction vanish. Both
-    prox outputs are screened as they return and the new iterates here.
+    state.x is the stacked (x, y). The reflected point fed to the dual prox
+    is twice the primal resolvent output minus the extrapolated primal
+    point, recovering the classical reflected primal-dual scheme when
+    inertia and correction vanish. Both prox outputs are screened as they
+    return and the new iterate here.
     """
     tau, sigma, w = params.tau, params.sigma, params.w
-    _, theta, gamma, _ = params.schedule(state.n)
-    xi = state.x + theta * (state.x - state.x_prev) + gamma * (state.xi_prev - state.x)
-    chi = state.y + theta * (state.y - state.y_prev) + gamma * (state.chi_prev - state.y)
     K = problem.K
+    dx = K.shape[1]
+    z = extrapolate(params, state)
+    xi, chi = z[:dx], z[dx:]
     x_hat = as_vector(problem.prox_G(
         tau, xi - tau * (problem.grad_Q(xi) + K.T @ chi)))
     x_next = (1.0 - w) * xi + w * x_hat
     xi_bar = 2.0 / w * (x_next - (1.0 - w) * xi) - xi
     y_hat = as_vector(problem.prox_Fstar(
         sigma, chi - sigma * (problem.grad_Pstar(chi) - K @ xi_bar)))
-    y_next = (1.0 - w) * chi + w * y_hat
-    if not (all_finite(x_next) and all_finite(y_next)):
+    u_next = np.concatenate([x_next, (1.0 - w) * chi + w * y_hat])
+    if not all_finite(u_next):
         raise ArithmeticError("non-finite iterate at n=%d" % state.n)
-    return SaddleState(state.n + 1, state.x, x_next, state.y, y_next, xi, chi)
+    return KMState(state.n + 1, state.x, u_next, z)
 
 
 def fixed_point_residual(problem, params, M, x, y):
@@ -223,37 +212,34 @@ def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):
     """Iterate the saddle solver until the metric residual is below tol.
 
     The metric and any constant gradient are fixed once per run. The
-    stacked iterate u_{n+1} is built once per step: it is the history row,
-    gives the step u_{n+1} - u_n, and its dot with itself is the divergence
-    test (np.linalg.norm of a 1-D float array is the root of that dot).
+    iterate is the stacked u_n = (x_n, y_n): it is the history row and
+    gives the step u_{n+1} - u_n.
     """
     selector, _ = validate_cripda(params, problem)
     M = build_metric(problem, params.tau, params.sigma)
     x0 = as_vector(x0)
     y0 = as_vector(y0)
     problem = _constant_gradients(problem, x0, y0)
-    state = SaddleState(0, x0.copy(), x0.copy(), y0.copy(), y0.copy(),
-                        x0.copy(), y0.copy())
+    dx = len(x0)
     ns, vel2, fpr2 = [], [], []
     u = np.concatenate([x0, y0])
     hist = [u]
-    stopped = "max_iter"
-    for n in range(max_iter):
-        res = fixed_point_residual(problem, params, M, state.x, state.y)
-        ns.append(n)
+
+    def residual(state):
+        res = fixed_point_residual(problem, params, M, state.x[:dx], state.x[dx:])
+        ns.append(state.n)
         fpr2.append(res ** 2)
-        if res <= tol:
-            stopped = "tol"
-            vel2.append(0.0)
-            break
-        state = cripda_step(state, params, problem)
-        u_next = np.concatenate([state.x, state.y])
-        vel2.append(M.norm2(u_next - u))
-        hist.append(u_next)
-        u = u_next
-        if np.sqrt(u.dot(u)) > 1e12:
-            stopped = "diverged"
-            break
-    return CripdaResult(state.x, state.y, len(ns) - (1 if stopped == "tol" else 0),
-                        stopped, np.array(ns), np.array(vel2), np.array(fpr2),
+        return res
+
+    def record(state):
+        vel2.append(M.norm2(state.x - state.x_prev))
+        hist.append(state.x)
+
+    state, stopped = iterate(KMState(0, u, u, u),
+                             lambda s: cripda_step(s, params, problem),
+                             residual, record, max_iter, tol)
+    if stopped == "tol":
+        vel2.append(0.0)
+    return CripdaResult(state.x[:dx], state.x[dx:], state.n, stopped,
+                        np.array(ns), np.array(vel2), np.array(fpr2),
                         np.array(hist), selector)

@@ -6,11 +6,12 @@ and evaluating one resolvent per block and step.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .crifba import KMState, extrapolate, iterate, schedule_violations
 from .metriclin import all_finite, as_vector
 
 
@@ -60,13 +61,6 @@ class ProductVector:
         return out
 
 
-def diag_project(z):
-    """Replace every block by the weighted mean; the projection onto the
-    diagonal subspace in the weighted inner product."""
-    zbar = z.bar()
-    return z.with_blocks(np.tile(zbar, (z.p, 1)))
-
-
 def constant_product(x, p, weights=None):
     x = as_vector(x)
     w = np.full(p, 1.0 / p) if weights is None else np.asarray(weights, float)
@@ -83,11 +77,6 @@ class GcrifbaParams:
     s1: float = 1.0
     nu0: float = 0.0
 
-    def schedule(self, n):
-        nu_n = self.s1 * n + self.nu0
-        tau = self.e + self.s1 * (n + 1) + self.nu0
-        return nu_n, 1.0 - (self.e + self.s1) / tau, 1.0 - self.s0 / tau, tau
-
 
 def default_gcrifba_params(beta, safety=0.9, **overrides):
     lam = overrides.pop("lam", None)
@@ -97,11 +86,7 @@ def default_gcrifba_params(beta, safety=0.9, **overrides):
 
 
 def validate_gcrifba(params):
-    reasons = []
-    if not 0.0 < params.w < 1.0:
-        reasons.append("w in (0,1) violated")
-    if not 2.0 * params.s1 < params.s0 < params.e:
-        reasons.append("2*s1 < s0 < e violated")
+    reasons = schedule_violations(params)
     if not 0.0 < params.lam < 4.0 * params.w * (1.0 - params.w) * params.beta:
         reasons.append("lam outside (0, 4w(1-w)beta)")
     if reasons:
@@ -124,35 +109,24 @@ def apply_T(z, A_list, B, lam):
     return z.with_blocks(out)
 
 
-@dataclass
-class GcrifbaState:
-    n: int
-    zeta_prev: ProductVector
-    zeta: ProductVector
-    z_prev: ProductVector
-
-
-def gcrifba_step(state, params, A_list, B):
+def gcrifba_step(state, params, A_list, B, weights):
     """One inertial-corrected relaxed step over the product space.
 
-    The forward point 2u - lam B(u) is formed once for all blocks; the new
+    state.x is the (p, d) block array and weights the block weights. The
+    forward point 2u - lam B(u) is formed once for all blocks; the new
     blocks are screened together with one dot.
     """
-    lam, w, weights = params.lam, params.w, state.zeta.weights
-    _, theta, gamma, _ = params.schedule(state.n)
-    zb = state.zeta.blocks
-    z_blocks = (zb + theta * (zb - state.zeta_prev.blocks)
-                + gamma * (state.z_prev.blocks - zb))
-    z = state.zeta.with_blocks(z_blocks)
-    u = z.bar()
+    lam, w = params.lam, params.w
+    z = extrapolate(params, state)
+    u = weights @ z
     fw = 2.0 * u - lam * B(u)
-    new_blocks = np.empty_like(z_blocks)
-    for k in range(len(z_blocks)):
-        res = A_list[k].resolvent(lam / weights[k], fw - z_blocks[k])
-        new_blocks[k] = z_blocks[k] + w * (res - u)
+    new_blocks = np.empty_like(z)
+    for k in range(len(z)):
+        res = A_list[k].resolvent(lam / weights[k], fw - z[k])
+        new_blocks[k] = z[k] + w * (res - u)
     if not all_finite(new_blocks.ravel()):
         raise ArithmeticError("non-finite iterate at n=%d" % state.n)
-    return GcrifbaState(state.n + 1, state.zeta, z.with_blocks(new_blocks), z), z
+    return KMState(state.n + 1, state.x, new_blocks, z)
 
 
 @dataclass
@@ -175,44 +149,49 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9,
     The averaged primal point is the weighted block mean of zeta. Trace
     columns (all in the weighted product norm, squared): block velocity,
     correction distance |zeta_{n+1} - z_n|, and fixed-point residual
-    |T(zeta_n) - zeta_n|; the run stops on the latter. A non-finite
+    |T(zeta_n) - zeta_n|; the run stops on the latter, or as "diverged"
+    once the norm of the blocks passes 1e12 (crifba.iterate). A non-finite
     residual ends the run with ArithmeticError.
     """
     validate_gcrifba(params)
-    p = len(A_list)
-    zeta = constant_product(x0, p, weights)
+    zeta = constant_product(x0, len(A_list), weights)
     lam = params.lam
-    wcol = zeta.weights[:, None]
+    weights = zeta.weights
+    wcol = weights[:, None]
 
     def norm2(blocks):
         # ProductVector.norm2 of these blocks, the weight column bound once
         return float((wcol * blocks * blocks).sum())
 
-    state = GcrifbaState(0, zeta, zeta, zeta)
     ns, vel2, corr2, fpr2 = [], [], [], []
     xs = []
-    stopped = "max_iter"
-    for n in range(max_iter):
-        zb = state.zeta.blocks
-        r2 = norm2(apply_T(state.zeta, A_list, B, lam).blocks - zb)
+
+    def residual(state):
+        zb = state.x
+        zeta_n = zeta.with_blocks(zb)
+        r2 = norm2(apply_T(zeta_n, A_list, B, lam).blocks - zb)
         # a non-finite entry of T(zeta_n) makes r2 non-finite, and this test
         # costs a fraction of a screen of T(zeta_n)
         if not math.isfinite(r2):
-            raise ArithmeticError("non-finite residual at n=%d" % n)
-        ns.append(n)
-        vel2.append(norm2(zb - state.zeta_prev.blocks))
+            raise ArithmeticError("non-finite residual at n=%d" % state.n)
+        ns.append(state.n)
+        vel2.append(norm2(zb - state.x_prev))
         fpr2.append(r2)
         if keep_x_hist:
-            xs.append(state.zeta.bar())
-        if np.sqrt(r2) <= tol:
-            stopped = "tol"
-            corr2.append(0.0)
-            break
-        state_next, z = gcrifba_step(state, params, A_list, B)
-        corr2.append(norm2(state_next.zeta.blocks - z.blocks))
-        state = state_next
-    return GcrifbaResult(state.zeta, state.zeta.bar(),
-                         len(ns) - (stopped == "tol"), stopped,
+            xs.append(zeta_n.bar())
+        return np.sqrt(r2)
+
+    def record(state):
+        corr2.append(norm2(state.x - state.z_prev))
+
+    b = zeta.blocks
+    state, stopped = iterate(KMState(0, b, b, b),
+                             lambda s: gcrifba_step(s, params, A_list, B, weights),
+                             residual, record, max_iter, tol)
+    if stopped == "tol":
+        corr2.append(0.0)
+    zeta = zeta.with_blocks(state.x)
+    return GcrifbaResult(zeta, zeta.bar(), state.n, stopped,
                          np.array(ns), np.array(vel2), np.array(corr2),
                          np.array(fpr2),
                          np.array(xs) if keep_x_hist else None)

@@ -169,12 +169,6 @@ class SpdMap:
     def norm_of(self, x):
         return np.sqrt(max(self.norm2(x), 0.0))
 
-    def sqrt_apply(self, x):
-        w, V = self._decomp()
-        if w.min() <= 0:
-            raise ArithmeticError("root undefined, matrix not positive definite")
-        return V @ (np.sqrt(w) * (V.T @ as_vector(x)))
-
     def min_eigenvalue(self):
         w, _ = self._decomp()
         return float(w[0])

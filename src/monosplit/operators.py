@@ -237,11 +237,6 @@ class CocoerciveMap:
         return "CocoerciveMap(%s)" % (self.label or "anonymous")
 
 
-def cocoercive_from_beta(apply, beta, d, label=""):
-    """Wrap a beta-co-coercive map; the certificate is (1/beta) I."""
-    return CocoerciveMap(apply, SpdMap(np.eye(d) / beta), label=label)
-
-
 def cocoercivity_check(B, pairs, tol=1e-10):
     """Evaluate the co-coercivity inequality on sample pairs.
 

@@ -5,18 +5,65 @@ reference that ``crifba.run``, ``cripda.run_cripda`` and
 Each loop comes with the step and residual functions it called, also as
 they were: every call re-screens its arguments, the metric is looked up
 per step, norms go through ``np.linalg.norm`` and ``ProductVector``, and
-the saddle residual concatenates its pieces. Parameter types, validators,
+the saddle residual concatenates its pieces. The state types and the
+schedule are kept here as they were too. Parameter types, validators,
 result types and the operators themselves are the package's own.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from monosplit.crifba import CrifbaState, RunResult, StepTrace, schedule, validate
-from monosplit.cripda import (CripdaResult, SaddleState, build_metric,
-                              precond_resolvent, validate_cripda)
-from monosplit.gcrifba import (GcrifbaResult, GcrifbaState, constant_product,
+from monosplit.crifba import RunResult, validate
+from monosplit.cripda import (CripdaResult, build_metric, precond_resolvent,
+                              validate_cripda)
+from monosplit.gcrifba import (GcrifbaResult, ProductVector, constant_product,
                                validate_gcrifba)
 from monosplit.metriclin import as_vector
+
+
+def schedule(params, n):
+    """Return (nu_n, theta_n, gamma_n, tau_n) with tau_n = e + nu_{n+1}."""
+    nu_n = params.s1 * n + params.nu0
+    tau = params.e + params.s1 * (n + 1) + params.nu0
+    theta = 1.0 - (params.e + params.s1) / tau
+    gamma = 1.0 - params.s0 / tau
+    return nu_n, theta, gamma, tau
+
+
+@dataclass
+class CrifbaState:
+    n: int
+    x_prev: np.ndarray
+    x: np.ndarray
+    z_prev: np.ndarray
+
+
+@dataclass
+class StepTrace:
+    v: np.ndarray
+    z: np.ndarray
+    x_next: np.ndarray
+    g: np.ndarray  # residual operator evaluated at z_n
+
+
+@dataclass
+class SaddleState:
+    n: int
+    x_prev: np.ndarray
+    x: np.ndarray
+    y_prev: np.ndarray
+    y: np.ndarray
+    xi_prev: np.ndarray
+    chi_prev: np.ndarray
+
+
+@dataclass
+class GcrifbaState:
+    n: int
+    zeta_prev: ProductVector
+    zeta: ProductVector
+    z_prev: ProductVector
 
 
 # --- crifba -----------------------------------------------------------------
@@ -102,7 +149,7 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
 # --- cripda -----------------------------------------------------------------
 
 def cripda_step(state, params, problem):
-    _, theta, gamma, _ = params.schedule(state.n)
+    _, theta, gamma, _ = schedule(params, state.n)
     xi = state.x + theta * (state.x - state.x_prev) + gamma * (state.xi_prev - state.x)
     chi = state.y + theta * (state.y - state.y_prev) + gamma * (state.chi_prev - state.y)
     K = problem.K
@@ -173,7 +220,7 @@ def apply_T(z, A_list, B, lam):
 
 
 def gcrifba_step(state, params, A_list, B):
-    _, theta, gamma, _ = params.schedule(state.n)
+    _, theta, gamma, _ = schedule(params, state.n)
     z_blocks = (state.zeta.blocks
                 + theta * (state.zeta.blocks - state.zeta_prev.blocks)
                 + gamma * (state.z_prev.blocks - state.zeta.blocks))

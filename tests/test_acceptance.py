@@ -1,8 +1,11 @@
 """End-to-end guarantees: long-run identity replay, bounded partial sums,
 rate separation against the plain method, oracle inequalities on random
-configurations, certified solutions across every solver, exact reductions,
-the feasibility predicate, and graph-element convergence."""
+configurations, certified solutions across every solver, the stops and the
+schedule checks the three solvers share, exact reductions, the feasibility
+predicate, and graph-element convergence."""
 
+import json
+import re
 import time
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 
 from monosplit import problems
 from monosplit.baselines import run_baseline
+from monosplit.cli import main
 from monosplit.checks import (check_energy_decrease, check_g_cocoercivity,
                               check_gfru0_identity, check_graph_inclusion,
                               check_rilo, check_step_identities,
@@ -22,7 +26,8 @@ from monosplit.crifba import (CrifbaParams, decade_trend, default_params,
 from monosplit.gcrifba import default_gcrifba_params, run_gcrifba
 from monosplit.harness import fit_slope
 from monosplit.metriclin import SpdMap, operator_norm
-from monosplit.operators import CocoerciveMap, affine_op, cocoercivity_check
+from monosplit.operators import (CocoerciveMap, SaddleFunctionPair, affine_op,
+                                 cocoercivity_check, zero_op)
 
 
 def crifba_run(name, max_iter, tol=0.0):
@@ -240,25 +245,133 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def expansive_B():
+    """B(x) = -x on the line, with certificate I: not co-coercive, so the
+    iterates grow geometrically past the divergence bound."""
+    return CocoerciveMap(lambda x: -x, SpdMap(np.eye(1)), label="expansive")
+
+
+def pushing_pair():
+    """A saddle pair whose primal prox multiplies by 10."""
+    return SaddleFunctionPair(
+        prox_G=lambda tau, u: 10.0 * np.asarray(u, dtype=float),
+        prox_Fstar=lambda sigma, u: np.asarray(u, dtype=float),
+        grad_Q=lambda x: 0.0 * x, lip_Q=1.0,
+        grad_Pstar=lambda y: 0.0 * y, lip_Pstar=1.0,
+        K=np.array([[0.1]]), label="push")
+
+
+def stop_cases():
+    """(solver, stop, solve) for each solver and each of its three stops."""
+    p1, p4, p5 = (problems.get(n) for n in ("p1_clamp", "p4_three", "p5_saddle"))
+
+    def core(**kw):
+        return run(p1.A, p1.B, default_params(p1.L_map()), p1.start, **kw)
+
+    def lifted(**kw):
+        return run_gcrifba(p4.A_list, p4.B, default_gcrifba_params(p4.beta),
+                           p4.start, **kw)
+
+    def saddle(**kw):
+        return run_cripda(p5.saddle, CripdaParams(tau=0.2, sigma=0.2),
+                          p5.start, np.zeros(2), **kw)
+
+    unit = SpdMap(np.eye(1))
+    return [
+        ("crifba", "tol", lambda: core(tol=1e-9)),
+        ("crifba", "max_iter", lambda: core(max_iter=7, tol=0.0)),
+        ("crifba", "diverged", lambda: run(
+            zero_op(), expansive_B(), CrifbaParams(lam=0.5, L=unit), [1.0],
+            max_iter=3000)),
+        ("gcrifba", "tol", lambda: lifted(tol=1e-6)),
+        ("gcrifba", "max_iter", lambda: lifted(max_iter=7, tol=0.0)),
+        ("gcrifba", "diverged", lambda: run_gcrifba(
+            [zero_op(), zero_op()], expansive_B(), default_gcrifba_params(1.0),
+            [1.0], max_iter=3000)),
+        ("cripda", "tol", lambda: saddle(tol=1e-9)),
+        ("cripda", "max_iter", lambda: saddle(max_iter=7, tol=0.0)),
+        ("cripda", "diverged", lambda: run_cripda(
+            pushing_pair(), CripdaParams(tau=0.2, sigma=0.2, delta=0.3),
+            [1.0], [1.0], max_iter=3000)),
+    ]
+
+
 def test_n_iters_counts_steps_on_tolerance_stop(monkeypatch):
     # every solver reports the steps it performed, counted here by wrapping
-    # its step function, also when the run ends on the tolerance test
+    # its step function, on the tolerance stop and on the other two stops
     from monosplit import crifba, cripda, gcrifba
-    steps = {mod: _count_calls(monkeypatch, mod, name) for mod, name in
-             ((crifba, "crifba_step"), (gcrifba, "gcrifba_step"),
-              (cripda, "cripda_step"))}
-    prob = problems.get("p1_clamp")
-    core = run(prob.A, prob.B, default_params(prob.L_map()), prob.start,
-               tol=1e-9)
-    prob = problems.get("p4_three")
-    lifted = run_gcrifba(prob.A_list, prob.B, default_gcrifba_params(prob.beta),
-                         prob.start, tol=1e-6)
-    prob = problems.get("p5_saddle")
-    saddle = run_cripda(prob.saddle, CripdaParams(tau=0.2, sigma=0.2),
-                        prob.start, np.zeros(2), tol=1e-9)
-    for mod, res in ((crifba, core), (gcrifba, lifted), (cripda, saddle)):
-        assert res.stopped == "tol", mod.__name__
-        assert res.n_iters == len(steps[mod]) > 0, mod.__name__
+    steps = {kind: _count_calls(monkeypatch, mod, kind + "_step") for kind, mod in
+             (("crifba", crifba), ("gcrifba", gcrifba), ("cripda", cripda))}
+    for kind, stop, solve in stop_cases():
+        steps[kind].clear()
+        res = solve()
+        assert res.stopped == stop, (kind, stop)
+        assert res.n_iters == len(steps[kind]) > 0, (kind, stop)
+
+
+def test_gcrifba_stops_on_divergence():
+    # with zero_op blocks and B(x) = -x the block iterate grows until its
+    # norm (over the whole (p, d) block array) passes 1e12, where the run
+    # stops as crifba does on the same operators
+    def solve(max_iter):
+        return run_gcrifba([zero_op(), zero_op()], expansive_B(),
+                           default_gcrifba_params(1.0), [1.0], max_iter=max_iter)
+
+    res = solve(3000)
+    assert res.stopped == "diverged"
+    assert np.linalg.norm(res.zeta.blocks) > 1e12
+    assert len(res.ns) == len(res.corr2) == len(res.fpr2) == res.n_iters
+    before = solve(res.n_iters - 1)
+    assert before.stopped == "max_iter"
+    assert np.linalg.norm(before.zeta.blocks) <= 1e12
+    assert np.array_equal(before.fpr2, res.fpr2[:-1])
+    core = run(zero_op(), expansive_B(), CrifbaParams(lam=0.5, L=SpdMap(np.eye(1))),
+               [1.0], max_iter=3000)
+    assert core.stopped == "diverged"
+
+
+SCHEDULE_VIOLATIONS = [
+    ("s1", -1.0, "s1 must be nonnegative"),
+    ("nu0", -5.0, "nu0 must be nonnegative"),
+    ("s1", 2.0, "2*s1 < s0 violated (got 2*2 >= 2.5)"),
+    ("s0", 5.0, "s0 < e violated (got 5 >= 3)"),
+    ("w", 1.5, "w in (0,1) violated (got 1.5)"),
+]
+SCHEDULE_PROBLEM = {"crifba": "p1_clamp", "gcrifba": "p4_three",
+                    "cripda": "p5_saddle"}
+
+
+@pytest.mark.parametrize("key,value,reason", SCHEDULE_VIOLATIONS,
+                         ids=["s1<0", "nu0<0", "2s1>=s0", "s0>=e", "w>=1"])
+@pytest.mark.parametrize("kind", ["crifba", "gcrifba", "cripda"])
+def test_infeasible_schedule_is_refused(kind, key, value, reason, tmp_path,
+                                        capsys):
+    # every solver checks the same schedule inequalities before its first
+    # step: the library call raises ValueError naming the violated one, and
+    # the CLI's validate and run exit 1 with a report that names it
+    prob = problems.get(SCHEDULE_PROBLEM[kind])
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        if kind == "crifba":
+            run(prob.A, prob.B, default_params(prob.L_map(), **{key: value}),
+                prob.start, max_iter=50)
+        elif kind == "gcrifba":
+            run_gcrifba(prob.A_list, prob.B,
+                        default_gcrifba_params(prob.beta, **{key: value}),
+                        prob.start, max_iter=50)
+        else:
+            run_cripda(prob.saddle, CripdaParams(tau=0.2, sigma=0.2, **{key: value}),
+                       prob.start, np.zeros(2), max_iter=50)
+    solver = {"kind": kind, key: value}
+    if kind == "cripda":
+        solver.update(tau=0.2, sigma=0.2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": SCHEDULE_PROBLEM[kind], "solver": solver,
+                               "stop": {"max_iter": 50}, "output": "r"}))
+    out = tmp_path / "out"
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--outdir", str(out)]):
+        assert main(argv) == 1
+        assert reason in capsys.readouterr().out
+    assert not out.exists()
 
 
 # --- exact reductions ---------------------------------------------------

@@ -6,7 +6,7 @@ from monosplit.baselines import (attouch_cabot_step, chambolle_dossal_step,
                                  default_step, dr_shadow, dr_step, fba_step,
                                  fbf_step, lorenz_pock_step, moudafi_oliny_step,
                                  ppa_step, run_baseline)
-from monosplit.crifba import CrifbaParams, CrifbaState, crifba_step
+from monosplit.crifba import CrifbaParams, KMState, crifba_step
 from monosplit.harness import fit_slope
 from monosplit.metriclin import SpdMap
 
@@ -122,11 +122,11 @@ def test_attouch_cabot_matches_core_without_inertia(clamp):
     params = CrifbaParams(e=3.0, s0=3.0, s1=0.0, lam=lam, w=w,
                           L=SpdMap(np.eye(1)))
     x = np.array([4.0])
-    state = CrifbaState(0, x.copy(), x.copy(), x.copy())
+    state = KMState(0, x.copy(), x.copy(), x.copy())
     xa = x.copy()
     xa_prev = x.copy()
     for _ in range(60):
-        state, _ = crifba_step(state, params, clamp.A, clamp.B)
+        state = crifba_step(state, params, clamp.A, clamp.B)
         nxt = attouch_cabot_step(clamp.A, clamp.B, lam, 0.0, w, xa, xa_prev)
         xa_prev, xa = xa, nxt
         # the core correction term vanishes only in the limit of the

@@ -117,6 +117,19 @@ def test_g_cocoercivity_identity_metric(lasso_run):
     assert set(rep.details) >= {"base", "shift_identity", "shift_metric"}
 
 
+@pytest.mark.parametrize("M", [SpdMap.identity(5),
+                               SpdMap(np.diag([1.0, 1.5, 2.0, 2.5, 3.0]))],
+                         ids=["identity", "diagonal"])
+def test_g_cocoercivity_without_pairs_checks_nothing(M):
+    # an empty sample is reported as an empty replay is: nothing checked,
+    # nothing violated
+    prob = problems.get("p2_lasso")
+    rep = check_g_cocoercivity(prob.A, prob.B, M, 0.5, [])
+    assert (rep.n_checked, rep.worst_violation, rep.passed) == (0, 0.0, True)
+    variants = ("base", "shift_identity", "shift_metric")
+    assert [rep.details[k] for k in variants] == [0.0, 0.0, 0.0]
+
+
 def test_standard_suite_all_pass(lasso_run):
     prob, res = lasso_run
     reports = standard_suite(res, prob.A, prob.B, q=prob.certified_solution)

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from monosplit import problems
-from monosplit.crifba import (CrifbaParams, CrifbaState, crifba_step,
+from monosplit.crifba import (CrifbaParams, KMState, crifba_step,
                               decade_trend, default_params, diagnostics,
                               energy, feasible_step_bound, graph_sequence,
                               partial_sum_report, residual_G, run, schedule,
                               summability_monitors, validate, validate_core,
                               validate_metric)
 from monosplit.metriclin import SpdMap
-from monosplit.operators import cocoercive_from_beta, zero_op
+from monosplit.operators import CocoerciveMap, zero_op
 
 
 def ident_L(d=1, beta=1.0):
@@ -111,7 +111,7 @@ def test_residual_vanishes_at_solution():
 
 def test_residual_plain_gradient_case():
     # A = 0, B = identity, lam = 1: G(x) = x
-    B = cocoercive_from_beta(lambda x: x, 1.0, 1)
+    B = CocoerciveMap(lambda x: x, SpdMap(np.eye(1)))
     g = residual_G(zero_op(), B, SpdMap.identity(1), 1.0, [2.0])
     assert np.allclose(g, [2.0])
 
@@ -123,23 +123,23 @@ def test_step_hand_computation():
     # x1 = (z0 + clip(z0 - 0.5 (z0 - 1))) / 2 = 1.515625
     prob = problems.get("p1_clamp")
     p = CrifbaParams(lam=0.5, L=ident_L())
-    state = CrifbaState(0, np.array([1.5]), np.array([1.5]), np.array([2.0]))
-    state, tr = crifba_step(state, p, prob.A, prob.B)
-    assert tr.v[0] == pytest.approx(0.5)
-    assert tr.z[0] == pytest.approx(1.6875)
-    assert tr.x_next[0] == pytest.approx(1.515625)
-    assert state.x[0] == pytest.approx(1.515625)
-    assert np.allclose(state.z_prev, tr.z)
+    state = KMState(0, np.array([1.5]), np.array([1.5]), np.array([2.0]))
+    new = crifba_step(state, p, prob.A, prob.B)
+    assert new.n == 1
+    assert (state.z_prev - state.x)[0] == pytest.approx(0.5)
+    assert new.z_prev[0] == pytest.approx(1.6875)
+    assert new.x[0] == pytest.approx(1.515625)
+    assert new.x_prev is state.x
 
 
 def test_step_fixed_point_is_stationary():
     prob = problems.get("p1_clamp")
     p = CrifbaParams(lam=0.5, L=ident_L())
     q = np.array([1.0])
-    state = CrifbaState(3, q, q, q)
-    state, tr = crifba_step(state, p, prob.A, prob.B)
+    state = crifba_step(KMState(3, q, q, q), p, prob.A, prob.B)
     assert np.allclose(state.x, q)
-    assert np.allclose(tr.g, [0.0])
+    g = residual_G(prob.A, prob.B, SpdMap.identity(1), p.lam, state.z_prev)
+    assert np.allclose(g, [0.0])
 
 
 def test_run_clamp_converges_to_certificate():

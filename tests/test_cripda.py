@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from monosplit import problems
-from monosplit.cripda import (CripdaParams, SaddleState, build_metric,
-                              cripda_step, fixed_point_residual,
-                              precond_resolvent, run_cripda, stacked_operators,
-                              validate_cripda)
+from monosplit.crifba import KMState
+from monosplit.cripda import (CripdaParams, build_metric, cripda_step,
+                              fixed_point_residual, precond_resolvent,
+                              run_cripda, stacked_operators, validate_cripda)
 from monosplit.metriclin import operator_norm
 from monosplit.operators import SaddleFunctionPair, prox_l1
 
@@ -96,12 +96,11 @@ def test_step_hand_computation():
     # y_hat = 1 + 0.2 * 0.6 = 1.12, y+ = 1.06
     pair = plain_pair(np.array([[1.0]]))
     params = CripdaParams(tau=0.2, sigma=0.2, w=0.5, e=3.0, s0=3.0, s1=0.0)
-    state = SaddleState(0, np.array([1.0]), np.array([1.0]),
-                        np.array([1.0]), np.array([1.0]),
-                        np.array([1.0]), np.array([1.0]))
-    out = cripda_step(state, params, pair)
+    u = np.array([1.0, 1.0])       # the stacked (x, y)
+    out = cripda_step(KMState(0, u, u, u), params, pair)
+    assert out.n == 1
     assert out.x[0] == pytest.approx(0.9)
-    assert out.y[0] == pytest.approx(1.06)
+    assert out.x[1] == pytest.approx(1.06)
 
 
 def test_fixed_point_residual_at_solution():

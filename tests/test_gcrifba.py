@@ -4,8 +4,9 @@ import pytest
 from monosplit import problems
 from monosplit.gcrifba import (GcrifbaParams, ProductVector, apply_T,
                                constant_product, default_gcrifba_params,
-                               diag_project, run_gcrifba, validate_gcrifba)
-from monosplit.operators import cocoercive_from_beta, zero_op
+                               run_gcrifba, validate_gcrifba)
+from monosplit.metriclin import SpdMap
+from monosplit.operators import CocoerciveMap, zero_op
 
 
 def test_product_vector_basics():
@@ -29,35 +30,17 @@ def test_product_vector_rejects_bad_weights():
         ProductVector([[1.0], [2.0]], [-0.5, 1.5])      # negative
 
 
-def test_diag_project_examples():
-    z = ProductVector([[1.0], [3.0]], [0.5, 0.5])
-    pz = diag_project(z)
-    assert np.allclose(pz.blocks, [[2.0], [2.0]])
-    # idempotent
-    assert np.allclose(diag_project(pz).blocks, pz.blocks)
-
-
-def test_diag_project_orthogonality():
-    # the residual is orthogonal to every constant block vector in the
-    # weighted inner product
-    rng = np.random.default_rng(4)
-    z = ProductVector(rng.standard_normal((3, 4)), [0.2, 0.3, 0.5])
-    r = z.with_blocks(z.blocks - diag_project(z).blocks)
-    c = constant_product(rng.standard_normal(4), 3, [0.2, 0.3, 0.5])
-    assert abs(r.inner(c)) <= 1e-12
-
-
 def test_apply_T_zero_operators_projects():
     # with every A_k = 0 and B = 0 each output block equals the mean
     z = ProductVector([[1.0], [3.0]], [0.5, 0.5])
-    B = cocoercive_from_beta(lambda x: np.zeros_like(x), 1.0, 1)
+    B = CocoerciveMap(lambda x: np.zeros_like(x), SpdMap(np.eye(1)))
     out = apply_T(z, [zero_op(), zero_op()], B, 0.5)
     assert np.allclose(out.blocks, [[2.0], [2.0]])
 
 
 def test_apply_T_fixed_point():
     # diagonal z with the mean at a zero of B and A_k = 0 is a fixed point
-    B = cocoercive_from_beta(lambda x: x - 1.5, 1.0, 1)
+    B = CocoerciveMap(lambda x: x - 1.5, SpdMap(np.eye(1)))
     z = constant_product([1.5], 2)
     out = apply_T(z, [zero_op(), zero_op()], B, 0.5)
     assert np.allclose(out.blocks, z.blocks)

@@ -63,19 +63,6 @@ def test_inner_positivity():
         assert m.inner(x, x) > 0
 
 
-def test_sqrt_examples():
-    m = SpdMap(np.diag([4.0, 9.0]))
-    assert np.allclose(m.sqrt_apply([1.0, 1.0]), [2.0, 3.0])
-    assert np.allclose(SpdMap.identity(3).sqrt_apply([1, 2, 3]), [1, 2, 3])
-
-
-def test_sqrt_composition():
-    rng = np.random.default_rng(13)
-    m = random_spd(rng, 6)
-    x = rng.standard_normal(6)
-    assert np.linalg.norm(m.sqrt_apply(m.sqrt_apply(x)) - m.apply(x)) <= 1e-10
-
-
 def test_min_eigenvalue_examples():
     assert SpdMap(np.diag([3.0, 1.0, 2.0])).min_eigenvalue() == pytest.approx(1.0)
     assert SpdMap.identity(5).min_eigenvalue() == pytest.approx(1.0)

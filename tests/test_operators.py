@@ -4,9 +4,9 @@ import pytest
 from monosplit import problems
 from monosplit.metriclin import SpdMap
 from monosplit.operators import (CocoerciveMap, MonotoneOp, affine_op, box_op,
-                                 cocoercive_from_beta, cocoercivity_check,
-                                 generalized_resolvent, l1_op, prox_box,
-                                 prox_l1, prox_quadratic, zero_op)
+                                 cocoercivity_check, generalized_resolvent,
+                                 l1_op, prox_box, prox_l1, prox_quadratic,
+                                 zero_op)
 
 
 def test_prox_l1_examples():
@@ -115,8 +115,8 @@ def test_generalized_resolvent_rejects_opaque_operator():
 
 def test_cocoercivity_check_clamp():
     # x -> x - clip(x, -1, 1) is firmly nonexpansive, so 1-co-coercive
-    B = cocoercive_from_beta(lambda x: x - np.clip(x, -1.0, 1.0), 1.0, 1,
-                             label="clamp")
+    B = CocoerciveMap(lambda x: x - np.clip(x, -1.0, 1.0),
+                      SpdMap(np.eye(1)), label="clamp")
     rng = np.random.default_rng(6)
     pairs = [(rng.standard_normal(1) * 3, rng.standard_normal(1) * 3)
              for _ in range(500)]
@@ -127,7 +127,7 @@ def test_cocoercivity_check_clamp():
 
 def test_cocoercivity_check_catches_violation():
     # a 3-Lipschitz map is not 1-co-coercive
-    bad = cocoercive_from_beta(lambda x: 3.0 * x, 1.0, 1)
+    bad = CocoerciveMap(lambda x: 3.0 * x, SpdMap(np.eye(1)))
     out = cocoercivity_check(bad, [([1.0], [0.0])])
     assert not out["passed"]
 
@@ -256,7 +256,7 @@ def test_row_forms_screen_input_blocks(bad):
     for call in (lambda: l1_op(1.0).resolvent_rows(0.5, X),
                  lambda: box_op(0.0, 1.0).resolvent_rows(0.5, X),
                  lambda: zero_op().resolvent_rows(0.5, X),
-                 lambda: cocoercive_from_beta(lambda x: x, 1.0, 2).apply_rows(X),
+                 lambda: CocoerciveMap(lambda x: x, SpdMap(np.eye(2))).apply_rows(X),
                  lambda: nan_map().apply_rows(X),
                  lambda: l1_op(1.0).member_rows(X, np.zeros((4, 2)), np.ones(4)),
                  lambda: box_op(0.0, 1.0).member_rows(np.zeros((4, 2)), X, np.ones(4))):
