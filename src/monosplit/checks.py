@@ -30,9 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .crifba import (decade_ratio, energy, forward_backward, graph_element,
-                     graph_point, schedule, validate_metric)
-from .metriclin import SpdMap, as_vector
+from .crifba import (_forward_backward_rows, decade_ratio, energy,
+                     graph_element, graph_point, schedule, validate_metric)
+from .metriclin import SpdMap, as_rows, as_vector
 
 
 DEFAULT_TOL = 1e-10
@@ -249,24 +249,11 @@ def standard_suite(result, A, B, q=None):
 # --- the blocked replay ---------------------------------------------------
 
 def _screened(name, rows):
-    """rows as a float array, screened for finiteness a block at a time."""
-    rows = np.asarray(rows, dtype=float)
-    for a in range(0, len(rows), BLOCK_ROWS):
-        try:
-            as_vector(rows[a:a + BLOCK_ROWS].reshape(-1))
-        except ValueError:
-            raise ValueError("recorded %s has non-finite entries" % name) from None
-    return rows
-
-
-def _forward_backward_rows(A, B, M, lam, X, BX):
-    """forward_backward(A, B, M, lam, x_i, B(x_i)) for every row x_i of X,
-    given BX, the rows B(x_i): one block resolvent in the identity metric,
-    row by row in any other."""
-    if M.is_identity:
-        return A.resolvent_rows(lam, X - lam * BX)
-    return np.array([forward_backward(A, B, M, lam, x, bx)
-                     for x, bx in zip(X, BX)]).reshape(X.shape)
+    """rows as a float array, screened for finiteness."""
+    try:
+        return as_rows(rows)
+    except ValueError:
+        raise ValueError("recorded %s has non-finite entries" % name) from None
 
 
 def _dots(X, Y):

@@ -17,6 +17,7 @@ once here: KMState, schedule, schedule_violations, extrapolate and
 iterate.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -164,6 +165,16 @@ def forward_backward(A, B, M, lam, x, Bx=None):
     return generalized_resolvent(A, M, lam, x - lam * M.solve(Bx))
 
 
+def _forward_backward_rows(A, B, M, lam, X, BX):
+    """forward_backward(A, B, M, lam, x_i, B(x_i)) for every row x_i of X,
+    given BX, the rows B(x_i): one block resolvent in the identity metric,
+    row by row in any other."""
+    if M.is_identity:
+        return A.resolvent_rows(lam, X - lam * BX)
+    return np.array([forward_backward(A, B, M, lam, x, bx)
+                     for x, bx in zip(X, BX)]).reshape(X.shape)
+
+
 def residual_G(A, B, M, lam, x):
     """Fixed-point residual; vanishes exactly on the solution set.
 
@@ -192,37 +203,70 @@ def extrapolate(params, state):
     return x + theta * (x - state.x_prev) + gamma * (state.z_prev - x)
 
 
+# The solvers form the record columns that iterate does not read for this
+# many states at a time, with one array operation each.
+RECORD_ROWS = 64
+
+
+def root(r2):
+    """np.sqrt of one squared norm, without numpy's call cost: NaN for a
+    negative or NaN r2."""
+    return math.sqrt(r2) if r2 >= 0.0 else math.nan
+
+
 def iterate(state, step, residual, record, max_iter, tol):
     """The corrected Krasnosel'skii-Mann loop of all three solvers.
 
     Each pass stops on residual(state) <= tol, else sets state = step(state),
     hands the new state to record and stops when the Euclidean norm of its
-    iterate exceeds 1e12. residual records its solver's columns at state
-    and returns the norm to test. Returns the last state, whose n is the
-    number of steps taken, and the stop reason: "tol", "max_iter" or
-    "diverged".
+    iterate exceeds 1e12. Returns the last state, whose n is the number of
+    steps taken, and the stop reason: "tol", "max_iter" or "diverged".
+
+    residual(state, ahead) records its solver's columns at state and
+    returns the norm to test and the values step(state, values) needs.
+    With ahead false the values are None and the step calls its operators
+    itself. With ahead true, which residual.ahead allows when every
+    operator has a row form, residual calls each row form once on two
+    rows, its own argument and the step's, and the step calls no
+    operator. The step's row is evaluated before the stop test, so the
+    operators must be pure; the step still runs only when the state does
+    not stop. When such a call raises, residual is called again with ahead
+    false, so that a stop or an exception lands where it lands one
+    operator call at a time.
     """
+    ahead = residual.ahead
     for _ in range(max_iter):
-        if residual(state) <= tol:
+        try:
+            r, values = residual(state, ahead)
+        except Exception:
+            if not ahead:
+                raise
+            r, values = residual(state, False)
+        if r <= tol:
             return state, "tol"
-        state = step(state)
+        state = step(state, values)
         record(state)
         x = state.x.ravel()
-        if np.sqrt(x.dot(x)) > 1e12:
+        if math.sqrt(x.dot(x)) > 1e12:
             return state, "diverged"
     return state, "max_iter"
 
 
-def crifba_step(state, params, A, B):
+def crifba_step(state, params, A, B, ahead=None):
     """Advance one iteration; returns the new state.
 
-    z_n is screened where it enters B, the resolvent output by
-    generalized_resolvent and x_{n+1} here. The metric is params.M as
-    given: None is the identity to forward_backward.
+    ahead, when given, is (z_n, forward_backward image of z_n), evaluated
+    already by the residual (see iterate). z_n is screened where it enters
+    B, the resolvent output by generalized_resolvent and x_{n+1} here. The
+    metric is params.M as given: None is the identity to forward_backward.
     """
     w = params.w
-    z = extrapolate(params, state)
-    x_next = (1.0 - w) * z + w * forward_backward(A, B, params.M, params.lam, z)
+    if ahead is None:
+        z = extrapolate(params, state)
+        fb = forward_backward(A, B, params.M, params.lam, z)
+    else:
+        z, fb = ahead
+    x_next = (1.0 - w) * z + w * fb
     if not all_finite(x_next):
         raise ArithmeticError("non-finite iterate at n=%d" % state.n)
     return KMState(state.n + 1, state.x, x_next, z)
@@ -249,9 +293,11 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
 
     The cold-start default sets x_{-1} = z_{-1} = x_0, so v_0 = 0 and the
     initial velocity is zero. The residual column is computed directly at
-    x_n with its own resolvent call each iteration, and once more at the
-    last x_n when the run does not stop on it. The correction residuals
-    v_{n+1} = z_n - x_{n+1} are formed from Z and X once the run is over.
+    x_n with its own resolvent each iteration, and once more at the last
+    x_n when the run does not stop on it. In the identity metric, with row
+    forms of A and B, x_n and z_n share one B call and one resolvent call
+    (see iterate). The correction residuals v_{n+1} = z_n - x_{n+1} are
+    formed from Z and X once the run is over.
     """
     validate(params, d=len(as_vector(x0)))
     x = as_vector(x0).copy()
@@ -261,20 +307,30 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
     lam = params.lam
     xs, zs, res2 = [x], [], []
 
-    def residual(state):
-        r2 = M.norm2(residual_G(A, B, M, lam, state.x))
+    def residual(state, ahead):
+        values = None
+        if ahead:
+            z = extrapolate(params, state)
+            X = np.array([state.x, z])
+            FB = _forward_backward_rows(A, B, M, lam, X, B.apply_rows(X))
+            r2 = M.norm2((state.x - FB[0]) / lam)
+            values = z, FB[1]
+        else:
+            r2 = M.norm2(residual_G(A, B, M, lam, state.x))
         res2.append(r2)
-        return np.sqrt(r2)
+        return root(r2), values
+
+    residual.ahead = M.is_identity and A.has_rows and B.has_rows
 
     def record(state):
         xs.append(state.x)
         zs.append(state.z_prev)
 
     state, stopped = iterate(KMState(0, xp, x, zp),
-                             lambda s: crifba_step(s, params, A, B),
+                             lambda s, values: crifba_step(s, params, A, B, values),
                              residual, record, max_iter, tol)
     if stopped != "tol":
-        residual(state)
+        residual(state, False)
     X = np.array(xs)
     Z = np.array(zs).reshape(len(zs), len(x))
     V = np.concatenate([(zp - x)[None], Z - X[1:]])

@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .crifba import KMState, extrapolate, iterate, schedule_violations
+from .crifba import (RECORD_ROWS, KMState, extrapolate, iterate,
+                     schedule_violations)
 from .metriclin import SpdMap, all_finite, as_vector, operator_norm
 from .operators import MonotoneOp, CocoerciveMap
 
@@ -213,7 +214,8 @@ def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):
 
     The metric and any constant gradient are fixed once per run. The
     iterate is the stacked u_n = (x_n, y_n): it is the history row and
-    gives the step u_{n+1} - u_n.
+    gives the step u_{n+1} - u_n, whose norms are formed crifba.RECORD_ROWS
+    states at a time.
     """
     selector, _ = validate_cripda(params, problem)
     M = build_metric(problem, params.tau, params.sigma)
@@ -225,19 +227,37 @@ def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):
     u = np.concatenate([x0, y0])
     hist = [u]
 
-    def residual(state):
+    def residual(state, ahead):
         res = fixed_point_residual(problem, params, M, state.x[:dx], state.x[dx:])
         ns.append(state.n)
         fpr2.append(res ** 2)
-        return res
+        return res, None
+
+    # the residual and the step call the pair's proxes and gradients one at
+    # a time (see crifba.iterate): two-row calls of the catalog's cheap
+    # proxes cost more in stacking than the calls they save
+    residual.ahead = False
+
+    stepped = []
+
+    def settle():
+        # vel2, which the loop does not read, for the states stepped to
+        # since the last call
+        if stepped:
+            vel2.extend(M.norm2_each(np.array([s.x for s in stepped])
+                                     - np.array([s.x_prev for s in stepped])))
+            stepped.clear()
 
     def record(state):
-        vel2.append(M.norm2(state.x - state.x_prev))
         hist.append(state.x)
+        stepped.append(state)
+        if len(stepped) == RECORD_ROWS:
+            settle()
 
     state, stopped = iterate(KMState(0, u, u, u),
-                             lambda s: cripda_step(s, params, problem),
+                             lambda s, _: cripda_step(s, params, problem),
                              residual, record, max_iter, tol)
+    settle()
     if stopped == "tol":
         vel2.append(0.0)
     return CripdaResult(state.x[:dx], state.x[dx:], state.n, stopped,

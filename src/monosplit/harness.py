@@ -46,6 +46,12 @@ def validate_config(cfg):
             metric = crifba.validate_metric(params, d=problem.d)
             report["selector"] = metric.selector
             report["margins"] = metric.margins
+            # the message crifba.validate raises, as the other kinds report it
+            if not ok:
+                report["error"] = "invalid parameters: " + "; ".join(reasons)
+            elif not metric.ok:
+                report["error"] = ("step/metric conditions failed, margins: %r"
+                                   % metric.margins)
             return (ok and metric.ok), report
         if kind == "gcrifba":
             params = _gcrifba_params(problem, solver)

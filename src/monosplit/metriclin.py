@@ -10,6 +10,12 @@ import numpy as np
 
 _FLOAT64 = np.dtype(np.float64)
 
+# Longest dot a finiteness screen hands to BLAS. A threaded BLAS splits
+# longer dots over its threads, which costs far more than the dot itself
+# (about 2 us single-threaded against 150 us to 8 ms threaded at 10 752
+# entries), so longer vectors are screened a chunk at a time.
+SCREEN_CHUNK = 4096
+
 
 @lru_cache(maxsize=16)
 def _zeros(n):
@@ -21,25 +27,48 @@ def _zeros(n):
 def as_vector(x):
     """Coerce to a 1-D float array and reject non-finite entries.
 
-    A 1-D float64 ndarray is returned as is. Finiteness is screened with
-    one dot against zeros: 0*x is exactly 0 for finite x and NaN for an
-    infinite or NaN entry, so the dot is 0 exactly when every entry is
-    finite, and it can neither overflow nor underflow. (An infinite entry
-    also sets numpy's invalid-value flag before the ValueError.)
+    A 1-D float64 ndarray is returned as is. Finiteness is screened as
+    all_finite screens it; its one-dot path is written out here because
+    the solvers call as_vector several times per step.
     """
     if type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT64:
         v = x
     else:
         v = np.asarray(x, dtype=float).reshape(-1)
-    if v.dot(_zeros(len(v))) != 0.0:
+    n = len(v)
+    if v.dot(_zeros(n)) != 0.0 if n <= SCREEN_CHUNK else not all_finite(v):
         raise ValueError("vector has non-finite entries")
     return v
 
 
+def as_rows(rows):
+    """rows as a (k, d) float array, its entries screened as one vector by
+    as_vector (same ValueError). A float64 ndarray is returned as is; the
+    screen is written out as in as_vector, since the solvers call as_rows
+    several times per step."""
+    if type(rows) is not np.ndarray or rows.dtype is not _FLOAT64:
+        rows = np.asarray(rows, dtype=float)
+    v = rows.reshape(-1)
+    n = len(v)
+    if v.dot(_zeros(n)) != 0.0 if n <= SCREEN_CHUNK else not all_finite(v):
+        raise ValueError("vector has non-finite entries")
+    return rows
+
+
 def all_finite(v):
-    """True when every entry of the 1-D float array v is finite: the
-    one-dot screen of as_vector, for vectors the caller built itself."""
-    return v.dot(_zeros(len(v))) == 0.0
+    """True when every entry of the 1-D float array v is finite.
+
+    The screen is a dot against zeros: 0*x is exactly 0 for finite x and
+    NaN for an infinite or NaN entry, so the dot is 0 exactly when every
+    entry is finite, and it can neither overflow nor underflow. (An
+    infinite entry also sets numpy's invalid-value flag.) A vector longer
+    than SCREEN_CHUNK is screened by one dot per chunk of that length.
+    """
+    n = len(v)
+    if n <= SCREEN_CHUNK:
+        return v.dot(_zeros(n)) == 0.0
+    return all(v[a:a + SCREEN_CHUNK].dot(_zeros(min(SCREEN_CHUNK, n - a))) == 0.0
+               for a in range(0, n, SCREEN_CHUNK))
 
 
 def operator_norm(K, tol=1e-10, max_iter=200000):
@@ -165,6 +194,15 @@ class SpdMap:
     def norm2_rows(self, X):
         """Row-wise squared weighted norms <M x_i, x_i>."""
         return self.inner_rows(X, X)
+
+    def norm2_each(self, X):
+        """norm2 of every row of a (k, d) block, screened as norm2 screens
+        its vector. Unlike norm2_rows, each equals norm2 of its row bit for
+        bit: the stacked products below take the paths of the 1-D products
+        in norm2, where an einsum may sum in another order."""
+        X = as_rows(X)
+        R = X[:, None, :] if self.is_identity else X[:, None, :] @ self.matrix
+        return (R @ X[:, :, None])[:, 0, 0]
 
     def norm_of(self, x):
         return np.sqrt(max(self.norm2(x), 0.0))

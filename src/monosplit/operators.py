@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .metriclin import SpdMap, as_vector
+from .metriclin import SpdMap, as_rows, as_vector
 
 
 def prox_l1(lam, x):
@@ -16,14 +16,6 @@ def prox_box(lo, hi, x):
     if lo > hi:
         raise ValueError("empty box: lo > hi")
     return as_vector(x).clip(lo, hi)
-
-
-def _screened_rows(rows):
-    """rows as a (k, d) float array, screened with the one dot of
-    as_vector over the whole block (same ValueError)."""
-    rows = np.asarray(rows, dtype=float)
-    as_vector(rows.reshape(-1))
-    return rows
 
 
 def _per_row(fn, rows):
@@ -64,7 +56,9 @@ class MonotoneOp:
     every row pair (x_i, u_i) against a (k, 1) tolerance column, screening
     as graph_member does, and returns k booleans. Both must agree with the
     scalar forms row by row. Without them, the methods of the same names
-    loop over the scalar forms.
+    loop over the scalar forms. With them, the solvers evaluate the
+    resolvent for the step from a state before its stop test, so the
+    scalar and row forms must be pure functions of their arguments.
     """
 
     def __init__(self, resolvent, graph_member=None, label="", affine=None,
@@ -77,13 +71,19 @@ class MonotoneOp:
         self._resolvent_rows = resolvent_rows
         self._member_rows = member_rows
 
+    @property
+    def has_rows(self):
+        """True when the operator carries its own resolvent row form, so
+        that resolvent_rows costs one call per block, not one per row."""
+        return self._resolvent_rows is not None
+
     def resolvent_rows(self, lam, X):
         """(I + lam A)^{-1} x_i for every row x_i of a (k, d) block; the
         input and output blocks are screened as the scalar path screens
         its vectors."""
         if self._resolvent_rows is None:
             return _per_row(lambda x: as_vector(self.resolvent(lam, x)), X)
-        return _screened_rows(self._resolvent_rows(lam, _screened_rows(X)))
+        return as_rows(self._resolvent_rows(lam, as_rows(X)))
 
     def member_rows(self, X, U, tol):
         """graph_member(x_i, u_i, tol_i) for every row pair, as k booleans;
@@ -99,12 +99,20 @@ class MonotoneOp:
 
 
 def zero_op():
+    def graph_member(x, u, tol=1e-8):
+        as_vector(x)
+        return bool(np.all(np.abs(as_vector(u)) <= tol))
+
+    def member_rows(X, U, tol):
+        as_rows(X)
+        return np.all(np.abs(as_rows(U)) <= tol, axis=1)
+
     return MonotoneOp(lambda lam, x: as_vector(x),
-                      graph_member=lambda x, u, tol=1e-8: bool(np.all(np.abs(u) <= tol)),
+                      graph_member=graph_member,
                       label="zero",
                       affine=(None, None),
                       resolvent_rows=lambda lam, X: X,
-                      member_rows=lambda X, U, tol: np.all(np.abs(U) <= tol, axis=1))
+                      member_rows=member_rows)
 
 
 def box_op(lo, hi):
@@ -122,8 +130,8 @@ def box_op(lo, hi):
         return bool(up_ok.all() and lo_ok.all())
 
     def member_rows(X, U, tol):
-        X = _screened_rows(X)
-        U = _screened_rows(U)
+        X = as_rows(X)
+        U = as_rows(U)
         outside = ((X < lo - tol) | (X > hi + tol)).any(axis=1)
         ok = ((U <= tol) | (X >= hi - tol)) & ((U >= -tol) | (X <= lo + tol))
         return ~outside & ok.all(axis=1)
@@ -150,8 +158,8 @@ def l1_op(weight=1.0):
         return bool((np.abs(u[active] - weight * np.sign(x[active])) <= tol).all())
 
     def member_rows(X, U, tol):
-        X = _screened_rows(X)
-        U = _screened_rows(U)
+        X = as_rows(X)
+        U = as_rows(U)
         outside = (np.abs(U) > weight + tol).any(axis=1)
         ok = (np.abs(X) <= tol) | (np.abs(U - weight * np.sign(X)) <= tol)
         return ~outside & ok.all(axis=1)
@@ -214,7 +222,9 @@ class CocoerciveMap:
 
     The apply_rows callable, when given, maps a (k, d) block to the (k, d)
     block of B(x_i) and must agree with apply row by row; without it, the
-    method of the same name loops over apply.
+    method of the same name loops over apply. With it, the solvers evaluate
+    B for the step from a state before its stop test, so apply and
+    apply_rows must be pure functions of their arguments.
     """
 
     def __init__(self, apply, certificate_L, label="", apply_rows=None):
@@ -226,12 +236,18 @@ class CocoerciveMap:
     def __call__(self, x):
         return as_vector(self._apply(as_vector(x)))
 
+    @property
+    def has_rows(self):
+        """True when the map carries its own row form, so that apply_rows
+        costs one call per block, not one per row."""
+        return self._apply_rows is not None
+
     def apply_rows(self, X):
         """B(x_i) for every row x_i of a (k, d) block; the input and
         output blocks are screened as __call__ screens its vectors."""
         if self._apply_rows is None:
             return _per_row(self, X)
-        return _screened_rows(self._apply_rows(_screened_rows(X)))
+        return as_rows(self._apply_rows(as_rows(X)))
 
     def __repr__(self):
         return "CocoerciveMap(%s)" % (self.label or "anonymous")

@@ -370,7 +370,7 @@ def test_infeasible_schedule_is_refused(kind, key, value, reason, tmp_path,
     out = tmp_path / "out"
     for argv in (["validate", str(cfg)], ["run", str(cfg), "--outdir", str(out)]):
         assert main(argv) == 1
-        assert reason in capsys.readouterr().out
+        assert reason in json.loads(capsys.readouterr().out)["error"]
     assert not out.exists()
 
 

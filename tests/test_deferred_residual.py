@@ -1,0 +1,327 @@
+"""The shared loop crifba.iterate with the step's operator values evaluated
+by the residual (one row call of each operator on the state and on its
+extrapolated point) and with the record columns the loop does not read
+formed RECORD_ROWS states at a time, against the reference loops in
+_reference_solvers, which test and step one state at a time: tolerance
+stops and step caps around the edges of a record block, divergence, a warm
+start, the operator calls and step calls a run makes, and failures of
+row-form operators, which must end the run where the one-state-at-a-time
+loop ends it."""
+
+import math
+
+import numpy as np
+import pytest
+
+import _reference_solvers as reference
+from monosplit import crifba, cripda, gcrifba, problems
+from monosplit.metriclin import SpdMap, operator_norm
+from monosplit.operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair,
+                                 box_op, l1_op, zero_op)
+from test_reference_solvers import assert_same, outcome, start
+
+ROWS = crifba.RECORD_ROWS
+
+
+def core(name):
+    prob = problems.get(name)
+    params = crifba.default_params(prob.L_map())
+    x0 = start(prob, 11)
+    return (lambda **kw: crifba.run(prob.A, prob.B, params, x0, **kw),
+            lambda **kw: reference.run(prob.A, prob.B, params, x0, **kw))
+
+
+def product(name):
+    prob = problems.get(name)
+    params = gcrifba.default_gcrifba_params(prob.beta)
+    x0 = start(prob, 12)
+    kw0 = dict(keep_x_hist=True)
+    return (lambda **kw: gcrifba.run_gcrifba(prob.A_list, prob.B, params, x0, **kw0, **kw),
+            lambda **kw: reference.run_gcrifba(prob.A_list, prob.B, params, x0, **kw0, **kw))
+
+
+def mixed():
+    """gcrifba in dimension 5 on an l1 block and a box block with the lasso
+    gradient: each norm sums more than eight products."""
+    prob = problems.get("p2_lasso")
+    A_list = [l1_op(0.3), box_op(-0.5, 0.5)]
+    params = gcrifba.default_gcrifba_params(prob.beta)
+    x0 = start(prob, 19)
+    kw0 = dict(keep_x_hist=True, weights=[0.4, 0.6])
+    return (lambda **kw: gcrifba.run_gcrifba(A_list, prob.B, params, x0, **kw0, **kw),
+            lambda **kw: reference.run_gcrifba(A_list, prob.B, params, x0, **kw0, **kw))
+
+
+def saddle(name):
+    prob = problems.get(name)
+    step = 0.2 if name == "p5_saddle" else 0.7 / operator_norm(prob.saddle.K)
+    params = cripda.CripdaParams(tau=step, sigma=step)
+    x0 = start(prob, 13)
+    y0 = 0.1 * np.random.default_rng(13).standard_normal(prob.saddle.d_dual)
+    return (lambda **kw: cripda.run_cripda(prob.saddle, params, x0, y0, **kw),
+            lambda **kw: reference.run_cripda(prob.saddle, params, x0, y0, **kw))
+
+
+# the catalog problems of each solver whose operators all have row forms,
+# one product-space problem in a higher dimension, and the saddle solver,
+# which forms its velocity column a block at a time
+CASES = {"crifba:p2_lasso": lambda: core("p2_lasso"),
+         "crifba:p3_spectrum": lambda: core("p3_spectrum"),
+         "gcrifba:p4_three": lambda: product("p4_three"),
+         "gcrifba:p6_res_sum": lambda: product("p6_res_sum"),
+         "gcrifba:l1_box_lasso": mixed,
+         "cripda:p5_lasso_pd": lambda: saddle("p5_lasso_pd"),
+         "cripda:p5_saddle": lambda: saddle("p5_saddle")}
+
+
+def norms(res):
+    """The residual norm of every tested state of a run."""
+    return np.sqrt(res.res2 if isinstance(res, crifba.RunResult) else res.fpr2)
+
+
+@pytest.mark.parametrize("n", [2 * ROWS - 2, 2 * ROWS - 1, 2 * ROWS, 2 * ROWS + 1,
+                               2 * ROWS + 37])
+@pytest.mark.parametrize("case", list(CASES))
+def test_tolerance_stop_around_a_record_block(case, n):
+    # the stop falls on state n, next to the end of the second block of
+    # tested or of stepped states; tol lies strictly between the residual
+    # at the stop and every residual before it
+    new, ref = CASES[case]()
+    r = norms(ref(max_iter=n + 1, tol=0.0))[:n + 1]
+    assert r[n] < r[:n].min()
+    tol = 0.5 * (r[n] + r[:n].min())
+    res = assert_same(new(max_iter=10 * ROWS, tol=tol), ref(max_iter=10 * ROWS, tol=tol))
+    assert res.stopped == "tol" and res.n_iters == n
+
+
+@pytest.mark.parametrize("steps", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 37])
+@pytest.mark.parametrize("case", list(CASES))
+def test_step_cap_around_a_record_block(case, steps):
+    new, ref = CASES[case]()
+    res = assert_same(new(max_iter=steps, tol=0.0), ref(max_iter=steps, tol=0.0))
+    assert res.stopped == "max_iter" and res.n_iters == steps
+
+
+def test_divergence():
+    unit = SpdMap(np.eye(1))
+    push = MonotoneOp(lambda lam, x: 10.0 * np.asarray(x),
+                      resolvent_rows=lambda lam, X: 10.0 * X)
+    still = CocoerciveMap(lambda x: 0.0 * x, unit, apply_rows=lambda X: 0.0 * X)
+    p = crifba.CrifbaParams(lam=0.5, L=unit)
+    core_run = assert_same(crifba.run(push, still, p, [1.0], max_iter=1000, tol=0.0),
+                           reference.run(push, still, p, [1.0], max_iter=1000, tol=0.0))
+    # the reference gcrifba loop has no divergence stop: the same operators
+    # without row forms give the one-state-at-a-time run
+    g = gcrifba.default_gcrifba_params(1.0)
+    lifted = assert_same(
+        gcrifba.run_gcrifba([zero_op(), zero_op()],
+                            CocoerciveMap(lambda x: -x, unit, apply_rows=lambda X: -X),
+                            g, [1.0], max_iter=1000, keep_x_hist=True),
+        gcrifba.run_gcrifba([zero_op(), zero_op()], CocoerciveMap(lambda x: -x, unit),
+                            g, [1.0], max_iter=1000, keep_x_hist=True))
+    pair = SaddleFunctionPair(
+        prox_G=lambda tau, u: 10.0 * np.asarray(u, dtype=float),
+        prox_Fstar=lambda sigma, u: np.asarray(u, dtype=float),
+        grad_Q=lambda x: 0.0 * x, lip_Q=1.0,
+        grad_Pstar=lambda y: 0.0 * y, lip_Pstar=1.0, K=np.array([[0.1]]))
+    params = cripda.CripdaParams(tau=0.2, sigma=0.2, delta=0.3)
+    primal_dual = assert_same(
+        cripda.run_cripda(pair, params, [1.0], [1.0], max_iter=1000, tol=0.0),
+        reference.run_cripda(pair, params, [1.0], [1.0], max_iter=1000, tol=0.0))
+    for res in (core_run, lifted, primal_dual):
+        assert res.stopped == "diverged"
+
+
+@pytest.mark.parametrize("steps,tol", [(2 * ROWS + 5, 0.0), (10**5, 1e-7)])
+def test_warm_start(steps, tol):
+    prob = problems.get("p2_lasso")
+    params = crifba.default_params(prob.L_map())
+    x0 = start(prob, 14)
+    kw = dict(max_iter=steps, tol=tol, x_prev=x0 + 0.1, z_prev=x0 - 0.2)
+    res = assert_same(crifba.run(prob.A, prob.B, params, x0, **kw),
+                      reference.run(prob.A, prob.B, params, x0, **kw))
+    assert res.stopped == ("tol" if tol else "max_iter")
+
+
+def test_root_is_numpys_square_root():
+    # the loop tests root(r2) <= tol where it tested np.sqrt(r2) <= tol: the
+    # root of a negative squared norm is NaN and meets no tol; that of -0.0
+    # is -0.0, which meets tol 0
+    values = [4.0, 2.0, 1e-300, 5e-324, 0.0, -0.0, -1e-30, -np.inf, np.inf, np.nan]
+    with np.errstate(invalid="ignore"):
+        want = [np.sqrt(v) for v in values]
+    got = [crifba.root(v) for v in values]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+        assert math.isnan(g) or math.copysign(1.0, g) == np.copysign(1.0, w)
+        assert (g <= 0.0) == (w <= 0.0) and (g <= 1.0) == (w <= 1.0)
+
+
+def counting(calls, key, fn):
+    def counted(*args):
+        calls[key] = calls.get(key, 0) + 1
+        return fn(*args)
+    return counted
+
+
+@pytest.mark.parametrize("rows", [True, False], ids=["row_forms", "scalar_forms"])
+@pytest.mark.parametrize("tol", [0.0, 1e-6], ids=["max_iter", "tol"])
+def test_residual_and_step_share_one_row_call(monkeypatch, rows, tol):
+    # with row forms each tested state costs one row call of B and of the
+    # resolvent, on the state and the point its step starts from; without,
+    # one scalar call each for the residual and for the step. Either way the
+    # step runs once per step taken, never ahead of the stop test
+    prob = problems.get("p2_lasso")
+    calls = {}
+    A = MonotoneOp(counting(calls, "resolvent", prob.A.resolvent),
+                   resolvent_rows=counting(calls, "resolvent_rows",
+                                           prob.A._resolvent_rows) if rows else None)
+    B = CocoerciveMap(counting(calls, "B", prob.B._apply), prob.B.certificate_L,
+                      apply_rows=counting(calls, "B_rows", prob.B._apply_rows)
+                      if rows else None)
+    monkeypatch.setattr(crifba, "crifba_step",
+                        counting(calls, "step", crifba.crifba_step))
+    res = crifba.run(A, B, crifba.default_params(prob.L_map()), start(prob, 15),
+                     max_iter=10**5 if tol else 300, tol=tol)
+    n = res.n_iters
+    assert res.stopped == ("tol" if tol else "max_iter") and 0 < n
+    final = int(not tol)     # the residual at the last state of a capped run
+    if rows:
+        assert calls == dict({"B_rows": n + 1 - final, "resolvent_rows": n + 1 - final,
+                              "step": n}, **({"B": 1, "resolvent": 1} if final else {}))
+    else:
+        assert calls == {"B": 2 * n + 1, "resolvent": 2 * n + 1, "step": n}
+
+
+def test_record_columns_of_a_long_run():
+    # many record blocks, every column bit for bit
+    for case in ("gcrifba:p4_three", "cripda:p5_lasso_pd"):
+        new, ref = CASES[case]()
+        assert_same(new(max_iter=40 * ROWS + 3, tol=0.0), ref(max_iter=40 * ROWS + 3, tol=0.0))
+
+
+# --- failures of pure row-form operators -------------------------------------
+
+def recording(fn, seen):
+    """fn, appending a copy of its last argument to seen on every call."""
+    def wrapped(*args):
+        seen.append(np.array(args[-1], dtype=float))
+        return fn(*args)
+    return wrapped
+
+
+def poisoned(fn, nan_at, fail_at):
+    """fn as a pure scalar form and row form: NaN where the last argument
+    is nan_at, RuntimeError where it is fail_at."""
+    def scalar(*args):
+        v = np.asarray(args[-1], dtype=float)
+        if np.array_equal(v, fail_at):
+            raise RuntimeError("step failed")
+        out = np.asarray(fn(*args), dtype=float)
+        return np.full_like(out, np.nan) if np.array_equal(v, nan_at) else out
+
+    def rows(*args):
+        X = args[-1]
+        return np.array([scalar(*args[:-1], x) for x in X]).reshape(X.shape)
+
+    return scalar, rows
+
+
+def core_with(which, make):
+    """crifba on p2_lasso with B or the resolvent replaced by
+    make(scalar form)."""
+    prob = problems.get("p2_lasso")
+    params = crifba.default_params(prob.L_map())
+    x0 = start(prob, 16)
+    scalar_of = {"B": prob.B._apply, "resolvent": prob.A.resolvent}[which]
+
+    def solve(rows, ref=False, tol=0.0):
+        scalar, row_form = make(scalar_of)
+        if which == "B":
+            A, B = prob.A, CocoerciveMap(scalar, prob.B.certificate_L,
+                                         apply_rows=row_form if rows else None)
+        else:
+            A, B = MonotoneOp(scalar, resolvent_rows=row_form if rows else None), prob.B
+        run = reference.run if ref else crifba.run
+        return run(A, B, params, x0, max_iter=3 * ROWS, tol=tol)
+
+    return solve
+
+
+def product_with(which, make):
+    """gcrifba on p4_three with B or the second block's resolvent replaced."""
+    prob = problems.get("p4_three")
+    params = gcrifba.default_gcrifba_params(prob.beta)
+    x0 = start(prob, 17)
+    scalar_of = {"B": prob.B._apply, "resolvent": prob.A_list[1].resolvent}[which]
+
+    def solve(rows, ref=False, tol=0.0):
+        scalar, row_form = make(scalar_of)
+        A_list, B = list(prob.A_list), prob.B
+        if which == "B":
+            B = CocoerciveMap(scalar, B.certificate_L, apply_rows=row_form if rows else None)
+        else:
+            A_list[1] = MonotoneOp(scalar, resolvent_rows=row_form if rows else None)
+        run = reference.run_gcrifba if ref else gcrifba.run_gcrifba
+        return run(A_list, B, params, x0, max_iter=3 * ROWS, tol=tol)
+
+    return solve
+
+
+FAILING = [(core_with, "B"), (core_with, "resolvent"),
+           (product_with, "B"), (product_with, "resolvent")]
+IDS = ["%s:%s" % (s.__name__, w) for s, w in FAILING]
+
+
+def arguments(setup, which):
+    """The operator's arguments in a clean reference run: those of the
+    residual at each state and those of the step from each state (the two
+    calls alternate)."""
+    seen = []
+    setup(which, lambda fn: (recording(fn, seen), None))(rows=False, ref=True)
+    return seen[0::2], seen[1::2]
+
+
+@pytest.mark.parametrize("failing", ["raises", "nan"])
+@pytest.mark.parametrize("setup,which", FAILING, ids=IDS)
+def test_a_failing_step_past_a_tolerance_stop_leaves_no_trace(setup, which, failing):
+    # the run stops on tol at state n; the operator fails only at the
+    # argument of the step from n, which the row call evaluates before the
+    # stop test and the one-state-at-a-time loop never evaluates
+    n = ROWS + 10
+    clean = setup(which, lambda fn: (fn, None))(rows=False, ref=True)
+    r = norms(clean)
+    assert r[n] < r[:n].min()
+    tol = 0.5 * (r[n] + r[:n].min())
+    _, step_args = arguments(setup, which)
+    bad = step_args[n]
+    nan_at, fail_at = (None, bad) if failing == "raises" else (bad, None)
+    solve = setup(which, lambda fn: poisoned(fn, nan_at, fail_at))
+    res = assert_same(solve(rows=True, tol=tol), solve(rows=False, ref=True, tol=tol))
+    assert res.stopped == "tol" and res.n_iters == n
+
+
+@pytest.mark.parametrize("fail", [ROWS + 36, 2 * ROWS - 1], ids=["inside", "block_end"])
+@pytest.mark.parametrize("nan", [-1, 0, 1], ids=["before", "at", "after"])
+@pytest.mark.parametrize("setup,which", FAILING, ids=IDS)
+def test_failures_land_where_one_state_at_a_time_puts_them(setup, which, nan, fail):
+    # the operator's scalar and row forms return NaN at the argument of the
+    # residual at state fail + nan and raise at the argument of the step
+    # from state fail
+    residual_args, step_args = arguments(setup, which)
+    r = fail + nan
+    solve = setup(which, lambda fn: poisoned(fn, residual_args[r], step_args[fail]))
+    shared, one_at_a_time = outcome(lambda: solve(rows=True)), \
+        outcome(lambda: solve(rows=False))
+    if r > fail:
+        want = RuntimeError("step failed")
+    elif setup is product_with and which == "resolvent":
+        want = ArithmeticError("non-finite residual at n=%d" % r)
+    else:
+        want = ValueError("vector has non-finite entries")
+    for got in (shared, one_at_a_time):
+        assert type(got) is type(want) and str(got) == str(want)
+    if not isinstance(want, ArithmeticError):
+        # the reference loop records a NaN residual of gcrifba and runs on
+        ref = outcome(lambda: solve(rows=False, ref=True))
+        assert type(ref) is type(want) and str(ref) == str(want)

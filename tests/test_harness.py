@@ -75,6 +75,7 @@ def test_validate_config_rejects_infeasible_step():
     ok, report = harness.validate_config(cfg)
     assert not ok
     assert report["selector"] is None
+    assert report["error"].startswith("step/metric conditions failed, margins: ")
 
 
 def test_validate_config_unknown_kind():

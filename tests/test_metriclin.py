@@ -195,6 +195,25 @@ def test_row_forms_match_per_row_products(identity):
         assert np.allclose(solved[i], m.solve(Y[i]), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("k", [0, 1, 64])
+@pytest.mark.parametrize("d", [1, 10, 21])
+@pytest.mark.parametrize("identity", [True, False])
+def test_norm2_each_is_norm2_of_each_row_bit_for_bit(identity, d, k):
+    # the saddle solver forms its velocity column with norm2_each, a block
+    # of rows at a time, where it took norm2 of one row at a time
+    rng = np.random.default_rng(d + k)
+    m = SpdMap.identity(d) if identity else random_spd(rng, d)
+    X = rng.standard_normal((k, d)) * np.exp(rng.uniform(-20, 20, (k, 1)))
+    got = m.norm2_each(X)
+    assert got.shape == (k,) and got.dtype == np.float64
+    assert [float(v) for v in got] == [m.norm2(x) for x in X]
+    bad = np.ones((3, d))
+    bad[2, -1] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+            m.norm2_each(bad)
+
+
 def test_solve_rows_checks_every_row(monkeypatch):
     m = SpdMap(np.diag([2.0, 4.0]))
     B = np.array([[2.0, 4.0], [4.0, 8.0], [6.0, 12.0]])
@@ -211,3 +230,41 @@ def test_solve_rows_checks_every_row(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", off_in_one_row)
     with pytest.raises(ArithmeticError):
         m.solve_rows(B)
+
+
+def test_block_screens_hand_blas_short_dots(monkeypatch):
+    # a threaded BLAS splits a long dot over its threads at a cost far above
+    # the dot's own: no finiteness screen may hand it more than SCREEN_CHUNK
+    # entries, however long the vector or block it screens
+    from monosplit import checks, crifba, metriclin, problems
+    lengths = []
+    zeros = metriclin._zeros
+
+    def recorded(n):
+        lengths.append(n)
+        return zeros(n)
+
+    monkeypatch.setattr(metriclin, "_zeros", recorded)
+    chunk = metriclin.SCREEN_CHUNK
+    prob = problems.get("p3_spectrum")
+    res = crifba.run(prob.A, prob.B, crifba.default_params(prob.L_map()),
+                     prob.start, max_iter=600, tol=0.0)
+    checks.standard_suite(res, prob.A, prob.B, q=prob.certified_solution)
+    rng = np.random.default_rng(3)
+    big = rng.standard_normal((1000, 21))
+    SpdMap(np.diag(rng.uniform(1.0, 2.0, 21))).solve_rows(big)
+    prob.B.apply_rows(big)
+    prob.A.resolvent_rows(0.5, big)
+    metriclin.as_vector(big.reshape(-1))
+    assert max(lengths) == chunk
+    assert sum(n == chunk for n in lengths) >= 5
+    # the screen still rejects a non-finite entry in any chunk, and only
+    # such an entry
+    for where in (0, chunk - 1, chunk, big.size - 1):
+        bad = big.reshape(-1).copy()
+        bad[where] = np.nan
+        assert not metriclin.all_finite(bad)
+        with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+            metriclin.as_vector(bad)
+    assert metriclin.all_finite(big.reshape(-1))
+    assert max(lengths) == chunk

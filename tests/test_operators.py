@@ -259,10 +259,23 @@ def test_row_forms_screen_input_blocks(bad):
                  lambda: CocoerciveMap(lambda x: x, SpdMap(np.eye(2))).apply_rows(X),
                  lambda: nan_map().apply_rows(X),
                  lambda: l1_op(1.0).member_rows(X, np.zeros((4, 2)), np.ones(4)),
-                 lambda: box_op(0.0, 1.0).member_rows(np.zeros((4, 2)), X, np.ones(4))):
+                 lambda: box_op(0.0, 1.0).member_rows(np.zeros((4, 2)), X, np.ones(4)),
+                 lambda: zero_op().member_rows(X, np.zeros((4, 2)), np.ones(4)),
+                 lambda: zero_op().member_rows(np.zeros((4, 2)), X, np.ones(4))):
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="^vector has non-finite entries$"):
                 call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make", [zero_op, lambda: box_op(0.0, 1.0), l1_op])
+def test_graph_member_screens_both_arguments(make, bad):
+    # a non-finite point or normal is an error, not a failed membership
+    op = make()
+    for x, u in (([0.5, bad], [0.0, 0.0]), ([0.5, 0.5], [0.0, bad])):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+                op.graph_member(np.array(x), np.array(u))
 
 
 def test_row_forms_screen_output_blocks():
