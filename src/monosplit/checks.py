@@ -10,10 +10,11 @@ A replay is one pass over the recorded history in blocks of BLOCK_ROWS
 rows. X, Z and V are screened for finiteness once, up front. The user
 operators are called once per block through their row forms (see
 ``operators``): B at the z_n block, the resolvent at z_n fed with those
-B(z_n), B at the y_n block and the graph membership test. An operator
-without row forms falls back to one scalar call per row, and so does the
-forward-backward image in a metric other than the identity; the scalar
-path is the reference the row forms are tested against. Everything else
+B(z_n) (in a metric other than the identity, the generalized resolvent
+after one block solve with M), B at the y_n block and the graph
+membership test. An operator without row forms falls back to one scalar
+call per row; the scalar path is the reference the row forms are tested
+against. Everything else
 is array arithmetic over the block, and each oracle is an accumulator fed
 block by block, carrying at most one row across a block seam, so the
 memory on top of the history is O(BLOCK_ROWS * d). ``standard_suite``
@@ -154,7 +155,10 @@ def check_rilo(result, B, q, tol=DEFAULT_TOL):
     """Lower bounds on the anchored and differenced correction products.
 
     Needs the recorded extrapolation history and the selector from the
-    metric validation; the co-coercivity weight alpha depends on it.
+    metric validation; the co-coercivity weight alpha depends on it. Under
+    condition 1, alpha = 1 - lam ||L|| / (4 delta) with params.delta, or,
+    when that is unset, the midpoint of the admissible delta; details
+    report both.
     """
     run = _Run(result, B=B)
     return run.replay(_Rilo(run, q, tol))[0]
@@ -416,9 +420,16 @@ class _Rilo(_Oracle):
             self.skip = "metric conditions not satisfied"
             return
         if report.selector == 1:
-            alpha = 1.0 - p.lam * p.L.norm() / (4.0 * report.delta_used)
+            delta = report.delta_used
+            if p.delta is None:
+                # validate_metric tries the floor lam ||L|| / 4, where alpha
+                # is 0 and the B terms drop out; the inequality holds for
+                # every admissible delta, so take the midpoint of
+                # [lam ||L|| / 4, w (1-w) min_eig(M)) and test B
+                delta = 0.5 * (delta + p.w * (1.0 - p.w) * run.M.min_eigenvalue())
+            alpha = 1.0 - p.lam * p.L.norm() / (4.0 * delta)
         else:
-            alpha = 0.75
+            delta, alpha = None, 0.75
         if alpha < 0:
             self.skip = "negative co-coercivity weight alpha=%g" % alpha
             return
@@ -428,7 +439,8 @@ class _Rilo(_Oracle):
         self.weight = p.lam * p.w * alpha
         self.coef = (1.0 - p.w) ** 2 / p.w
         self.prev = np.empty((0, run.d))        # B(z) of the row before the block
-        self.details = {"alpha": alpha, "selector": report.selector}
+        self.details = {"alpha": alpha, "delta": delta,
+                        "selector": report.selector}
 
     def feed(self, blk):
         M = self.M

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .metriclin import SpdMap, all_finite, as_vector, min_eigenvalue_sym
-from .operators import generalized_resolvent
+from .operators import generalized_resolvent, generalized_resolvent_rows
 
 
 @dataclass
@@ -167,12 +167,12 @@ def forward_backward(A, B, M, lam, x, Bx=None):
 
 def _forward_backward_rows(A, B, M, lam, X, BX):
     """forward_backward(A, B, M, lam, x_i, B(x_i)) for every row x_i of X,
-    given BX, the rows B(x_i): one block resolvent in the identity metric,
-    row by row in any other."""
-    if M.is_identity:
-        return A.resolvent_rows(lam, X - lam * BX)
-    return np.array([forward_backward(A, B, M, lam, x, bx)
-                     for x, bx in zip(X, BX)]).reshape(X.shape)
+    given BX, the rows B(x_i), bit for bit: one block solve with M, unless
+    M is the identity, and one generalized resolvent row call, which goes
+    row by row when A has no row form in M."""
+    if not M.is_identity:
+        BX = M.solve_each(BX)
+    return generalized_resolvent_rows(A, M, lam, X - lam * BX)
 
 
 def residual_G(A, B, M, lam, x):
@@ -294,10 +294,11 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
     The cold-start default sets x_{-1} = z_{-1} = x_0, so v_0 = 0 and the
     initial velocity is zero. The residual column is computed directly at
     x_n with its own resolvent each iteration, and once more at the last
-    x_n when the run does not stop on it. In the identity metric, with row
-    forms of A and B, x_n and z_n share one B call and one resolvent call
-    (see iterate). The correction residuals v_{n+1} = z_n - x_{n+1} are
-    formed from Z and X once the run is over.
+    x_n when the run does not stop on it. When B has a row form and A one
+    in the run's metric (MonotoneOp.has_rows_in), x_n and z_n share one B
+    call, one block solve with M outside the identity and one generalized
+    resolvent call (see iterate). The correction residuals
+    v_{n+1} = z_n - x_{n+1} are formed from Z and X once the run is over.
     """
     validate(params, d=len(as_vector(x0)))
     x = as_vector(x0).copy()
@@ -320,7 +321,7 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
         res2.append(r2)
         return root(r2), values
 
-    residual.ahead = M.is_identity and A.has_rows and B.has_rows
+    residual.ahead = A.has_rows_in(M) and B.has_rows
 
     def record(state):
         xs.append(state.x)

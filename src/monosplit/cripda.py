@@ -103,7 +103,13 @@ def precond_resolvent(problem, tau, sigma, xi_p, chi_p):
 
 def stacked_operators(problem):
     """The stacked inclusion data: multivalued part, smooth part, metric
-    factory. Used by the reduction tests and by the residual measure."""
+    factory. Used by the reduction tests and by the residual measure.
+
+    When the pair has row forms, B gets apply_rows and A the row form of
+    its generalized resolvent, each equal to the scalar form row by row
+    bit for bit: the products with M and K are stacked matrix-vector
+    products, which take the path of the 1-D products of the scalar forms.
+    """
     K = problem.K
     dy, dx = K.shape
 
@@ -114,18 +120,33 @@ def stacked_operators(problem):
                                  r[:dx], r[dx:])
         return np.concatenate([x, y])
 
-    A = MonotoneOp(resolvent=None, label="saddle_stack",
-                   gen_resolvent=gen_resolvent)
+    def gen_resolvent_rows(M, lam, U):
+        # precond_resolvent a block at a time; M.apply_each screens U
+        R = M.apply_each(U)
+        tau, sigma = _tau_of(M, dx), _sigma_of(M, dx, dy)
+        X = problem.prox_G_rows(tau, tau * R[:, :dx])
+        Y = problem.prox_Fstar_rows(
+            sigma, sigma * R[:, dx:] + 2.0 * sigma * (K @ X[:, :, None])[:, :, 0])
+        return np.concatenate([X, Y], axis=1)
 
     def B_apply(u):
         x = u[:dx]
         y = u[dx:]
         return np.concatenate([problem.grad_Q(x), problem.grad_Pstar(y)])
 
+    def B_rows(U):
+        return np.concatenate([problem.grad_Q_rows(U[:, :dx]),
+                               problem.grad_Pstar_rows(U[:, dx:])], axis=1)
+
+    rows = problem.has_rows
+    A = MonotoneOp(resolvent=None, label="saddle_stack",
+                   gen_resolvent=gen_resolvent,
+                   gen_resolvent_rows=gen_resolvent_rows if rows else None)
     lip = np.zeros((dx + dy, dx + dy))
     lip[:dx, :dx] = np.eye(dx) * max(problem.lip_Q, 1e-12)
     lip[dx:, dx:] = np.eye(dy) * max(problem.lip_Pstar, 1e-12)
-    B = CocoerciveMap(B_apply, SpdMap(lip), label="saddle_smooth")
+    B = CocoerciveMap(B_apply, SpdMap(lip), label="saddle_smooth",
+                      apply_rows=B_rows if rows else None)
     return A, B
 
 

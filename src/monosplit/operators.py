@@ -52,17 +52,21 @@ class MonotoneOp:
     direct linear solve.
 
     Row forms are opt-in. The resolvent_rows callable maps lam and a (k, d)
-    block to the (k, d) block of resolvents of its rows; member_rows tests
-    every row pair (x_i, u_i) against a (k, 1) tolerance column, screening
-    as graph_member does, and returns k booleans. Both must agree with the
-    scalar forms row by row. Without them, the methods of the same names
-    loop over the scalar forms. With them, the solvers evaluate the
-    resolvent for the step from a state before its stop test, so the
-    scalar and row forms must be pure functions of their arguments.
+    block to the (k, d) block of resolvents of its rows; gen_resolvent_rows
+    maps M, lam and a (k, d) block to the rows gen_resolvent(M, lam, u_i),
+    screening each row u_i before M as gen_resolvent does; member_rows
+    tests every row pair (x_i, u_i) against a (k, 1) tolerance column,
+    screening as graph_member does, and returns k booleans. Each must agree
+    with its scalar form row by row. Without them, the methods of the same
+    names and generalized_resolvent_rows loop over the scalar forms. With
+    them, the solvers evaluate the resolvent for the step from a state
+    before its stop test, so the scalar and row forms must be pure
+    functions of their arguments.
     """
 
     def __init__(self, resolvent, graph_member=None, label="", affine=None,
-                 gen_resolvent=None, resolvent_rows=None, member_rows=None):
+                 gen_resolvent=None, resolvent_rows=None, member_rows=None,
+                 gen_resolvent_rows=None):
         self.resolvent = resolvent
         self.graph_member = graph_member
         self.label = label
@@ -70,12 +74,20 @@ class MonotoneOp:
         self.gen_resolvent = gen_resolvent
         self._resolvent_rows = resolvent_rows
         self._member_rows = member_rows
+        self._gen_resolvent_rows = gen_resolvent_rows
 
     @property
     def has_rows(self):
         """True when the operator carries its own resolvent row form, so
         that resolvent_rows costs one call per block, not one per row."""
         return self._resolvent_rows is not None
+
+    def has_rows_in(self, M):
+        """True when generalized_resolvent_rows in the metric M (None is
+        the identity) costs one call per block, not one per row."""
+        if M is None or M.is_identity:
+            return self.has_rows
+        return self._gen_resolvent_rows is not None
 
     def resolvent_rows(self, lam, X):
         """(I + lam A)^{-1} x_i for every row x_i of a (k, d) block; the
@@ -214,6 +226,20 @@ def generalized_resolvent(A, M, lam, u):
                      "formula" % A)
 
 
+def generalized_resolvent_rows(A, M, lam, U):
+    """generalized_resolvent(A, M, lam, u_i) for every row u_i of a (k, d)
+    block, with the same dispatch: the identity metric takes the
+    operator's resolvent_rows and any other its gen_resolvent_rows; without
+    a row form the rows go one at a time. The output block is screened as
+    generalized_resolvent screens its vector.
+    """
+    if M is None or M.is_identity:
+        return A.resolvent_rows(lam, U)
+    if A._gen_resolvent_rows is not None:
+        return as_rows(A._gen_resolvent_rows(M, lam, U))
+    return _per_row(lambda u: generalized_resolvent(A, M, lam, u), U)
+
+
 class CocoerciveMap:
     """A single-valued map B together with its co-coercivity certificate L.
 
@@ -281,10 +307,21 @@ class SaddleFunctionPair:
     min_x max_y G(x) + Q(x) + <Kx, y> - F*(y) - P*(y), with G, F* given by
     their prox operators and Q, P* by gradients with known Lipschitz
     constants.
+
+    Row forms are opt-in, as on MonotoneOp and CocoerciveMap. The
+    prox_G_rows and prox_Fstar_rows callables map a step size and a (k, d)
+    block to the (k, d) block of proxes of its rows; grad_Q_rows and
+    grad_Pstar_rows map a (k, d) block to the gradients of its rows. Each
+    must agree with its scalar form row by row. Without them, the methods
+    of the same names loop over the scalar forms. With all four, the
+    stacked operators of cripda.stacked_operators have row forms, which
+    the solvers evaluate for the step from a state before its stop test,
+    so the scalar and row forms must be pure functions of their arguments.
     """
 
     def __init__(self, prox_G, prox_Fstar, grad_Q, lip_Q, grad_Pstar,
-                 lip_Pstar, K, label=""):
+                 lip_Pstar, K, label="", prox_G_rows=None,
+                 prox_Fstar_rows=None, grad_Q_rows=None, grad_Pstar_rows=None):
         self.prox_G = prox_G
         self.prox_Fstar = prox_Fstar
         self.grad_Q = grad_Q
@@ -293,6 +330,10 @@ class SaddleFunctionPair:
         self.lip_Pstar = float(lip_Pstar)
         self.K = np.asarray(K, dtype=float)
         self.label = label
+        self._prox_G_rows = prox_G_rows
+        self._prox_Fstar_rows = prox_Fstar_rows
+        self._grad_Q_rows = grad_Q_rows
+        self._grad_Pstar_rows = grad_Pstar_rows
 
     @property
     def d_primal(self):
@@ -301,3 +342,37 @@ class SaddleFunctionPair:
     @property
     def d_dual(self):
         return self.K.shape[0]
+
+    @property
+    def has_rows(self):
+        """True when the pair carries all four row forms, so that each row
+        method costs one call per block, not one per row."""
+        return None not in (self._prox_G_rows, self._prox_Fstar_rows,
+                            self._grad_Q_rows, self._grad_Pstar_rows)
+
+    # Each row method screens its input and output blocks as the solvers
+    # screen the vectors of the scalar form.
+
+    def prox_G_rows(self, tau, U):
+        """prox_G(tau, u_i) for every row u_i of a (k, d_primal) block."""
+        if self._prox_G_rows is None:
+            return _per_row(lambda u: as_vector(self.prox_G(tau, u)), U)
+        return as_rows(self._prox_G_rows(tau, as_rows(U)))
+
+    def prox_Fstar_rows(self, sigma, U):
+        """prox_Fstar(sigma, u_i) for every row u_i of a (k, d_dual) block."""
+        if self._prox_Fstar_rows is None:
+            return _per_row(lambda u: as_vector(self.prox_Fstar(sigma, u)), U)
+        return as_rows(self._prox_Fstar_rows(sigma, as_rows(U)))
+
+    def grad_Q_rows(self, X):
+        """grad_Q(x_i) for every row x_i of a (k, d_primal) block."""
+        if self._grad_Q_rows is None:
+            return _per_row(lambda x: as_vector(self.grad_Q(x)), X)
+        return as_rows(self._grad_Q_rows(as_rows(X)))
+
+    def grad_Pstar_rows(self, Y):
+        """grad_Pstar(y_i) for every row y_i of a (k, d_dual) block."""
+        if self._grad_Pstar_rows is None:
+            return _per_row(lambda y: as_vector(self.grad_Pstar(y)), Y)
+        return as_rows(self._grad_Pstar_rows(as_rows(Y)))

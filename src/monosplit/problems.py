@@ -224,7 +224,11 @@ def _p5_saddle():
         prox_Fstar=lambda sigma, u: as_vector(u) / (1.0 + sigma),
         grad_Q=lambda x: as_vector(x) - a, lip_Q=1.0,
         grad_Pstar=lambda y: np.zeros_like(as_vector(y)), lip_Pstar=0.0,
-        K=K, label="quadratic_saddle")
+        K=K, label="quadratic_saddle",
+        prox_G_rows=lambda tau, U: U,
+        prox_Fstar_rows=lambda sigma, U: U / (1.0 + sigma),
+        grad_Q_rows=lambda X: X - a,
+        grad_Pstar_rows=np.zeros_like)
     xbar = np.linalg.solve(np.eye(2) + K.T @ K, a)
     ybar = K @ xbar
 
@@ -246,7 +250,11 @@ def _p5_lasso_pd():
         prox_Fstar=lambda sigma, u: (as_vector(u) - sigma * b) / (1.0 + sigma),
         grad_Q=lambda x: np.zeros_like(as_vector(x)), lip_Q=0.0,
         grad_Pstar=lambda y: np.zeros_like(as_vector(y)), lip_Pstar=0.0,
-        K=K, label="l1_least_squares_saddle")
+        K=K, label="l1_least_squares_saddle",
+        prox_G_rows=lambda tau, U: prox_l1(tau * mu, U.reshape(-1)).reshape(U.shape),
+        prox_Fstar_rows=lambda sigma, U: (U - sigma * b) / (1.0 + sigma),
+        grad_Q_rows=np.zeros_like,
+        grad_Pstar_rows=np.zeros_like)
 
     def cert(candidate):
         x = as_vector(candidate[0])

@@ -120,8 +120,12 @@ def check_rilo(result, B, q, tol=DEFAULT_TOL):
         return _skipped("rilo", "metric conditions not satisfied")
     M = p.metric(result.X.shape[1])
     L = p.L
+    delta = report.delta_used
+    if report.selector == 1 and p.delta is None:
+        # the midpoint of [lam ||L|| / 4, w (1-w) min_eig(M)), not its floor
+        delta = 0.5 * (delta + p.w * (1.0 - p.w) * M.min_eigenvalue())
     if report.selector == 1:
-        alpha = 1.0 - p.lam * L.norm() / (4.0 * report.delta_used)
+        alpha = 1.0 - p.lam * L.norm() / (4.0 * delta)
     else:
         alpha = 0.75
     if alpha < 0:
@@ -147,7 +151,8 @@ def check_rilo(result, B, q, tol=DEFAULT_TOL):
                + coef * M.norm2(vdot))
         violations.append(_scaled(rhs - lhs, lhs, rhs))
     return _report("rilo", violations, tol=tol,
-                   details={"alpha": alpha, "selector": report.selector})
+                   details={"alpha": alpha, "delta": delta,
+                            "selector": report.selector})
 
 
 def check_estimg2(result, tol=DEFAULT_TOL):

@@ -1,0 +1,246 @@
+"""Row forms in the block metric of the primal-dual stack, bit for bit
+against their scalar forms: SpdMap.solve_each and apply_each, the row
+forms of the catalog saddle pairs, the stacked operators of
+cripda.stacked_operators, the generalized_resolvent_rows dispatch and the
+forward-backward image of a block of rows in a non-identity metric."""
+
+import numpy as np
+import pytest
+
+from monosplit import crifba, cripda, problems
+from monosplit.metriclin import SpdMap, operator_norm
+from monosplit.operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair,
+                                 affine_op, generalized_resolvent,
+                                 generalized_resolvent_rows, l1_op)
+
+PAIRS = ["p5_saddle", "p5_lasso_pd"]
+FORMS = ("prox_G", "prox_Fstar", "grad_Q", "grad_Pstar")
+
+
+def same_rows(got, rows, d):
+    """got is the (k, d) float block of the given rows, bit for bit (the
+    sign of a zero too)."""
+    want = np.array(rows, dtype=float).reshape(-1, d)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def sample(rng, k, d):
+    """k rows over forty decades of scale, with zero rows and entries on
+    the kinks of the l1 prox (|u| equal to the threshold)."""
+    X = rng.standard_normal((k, d)) * np.exp(rng.uniform(-20, 20, (k, 1)))
+    X[::7] = 0.0
+    X[3::11, 0] = 0.2 * rng.choice([-1.0, 1.0])
+    return X
+
+
+def metric(pair):
+    step = 0.2 if pair.label == "quadratic_saddle" else 0.7 / operator_norm(pair.K)
+    return cripda.build_metric(pair, step, step)
+
+
+# --- SpdMap --------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [0, 1, 2, 200])
+@pytest.mark.parametrize("d", [1, 4, 21])
+@pytest.mark.parametrize("identity", [True, False])
+def test_solve_each_and_apply_each_are_solve_and_apply_of_each_row(identity, d, k):
+    rng = np.random.default_rng(10 * d + k)
+    raw = rng.standard_normal((d, d))
+    m = SpdMap.identity(d) if identity else SpdMap(raw @ raw.T + d * np.eye(d))
+    X = sample(rng, k, d)
+    same_rows(m.solve_each(X), [m.solve(x) for x in X], d)
+    same_rows(m.apply_each(X), [m.apply(x) for x in X], d)
+    bad = np.ones((3, d))
+    bad[1, -1] = np.nan
+    for each in (m.solve_each, m.apply_each):
+        with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+            each(bad)
+
+
+@pytest.mark.parametrize("row", [0, 2])
+def test_solve_each_checks_every_row_as_solve_does(monkeypatch, row):
+    m = SpdMap([[2.0, 0.5], [0.5, 4.0]])
+    B = np.array([[2.0, 4.0], [4.0, 8.0], [6.0, 12.0]])
+    solve = np.linalg.solve
+
+    def off_in_one_row(a, b):
+        # the solution of one right-hand side, b_row, off by 1e-6
+        x = solve(a, b)
+        hit = np.all(b.reshape(-1, 2) == B[row], axis=1)
+        x.reshape(-1, 2)[hit, -1] += 1e-6
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", off_in_one_row)
+    errors = []
+    for call in (lambda: m.solve(B[row]), lambda: m.solve_each(B)):
+        with pytest.raises(ArithmeticError) as err:
+            call()
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1] == (
+        ArithmeticError, "solve failed to reach tolerance; map may not be SPD")
+    # the other rows pass the check one at a time
+    m.solve(B[2 - row])
+
+
+# --- the row forms of the saddle pairs ------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2, 513])
+@pytest.mark.parametrize("name", PAIRS)
+def test_catalog_pair_row_forms_match_scalar_forms(name, k):
+    pair = problems.get(name).saddle
+    assert pair.has_rows
+    rng = np.random.default_rng(k)
+    dx, dy = pair.d_primal, pair.d_dual
+    U, V = sample(rng, k, dx), sample(rng, k, dy)
+    for step in (0.2, 1.3):
+        same_rows(pair.prox_G_rows(step, U), [pair.prox_G(step, u) for u in U], dx)
+        same_rows(pair.prox_Fstar_rows(step, V), [pair.prox_Fstar(step, v) for v in V], dy)
+    same_rows(pair.grad_Q_rows(U), [pair.grad_Q(u) for u in U], dx)
+    same_rows(pair.grad_Pstar_rows(V), [pair.grad_Pstar(v) for v in V], dy)
+
+
+def test_pair_without_row_forms_loops_over_its_scalar_forms():
+    calls = {}
+    catalog = problems.get("p5_saddle").saddle
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    pair = SaddleFunctionPair(lip_Q=1.0, lip_Pstar=0.0, K=catalog.K,
+                              **{name: counted(name, getattr(catalog, name))
+                                 for name in FORMS})
+    assert not pair.has_rows
+    # one row form is not enough
+    assert not SaddleFunctionPair(catalog.prox_G, catalog.prox_Fstar, catalog.grad_Q,
+                                  1.0, catalog.grad_Pstar, 0.0, catalog.K,
+                                  prox_G_rows=catalog._prox_G_rows).has_rows
+    U = sample(np.random.default_rng(4), 5, 2)
+    for method, args, name in ((pair.prox_G_rows, (0.3,), "prox_G"),
+                               (pair.prox_Fstar_rows, (0.3,), "prox_Fstar"),
+                               (pair.grad_Q_rows, (), "grad_Q"),
+                               (pair.grad_Pstar_rows, (), "grad_Pstar")):
+        same_rows(method(*args, U), [getattr(catalog, name)(*args, u) for u in U], 2)
+        assert method(*args, np.empty((0, 2))).shape == (0, 2)
+    assert calls == dict.fromkeys(FORMS, 5)
+    A, B = cripda.stacked_operators(pair)
+    assert not B.has_rows and not A.has_rows_in(metric(pair))
+
+
+def test_pair_row_forms_screen_their_blocks():
+    pair = problems.get("p5_saddle").saddle
+    bad = np.ones((3, 2))
+    bad[1, 0] = np.inf
+    nan_out = SaddleFunctionPair(pair.prox_G, pair.prox_Fstar, pair.grad_Q, 1.0,
+                                 pair.grad_Pstar, 0.0, pair.K,
+                                 prox_G_rows=lambda tau, U: np.full_like(U, np.nan),
+                                 prox_Fstar_rows=lambda s, U: np.full_like(U, np.nan),
+                                 grad_Q_rows=lambda X: np.full_like(X, np.nan),
+                                 grad_Pstar_rows=lambda Y: np.full_like(Y, np.nan))
+    ok = np.ones((3, 2))
+    for p, U in ((pair, bad), (nan_out, ok)):
+        for call in (lambda: p.prox_G_rows(0.5, U), lambda: p.prox_Fstar_rows(0.5, U),
+                     lambda: p.grad_Q_rows(U), lambda: p.grad_Pstar_rows(U)):
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+                    call()
+
+
+# --- the stacked operators and the forward-backward image -----------------
+
+@pytest.mark.parametrize("k", [1, 2, 513])
+@pytest.mark.parametrize("name", PAIRS)
+def test_stacked_row_forms_match_scalar_forms(name, k):
+    pair = problems.get(name).saddle
+    A, B = cripda.stacked_operators(pair)
+    M = metric(pair)
+    assert A.has_rows_in(M) and B.has_rows
+    assert not A.has_rows       # no resolvent in the identity metric
+    d = pair.d_primal + pair.d_dual
+    rng = np.random.default_rng(100 + k)
+    U = sample(rng, k, d)
+    BU = B.apply_rows(U)
+    same_rows(BU, [B(u) for u in U], d)
+    for lam in (1.0, 0.6):
+        same_rows(generalized_resolvent_rows(A, M, lam, U),
+                  [generalized_resolvent(A, M, lam, u) for u in U], d)
+        same_rows(crifba._forward_backward_rows(A, B, M, lam, U, BU),
+                  [crifba.forward_backward(A, B, M, lam, u) for u in U], d)
+
+
+def test_stacked_row_forms_screen_where_the_scalar_forms_do():
+    # u before M, and every prox input and output
+    pair = problems.get("p5_saddle").saddle
+    A, B = cripda.stacked_operators(pair)
+    M = metric(pair)
+    nan_prox = SaddleFunctionPair(
+        pair.prox_G, lambda s, u: np.full(2, np.nan), pair.grad_Q, 1.0,
+        pair.grad_Pstar, 0.0, pair.K, prox_G_rows=pair._prox_G_rows,
+        prox_Fstar_rows=lambda s, U: np.full_like(U, np.nan),
+        grad_Q_rows=pair._grad_Q_rows, grad_Pstar_rows=pair._grad_Pstar_rows)
+    A_nan, _ = cripda.stacked_operators(nan_prox)
+    bad = np.ones((3, 4))
+    bad[2, 3] = np.nan
+    for op, U in ((A, bad), (A_nan, np.ones((3, 4)))):
+        for call in (lambda: generalized_resolvent(op, M, 1.0, U[-1]),
+                     lambda: generalized_resolvent_rows(op, M, 1.0, U)):
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+                    call()
+    for call in (lambda: B(bad[-1]), lambda: B.apply_rows(bad)):
+        with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+            call()
+
+
+def test_generalized_resolvent_rows_dispatch():
+    rng = np.random.default_rng(8)
+    U = sample(rng, 6, 3)
+    D = SpdMap(np.diag([1.0, 1.5, 2.0]))
+    calls = []
+    l1 = l1_op(0.7)
+    counted = MonotoneOp(l1.resolvent, resolvent_rows=lambda lam, X: (
+        calls.append(len(X)), l1._resolvent_rows(lam, X))[1])
+    # the identity metric (or None) takes the resolvent row form
+    for M in (None, SpdMap.identity(3)):
+        assert counted.has_rows_in(M)
+        same_rows(generalized_resolvent_rows(counted, M, 0.4, U),
+                  [generalized_resolvent(counted, M, 0.4, u) for u in U], 3)
+    assert calls == [6, 6]
+    # an affine operator outside the identity goes row by row
+    raw = rng.standard_normal((3, 3))
+    affine = affine_op(raw @ raw.T, rng.standard_normal(3))
+    assert not affine.has_rows_in(D)
+    same_rows(generalized_resolvent_rows(affine, D, 0.4, U),
+              [generalized_resolvent(affine, D, 0.4, u) for u in U], 3)
+    assert generalized_resolvent_rows(affine, D, 0.4, np.empty((0, 3))).shape == (0, 3)
+    # a generalized row form's output is screened, as the scalar form's is
+    nan_out = MonotoneOp(None, gen_resolvent=lambda M, lam, u: np.full(3, np.nan),
+                         gen_resolvent_rows=lambda M, lam, X: np.full_like(X, np.nan))
+    assert nan_out.has_rows_in(D) and not nan_out.has_rows_in(None)
+    for call in (lambda: generalized_resolvent(nan_out, D, 0.4, U[0]),
+                 lambda: generalized_resolvent_rows(nan_out, D, 0.4, U)):
+        with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+            call()
+    # and an operator with neither form is refused, as one row is
+    assert not counted.has_rows_in(D)
+    for call in (lambda: generalized_resolvent(counted, D, 0.4, U[0]),
+                 lambda: generalized_resolvent_rows(counted, D, 0.4, U)):
+        with pytest.raises(ValueError, match="generalized resolvent unavailable"):
+            call()
+
+
+def test_forward_backward_rows_per_row_in_a_non_identity_metric():
+    # without a generalized row form, the rows go one at a time through
+    # the same block solve
+    rng = np.random.default_rng(9)
+    raw = rng.standard_normal((3, 3))
+    A = affine_op(raw @ raw.T, rng.standard_normal(3))
+    S = rng.standard_normal((3, 3))
+    B = CocoerciveMap(lambda x: S @ x, SpdMap(np.eye(3)))
+    M = SpdMap(np.diag([1.0, 1.5, 2.0]))
+    X = sample(rng, 9, 3)
+    same_rows(crifba._forward_backward_rows(A, B, M, 0.3, X, B.apply_rows(X)),
+              [crifba.forward_backward(A, B, M, 0.3, x) for x in X], 3)

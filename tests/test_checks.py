@@ -147,6 +147,36 @@ def test_report_serialization(clamp_run):
     assert d["passed"] is True
 
 
+@pytest.mark.parametrize("row", [3, 200, BLOCK_ROWS + 3])
+def test_rilo_tests_B_on_a_default_parameter_run(row):
+    # default_params leaves delta unset; at its floor lam ||L|| / 4 the B
+    # terms of rilo weigh alpha = 0, so the oracle is blind to B. It takes
+    # the midpoint of the admissible delta instead, and a B that is off at
+    # one replayed z row fails it
+    prob = problems.get("p2_lasso")
+    q = prob.certified_solution
+    params = default_params(prob.L_map())
+    assert params.delta is None
+    res = run(prob.A, prob.B, params, prob.start, max_iter=BLOCK_ROWS + 10, tol=0.0)
+    z = res.Z[row]
+
+    def bent(X):
+        X = np.asarray(X, dtype=float)
+        return prob.B._apply_rows(X) + 10.0 * np.all(X == z, axis=-1)[..., None]
+
+    B = CocoerciveMap(lambda x: bent(x[None])[0], prob.B.certificate_L,
+                      apply_rows=bent)
+    clean = check_rilo(res, prob.B, q)
+    assert clean.passed
+    lam, ww, Lnorm = params.lam, params.w * (1.0 - params.w), params.L.norm()
+    assert clean.details["delta"] == 0.5 * (lam * Lnorm / 4.0 + ww)
+    assert clean.details["alpha"] == pytest.approx(1.0 - 0.9 / 0.95, rel=1e-12)
+    for rep in (check_rilo(res, B, q), reference.check_rilo(res, B, q),
+                {r.name: r for r in standard_suite(res, prob.A, B, q=q)}["rilo"]):
+        assert not rep.passed
+        assert rep.details["delta"] == clean.details["delta"]
+
+
 # --- the blocked replay against the per-row reference loops -------------
 
 LONG = 3 * BLOCK_ROWS + 7          # crosses three block seams
@@ -188,7 +218,7 @@ def assert_matches_reference(reports, expected, d, rel=False):
             scale = max(1.0, abs(want.worst_violation)) if rel else 1.0
             assert abs(got.worst_violation - want.worst_violation) <= bound * scale, \
                 (got.name, got.worst_violation, want.worst_violation)
-        for key in ("alpha", "selector", "rho", "const"):
+        for key in ("alpha", "delta", "selector", "rho", "const"):
             if key in want.details:
                 assert got.details[key] == want.details[key], (got.name, key)
         for key in ("E_first", "E_last"):

@@ -6,7 +6,8 @@ _reference_solvers, which test and step one state at a time: tolerance
 stops and step caps around the edges of a record block, divergence, a warm
 start, the operator calls and step calls a run makes, and failures of
 row-form operators, which must end the run where the one-state-at-a-time
-loop ends it."""
+loop ends it; the stacked primal-dual run in its block metric among
+them."""
 
 import math
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import _reference_solvers as reference
-from monosplit import crifba, cripda, gcrifba, problems
+from monosplit import checks, crifba, cripda, gcrifba, problems
 from monosplit.metriclin import SpdMap, operator_norm
 from monosplit.operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair,
                                  box_op, l1_op, zero_op)
@@ -52,6 +53,18 @@ def mixed():
             lambda **kw: reference.run_gcrifba(A_list, prob.B, params, x0, **kw0, **kw))
 
 
+def stack(pair=None, metric=None, seed=11):
+    """crifba on the stacked p5_saddle inclusion in its block metric (the
+    catalog pair, or the given one, and the given metric)."""
+    pair = problems.get("p5_saddle").saddle if pair is None else pair
+    A, B = cripda.stacked_operators(pair)
+    M = cripda.build_metric(pair, 0.2, 0.2) if metric is None else metric
+    params = crifba.CrifbaParams(lam=1.0, w=0.5, M=M, L=B.certificate_L)
+    x0 = 0.5 * np.random.default_rng(seed).standard_normal(4)
+    return (lambda **kw: crifba.run(A, B, params, x0, **kw),
+            lambda **kw: reference.run(A, B, params, x0, **kw))
+
+
 def saddle(name):
     prob = problems.get(name)
     step = 0.2 if name == "p5_saddle" else 0.7 / operator_norm(prob.saddle.K)
@@ -63,10 +76,12 @@ def saddle(name):
 
 
 # the catalog problems of each solver whose operators all have row forms,
-# one product-space problem in a higher dimension, and the saddle solver,
-# which forms its velocity column a block at a time
+# the stacked primal-dual inclusion in its block metric, one product-space
+# problem in a higher dimension, and the saddle solver, which forms its
+# velocity column a block at a time
 CASES = {"crifba:p2_lasso": lambda: core("p2_lasso"),
          "crifba:p3_spectrum": lambda: core("p3_spectrum"),
+         "crifba:p5_saddle_stack": stack,
          "gcrifba:p4_three": lambda: product("p4_three"),
          "gcrifba:p6_res_sum": lambda: product("p6_res_sum"),
          "gcrifba:l1_box_lasso": mixed,
@@ -193,6 +208,67 @@ def test_residual_and_step_share_one_row_call(monkeypatch, rows, tol):
         assert calls == {"B": 2 * n + 1, "resolvent": 2 * n + 1, "step": n}
 
 
+FORMS = ("prox_G", "prox_Fstar", "grad_Q", "grad_Pstar")
+
+
+def counted_pair(calls, rows):
+    """The p5_saddle pair with its scalar forms, and with rows its row
+    forms, counted."""
+    pair = problems.get("p5_saddle").saddle
+    forms = {name: counting(calls, name, getattr(pair, name)) for name in FORMS}
+    if rows:
+        forms.update({name + "_rows": counting(calls, name + "_rows",
+                                               getattr(pair, "_%s_rows" % name))
+                      for name in FORMS})
+    return SaddleFunctionPair(lip_Q=pair.lip_Q, lip_Pstar=pair.lip_Pstar, K=pair.K,
+                              **forms)
+
+
+@pytest.mark.parametrize("rows", [True, False], ids=["row_forms", "scalar_forms"])
+@pytest.mark.parametrize("tol", [0.0, 1e-6], ids=["max_iter", "tol"])
+def test_stacked_run_in_the_block_metric_shares_one_row_call(monkeypatch, rows, tol):
+    # with the pair's row forms each tested state costs one row call of B
+    # (each gradient) and of the generalized resolvent (each prox) and one
+    # block solve with M; a run of n steps makes one scalar forward-backward
+    # call, the residual at the last state of a capped run, where the
+    # per-row path makes 2n + 1. The replay makes none, and calls each row
+    # form once per block of rows
+    calls = {}
+    monkeypatch.setattr(crifba, "forward_backward",
+                        counting(calls, "forward_backward", crifba.forward_backward))
+    monkeypatch.setattr(SpdMap, "solve", counting(calls, "solve", SpdMap.solve))
+    monkeypatch.setattr(SpdMap, "solve_each",
+                        counting(calls, "solve_each", SpdMap.solve_each))
+    pair = counted_pair(calls, rows)
+    A, B = cripda.stacked_operators(pair)
+    new, _ = stack(pair, seed=15)
+    res = new(max_iter=10**5 if tol else 300, tol=tol)
+    n = res.n_iters
+    assert res.stopped == ("tol" if tol else "max_iter") and 0 < n
+    final = int(not tol)     # the residual at the last state of a capped run
+    scalar = final if rows else 2 * n + 1
+    want = dict.fromkeys(("forward_backward", "solve") + FORMS, scalar)
+    if rows:
+        want.update(dict.fromkeys([f + "_rows" for f in FORMS] + ["solve_each"],
+                                  n + 1 - final))
+    assert calls == {key: count for key, count in want.items() if count}
+    calls.clear()
+    q = np.concatenate(problems.get("p5_saddle").certified_solution)
+    reports = checks.standard_suite(res, A, B, q=q)
+    assert all(r.passed for r in reports)
+    blocks = -(-n // checks.BLOCK_ROWS)
+    # B(q) of rilo is the one scalar call of the gradients
+    want = dict.fromkeys(["grad_Q", "grad_Pstar"], 1)
+    if rows:
+        want.update(dict.fromkeys(["grad_Q_rows", "grad_Pstar_rows"], 2 * blocks))
+        want.update(dict.fromkeys(["prox_G_rows", "prox_Fstar_rows", "solve_each"], blocks))
+    else:
+        want.update(dict.fromkeys(["grad_Q", "grad_Pstar"], 2 * n + 1))
+        want.update(dict.fromkeys(["prox_G", "prox_Fstar"], n))
+        want["solve_each"] = blocks
+    assert calls == want
+
+
 def test_record_columns_of_a_long_run():
     # many record blocks, every column bit for bit
     for case in ("gcrifba:p4_three", "cripda:p5_lasso_pd"):
@@ -268,8 +344,40 @@ def product_with(which, make):
     return solve
 
 
+def stack_with(which, make):
+    """crifba on the stacked p5_saddle inclusion in its block metric with a
+    form of the pair, or the metric's solve, replaced by make(scalar form);
+    without row forms the pair has none, and the run goes one call at a
+    time."""
+    pair = problems.get("p5_saddle").saddle
+
+    def solve(rows, ref=False, tol=0.0):
+        M = cripda.build_metric(pair, 0.2, 0.2)
+        forms = {name: getattr(pair, name) for name in FORMS}
+        if rows:
+            forms.update({name + "_rows": getattr(pair, "_%s_rows" % name)
+                          for name in FORMS})
+        scalar, row_form = make(M.solve if which == "solve" else forms[which])
+        if which == "solve":
+            M.solve = scalar
+            if rows:
+                M.solve_each = row_form
+        else:
+            forms[which] = scalar
+            if rows:
+                forms[which + "_rows"] = row_form
+        new, reference_run = stack(SaddleFunctionPair(
+            lip_Q=pair.lip_Q, lip_Pstar=pair.lip_Pstar, K=pair.K, **forms),
+            metric=M, seed=18)
+        return (reference_run if ref else new)(max_iter=3 * ROWS, tol=tol)
+
+    return solve
+
+
 FAILING = [(core_with, "B"), (core_with, "resolvent"),
-           (product_with, "B"), (product_with, "resolvent")]
+           (product_with, "B"), (product_with, "resolvent"),
+           (stack_with, "grad_Q"), (stack_with, "prox_G"),
+           (stack_with, "prox_Fstar"), (stack_with, "solve")]
 IDS = ["%s:%s" % (s.__name__, w) for s, w in FAILING]
 
 
