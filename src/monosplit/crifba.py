@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metriclin import SpdMap, all_finite, as_vector, min_eigenvalue_sym
+from .metriclin import SpdMap, all_finite, as_rows, as_vector, min_eigenvalue_sym
 from .operators import generalized_resolvent, generalized_resolvent_rows
 
 
@@ -391,41 +391,51 @@ def graph_element(Mv, By, Bz_prev, params):
     return Mv / (params.lam * params.w) + By - Bz_prev
 
 
-@dataclass
-class DiagnosticsRecord:
-    n: int
-    vel2: Optional[float]
-    vn2: float
-    res2: float
-    energy: Optional[float] = None
-    ystar_norm: Optional[float] = None
+# the fields of crifba.diagnostics, in the column order of the harness CSV
+TRACE_COLUMNS = ("n", "vel2", "vn2", "res2", "energy", "ystar_norm")
+_TRACE_ROW = np.dtype([("n", np.int64)] + [(c, float) for c in TRACE_COLUMNS[1:]])
 
 
 def diagnostics(result, A, B, q=None, stride=1):
-    """Build per-iteration records from a finished run.
+    """The trace of a finished run at n = 0, stride, 2 stride, ... <= N: a
+    structured array, one entry per row, with the fields of TRACE_COLUMNS.
 
-    vel2 at row n is the squared M-norm of x_{n+1} - x_n (absent on the
-    final row); energy needs a reference solution q; the graph-element norm
-    starts at n = 1.
+    vel2 is the squared M-norm of x_{n+1} - x_n, vn2 that of v_n, energy
+    the anchored energy with s = s0 about q and ystar_norm the M-norm of
+    y*_n (graph_sequence). NaN marks an undefined cell: vel2 on the final
+    row, energy without q and ystar_norm at n = 0. Rows are formed
+    RECORD_ROWS at a time and screened as the scalar forms screen them;
+    every cell but energy at d > 1 equals its scalar form bit for bit.
     """
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
     params = result.params
-    M = params.metric(result.X.shape[1])
+    X, Z, V = result.X, result.Z, result.V
+    M = params.metric(X.shape[1])
     N = result.n_iters
-    out = []
-    for n in range(0, N + 1, max(1, stride)):
-        vel2 = M.norm2(result.X[n + 1] - result.X[n]) if n < N else None
-        rec = DiagnosticsRecord(n=n, vel2=vel2,
-                                vn2=M.norm2(result.V[n]),
-                                res2=float(result.res2[n]))
+    rows = np.arange(0, N + 1, stride)
+    out = np.empty(len(rows), dtype=_TRACE_ROW)
+    out[:] = (0,) + (np.nan,) * 5
+    out["n"] = rows
+    out["res2"] = result.res2[rows]
+    for a in range(0, len(out), RECORD_ROWS):
+        blk = out[a:a + RECORD_ROWS]
+        n = blk["n"]
+        Xn, Vn = as_rows(X[n]), V[n]
+        blk["vn2"] = M.norm2_each(Vn)       # screens Vn
+        m = n[n < N]
+        blk["vel2"][:len(m)] = M.norm2_each(X[m + 1] - X[m])
+        first = int(n[0] == 0)      # n = 0 has no x_{n-1} in X and no y*_n
         if q is not None:
-            xp = result.X[n - 1] if n >= 1 else result.x_prev_init
-            rec.energy = energy(params, result.X[n], xp, result.V[n], n,
-                                params.s0, q)
-        if n >= 1:
-            _, ystar = graph_sequence(result.X[n], result.V[n],
-                                      result.Z[n - 1], params, B)
-            rec.ystar_norm = M.norm_of(ystar)
-        out.append(rec)
+            Xp = X[n - 1]
+            Xp[:first] = result.x_prev_init
+            blk["energy"] = energy(params, Xn, as_rows(Xp), Vn, n, params.s0, q)
+        if len(n) > first:
+            Xg, Vg = Xn[first:], Vn[first:]
+            Ystar = graph_element(M.apply_each(Vg),
+                                  B.apply_rows(graph_point(Xg, Vg, params)),
+                                  B.apply_rows(Z[n[first:] - 1]), params)
+            blk["ystar_norm"][first:] = np.sqrt(np.maximum(M.norm2_each(Ystar), 0.0))
     return out
 
 

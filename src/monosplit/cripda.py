@@ -121,7 +121,8 @@ def stacked_operators(problem):
         return np.concatenate([x, y])
 
     def gen_resolvent_rows(M, lam, U):
-        # precond_resolvent a block at a time; M.apply_each screens U
+        # precond_resolvent a block at a time; M.apply_each screens U and
+        # generalized_resolvent_rows the block returned
         R = M.apply_each(U)
         tau, sigma = _tau_of(M, dx), _sigma_of(M, dx, dy)
         X = problem.prox_G_rows(tau, tau * R[:, :dx])

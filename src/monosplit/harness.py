@@ -38,6 +38,7 @@ def validate_config(cfg):
     kind = solver.get("kind", "crifba")
     report = {"problem": cfg.get("problem"), "kind": kind}
     try:
+        trace_stride(cfg)
         problem = problems.get(cfg["problem"])
         if kind == "crifba":
             params = _crifba_params(problem, solver)
@@ -91,9 +92,9 @@ def _cripda_params(solver_cfg):
 def fit_slope(ns, values, window=None):
     """Least-squares slope of log(value) against log(n).
 
-    The window defaults to the final decade [N/10, N]. Nonpositive values
-    are dropped (and counted); fewer than ten remaining points means no
-    fit.
+    The window defaults to the final decade [N/10, N]. NaN values, the
+    undefined cells of a trace, are left out; nonpositive values are
+    dropped (and counted); fewer than ten remaining points means no fit.
     """
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -102,7 +103,7 @@ def fit_slope(ns, values, window=None):
     if window is None:
         window = (ns.max() / 10.0, ns.max())
     lo, hi = window
-    mask = (ns >= lo) & (ns <= hi) & (ns > 0)
+    mask = (ns >= lo) & (ns <= hi) & (ns > 0) & ~np.isnan(values)
     dropped = int(np.sum(mask & ~(values > 0)))
     mask &= values > 0
     if mask.sum() < 10:
@@ -121,20 +122,32 @@ def fit_slope(ns, values, window=None):
             "dropped_nonpositive": dropped}
 
 
-def _fmt(v):
-    return "" if v is None else "%.17g" % v
+def trace_stride(cfg):
+    """The config's stride, an integer >= 1 (default 1); ValueError
+    otherwise."""
+    stride = cfg.get("stride", 1)
+    if type(stride) is not int or stride < 1:
+        raise ValueError("stride must be an integer >= 1, got %r" % (stride,))
+    return stride
 
 
-def write_trace_csv(path, rows, header):
+def write_trace_csv(path, columns):
+    """Write the trace columns (name: 1-D array, in CSV order, the integer
+    n first); floats as %.17g, NaN (an undefined cell) as an empty cell."""
+    names = list(columns)
+    cells = [columns[names[0]].tolist()]
+    cells += [["" if v != v else "%.17g" % v for v in columns[name].tolist()]
+              for name in names[1:]]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(header)
-        for row in rows:
-            wr.writerow([row[0]] + [_fmt(v) for v in row[1:]])
+        wr.writerow(names)
+        wr.writerows(zip(*cells))
 
 
 def run_config(cfg, outdir=None):
-    """Execute one run; returns (summary dict, artifact paths)."""
+    """Execute one run; returns (summary dict, artifact paths). Each kind
+    names its trace columns and slope fits; the tail strides, writes and
+    fits them."""
     outdir = outdir or output_dir(cfg)
     os.makedirs(outdir, exist_ok=True)
     problem = problems.get(cfg["problem"])
@@ -143,26 +156,23 @@ def run_config(cfg, outdir=None):
     stop = cfg.get("stop", {})
     max_iter = int(stop.get("max_iter", 10**6))
     tol = float(stop.get("tol", 1e-9))
-    stride = int(cfg.get("stride", 1))
+    stride = trace_stride(cfg)
     base = os.path.join(outdir, cfg.get("output", "run_%s" % config_hash(cfg)))
     paths = {"csv": base + ".csv", "summary": base + ".summary.json"}
-    header = ["n", "vel2", "vn2", "res2", "energy", "ystar_norm"]
     q = problem.certified_solution
+    stride_left = stride    # the stride the solver has not applied
 
     if kind == "crifba":
         params = _crifba_params(problem, solver)
         result = crifba.run(problem.A, problem.B, params, problem.start,
                             max_iter=max_iter, tol=tol)
-        recs = crifba.diagnostics(result, problem.A, problem.B,
-                                  q=q if isinstance(q, np.ndarray) else None,
-                                  stride=stride)
-        rows = [(r.n, r.vel2, r.vn2, r.res2, r.energy, r.ystar_norm) for r in recs]
-        ns = np.array([r.n for r in recs])
-        cols = {"vel2": np.array([r.vel2 if r.vel2 is not None else np.nan for r in recs]),
-                "vn2": np.array([r.vn2 for r in recs]),
-                "res2": np.array([r.res2 for r in recs])}
-        final_res2 = float(result.res2[-1])
-        iters = result.n_iters
+        trace = crifba.diagnostics(result, problem.A, problem.B,
+                                   q=q if isinstance(q, np.ndarray) else None,
+                                   stride=stride)
+        cols = {name: trace[name] for name in crifba.TRACE_COLUMNS}
+        fits = {"vel2": "vel2", "vn2": "vn2", "res2": "res2"}
+        stride_left = 1
+        final_res2 = result.res2[-1]
         candidate = result.x
         paths["history"] = base + ".history.npz"
         np.savez_compressed(paths["history"], X=result.X, Z=result.Z,
@@ -172,25 +182,19 @@ def run_config(cfg, outdir=None):
         params = _gcrifba_params(problem, solver)
         result = gcrifba.run_gcrifba(problem.A_list, problem.B, params,
                                      problem.start, max_iter=max_iter, tol=tol)
-        header = ["n", "zeta_vel2", "corr2", "fpr2"]
-        rows = list(zip(result.ns.tolist(), result.zeta_vel2, result.corr2,
-                        result.fpr2))[::stride]
-        ns = result.ns[::stride]
-        cols = {"vel2": result.zeta_vel2[::stride], "res2": result.fpr2[::stride]}
-        final_res2 = float(result.fpr2[-1])
-        iters = result.n_iters
+        cols = {"n": result.ns, "zeta_vel2": result.zeta_vel2,
+                "corr2": result.corr2, "fpr2": result.fpr2}
+        fits = {"vel2": "zeta_vel2", "res2": "fpr2"}
+        final_res2 = result.fpr2[-1]
         candidate = result.x
     elif kind == "cripda":
         params = _cripda_params(solver)
         result = cripda.run_cripda(problem.saddle, params, problem.start,
                                    np.zeros(problem.saddle.d_dual),
                                    max_iter=max_iter, tol=tol)
-        header = ["n", "vel2_M", "fpr2_M"]
-        rows = list(zip(result.ns.tolist(), result.vel2, result.fpr2))[::stride]
-        ns = result.ns[::stride]
-        cols = {"vel2": result.vel2[::stride], "res2": result.fpr2[::stride]}
-        final_res2 = float(result.fpr2[-1])
-        iters = result.n_iters
+        cols = {"n": result.ns, "vel2_M": result.vel2, "fpr2_M": result.fpr2}
+        fits = {"vel2": "vel2_M", "res2": "fpr2_M"}
+        final_res2 = result.fpr2[-1]
         candidate = (result.x, result.y)
     elif kind in BASELINE_KINDS:
         extra = {k: solver[k] for k in ("lam", "alpha", "inertia", "ac_alpha",
@@ -198,12 +202,13 @@ def run_config(cfg, outdir=None):
         result = baselines.run_baseline(kind, problem, problem.start,
                                         max_iter=max_iter, tol=tol,
                                         stride=stride, **extra)
-        rows = [(int(n), v, None, r, None, None)
-                for n, v, r in zip(result.ns, result.vel2, result.res2)]
-        ns = result.ns
-        cols = {"vel2": result.vel2, "res2": result.res2}
-        final_res2 = float(result.res2[-1])
-        iters = result.n_iters
+        undefined = np.full(len(result.ns), np.nan)
+        cols = {"n": result.ns, "vel2": result.vel2, "vn2": undefined,
+                "res2": result.res2, "energy": undefined,
+                "ystar_norm": undefined}
+        fits = {"vel2": "vel2", "res2": "res2"}
+        stride_left = 1
+        final_res2 = result.res2[-1]
         candidate = result.x
         if kind == "dr":
             candidate = baselines.dr_shadow(
@@ -212,13 +217,14 @@ def run_config(cfg, outdir=None):
     else:
         raise ValueError("unknown solver kind %r" % kind)
 
-    write_trace_csv(paths["csv"], rows, header)
+    cols = {name: col[::stride_left] for name, col in cols.items()}
+    write_trace_csv(paths["csv"], cols)
     ok, residual = problems.certify(problem, candidate, tol=cfg.get("certify_tol", 1e-6))
-    slopes = {name: fit_slope(ns, col) for name, col in cols.items()}
+    slopes = {key: fit_slope(cols["n"], cols[name]) for key, name in fits.items()}
     summary = {
         "config_hash": config_hash(cfg),
-        "iterations": int(iters),
-        "final_res2": final_res2,
+        "iterations": int(result.n_iters),
+        "final_res2": float(final_res2),
         "certify": {"ok": ok, "residual": residual},
         "slopes": slopes,
         "checks": [],

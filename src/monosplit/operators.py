@@ -308,15 +308,17 @@ class SaddleFunctionPair:
     their prox operators and Q, P* by gradients with known Lipschitz
     constants.
 
-    Row forms are opt-in, as on MonotoneOp and CocoerciveMap. The
-    prox_G_rows and prox_Fstar_rows callables map a step size and a (k, d)
-    block to the (k, d) block of proxes of its rows; grad_Q_rows and
-    grad_Pstar_rows map a (k, d) block to the gradients of its rows. Each
-    must agree with its scalar form row by row. Without them, the methods
-    of the same names loop over the scalar forms. With all four, the
-    stacked operators of cripda.stacked_operators have row forms, which
-    the solvers evaluate for the step from a state before its stop test,
-    so the scalar and row forms must be pure functions of their arguments.
+    Row forms are opt-in and, like the scalar forms, plain attributes (None
+    when absent). The prox_G_rows and prox_Fstar_rows callables map a step
+    size and a (k, d) block to the (k, d) block of proxes of its rows;
+    grad_Q_rows and grad_Pstar_rows map a (k, d) block to the gradients of
+    its rows. Each must agree with its scalar form row by row. Only with
+    all four do the stacked operators of cripda.stacked_operators have row
+    forms, whose callers screen the blocks going in and out
+    (CocoerciveMap.apply_rows, SpdMap.apply_each and
+    generalized_resolvent_rows). The solvers evaluate the row forms
+    for the step from a state before its stop test, so the scalar and row
+    forms must be pure functions of their arguments.
     """
 
     def __init__(self, prox_G, prox_Fstar, grad_Q, lip_Q, grad_Pstar,
@@ -330,10 +332,10 @@ class SaddleFunctionPair:
         self.lip_Pstar = float(lip_Pstar)
         self.K = np.asarray(K, dtype=float)
         self.label = label
-        self._prox_G_rows = prox_G_rows
-        self._prox_Fstar_rows = prox_Fstar_rows
-        self._grad_Q_rows = grad_Q_rows
-        self._grad_Pstar_rows = grad_Pstar_rows
+        self.prox_G_rows = prox_G_rows
+        self.prox_Fstar_rows = prox_Fstar_rows
+        self.grad_Q_rows = grad_Q_rows
+        self.grad_Pstar_rows = grad_Pstar_rows
 
     @property
     def d_primal(self):
@@ -345,34 +347,6 @@ class SaddleFunctionPair:
 
     @property
     def has_rows(self):
-        """True when the pair carries all four row forms, so that each row
-        method costs one call per block, not one per row."""
-        return None not in (self._prox_G_rows, self._prox_Fstar_rows,
-                            self._grad_Q_rows, self._grad_Pstar_rows)
-
-    # Each row method screens its input and output blocks as the solvers
-    # screen the vectors of the scalar form.
-
-    def prox_G_rows(self, tau, U):
-        """prox_G(tau, u_i) for every row u_i of a (k, d_primal) block."""
-        if self._prox_G_rows is None:
-            return _per_row(lambda u: as_vector(self.prox_G(tau, u)), U)
-        return as_rows(self._prox_G_rows(tau, as_rows(U)))
-
-    def prox_Fstar_rows(self, sigma, U):
-        """prox_Fstar(sigma, u_i) for every row u_i of a (k, d_dual) block."""
-        if self._prox_Fstar_rows is None:
-            return _per_row(lambda u: as_vector(self.prox_Fstar(sigma, u)), U)
-        return as_rows(self._prox_Fstar_rows(sigma, as_rows(U)))
-
-    def grad_Q_rows(self, X):
-        """grad_Q(x_i) for every row x_i of a (k, d_primal) block."""
-        if self._grad_Q_rows is None:
-            return _per_row(lambda x: as_vector(self.grad_Q(x)), X)
-        return as_rows(self._grad_Q_rows(as_rows(X)))
-
-    def grad_Pstar_rows(self, Y):
-        """grad_Pstar(y_i) for every row y_i of a (k, d_dual) block."""
-        if self._grad_Pstar_rows is None:
-            return _per_row(lambda y: as_vector(self.grad_Pstar(y)), Y)
-        return as_rows(self._grad_Pstar_rows(as_rows(Y)))
+        """True when the pair carries all four row forms."""
+        return None not in (self.prox_G_rows, self.prox_Fstar_rows,
+                            self.grad_Q_rows, self.grad_Pstar_rows)

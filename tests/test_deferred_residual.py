@@ -218,7 +218,7 @@ def counted_pair(calls, rows):
     forms = {name: counting(calls, name, getattr(pair, name)) for name in FORMS}
     if rows:
         forms.update({name + "_rows": counting(calls, name + "_rows",
-                                               getattr(pair, "_%s_rows" % name))
+                                               getattr(pair, "%s_rows" % name))
                       for name in FORMS})
     return SaddleFunctionPair(lip_Q=pair.lip_Q, lip_Pstar=pair.lip_Pstar, K=pair.K,
                               **forms)
@@ -355,7 +355,7 @@ def stack_with(which, make):
         M = cripda.build_metric(pair, 0.2, 0.2)
         forms = {name: getattr(pair, name) for name in FORMS}
         if rows:
-            forms.update({name + "_rows": getattr(pair, "_%s_rows" % name)
+            forms.update({name + "_rows": getattr(pair, "%s_rows" % name)
                           for name in FORMS})
         scalar, row_form = make(M.solve if which == "solve" else forms[which])
         if which == "solve":

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from monosplit import cli, harness
+from monosplit import cli, harness, problems
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -51,6 +51,17 @@ def test_fit_slope_drops_nonpositive():
     fit = harness.fit_slope(ns, vals, window=(1, 100))
     assert fit["dropped_nonpositive"] == 10
     assert fit["status"] == "ok"
+
+
+def test_fit_slope_leaves_nan_out_uncounted():
+    ns = np.arange(1, 101)
+    vals = 1.0 / ns
+    vals[-1] = np.nan           # an undefined cell, as on a trace's last row
+    vals[50] = 0.0
+    fit = harness.fit_slope(ns, vals, window=(1, 100))
+    assert fit["dropped_nonpositive"] == 1
+    assert fit["n_points"] == 98
+    assert fit["slope"] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_fit_slope_empty():
@@ -139,6 +150,95 @@ def test_run_config_stride(tmp_path):
     with open(paths["csv"]) as fh:
         rows = fh.readlines()[1:]
     assert [int(r.split(",")[0]) for r in rows] == [0, 50, 100, 150, 200, 250, 300]
+
+
+def test_crifba_slopes_drop_no_undefined_cell(tmp_path):
+    cfg = {"problem": "p2_lasso", "solver": {"kind": "crifba"},
+           "stop": {"max_iter": 400, "tol": 0.0}, "output": "p2"}
+    summary, paths = harness.run_config(cfg, outdir=str(tmp_path))
+    with open(paths["csv"]) as fh:
+        last = fh.readlines()[-1].split(",")
+    assert last[0] == "400" and last[1] == ""      # vel2 is undefined at n = N
+    for key in ("vel2", "vn2", "res2"):
+        fit = summary["slopes"][key]
+        assert fit["status"] == "ok"
+        assert fit["dropped_nonpositive"] == 0, key
+    assert summary["slopes"]["vel2"]["n_points"] == 360
+    assert summary["slopes"]["res2"]["n_points"] == 361
+
+
+STRIDE_CFGS = {
+    "crifba": {"problem": "p1_clamp", "solver": {"kind": "crifba"}},
+    "gcrifba": {"problem": "p4_three", "solver": {"kind": "gcrifba"}},
+    "cripda": {"problem": "p5_saddle",
+               "solver": {"kind": "cripda", "tau": 0.2, "sigma": 0.2}},
+    "fba": {"problem": "p1_clamp", "solver": {"kind": "fba"}},
+}
+
+
+@pytest.mark.parametrize("stride", [0, -2, 1.5, 2.0, "2", True])
+@pytest.mark.parametrize("kind", sorted(STRIDE_CFGS))
+def test_a_stride_that_is_not_a_positive_integer_is_refused(tmp_path, capsys,
+                                                            kind, stride):
+    cfg = dict(STRIDE_CFGS[kind], stop={"max_iter": 10, "tol": 0.0},
+               stride=stride, output="s")
+    ok, report = harness.validate_config(cfg)
+    assert not ok
+    assert report["error"] == "stride must be an integer >= 1, got %r" % (stride,)
+    with pytest.raises(ValueError, match="^stride must be an integer >= 1"):
+        harness.run_config(cfg, outdir=str(tmp_path))
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    capsys.readouterr()
+    for argv in (["validate", path], ["run", path, "--outdir", str(tmp_path)]):
+        assert cli.main(argv) == 1
+        assert "stride" in json.loads(capsys.readouterr().out)["error"]
+    assert cli.main(["compare", path, "--outdir", str(tmp_path)]) == 1
+    entry = json.loads(capsys.readouterr().out)[0]
+    assert entry["status"] == "invalid" and "stride" in entry["report"]["error"]
+    assert not os.path.exists(tmp_path / "s.csv")
+
+
+# short runs of each kind; tests/golden holds the CSV each wrote before the
+# trace columns were formed a block at a time
+GOLDEN = {
+    "crifba_p2_lasso": {"problem": "p2_lasso", "solver": {"kind": "crifba"},
+                        "stop": {"max_iter": 42, "tol": 0.0}, "stride": 3},
+    "gcrifba_p4_three": {"problem": "p4_three", "solver": {"kind": "gcrifba"},
+                         "stop": {"max_iter": 30, "tol": 0.0}, "stride": 2},
+    "cripda_p5_saddle": {"problem": "p5_saddle",
+                         "solver": {"kind": "cripda", "tau": 0.2, "sigma": 0.2},
+                         "stop": {"max_iter": 30, "tol": 0.0}, "stride": 2},
+    "fbf_p2_lasso": {"problem": "p2_lasso", "solver": {"kind": "fbf"},
+                     "stop": {"max_iter": 50, "tol": 0.0}, "stride": 5},
+}
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trace_csv_matches_golden(tmp_path, name):
+    """Byte for byte, but for the energy cells of a crifba run at d > 1,
+    which agree within 64 d eps relative."""
+    cfg = dict(GOLDEN[name], output=name)
+    _, paths = harness.run_config(cfg, outdir=str(tmp_path))
+    with open(paths["csv"], "rb") as fh:
+        got = fh.read()
+    with open(os.path.join(GOLDEN_DIR, name + ".csv"), "rb") as fh:
+        want = fh.read()
+    d = problems.get(cfg["problem"]).d
+    if cfg["solver"]["kind"] != "crifba" or d == 1:
+        assert got == want
+        return
+    got_rows = [r.split(b",") for r in got.split(b"\r\n")]
+    want_rows = [r.split(b",") for r in want.split(b"\r\n")]
+    assert len(got_rows) == len(want_rows)
+    energy = want_rows[0].index(b"energy")
+    for g, w in zip(got_rows, want_rows):
+        if len(w) <= energy or w[energy] in (b"energy", b""):   # the header, the end
+            assert g == w
+        else:
+            assert g[:energy] + g[energy + 1:] == w[:energy] + w[energy + 1:]
+            e = float(w[energy])
+            assert abs(float(g[energy]) - e) <= 64 * d * np.finfo(float).eps * abs(e)
 
 
 def test_run_config_gcrifba_and_cripda_and_baseline(tmp_path):
