@@ -175,11 +175,14 @@ def cripda_step(state, params, problem):
     xi, chi = z[:dx], z[dx:]
     x_hat = as_vector(problem.prox_G(
         tau, xi - tau * (problem.grad_Q(xi) + K.T @ chi)))
-    x_next = (1.0 - w) * xi + w * x_hat
-    xi_bar = 2.0 / w * (x_next - (1.0 - w) * xi) - xi
+    u_next = (1.0 - w) * z      # its halves are (1 - w) xi and (1 - w) chi
+    xi_w = u_next[:dx]
+    x_next = xi_w + w * x_hat
+    xi_bar = 2.0 / w * (x_next - xi_w) - xi
     y_hat = as_vector(problem.prox_Fstar(
         sigma, chi - sigma * (problem.grad_Pstar(chi) - K @ xi_bar)))
-    u_next = np.concatenate([x_next, (1.0 - w) * chi + w * y_hat])
+    u_next[:dx] = x_next
+    u_next[dx:] += w * y_hat
     if not all_finite(u_next):
         raise ArithmeticError("non-finite iterate at n=%d" % state.n)
     return KMState(state.n + 1, state.x, u_next, z)
@@ -189,12 +192,15 @@ def fixed_point_residual(problem, params, M, x, y):
     """M-norm distance between (x, y) and its half-step image.
 
     u = (x, y) is the only vector stacked: the gradients are subtracted
-    from the blocks of M u, and u becomes the difference in place.
+    from the blocks of M u, and u becomes the difference in place. (x, y)
+    is not screened here: the solver's iterates are screened as they are
+    formed, each prox input and output is screened in precond_resolvent,
+    and the difference only when its norm is not finite (SpdMap.norm2).
     """
     dx = len(x)
     gq, gp = problem.grad_Q(x), problem.grad_Pstar(y)
     u = np.concatenate([x, y])
-    r = M.apply(u)
+    r = M.matrix @ u
     px, py = precond_resolvent(problem, params.tau, params.sigma,
                                r[:dx] - gq, r[dx:] - gp)
     u[:dx] -= px

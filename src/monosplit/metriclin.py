@@ -4,6 +4,7 @@ Everything here is small and dense on purpose: problem dimensions stay in
 the tens, so eigendecompositions are cheap and exactly reproducible.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -196,11 +197,21 @@ class SpdMap:
         return float(as_vector(x) @ self.matrix @ as_vector(y))
 
     def norm2(self, x):
-        """Squared weighted norm <Mx, x>."""
-        v = as_vector(x)
-        if self.is_identity:
-            return float(v @ v)
-        return float(v @ self.matrix @ v)
+        """Squared weighted norm <Mx, x>.
+
+        x is coerced as as_vector coerces it, but screened only when the
+        form is not finite: M is SPD, so a non-finite entry always makes the
+        form non-finite, and the screen raises as_vector's ValueError on
+        exactly the inputs it did when it ran first.
+        """
+        if type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT64:
+            v = x
+        else:
+            v = np.asarray(x, dtype=float).reshape(-1)
+        r2 = float(v @ v) if self.is_identity else float(v @ self.matrix @ v)
+        if not math.isfinite(r2):
+            as_vector(v)
+        return r2
 
     # Row-block forms for (k, d) arrays whose rows the caller has already
     # screened; M is symmetric, so the rows of X @ M are the M x_i.

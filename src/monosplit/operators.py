@@ -5,10 +5,14 @@ import numpy as np
 from .metriclin import SpdMap, as_rows, as_vector
 
 
+def _soft(t, x):
+    """sign(x_i) * max(|x_i| - t, 0) on an array x that is not screened."""
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
 def prox_l1(lam, x):
     """Soft thresholding: sign(x_i) * max(|x_i| - lam, 0)."""
-    x = as_vector(x)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    return _soft(lam, as_vector(x))
 
 
 def prox_box(lo, hi, x):
@@ -57,8 +61,10 @@ class MonotoneOp:
     screening each row u_i before M as gen_resolvent does; member_rows
     tests every row pair (x_i, u_i) against a (k, 1) tolerance column,
     screening as graph_member does, and returns k booleans. Each must agree
-    with its scalar form row by row. Without them, the methods of the same
-    names and generalized_resolvent_rows loop over the scalar forms. With
+    with its scalar form row by row. The method resolvent_rows screens the
+    blocks going in and out, so the resolvent_rows callable need not.
+    Without them, the methods of the same names and
+    generalized_resolvent_rows loop over the scalar forms. With
     them, the solvers evaluate the resolvent for the step from a state
     before its stop test, so the scalar and row forms must be pure
     functions of their arguments.
@@ -151,8 +157,7 @@ def box_op(lo, hi):
     return MonotoneOp(lambda lam, x: prox_box(lo, hi, x),
                       graph_member=graph_member,
                       label="normal_cone[%g,%g]" % (lo, hi),
-                      resolvent_rows=lambda lam, X: prox_box(
-                          lo, hi, X.reshape(-1)).reshape(X.shape),
+                      resolvent_rows=lambda lam, X: X.clip(lo, hi),
                       member_rows=member_rows)
 
 
@@ -179,8 +184,7 @@ def l1_op(weight=1.0):
     return MonotoneOp(lambda lam, x: prox_l1(lam * weight, x),
                       graph_member=graph_member,
                       label="l1_subdiff(w=%g)" % weight,
-                      resolvent_rows=lambda lam, X: prox_l1(
-                          lam * weight, X.reshape(-1)).reshape(X.shape),
+                      resolvent_rows=lambda lam, X: _soft(lam * weight, X),
                       member_rows=member_rows)
 
 
@@ -261,6 +265,12 @@ class CocoerciveMap:
 
     def __call__(self, x):
         return as_vector(self._apply(as_vector(x)))
+
+    def with_value(self, x):
+        """(v, B(v)) for v = as_vector(x): the screened argument with its
+        value, for a caller that goes on to use the argument."""
+        v = as_vector(x)
+        return v, as_vector(self._apply(v))
 
     @property
     def has_rows(self):

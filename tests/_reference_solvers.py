@@ -1,19 +1,23 @@
 """The solver loops as they were before the lean rewrite, kept as the
-reference that ``crifba.run``, ``cripda.run_cripda`` and
-``gcrifba.run_gcrifba`` are compared against bit for bit.
+reference that ``crifba.run``, ``cripda.run_cripda``,
+``gcrifba.run_gcrifba`` and ``baselines.run_baseline`` are compared
+against bit for bit.
 
 Each loop comes with the step and residual functions it called, also as
 they were: every call re-screens its arguments, the metric is looked up
 per step, norms go through ``np.linalg.norm`` and ``ProductVector``, and
-the saddle residual concatenates its pieces. The state types and the
-schedule are kept here as they were too. Parameter types, validators,
-result types and the operators themselves are the package's own.
+the saddle residual concatenates its pieces, and the baseline loop runs an
+eight-way branch per step and evaluates its residual apart from the step,
+on recorded rows only. The state types and the schedule are kept here as
+they were too. Parameter types, validators, result types and the
+operators themselves are the package's own.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from monosplit.baselines import _KINDS, BaselineResult, default_step
 from monosplit.crifba import RunResult, validate
 from monosplit.cripda import (CripdaResult, build_metric, precond_resolvent,
                               validate_cripda)
@@ -269,3 +273,158 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9,
                          np.array(ns), np.array(vel2), np.array(corr2),
                          np.array(fpr2),
                          np.array(xs) if keep_x_hist else None)
+
+
+# --- baselines --------------------------------------------------------------
+
+def ppa_step(A, lam, x):
+    """Proximal point: one resolvent application."""
+    return as_vector(A.resolvent(lam, as_vector(x)))
+
+
+def fba_step(A, B, lam, x):
+    """Forward-backward: gradient-style step on B, resolvent on A."""
+    x = as_vector(x)
+    return as_vector(A.resolvent(lam, x - lam * B(x)))
+
+
+def fbf_step(A, B, lam, x):
+    """Forward-backward-forward with the correcting second B evaluation."""
+    x = as_vector(x)
+    bx = B(x)
+    y = as_vector(A.resolvent(lam, x - lam * bx))
+    return y - lam * (B(y) - bx)
+
+
+def dr_step(A, B_res, lam, x):
+    """Douglas-Rachford-style governing iteration.
+
+    B_res is the resolvent form of the single-valued part; the solution is
+    read off through the shadow point J_{lam B}(x).
+    """
+    x = as_vector(x)
+    jb = as_vector(B_res.resolvent(lam, x))
+    return as_vector(A.resolvent(lam, 2.0 * jb - x)) + x - jb
+
+
+def moudafi_oliny_step(A, B, lam, alpha_n, x, x_prev):
+    """Inertial step with B evaluated at the non-extrapolated point."""
+    x = as_vector(x)
+    z = x + alpha_n * (x - as_vector(x_prev))
+    return as_vector(A.resolvent(lam, z - lam * B(x)))
+
+
+def lorenz_pock_step(A, B, lam, alpha_n, x, x_prev):
+    """Inertial step with B evaluated at the extrapolated point."""
+    x = as_vector(x)
+    z = x + alpha_n * (x - as_vector(x_prev))
+    return as_vector(A.resolvent(lam, z - lam * B(z)))
+
+
+def attouch_cabot_step(A, B, lam, alpha_n, w_n, x, x_prev):
+    """Relaxed inertial forward-backward step."""
+    x = as_vector(x)
+    z = x + alpha_n * (x - as_vector(x_prev))
+    return (1.0 - w_n) * z + w_n * as_vector(A.resolvent(lam, z - lam * B(z)))
+
+
+def chambolle_dossal_step(f_grad, g_prox, lam, alpha, n, x, x_prev):
+    """Momentum prox-gradient step with the (n-1)/(n+alpha-1) coefficient."""
+    x = as_vector(x)
+    mom = (n - 1.0) / (n + alpha - 1.0) if n >= 1 else 0.0
+    z = x + mom * (x - as_vector(x_prev))
+    return as_vector(g_prox(lam, z - lam * f_grad(z)))
+
+
+def run_baseline(kind, problem, x0, lam=None, max_iter=10**6, tol=1e-9,
+                 stride=1, alpha=3.1, inertia=0.3, ac_alpha=3.0, ac_rho=None):
+    """Drive one baseline on a two-operator problem.
+
+    Residuals use the plain (identity metric) fixed-point residual at the
+    current iterate, evaluated only at recorded rows; stopping is checked
+    there too. Velocity rows store the squared step just taken.
+    """
+    if kind not in _KINDS:
+        raise ValueError("unknown baseline kind %r" % kind)
+    A, B = problem.A, problem.B
+    if kind == "ppa":
+        # the proximal point method sees the whole inclusion through one
+        # resolvent, so it needs the resolvent of the full operator sum
+        if "sum_op" not in problem.extras:
+            raise ValueError("this problem has no resolvent of the full sum")
+        A = problem.extras["sum_op"]
+    if lam is None:
+        lam = default_step(kind, problem)
+    beta = problem.beta
+    if kind in ("fba", "moudafi_oliny", "lorenz_pock", "attouch_cabot") \
+            and not 0.0 < lam < 2.0 * beta:
+        raise ValueError("step must lie in (0, 2*beta)")
+    if kind == "fbf" and not 0.0 < lam < beta:
+        raise ValueError("step must lie in (0, 1/Lipschitz)")
+    if kind == "chambolle_dossal":
+        if alpha <= 3.0:
+            raise ValueError("momentum parameter must exceed 3")
+        if not 0.0 < lam < beta:
+            raise ValueError("step must lie in (0, 1/Lipschitz)")
+        f_grad = problem.extras["f_grad"]
+        g_prox = problem.extras["g_prox"]
+    if kind == "dr":
+        if problem.B_resolvent is None:
+            raise ValueError("this problem has no resolvent form for B")
+        B_res = problem.B_resolvent
+    if kind == "attouch_cabot" and ac_rho is None:
+        ac_rho = 0.5 * ac_alpha * (ac_alpha - 2.0) * (1.0 - lam / (4.0 * beta))
+
+    def residual(x):
+        if kind == "dr":
+            return dr_step(A, B_res, lam, x) - x
+        if kind == "ppa":
+            return (x - as_vector(A.resolvent(lam, x))) / lam
+        return (x - as_vector(A.resolvent(lam, x - lam * B(x)))) / lam
+
+    x = as_vector(x0).copy()
+    x_prev = x.copy()
+    ns, vel2, res2 = [], [], []
+    stopped = "max_iter"
+    n = 0
+    while n < max_iter:
+        record = (n % stride == 0)
+        if record:
+            r = residual(x)
+            r2 = float(r @ r)
+        if kind == "ppa":
+            x_next = ppa_step(A, lam, x)
+        elif kind == "fba":
+            x_next = fba_step(A, B, lam, x)
+        elif kind == "fbf":
+            x_next = fbf_step(A, B, lam, x)
+        elif kind == "dr":
+            x_next = dr_step(A, B_res, lam, x)
+        elif kind == "moudafi_oliny":
+            x_next = moudafi_oliny_step(A, B, lam, inertia, x, x_prev)
+        elif kind == "lorenz_pock":
+            x_next = lorenz_pock_step(A, B, lam, inertia, x, x_prev)
+        elif kind == "attouch_cabot":
+            a_n = max(0.0, 1.0 - ac_alpha / n) if n >= 1 else 0.0
+            w_n = 1.0 - ac_rho / n ** 2 if n >= 1 else 1.0
+            x_next = attouch_cabot_step(A, B, lam, a_n, w_n, x, x_prev)
+        else:
+            x_next = chambolle_dossal_step(f_grad, g_prox, lam, alpha, n, x, x_prev)
+        if record:
+            ns.append(n)
+            res2.append(r2)
+            d = x_next - x
+            vel2.append(float(d @ d))
+            if np.sqrt(r2) <= tol:
+                stopped = "tol"
+                break
+        if not np.all(np.isfinite(x_next)):
+            raise ArithmeticError("non-finite iterate at n=%d" % n)
+        if np.linalg.norm(x_next) > 1e12:
+            stopped = "diverged"
+            break
+        x_prev = x
+        x = x_next
+        n += 1
+    return BaselineResult(x, n, stopped, np.array(ns), np.array(vel2),
+                          np.array(res2))

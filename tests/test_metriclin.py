@@ -157,7 +157,11 @@ def test_identity_products_bit_equal_to_eye(d):
         assert np.array_equal(m.apply(x), eye @ x)
 
 
-def test_norm2_screens_its_argument_once(monkeypatch):
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_norm2_screens_only_a_non_finite_form(monkeypatch):
+    # a finite form is returned unscreened; an entry that is not finite
+    # makes the form non-finite for SPD M, and the screen then raises
+    # as_vector's ValueError as it did when it ran first
     from monosplit import metriclin
     calls = []
 
@@ -171,7 +175,16 @@ def test_norm2_screens_its_argument_once(monkeypatch):
         x = rng.standard_normal(4)
         calls.clear()
         assert m.norm2(x) == m.inner(x, x)
-        assert len(calls) == 3      # once in norm2, twice in inner
+        assert len(calls) == 2      # none in norm2, twice in inner
+        assert m.norm2(list(x)) == m.norm2(x.reshape(-1, 1)) == m.norm2(x)
+        for bad in (np.nan, np.inf, -np.inf):
+            y = x.copy()
+            y[1] = bad
+            with pytest.raises(ValueError, match="non-finite entries"):
+                m.norm2(y)
+        calls.clear()
+        assert m.norm2(np.full(4, 1e200)) == np.inf     # finite entries
+        assert len(calls) == 1
     with pytest.raises(ValueError):
         SpdMap.identity(2).norm2([1.0, np.nan])
 
