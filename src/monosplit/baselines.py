@@ -14,11 +14,9 @@ import numpy as np
 from .metriclin import all_finite, as_vector
 
 
-# Each *_step helper screens its vector arguments and hands them to the
-# step itself, _ppa to _chambolle_dossal, which take screened 1-D float64
-# arrays and screen every resolvent and prox output as it returns;
-# run_baseline calls the steps on its iterates, which it screens as it
-# forms them.
+# The steps, _ppa to _chambolle_dossal, take screened 1-D float64 arrays
+# and screen every resolvent and prox output as it returns; run_baseline
+# calls them on its iterates, which it screens as it forms them.
 
 def _fb(J, lam, x, bx):
     """The forward-backward point J(lam, x - lam bx)."""
@@ -60,54 +58,6 @@ def _chambolle_dossal(f_grad, g_prox, lam, alpha, n, x, x_prev):
     mom = (n - 1.0) / (n + alpha - 1.0) if n >= 1 else 0.0
     z = x + mom * (x - x_prev)
     return _fb(g_prox, lam, z, f_grad(z))
-
-
-def ppa_step(A, lam, x):
-    """Proximal point: one resolvent application."""
-    return _ppa(A, lam, as_vector(x))
-
-
-def fba_step(A, B, lam, x):
-    """Forward-backward: gradient-style step on B, resolvent on A."""
-    x = as_vector(x)
-    return _fb(A.resolvent, lam, x, B(x))
-
-
-def fbf_step(A, B, lam, x):
-    """Forward-backward-forward with the correcting second B evaluation."""
-    return _fbf(A, B, lam, as_vector(x))[0]
-
-
-def dr_step(A, B_res, lam, x):
-    """Douglas-Rachford-style governing iteration.
-
-    B_res is the resolvent form of the single-valued part; the solution is
-    read off through the shadow point J_{lam B}(x).
-    """
-    return _dr(A, B_res, lam, as_vector(x))
-
-
-def moudafi_oliny_step(A, B, lam, alpha_n, x, x_prev):
-    """Inertial step with B evaluated at the non-extrapolated point."""
-    x = as_vector(x)
-    return _moudafi_oliny(A, lam, alpha_n, x, as_vector(x_prev), B(x))
-
-
-def lorenz_pock_step(A, B, lam, alpha_n, x, x_prev):
-    """Inertial step with B evaluated at the extrapolated point."""
-    return _lorenz_pock(A, B, lam, alpha_n, as_vector(x), as_vector(x_prev))
-
-
-def attouch_cabot_step(A, B, lam, alpha_n, w_n, x, x_prev):
-    """Relaxed inertial forward-backward step."""
-    return _attouch_cabot(A, B, lam, alpha_n, w_n, as_vector(x),
-                          as_vector(x_prev))
-
-
-def chambolle_dossal_step(f_grad, g_prox, lam, alpha, n, x, x_prev):
-    """Momentum prox-gradient step with the (n-1)/(n+alpha-1) coefficient."""
-    return _chambolle_dossal(f_grad, g_prox, lam, alpha, n, as_vector(x),
-                             as_vector(x_prev))
 
 
 @dataclass

@@ -10,8 +10,8 @@ A replay is one pass over the recorded history in blocks of BLOCK_ROWS
 rows. X, Z and V are screened for finiteness once, up front. The user
 operators are called once per block through their row forms (see
 ``operators``): B at the z_n block, the resolvent at z_n fed with those
-B(z_n) (in a metric other than the identity, the generalized resolvent
-after one block solve with M), B at the y_n block and the graph
+B(z_n) (in a metric other than the identity, the metric resolvent of
+M z_n - lam B(z_n)), B at the y_n block and the graph
 membership test. An operator without row forms falls back to one scalar
 call per row; the scalar path is the reference the row forms are tested
 against. Everything else

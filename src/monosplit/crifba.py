@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .metriclin import SpdMap, all_finite, as_rows, as_vector, min_eigenvalue_sym
-from .operators import generalized_resolvent, generalized_resolvent_rows
+from .operators import (generalized_resolvent, metric_resolvent,
+                        metric_resolvent_rows)
 
 
 @dataclass
@@ -155,24 +156,25 @@ def forward_backward(A, B, M, lam, x, Bx=None):
     """One forward-backward image (M + lam A)^{-1}(M x - lam B(x)).
 
     Bx, when given, is B(x) evaluated already and is used in its place.
-    x is not screened again here: B screens its argument, and a caller that
-    passes Bx has screened x already.
+    x is not screened here: B screens its argument (and M.apply again
+    outside the identity), and a caller that passes Bx has screened x
+    already.
     """
     if Bx is None:
         Bx = B(x)
     if M is None or M.is_identity:
         return generalized_resolvent(A, M, lam, x - lam * Bx)
-    return generalized_resolvent(A, M, lam, x - lam * M.solve(Bx))
+    return metric_resolvent(A, M, lam, M.apply(x) - lam * Bx)
 
 
 def _forward_backward_rows(A, B, M, lam, X, BX):
     """forward_backward(A, B, M, lam, x_i, B(x_i)) for every row x_i of X,
-    given BX, the rows B(x_i), bit for bit: one block solve with M, unless
-    M is the identity, and one generalized resolvent row call, which goes
+    given BX, the rows B(x_i), bit for bit: one resolvent row call, with M
+    applied to the screened rows first outside the identity, which goes
     row by row when A has no row form in M."""
-    if not M.is_identity:
-        BX = M.solve_each(BX)
-    return generalized_resolvent_rows(A, M, lam, X - lam * BX)
+    if M.is_identity:
+        return A.resolvent_rows(lam, X - lam * BX)
+    return metric_resolvent_rows(A, M, lam, M.apply_each(X) - lam * BX)
 
 
 def residual_G(A, B, M, lam, x):
@@ -257,8 +259,9 @@ def crifba_step(state, params, A, B, ahead=None):
 
     ahead, when given, is (z_n, forward_backward image of z_n), evaluated
     already by the residual (see iterate). z_n is screened where it enters
-    B, the resolvent output by generalized_resolvent and x_{n+1} here. The
-    metric is params.M as given: None is the identity to forward_backward.
+    B, the resolvent output by generalized_resolvent or metric_resolvent
+    and x_{n+1} here. The metric is params.M as given: None is the
+    identity to forward_backward.
     """
     w = params.w
     if ahead is None:
@@ -296,17 +299,24 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
     x_n with its own resolvent each iteration, and once more at the last
     x_n when the run does not stop on it. When B has a row form and A one
     in the run's metric (MonotoneOp.has_rows_in), x_n and z_n share one B
-    call, one block solve with M outside the identity and one generalized
-    resolvent call (see iterate). The correction residuals
+    call and one resolvent row call (see iterate). x_{n+1} and z_n are
+    kept RECORD_ROWS rows at a time, and the correction residuals
     v_{n+1} = z_n - x_{n+1} are formed from Z and X once the run is over.
     """
     validate(params, d=len(as_vector(x0)))
+    return _run(A, B, params, x0, max_iter, tol, x_prev, z_prev)
+
+
+def _run(A, B, params, x0, max_iter, tol, x_prev=None, z_prev=None):
+    """The loop of run on parameters validated already."""
     x = as_vector(x0).copy()
     xp = x.copy() if x_prev is None else as_vector(x_prev).copy()
     zp = x.copy() if z_prev is None else as_vector(z_prev).copy()
-    M = params.metric(len(x))
+    d = len(x)
+    M = params.metric(d)
     lam = params.lam
-    xs, zs, res2 = [x], [], []
+    res2 = []
+    xb, zb = [x[None]], [np.empty((0, d))]     # x_0..x_N and z_0..z_{N-1}
 
     def residual(state, ahead):
         values = None
@@ -324,18 +334,27 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
     residual.ahead = A.has_rows_in(M) and B.has_rows
 
     def record(state):
-        xs.append(state.x)
-        zs.append(state.z_prev)
+        i = (state.n - 1) % RECORD_ROWS
+        if i == 0:
+            xb.append(np.empty((RECORD_ROWS, d)))
+            zb.append(np.empty((RECORD_ROWS, d)))
+        xb[-1][i] = state.x
+        zb[-1][i] = state.z_prev
 
     state, stopped = iterate(KMState(0, xp, x, zp),
                              lambda s, values: crifba_step(s, params, A, B, values),
                              residual, record, max_iter, tol)
     if stopped != "tol":
         residual(state, False)
-    X = np.array(xs)
-    Z = np.array(zs).reshape(len(zs), len(x))
-    V = np.concatenate([(zp - x)[None], Z - X[1:]])
-    return RunResult(X, Z, V, np.array(res2), xp, state.n, stopped, params)
+    N = state.n
+    X = np.concatenate(xb)[:N + 1]
+    xb.clear()
+    Z = np.concatenate(zb)[:N]
+    zb.clear()
+    V = np.empty_like(X)
+    V[0] = zp - x
+    np.subtract(Z, X[1:], out=V[1:])
+    return RunResult(X, Z, V, np.array(res2), xp, N, stopped, params)
 
 
 def energy(params, x, x_prev, v, n, s, q):

@@ -6,8 +6,9 @@ The stacked monotone inclusion uses the block metric
          [ -K,    I/sigma ]]
 
 whose shifted resolvent splits into two sequential prox evaluations, so
-each step costs one prox of G and one prox of F*. The step index is fixed
-to one; tau and sigma carry the step-size role inside the metric.
+each step costs one prox of G and one prox of F*. The solver is the core
+loop of crifba on this inclusion with the step index fixed to one; tau
+and sigma carry the step-size role inside the metric.
 """
 
 import copy
@@ -16,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .crifba import (RECORD_ROWS, KMState, extrapolate, iterate,
+from .crifba import (RECORD_ROWS, CrifbaParams, RunResult, _run,
                      schedule_violations)
-from .metriclin import SpdMap, all_finite, as_vector, operator_norm
+from .metriclin import SpdMap, as_rows, as_vector, operator_norm
 from .operators import MonotoneOp, CocoerciveMap
 
 
@@ -102,28 +103,29 @@ def precond_resolvent(problem, tau, sigma, xi_p, chi_p):
 
 
 def stacked_operators(problem):
-    """The stacked inclusion data: multivalued part, smooth part, metric
-    factory. Used by the reduction tests and by the residual measure.
+    """The stacked inclusion data: multivalued part A, whose
+    gen_resolvent is precond_resolvent in the block metric, and smooth
+    part B, the stacked gradients.
 
     When the pair has row forms, B gets apply_rows and A the row form of
     its generalized resolvent, each equal to the scalar form row by row
-    bit for bit: the products with M and K are stacked matrix-vector
-    products, which take the path of the 1-D products of the scalar forms.
+    bit for bit: the products with K are stacked matrix-vector products,
+    which take the path of the 1-D products of the scalar forms.
     """
     K = problem.K
     dy, dx = K.shape
 
-    def gen_resolvent(M, lam, u):
-        # resolvent in the block metric; lam is fixed to 1 upstream
-        r = M.apply(u)
+    def gen_resolvent(M, lam, r):
+        # (M + A)^{-1} r in the block metric; lam is fixed to 1 upstream
         x, y = precond_resolvent(problem, _tau_of(M, dx), _sigma_of(M, dx, dy),
                                  r[:dx], r[dx:])
         return np.concatenate([x, y])
 
-    def gen_resolvent_rows(M, lam, U):
-        # precond_resolvent a block at a time; M.apply_each screens U and
-        # generalized_resolvent_rows the block returned
-        R = M.apply_each(U)
+    def gen_resolvent_rows(M, lam, R):
+        # precond_resolvent a block at a time: R is screened here, as
+        # precond_resolvent screens its vectors, and the block returned by
+        # metric_resolvent_rows
+        R = as_rows(R)
         tau, sigma = _tau_of(M, dx), _sigma_of(M, dx, dy)
         X = problem.prox_G_rows(tau, tau * R[:, :dx])
         Y = problem.prox_Fstar_rows(
@@ -159,55 +161,6 @@ def _sigma_of(M, dx, dy):
     return 1.0 / M.matrix[dx, dx]
 
 
-def cripda_step(state, params, problem):
-    """One primal-dual step with inertia, correction and relaxation.
-
-    state.x is the stacked (x, y). The reflected point fed to the dual prox
-    is twice the primal resolvent output minus the extrapolated primal
-    point, recovering the classical reflected primal-dual scheme when
-    inertia and correction vanish. Both prox outputs are screened as they
-    return and the new iterate here.
-    """
-    tau, sigma, w = params.tau, params.sigma, params.w
-    K = problem.K
-    dx = K.shape[1]
-    z = extrapolate(params, state)
-    xi, chi = z[:dx], z[dx:]
-    x_hat = as_vector(problem.prox_G(
-        tau, xi - tau * (problem.grad_Q(xi) + K.T @ chi)))
-    u_next = (1.0 - w) * z      # its halves are (1 - w) xi and (1 - w) chi
-    xi_w = u_next[:dx]
-    x_next = xi_w + w * x_hat
-    xi_bar = 2.0 / w * (x_next - xi_w) - xi
-    y_hat = as_vector(problem.prox_Fstar(
-        sigma, chi - sigma * (problem.grad_Pstar(chi) - K @ xi_bar)))
-    u_next[:dx] = x_next
-    u_next[dx:] += w * y_hat
-    if not all_finite(u_next):
-        raise ArithmeticError("non-finite iterate at n=%d" % state.n)
-    return KMState(state.n + 1, state.x, u_next, z)
-
-
-def fixed_point_residual(problem, params, M, x, y):
-    """M-norm distance between (x, y) and its half-step image.
-
-    u = (x, y) is the only vector stacked: the gradients are subtracted
-    from the blocks of M u, and u becomes the difference in place. (x, y)
-    is not screened here: the solver's iterates are screened as they are
-    formed, each prox input and output is screened in precond_resolvent,
-    and the difference only when its norm is not finite (SpdMap.norm2).
-    """
-    dx = len(x)
-    gq, gp = problem.grad_Q(x), problem.grad_Pstar(y)
-    u = np.concatenate([x, y])
-    r = M.matrix @ u
-    px, py = precond_resolvent(problem, params.tau, params.sigma,
-                               r[:dx] - gq, r[dx:] - gp)
-    u[:dx] -= px
-    u[dx:] -= py
-    return np.sqrt(max(M.norm2(u), 0.0))
-
-
 @dataclass
 class CripdaResult:
     x: np.ndarray
@@ -219,6 +172,18 @@ class CripdaResult:
     fpr2: np.ndarray
     hist: np.ndarray      # stacked (x, y) iterates
     selector: int
+    core: Optional[RunResult] = None    # the run on the stacked inclusion
+
+
+def stacked_problem(problem, params):
+    """(A, B, core parameters) of the run on the stacked inclusion: the
+    stacked operators, and crifba parameters with lam = 1 in the block
+    metric, the schedule and w of params."""
+    A, B = stacked_operators(problem)
+    core = CrifbaParams(e=params.e, s0=params.s0, s1=params.s1, nu0=params.nu0,
+                        lam=1.0, w=params.w, L=B.certificate_L,
+                        M=build_metric(problem, params.tau, params.sigma))
+    return A, B, core
 
 
 def _constant_gradients(problem, x0, y0):
@@ -240,54 +205,25 @@ def _constant_gradients(problem, x0, y0):
 def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):
     """Iterate the saddle solver until the metric residual is below tol.
 
-    The metric and any constant gradient are fixed once per run. The
-    iterate is the stacked u_n = (x_n, y_n): it is the history row and
-    gives the step u_{n+1} - u_n, whose norms are formed crifba.RECORD_ROWS
-    states at a time.
+    The run is crifba's loop on the stacked inclusion (stacked_problem),
+    from u_0 = (x_0, y_0), with the parameters checked by validate_cripda
+    alone; any constant gradient is fixed once per run. core is that run.
+    The other columns are read off it: hist is its X; ns and fpr2 (its
+    res2) cover the states tested, which leave out x_N unless the run
+    stopped on tol; vel2 is the squared M-norm of u_{n+1} - u_n, formed
+    crifba.RECORD_ROWS states at a time, with 0 for the state that met tol.
     """
     selector, _ = validate_cripda(params, problem)
-    M = build_metric(problem, params.tau, params.sigma)
     x0 = as_vector(x0)
     y0 = as_vector(y0)
-    problem = _constant_gradients(problem, x0, y0)
-    dx = len(x0)
-    ns, vel2, fpr2 = [], [], []
-    u = np.concatenate([x0, y0])
-    hist = [u]
-
-    def residual(state, ahead):
-        res = fixed_point_residual(problem, params, M, state.x[:dx], state.x[dx:])
-        ns.append(state.n)
-        fpr2.append(res ** 2)
-        return res, None
-
-    # the residual and the step call the pair's proxes and gradients one at
-    # a time (see crifba.iterate): two-row calls of the catalog's cheap
-    # proxes cost more in stacking than the calls they save
-    residual.ahead = False
-
-    stepped = []
-
-    def settle():
-        # vel2, which the loop does not read, for the states stepped to
-        # since the last call
-        if stepped:
-            vel2.extend(M.norm2_each(np.array([s.x for s in stepped])
-                                     - np.array([s.x_prev for s in stepped])))
-            stepped.clear()
-
-    def record(state):
-        hist.append(state.x)
-        stepped.append(state)
-        if len(stepped) == RECORD_ROWS:
-            settle()
-
-    state, stopped = iterate(KMState(0, u, u, u),
-                             lambda s, _: cripda_step(s, params, problem),
-                             residual, record, max_iter, tol)
-    settle()
-    if stopped == "tol":
-        vel2.append(0.0)
-    return CripdaResult(state.x[:dx], state.x[dx:], state.n, stopped,
-                        np.array(ns), np.array(vel2), np.array(fpr2),
-                        np.array(hist), selector)
+    A, B, core = stacked_problem(_constant_gradients(problem, x0, y0), params)
+    res = _run(A, B, core, np.concatenate([x0, y0]), max_iter, tol)
+    N, X, M, dx = res.n_iters, res.X, core.M, len(x0)
+    tested = N + (res.stopped == "tol")
+    vel2 = [M.norm2_each(np.diff(X[a:a + RECORD_ROWS + 1], axis=0))
+            for a in range(0, N, RECORD_ROWS)]
+    vel2 = np.concatenate(vel2 + [np.zeros(tested - N)])
+    # np.array(range(k)), not np.arange(k): an empty ns stays float
+    return CripdaResult(res.x[:dx], res.x[dx:], N, res.stopped,
+                        np.array(range(tested)), vel2, res.res2[:tested], X,
+                        selector, res)

@@ -78,6 +78,23 @@ def validate_config(cfg):
         return False, report
 
 
+def _core_problem(problem, solver_cfg):
+    """(A, B, crifba parameters) of a crifba run, or of the stacked
+    inclusion that a cripda run iterates on."""
+    if solver_cfg.get("kind", "crifba") == "cripda":
+        return cripda.stacked_problem(problem.saddle, _cripda_params(solver_cfg))
+    return problem.A, problem.B, _crifba_params(problem, solver_cfg)
+
+
+def _core_solution(problem):
+    """The certified solution as one vector, the (x, y) of a saddle problem
+    stacked, or None when the problem certifies no single point."""
+    q = problem.certified_solution
+    if isinstance(q, tuple):
+        return np.concatenate(q)
+    return q if isinstance(q, np.ndarray) else None
+
+
 def _gcrifba_params(problem, solver_cfg):
     keys = ("e", "s0", "s1", "nu0", "w", "lam")
     overrides = {k: solver_cfg[k] for k in keys if k in solver_cfg}
@@ -159,21 +176,25 @@ def run_config(cfg, outdir=None):
     stride = trace_stride(cfg)
     base = os.path.join(outdir, cfg.get("output", "run_%s" % config_hash(cfg)))
     paths = {"csv": base + ".csv", "summary": base + ".summary.json"}
-    q = problem.certified_solution
     stride_left = stride    # the stride the solver has not applied
 
-    if kind == "crifba":
-        params = _crifba_params(problem, solver)
-        result = crifba.run(problem.A, problem.B, params, problem.start,
-                            max_iter=max_iter, tol=tol)
-        trace = crifba.diagnostics(result, problem.A, problem.B,
-                                   q=q if isinstance(q, np.ndarray) else None,
+    if kind in ("crifba", "cripda"):
+        A, B, params = _core_problem(problem, solver)
+        if kind == "crifba":
+            result = crifba.run(A, B, params, problem.start, max_iter=max_iter,
+                                tol=tol)
+            candidate = result.x
+        else:
+            pd = cripda.run_cripda(problem.saddle, _cripda_params(solver),
+                                   problem.start, np.zeros(problem.saddle.d_dual),
+                                   max_iter=max_iter, tol=tol)
+            result, candidate = pd.core, (pd.x, pd.y)
+        trace = crifba.diagnostics(result, A, B, q=_core_solution(problem),
                                    stride=stride)
         cols = {name: trace[name] for name in crifba.TRACE_COLUMNS}
         fits = {"vel2": "vel2", "vn2": "vn2", "res2": "res2"}
         stride_left = 1
         final_res2 = result.res2[-1]
-        candidate = result.x
         paths["history"] = base + ".history.npz"
         np.savez_compressed(paths["history"], X=result.X, Z=result.Z,
                             V=result.V, res2=result.res2,
@@ -187,15 +208,6 @@ def run_config(cfg, outdir=None):
         fits = {"vel2": "zeta_vel2", "res2": "fpr2"}
         final_res2 = result.fpr2[-1]
         candidate = result.x
-    elif kind == "cripda":
-        params = _cripda_params(solver)
-        result = cripda.run_cripda(problem.saddle, params, problem.start,
-                                   np.zeros(problem.saddle.d_dual),
-                                   max_iter=max_iter, tol=tol)
-        cols = {"n": result.ns, "vel2_M": result.vel2, "fpr2_M": result.fpr2}
-        fits = {"vel2": "vel2_M", "res2": "fpr2_M"}
-        final_res2 = result.fpr2[-1]
-        candidate = (result.x, result.y)
     elif kind in BASELINE_KINDS:
         extra = {k: solver[k] for k in ("lam", "alpha", "inertia", "ac_alpha",
                                         "ac_rho") if k in solver}
@@ -241,17 +253,16 @@ def check_history(history_path, cfg):
     except KeyError as exc:
         return {"status": "error", "error": str(exc)}
     solver = cfg.get("solver", {})
-    if solver.get("kind", "crifba") != "crifba":
-        return {"status": "skipped", "reason": "history replay only covers the core solver"}
-    params = _crifba_params(problem, solver)
+    if solver.get("kind", "crifba") not in ("crifba", "cripda"):
+        return {"status": "skipped",
+                "reason": "history replay covers the core and primal-dual solvers"}
+    A, B, params = _core_problem(problem, solver)
     with np.load(history_path) as data:
         result = crifba.RunResult(
             X=data["X"], Z=data["Z"], V=data["V"], res2=data["res2"],
             x_prev_init=data["x_prev_init"], n_iters=data["X"].shape[0] - 1,
             stopped="replay", params=params)
-    q = problem.certified_solution
-    reports = checks.standard_suite(result, problem.A, problem.B,
-                                    q=q if isinstance(q, np.ndarray) else None)
+    reports = checks.standard_suite(result, A, B, q=_core_solution(problem))
     executed = [r for r in reports if not r.status.startswith("skipped")]
     return {
         "status": "ok",

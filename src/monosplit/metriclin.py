@@ -72,12 +72,6 @@ def all_finite(v):
                for a in range(0, n, SCREEN_CHUNK))
 
 
-def _norms_each(X):
-    """np.linalg.norm of every row of a (k, d) block, bit for bit: the
-    stacked products take the dot of the 1-D norm."""
-    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
-
-
 def operator_norm(K, tol=1e-10, max_iter=200000):
     """Largest singular value of a rectangular matrix.
 
@@ -162,22 +156,6 @@ class SpdMap:
             raise ArithmeticError("solve failed to reach tolerance; map may not be SPD")
         return x
 
-    def solve_each(self, rows):
-        """solve of every row of a (k, d) block, screened and checked as
-        solve screens and checks its vector (same ValueError and
-        ArithmeticError). Unlike solve_rows, each row equals solve of it
-        bit for bit: the stack of single-right-hand-side solves takes
-        solve's LAPACK path, where one multi-right-hand-side solve may
-        round otherwise."""
-        b = as_rows(rows)
-        k, d = b.shape
-        x = np.linalg.solve(np.broadcast_to(self.matrix, (k, d, d)),
-                            b[:, :, None])[:, :, 0]
-        r = (self.matrix @ x[:, :, None])[:, :, 0] - b
-        if np.any(_norms_each(r) > 1e-10 * np.maximum(_norms_each(b), 1e-300)):
-            raise ArithmeticError("solve failed to reach tolerance; map may not be SPD")
-        return x
-
     def solve_rows(self, rows):
         """Solve M x_i = b_i for every row b_i of a (k, d) block in one
         multi-right-hand-side solve; each row gets the residual check of
@@ -229,11 +207,10 @@ class SpdMap:
         return self.inner_rows(X, X)
 
     def apply_each(self, X):
-        """apply of every row of a (k, d) block, screened as apply screens
-        its vector. Unlike apply_rows, each row equals apply of it bit for
+        """apply of every row of a (k, d) block of rows that the caller has
+        screened. Unlike apply_rows, each row equals apply of it bit for
         bit: the stacked matrix-vector products take the path of M @ x,
         where X @ M may sum in another order."""
-        X = as_rows(X)
         if self.is_identity:
             return X.copy()
         return (self.matrix @ X[:, :, None])[:, :, 0]

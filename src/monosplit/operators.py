@@ -55,16 +55,20 @@ class MonotoneOp:
     the form A(x) = Qx + b, for which preconditioned resolvents have a
     direct linear solve.
 
+    gen_resolvent(M, lam, r), for a metric M other than the identity,
+    returns (M + lam A)^{-1} r: its argument has M applied already, so that
+    a solver passes M x - lam B(x) without a solve with M.
+
     Row forms are opt-in. The resolvent_rows callable maps lam and a (k, d)
     block to the (k, d) block of resolvents of its rows; gen_resolvent_rows
-    maps M, lam and a (k, d) block to the rows gen_resolvent(M, lam, u_i),
-    screening each row u_i before M as gen_resolvent does; member_rows
+    maps M, lam and a (k, d) block to the rows gen_resolvent(M, lam, r_i),
+    screening each row r_i as gen_resolvent does; member_rows
     tests every row pair (x_i, u_i) against a (k, 1) tolerance column,
     screening as graph_member does, and returns k booleans. Each must agree
     with its scalar form row by row. The method resolvent_rows screens the
     blocks going in and out, so the resolvent_rows callable need not.
     Without them, the methods of the same names and
-    generalized_resolvent_rows loop over the scalar forms. With
+    metric_resolvent_rows loop over the scalar forms. With
     them, the solvers evaluate the resolvent for the step from a state
     before its stop test, so the scalar and row forms must be pure
     functions of their arguments.
@@ -89,8 +93,9 @@ class MonotoneOp:
         return self._resolvent_rows is not None
 
     def has_rows_in(self, M):
-        """True when generalized_resolvent_rows in the metric M (None is
-        the identity) costs one call per block, not one per row."""
+        """True when a block of resolvents in the metric M (None is the
+        identity) costs one call, resolvent_rows or gen_resolvent_rows,
+        not one per row."""
         if M is None or M.is_identity:
             return self.has_rows
         return self._gen_resolvent_rows is not None
@@ -205,43 +210,51 @@ def affine_op(Q, b, label="affine"):
 def generalized_resolvent(A, M, lam, u):
     """Solve M p + lam a = M u with a in A(p), i.e. p = (M + lam A)^{-1}(M u).
 
-    Dispatch: identity metric uses the plain resolvent; affine operators get
-    a direct linear solve; otherwise the operator must carry its own closed
-    form. Anything else is rejected rather than approximated.
+    Dispatch: identity metric uses the plain resolvent; any other goes
+    through metric_resolvent with M u.
 
     An ndarray u is taken as given: in the solvers it is x - lam B(x) for a
-    screened x, and every path below screens either u itself (M.apply) or
-    the resolvent's output. Other input is coerced and screened here.
+    screened x, and either M.apply screens u or the resolvent's output is
+    screened. Other input is coerced and screened here.
     """
     if type(u) is not np.ndarray:
         u = as_vector(u)
     if M is None or M.is_identity:
         return as_vector(A.resolvent(lam, u))
+    return metric_resolvent(A, M, lam, M.apply(u))
+
+
+def metric_resolvent(A, M, lam, r):
+    """(M + lam A)^{-1} r in a metric M other than the identity.
+
+    Affine operators get a direct linear solve; otherwise the operator must
+    carry its own closed form, gen_resolvent. Anything else is rejected
+    rather than approximated. r is taken as given: in the solvers it is
+    M x - lam B(x) for a screened x, and gen_resolvent screens where it
+    reads r, as the stacked saddle operator's does.
+    """
     if A.gen_resolvent is not None:
-        return as_vector(A.gen_resolvent(M, lam, u))
+        return as_vector(A.gen_resolvent(M, lam, r))
     if A.affine is not None:
         Q, b = A.affine
-        d = len(u)
+        d = len(r)
         Q = np.zeros((d, d)) if Q is None else np.asarray(Q, dtype=float)
         b = np.zeros(d) if b is None else as_vector(b)
-        return np.linalg.solve(M.matrix + lam * Q, M.apply(u) - lam * b)
+        return np.linalg.solve(M.matrix + lam * Q, r - lam * b)
     raise ValueError("generalized resolvent unavailable: metric is not the "
                      "identity and operator %r has no affine form or closed "
                      "formula" % A)
 
 
-def generalized_resolvent_rows(A, M, lam, U):
-    """generalized_resolvent(A, M, lam, u_i) for every row u_i of a (k, d)
-    block, with the same dispatch: the identity metric takes the
-    operator's resolvent_rows and any other its gen_resolvent_rows; without
-    a row form the rows go one at a time. The output block is screened as
-    generalized_resolvent screens its vector.
+def metric_resolvent_rows(A, M, lam, R):
+    """metric_resolvent(A, M, lam, r_i) for every row r_i of a (k, d)
+    block: one call of the operator's gen_resolvent_rows, or without it
+    the rows one at a time. The output block is screened as
+    metric_resolvent screens its vector.
     """
-    if M is None or M.is_identity:
-        return A.resolvent_rows(lam, U)
     if A._gen_resolvent_rows is not None:
-        return as_rows(A._gen_resolvent_rows(M, lam, U))
-    return _per_row(lambda u: generalized_resolvent(A, M, lam, u), U)
+        return as_rows(A._gen_resolvent_rows(M, lam, R))
+    return _per_row(lambda r: metric_resolvent(A, M, lam, r), R)
 
 
 class CocoerciveMap:
@@ -325,8 +338,7 @@ class SaddleFunctionPair:
     its rows. Each must agree with its scalar form row by row. Only with
     all four do the stacked operators of cripda.stacked_operators have row
     forms, whose callers screen the blocks going in and out
-    (CocoerciveMap.apply_rows, SpdMap.apply_each and
-    generalized_resolvent_rows). The solvers evaluate the row forms
+    (CocoerciveMap.apply_rows and metric_resolvent_rows). The solvers evaluate the row forms
     for the step from a state before its stop test, so the scalar and row
     forms must be pure functions of their arguments.
     """

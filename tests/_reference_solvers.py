@@ -1,7 +1,10 @@
 """The solver loops as they were before the lean rewrite, kept as the
 reference that ``crifba.run``, ``cripda.run_cripda``,
 ``gcrifba.run_gcrifba`` and ``baselines.run_baseline`` are compared
-against bit for bit.
+against: bit for bit, but for runs in a metric other than the identity
+(the stacked primal-dual inclusion and ``run_cripda``, which iterates on
+it), where the reference solves with M and the package applies M, and
+which are compared within a relative bound.
 
 Each loop comes with the step and residual functions it called, also as
 they were: every call re-screens its arguments, the metric is looked up
@@ -77,7 +80,8 @@ def generalized_resolvent(A, M, lam, u):
     if M is None or M.is_identity:
         return as_vector(A.resolvent(lam, u))
     if A.gen_resolvent is not None:
-        return as_vector(A.gen_resolvent(M, lam, u))
+        # gen_resolvent takes its argument with M applied
+        return as_vector(A.gen_resolvent(M, lam, M.apply(u)))
     if A.affine is not None:
         Q, b = A.affine
         d = len(u)

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from monosplit import problems
-from monosplit.baselines import (attouch_cabot_step, chambolle_dossal_step,
-                                 default_step, dr_shadow, dr_step, fba_step,
-                                 fbf_step, lorenz_pock_step, moudafi_oliny_step,
-                                 ppa_step, run_baseline)
+from monosplit.baselines import (_attouch_cabot, _chambolle_dossal, _dr, _fb,
+                                 _fbf, _lorenz_pock, _moudafi_oliny, _ppa,
+                                 default_step, dr_shadow, run_baseline)
 from monosplit.crifba import CrifbaParams, KMState, crifba_step
 from monosplit.harness import fit_slope
 from monosplit.metriclin import SpdMap
+
+# The step formulas are the private steps _ppa ... _chambolle_dossal, which
+# take screened 1-D float64 arrays; the examples below call them directly
+# or through one step of run_baseline.
 
 
 @pytest.fixture(scope="module")
@@ -21,37 +24,49 @@ def lasso():
     return problems.get("p2_lasso")
 
 
+def one_step(kind, problem, x0, lam):
+    """x_1 of run_baseline from x0, which must not meet the tolerance."""
+    res = run_baseline(kind, problem, x0, lam=lam, max_iter=1)
+    assert res.n_iters == 1 and res.stopped == "max_iter"
+    return res.x
+
+
+def fba(clamp, lam, x):
+    x = np.array(x)
+    return _fb(clamp.A.resolvent, lam, x, clamp.B(x))
+
+
 def test_fba_step_example(clamp):
     # x = 2: forward point 2 - 0.5*(2-1) = 1.5, clamp leaves it
-    out = fba_step(clamp.A, clamp.B, 0.5, [2.0])
-    assert out[0] == pytest.approx(1.5)
+    assert one_step("fba", clamp, [2.0], 0.5)[0] == pytest.approx(1.5)
     # x = -1: forward point -1 - 0.5*(-2) = 0, already on the boundary
-    assert fba_step(clamp.A, clamp.B, 0.5, [-1.0])[0] == pytest.approx(0.0)
+    assert fba(clamp, 0.5, [-1.0])[0] == pytest.approx(0.0)
 
 
 def test_ppa_step_example(clamp):
     # resolvent of the full sum: clip((u + lam)/(1 + lam), 0, inf)
-    out = ppa_step(clamp.extras["sum_op"], 1.0, [3.0])
-    assert out[0] == pytest.approx(2.0)
+    assert one_step("ppa", clamp, [3.0], 1.0)[0] == pytest.approx(2.0)
+    assert _ppa(clamp.extras["sum_op"], 1.0, np.array([3.0]))[0] == pytest.approx(2.0)
 
 
 def test_fbf_step_example(clamp):
     # x = 2, lam = 0.5: y = 1.5, correction -0.5*(0.5 - 1.0) = +0.25
-    out = fbf_step(clamp.A, clamp.B, 0.5, [2.0])
-    assert out[0] == pytest.approx(1.75)
+    assert one_step("fbf", clamp, [2.0], 0.5)[0] == pytest.approx(1.75)
+    x_next, y = _fbf(clamp.A, clamp.B, 0.5, np.array([2.0]))
+    assert (x_next[0], y[0]) == pytest.approx((1.75, 1.5))
 
 
 def test_dr_step_fixed_point(clamp):
     # at the solution of the inclusion the governing map is stationary
-    out = dr_step(clamp.A, clamp.B_resolvent, 1.0, [1.0])
+    out = _dr(clamp.A, clamp.B_resolvent, 1.0, np.array([1.0]))
     assert out[0] == pytest.approx(1.0)
 
 
 def test_inertial_steps_extrapolate(clamp):
     # same data, different evaluation point for the smooth part
     x, xp = np.array([2.0]), np.array([1.0])
-    mo = moudafi_oliny_step(clamp.A, clamp.B, 0.5, 0.5, x, xp)
-    lp = lorenz_pock_step(clamp.A, clamp.B, 0.5, 0.5, x, xp)
+    mo = _moudafi_oliny(clamp.A, 0.5, 0.5, x, xp, clamp.B(x))
+    lp = _lorenz_pock(clamp.A, clamp.B, 0.5, 0.5, x, xp)
     # z = 2.5; B at x gives 2.5 - 0.5*1 = 2.0, B at z gives 2.5 - 0.5*1.5
     assert mo[0] == pytest.approx(2.0)
     assert lp[0] == pytest.approx(1.75)
@@ -60,18 +75,19 @@ def test_inertial_steps_extrapolate(clamp):
 def test_attouch_cabot_step_no_inertia_full_relaxation(clamp):
     # alpha_n = 0 and w_n = 1 reduce to the plain forward-backward step
     x = np.array([2.0])
-    out = attouch_cabot_step(clamp.A, clamp.B, 0.5, 0.0, 1.0, x, x)
-    assert out[0] == pytest.approx(fba_step(clamp.A, clamp.B, 0.5, x)[0])
+    out = _attouch_cabot(clamp.A, clamp.B, 0.5, 0.0, 1.0, x, x)
+    assert out[0] == pytest.approx(fba(clamp, 0.5, x)[0])
 
 
 def test_chambolle_dossal_step_momentum_coefficient(clamp):
     f_grad = clamp.extras["f_grad"]
     g_prox = clamp.extras["g_prox"]
+    x, xp = np.array([2.0]), np.array([5.0])
     # n = 0 has no momentum
-    out0 = chambolle_dossal_step(f_grad, g_prox, 0.5, 3.1, 0, [2.0], [5.0])
+    out0 = _chambolle_dossal(f_grad, g_prox, 0.5, 3.1, 0, x, xp)
     assert out0[0] == pytest.approx(1.5)
     # n = 3, alpha = 3: momentum (3-1)/(3+3-1) = 0.4, z = 2.4
-    out3 = chambolle_dossal_step(f_grad, g_prox, 0.5, 3.0, 3, [2.0], [1.0])
+    out3 = _chambolle_dossal(f_grad, g_prox, 0.5, 3.0, 3, x, np.array([1.0]))
     assert out3[0] == pytest.approx(2.4 - 0.5 * 1.4)
 
 
@@ -127,7 +143,7 @@ def test_attouch_cabot_matches_core_without_inertia(clamp):
     xa_prev = x.copy()
     for _ in range(60):
         state = crifba_step(state, params, clamp.A, clamp.B)
-        nxt = attouch_cabot_step(clamp.A, clamp.B, lam, 0.0, w, xa, xa_prev)
+        nxt = _attouch_cabot(clamp.A, clamp.B, lam, 0.0, w, xa, xa_prev)
         xa_prev, xa = xa, nxt
         # the core correction term vanishes only in the limit of the
         # constant schedule when gamma = 0, which s0 = e delivers exactly
@@ -148,7 +164,7 @@ def test_objective_decay_on_lasso(lasso):
     gaps = []
     for n in range(250):
         gaps.append(obj(x) - opt)
-        nxt = chambolle_dossal_step(f_grad, g_prox, lam, 3.1, n, x, x_prev)
+        nxt = _chambolle_dossal(f_grad, g_prox, lam, 3.1, n, x, x_prev)
         x_prev, x = x, nxt
     fit = fit_slope(np.arange(250), np.array(gaps))
     assert fit["status"] == "ok"

@@ -1,8 +1,8 @@
 """Row forms in the block metric of the primal-dual stack, bit for bit
-against their scalar forms: SpdMap.solve_each and apply_each, the row
-forms of the catalog saddle pairs, the stacked operators of
-cripda.stacked_operators, the generalized_resolvent_rows dispatch and the
-forward-backward image of a block of rows in a non-identity metric."""
+against their scalar forms: SpdMap.apply_each, the row forms of the
+catalog saddle pairs, the stacked operators of cripda.stacked_operators,
+the metric_resolvent_rows dispatch and the forward-backward image of a
+block of rows in a non-identity metric."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,8 @@ import pytest
 from monosplit import crifba, cripda, problems
 from monosplit.metriclin import SpdMap, operator_norm
 from monosplit.operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair,
-                                 affine_op, generalized_resolvent,
-                                 generalized_resolvent_rows, l1_op)
+                                 affine_op, l1_op, metric_resolvent,
+                                 metric_resolvent_rows)
 
 PAIRS = ["p5_saddle", "p5_lasso_pd"]
 
@@ -43,43 +43,21 @@ def metric(pair):
 @pytest.mark.parametrize("k", [0, 1, 2, 200])
 @pytest.mark.parametrize("d", [1, 4, 21])
 @pytest.mark.parametrize("identity", [True, False])
-def test_solve_each_and_apply_each_are_solve_and_apply_of_each_row(identity, d, k):
+def test_apply_each_is_apply_of_each_row(identity, d, k):
+    # apply_each takes rows that its caller has screened (the solvers and
+    # the replay pass rows that B's row form screened), so it screens
+    # nothing itself; apply screens its vector
     rng = np.random.default_rng(10 * d + k)
     raw = rng.standard_normal((d, d))
     m = SpdMap.identity(d) if identity else SpdMap(raw @ raw.T + d * np.eye(d))
     X = sample(rng, k, d)
-    same_rows(m.solve_each(X), [m.solve(x) for x in X], d)
     same_rows(m.apply_each(X), [m.apply(x) for x in X], d)
     bad = np.ones((3, d))
     bad[1, -1] = np.nan
-    for each in (m.solve_each, m.apply_each):
-        with pytest.raises(ValueError, match="^vector has non-finite entries$"):
-            each(bad)
-
-
-@pytest.mark.parametrize("row", [0, 2])
-def test_solve_each_checks_every_row_as_solve_does(monkeypatch, row):
-    m = SpdMap([[2.0, 0.5], [0.5, 4.0]])
-    B = np.array([[2.0, 4.0], [4.0, 8.0], [6.0, 12.0]])
-    solve = np.linalg.solve
-
-    def off_in_one_row(a, b):
-        # the solution of one right-hand side, b_row, off by 1e-6
-        x = solve(a, b)
-        hit = np.all(b.reshape(-1, 2) == B[row], axis=1)
-        x.reshape(-1, 2)[hit, -1] += 1e-6
-        return x
-
-    monkeypatch.setattr(np.linalg, "solve", off_in_one_row)
-    errors = []
-    for call in (lambda: m.solve(B[row]), lambda: m.solve_each(B)):
-        with pytest.raises(ArithmeticError) as err:
-            call()
-        errors.append((type(err.value), str(err.value)))
-    assert errors[0] == errors[1] == (
-        ArithmeticError, "solve failed to reach tolerance; map may not be SPD")
-    # the other rows pass the check one at a time
-    m.solve(B[2 - row])
+    with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+        m.apply(bad[1])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(m.apply_each(bad)[1]).any()
 
 
 # --- the row forms of the saddle pairs ------------------------------------
@@ -127,14 +105,14 @@ def test_stacked_row_forms_match_scalar_forms(name, k):
     BU = B.apply_rows(U)
     same_rows(BU, [B(u) for u in U], d)
     for lam in (1.0, 0.6):
-        same_rows(generalized_resolvent_rows(A, M, lam, U),
-                  [generalized_resolvent(A, M, lam, u) for u in U], d)
+        same_rows(metric_resolvent_rows(A, M, lam, U),
+                  [metric_resolvent(A, M, lam, u) for u in U], d)
         same_rows(crifba._forward_backward_rows(A, B, M, lam, U, BU),
                   [crifba.forward_backward(A, B, M, lam, u) for u in U], d)
 
 
 def test_stacked_row_forms_screen_where_the_scalar_forms_do():
-    # u before M, and every prox input and output
+    # r as it enters, and every prox input and output
     pair = problems.get("p5_saddle").saddle
     A, B = cripda.stacked_operators(pair)
     M = metric(pair)
@@ -147,8 +125,8 @@ def test_stacked_row_forms_screen_where_the_scalar_forms_do():
     bad = np.ones((3, 4))
     bad[2, 3] = np.nan
     for op, U in ((A, bad), (A_nan, np.ones((3, 4)))):
-        for call in (lambda: generalized_resolvent(op, M, 1.0, U[-1]),
-                     lambda: generalized_resolvent_rows(op, M, 1.0, U)):
+        for call in (lambda: metric_resolvent(op, M, 1.0, U[-1]),
+                     lambda: metric_resolvent_rows(op, M, 1.0, U)):
             with np.errstate(invalid="ignore"):
                 with pytest.raises(ValueError, match="^vector has non-finite entries$"):
                     call()
@@ -157,46 +135,39 @@ def test_stacked_row_forms_screen_where_the_scalar_forms_do():
             call()
 
 
-def test_generalized_resolvent_rows_dispatch():
+def test_metric_resolvent_rows_dispatch():
     rng = np.random.default_rng(8)
     U = sample(rng, 6, 3)
     D = SpdMap(np.diag([1.0, 1.5, 2.0]))
-    calls = []
     l1 = l1_op(0.7)
-    counted = MonotoneOp(l1.resolvent, resolvent_rows=lambda lam, X: (
-        calls.append(len(X)), l1._resolvent_rows(lam, X))[1])
-    # the identity metric (or None) takes the resolvent row form
-    for M in (None, SpdMap.identity(3)):
-        assert counted.has_rows_in(M)
-        same_rows(generalized_resolvent_rows(counted, M, 0.4, U),
-                  [generalized_resolvent(counted, M, 0.4, u) for u in U], 3)
-    assert calls == [6, 6]
+    # the identity metric takes the resolvent row form
+    assert l1.has_rows_in(None) and l1.has_rows_in(SpdMap.identity(3))
     # an affine operator outside the identity goes row by row
     raw = rng.standard_normal((3, 3))
     affine = affine_op(raw @ raw.T, rng.standard_normal(3))
     assert not affine.has_rows_in(D)
-    same_rows(generalized_resolvent_rows(affine, D, 0.4, U),
-              [generalized_resolvent(affine, D, 0.4, u) for u in U], 3)
-    assert generalized_resolvent_rows(affine, D, 0.4, np.empty((0, 3))).shape == (0, 3)
+    same_rows(metric_resolvent_rows(affine, D, 0.4, U),
+              [metric_resolvent(affine, D, 0.4, u) for u in U], 3)
+    assert metric_resolvent_rows(affine, D, 0.4, np.empty((0, 3))).shape == (0, 3)
     # a generalized row form's output is screened, as the scalar form's is
-    nan_out = MonotoneOp(None, gen_resolvent=lambda M, lam, u: np.full(3, np.nan),
-                         gen_resolvent_rows=lambda M, lam, X: np.full_like(X, np.nan))
+    nan_out = MonotoneOp(None, gen_resolvent=lambda M, lam, r: np.full(3, np.nan),
+                         gen_resolvent_rows=lambda M, lam, R: np.full_like(R, np.nan))
     assert nan_out.has_rows_in(D) and not nan_out.has_rows_in(None)
-    for call in (lambda: generalized_resolvent(nan_out, D, 0.4, U[0]),
-                 lambda: generalized_resolvent_rows(nan_out, D, 0.4, U)):
+    for call in (lambda: metric_resolvent(nan_out, D, 0.4, U[0]),
+                 lambda: metric_resolvent_rows(nan_out, D, 0.4, U)):
         with pytest.raises(ValueError, match="^vector has non-finite entries$"):
             call()
     # and an operator with neither form is refused, as one row is
-    assert not counted.has_rows_in(D)
-    for call in (lambda: generalized_resolvent(counted, D, 0.4, U[0]),
-                 lambda: generalized_resolvent_rows(counted, D, 0.4, U)):
+    assert not l1.has_rows_in(D)
+    for call in (lambda: metric_resolvent(l1, D, 0.4, U[0]),
+                 lambda: metric_resolvent_rows(l1, D, 0.4, U)):
         with pytest.raises(ValueError, match="generalized resolvent unavailable"):
             call()
 
 
 def test_forward_backward_rows_per_row_in_a_non_identity_metric():
-    # without a generalized row form, the rows go one at a time through
-    # the same block solve
+    # without a generalized row form, the rows go one at a time after the
+    # same block product with M
     rng = np.random.default_rng(9)
     raw = rng.standard_normal((3, 3))
     A = affine_op(raw @ raw.T, rng.standard_normal(3))

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from monosplit import problems
-from monosplit.crifba import KMState
-from monosplit.cripda import (CripdaParams, build_metric, cripda_step,
-                              fixed_point_residual, precond_resolvent,
-                              run_cripda, stacked_operators, validate_cripda)
+from monosplit.crifba import KMState, crifba_step, residual_G
+from monosplit.cripda import (CripdaParams, build_metric, precond_resolvent,
+                              run_cripda, stacked_operators, stacked_problem,
+                              validate_cripda)
 from monosplit.metriclin import operator_norm
 from monosplit.operators import SaddleFunctionPair, prox_l1
 
@@ -93,22 +93,26 @@ def test_step_hand_computation():
     # s0 = e and s1 = 0 kill inertia and correction; with identity proxes,
     # K = 1, tau = sigma = 0.2, w = 1/2, from (x, y) = (1, 1):
     # x_hat = 1 - 0.2 * 1 = 0.8, x+ = 0.9, reflected point 2*0.8 - 1 = 0.6,
-    # y_hat = 1 + 0.2 * 0.6 = 1.12, y+ = 1.06
+    # y_hat = 1 + 0.2 * 0.6 = 1.12, y+ = 1.06. The step is the core step on
+    # the stack: M u = (4, 4), x_hat = 0.2 * 4, y_hat = 0.2 * 4 + 0.4 x_hat
     pair = plain_pair(np.array([[1.0]]))
     params = CripdaParams(tau=0.2, sigma=0.2, w=0.5, e=3.0, s0=3.0, s1=0.0)
+    A, B, core = stacked_problem(pair, params)
     u = np.array([1.0, 1.0])       # the stacked (x, y)
-    out = cripda_step(KMState(0, u, u, u), params, pair)
+    out = crifba_step(KMState(0, u, u, u), core, A, B)
     assert out.n == 1
     assert out.x[0] == pytest.approx(0.9)
     assert out.x[1] == pytest.approx(1.06)
 
 
 def test_fixed_point_residual_at_solution():
+    # the residual of the run, crifba's on the stack, vanishes at the
+    # saddle point and not away from it
     prob = problems.get("p5_saddle")
-    params = CripdaParams(tau=0.2, sigma=0.2)
-    M = build_metric(prob.saddle, 0.2, 0.2)
-    xbar, ybar = prob.certified_solution
-    assert fixed_point_residual(prob.saddle, params, M, xbar, ybar) <= 1e-10
+    A, B, core = stacked_problem(prob.saddle, CripdaParams(tau=0.2, sigma=0.2))
+    q = np.concatenate(prob.certified_solution)
+    assert core.M.norm_of(residual_G(A, B, core.M, core.lam, q)) <= 1e-10
+    assert core.M.norm_of(residual_G(A, B, core.M, core.lam, q + 0.1)) > 1e-3
 
 
 def test_run_quadratic_saddle():
@@ -141,6 +145,8 @@ def test_stacked_operators_resolvent_matches_closed_form():
     r = M.apply(u)
     x, y = precond_resolvent(prob.saddle, 0.2, 0.2, r[:5], r[5:])
     assert np.allclose(out, np.concatenate([x, y]))
+    # gen_resolvent takes its argument with M applied
+    assert np.array_equal(A.gen_resolvent(M, 1.0, r), out)
     # the smooth part stacks the two gradients
     v = rng.standard_normal(10)
     assert np.allclose(B(v), np.zeros(10))

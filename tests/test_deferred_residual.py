@@ -7,7 +7,8 @@ stops and step caps around the edges of a record block, divergence, a warm
 start, the operator calls and step calls a run makes, and failures of
 row-form operators, which must end the run where the one-state-at-a-time
 loop ends it; the stacked primal-dual run in its block metric among
-them."""
+them, whose arrays agree with the reference loops within
+test_reference_solvers.REL relative."""
 
 import math
 
@@ -19,7 +20,7 @@ from monosplit import checks, crifba, cripda, gcrifba, problems
 from monosplit.metriclin import SpdMap, operator_norm
 from monosplit.operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair,
                                  box_op, l1_op, zero_op)
-from test_reference_solvers import assert_same, outcome, start
+from test_reference_solvers import assert_close, assert_same, outcome, start
 
 ROWS = crifba.RECORD_ROWS
 
@@ -87,6 +88,12 @@ CASES = {"crifba:p2_lasso": lambda: core("p2_lasso"),
          "gcrifba:l1_box_lasso": mixed,
          "cripda:p5_lasso_pd": lambda: saddle("p5_lasso_pd"),
          "cripda:p5_saddle": lambda: saddle("p5_saddle")}
+# the cases on the stacked primal-dual path, compared within a bound
+BOUNDED = {"crifba:p5_saddle_stack", "cripda:p5_lasso_pd", "cripda:p5_saddle"}
+
+
+def same(case):
+    return assert_close if case in BOUNDED else assert_same
 
 
 def norms(res):
@@ -105,7 +112,7 @@ def test_tolerance_stop_around_a_record_block(case, n):
     r = norms(ref(max_iter=n + 1, tol=0.0))[:n + 1]
     assert r[n] < r[:n].min()
     tol = 0.5 * (r[n] + r[:n].min())
-    res = assert_same(new(max_iter=10 * ROWS, tol=tol), ref(max_iter=10 * ROWS, tol=tol))
+    res = same(case)(new(max_iter=10 * ROWS, tol=tol), ref(max_iter=10 * ROWS, tol=tol))
     assert res.stopped == "tol" and res.n_iters == n
 
 
@@ -113,7 +120,7 @@ def test_tolerance_stop_around_a_record_block(case, n):
 @pytest.mark.parametrize("case", list(CASES))
 def test_step_cap_around_a_record_block(case, steps):
     new, ref = CASES[case]()
-    res = assert_same(new(max_iter=steps, tol=0.0), ref(max_iter=steps, tol=0.0))
+    res = same(case)(new(max_iter=steps, tol=0.0), ref(max_iter=steps, tol=0.0))
     assert res.stopped == "max_iter" and res.n_iters == steps
 
 
@@ -140,7 +147,7 @@ def test_divergence():
         grad_Q=lambda x: 0.0 * x, lip_Q=1.0,
         grad_Pstar=lambda y: 0.0 * y, lip_Pstar=1.0, K=np.array([[0.1]]))
     params = cripda.CripdaParams(tau=0.2, sigma=0.2, delta=0.3)
-    primal_dual = assert_same(
+    primal_dual = assert_close(
         cripda.run_cripda(pair, params, [1.0], [1.0], max_iter=1000, tol=0.0),
         reference.run_cripda(pair, params, [1.0], [1.0], max_iter=1000, tol=0.0))
     for res in (core_run, lifted, primal_dual):
@@ -229,16 +236,16 @@ def counted_pair(calls, rows):
 def test_stacked_run_in_the_block_metric_shares_one_row_call(monkeypatch, rows, tol):
     # with the pair's row forms each tested state costs one row call of B
     # (each gradient) and of the generalized resolvent (each prox) and one
-    # block solve with M; a run of n steps makes one scalar forward-backward
-    # call, the residual at the last state of a capped run, where the
-    # per-row path makes 2n + 1. The replay makes none, and calls each row
+    # block product with M; a run of n steps makes one scalar
+    # forward-backward call (with one product with M), the residual at the
+    # last state of a capped run, where the per-row path makes 2n + 1. No
+    # run solves with M. The replay makes no scalar call, and calls each row
     # form once per block of rows
     calls = {}
     monkeypatch.setattr(crifba, "forward_backward",
                         counting(calls, "forward_backward", crifba.forward_backward))
-    monkeypatch.setattr(SpdMap, "solve", counting(calls, "solve", SpdMap.solve))
-    monkeypatch.setattr(SpdMap, "solve_each",
-                        counting(calls, "solve_each", SpdMap.solve_each))
+    for name in ("apply", "apply_each", "solve"):
+        monkeypatch.setattr(SpdMap, name, counting(calls, name, getattr(SpdMap, name)))
     pair = counted_pair(calls, rows)
     A, B = cripda.stacked_operators(pair)
     new, _ = stack(pair, seed=15)
@@ -247,9 +254,9 @@ def test_stacked_run_in_the_block_metric_shares_one_row_call(monkeypatch, rows, 
     assert res.stopped == ("tol" if tol else "max_iter") and 0 < n
     final = int(not tol)     # the residual at the last state of a capped run
     scalar = final if rows else 2 * n + 1
-    want = dict.fromkeys(("forward_backward", "solve") + FORMS, scalar)
+    want = dict.fromkeys(("forward_backward", "apply") + FORMS, scalar)
     if rows:
-        want.update(dict.fromkeys([f + "_rows" for f in FORMS] + ["solve_each"],
+        want.update(dict.fromkeys([f + "_rows" for f in FORMS] + ["apply_each"],
                                   n + 1 - final))
     assert calls == {key: count for key, count in want.items() if count}
     calls.clear()
@@ -261,11 +268,11 @@ def test_stacked_run_in_the_block_metric_shares_one_row_call(monkeypatch, rows, 
     want = dict.fromkeys(["grad_Q", "grad_Pstar"], 1)
     if rows:
         want.update(dict.fromkeys(["grad_Q_rows", "grad_Pstar_rows"], 2 * blocks))
-        want.update(dict.fromkeys(["prox_G_rows", "prox_Fstar_rows", "solve_each"], blocks))
+        want.update(dict.fromkeys(["prox_G_rows", "prox_Fstar_rows", "apply_each"], blocks))
     else:
         want.update(dict.fromkeys(["grad_Q", "grad_Pstar"], 2 * n + 1))
         want.update(dict.fromkeys(["prox_G", "prox_Fstar"], n))
-        want["solve_each"] = blocks
+        want["apply_each"] = blocks
     assert calls == want
 
 
@@ -273,7 +280,8 @@ def test_record_columns_of_a_long_run():
     # many record blocks, every column bit for bit
     for case in ("gcrifba:p4_three", "cripda:p5_lasso_pd"):
         new, ref = CASES[case]()
-        assert_same(new(max_iter=40 * ROWS + 3, tol=0.0), ref(max_iter=40 * ROWS + 3, tol=0.0))
+        same(case)(new(max_iter=40 * ROWS + 3, tol=0.0),
+                   ref(max_iter=40 * ROWS + 3, tol=0.0))
 
 
 # --- failures of pure row-form operators -------------------------------------
@@ -346,9 +354,9 @@ def product_with(which, make):
 
 def stack_with(which, make):
     """crifba on the stacked p5_saddle inclusion in its block metric with a
-    form of the pair, or the metric's solve, replaced by make(scalar form);
-    without row forms the pair has none, and the run goes one call at a
-    time."""
+    form of the pair, or the metric's apply (and apply_each its row form),
+    replaced by make(scalar form); without row forms the pair has none, and
+    the run goes one call at a time."""
     pair = problems.get("p5_saddle").saddle
 
     def solve(rows, ref=False, tol=0.0):
@@ -357,11 +365,11 @@ def stack_with(which, make):
         if rows:
             forms.update({name + "_rows": getattr(pair, "%s_rows" % name)
                           for name in FORMS})
-        scalar, row_form = make(M.solve if which == "solve" else forms[which])
-        if which == "solve":
-            M.solve = scalar
+        scalar, row_form = make(M.apply if which == "apply" else forms[which])
+        if which == "apply":
+            M.apply = scalar
             if rows:
-                M.solve_each = row_form
+                M.apply_each = row_form
         else:
             forms[which] = scalar
             if rows:
@@ -377,16 +385,26 @@ def stack_with(which, make):
 FAILING = [(core_with, "B"), (core_with, "resolvent"),
            (product_with, "B"), (product_with, "resolvent"),
            (stack_with, "grad_Q"), (stack_with, "prox_G"),
-           (stack_with, "prox_Fstar"), (stack_with, "solve")]
+           (stack_with, "prox_Fstar"), (stack_with, "apply")]
 IDS = ["%s:%s" % (s.__name__, w) for s, w in FAILING]
 
 
+def same_args(setup, which):
+    """True when the reference loop calls the operator with the arguments
+    the package calls it with, bit for bit. On the stacked path it does
+    not: it solves with M where the package applies M, so its iterates and
+    operator arguments differ from the package's in the last bits."""
+    return setup is not stack_with
+
+
 def arguments(setup, which):
-    """The operator's arguments in a clean reference run: those of the
-    residual at each state and those of the step from each state (the two
-    calls alternate)."""
+    """The operator's arguments in a clean one-call-at-a-time run, of the
+    reference loop or, on the stacked path (see same_args), of the
+    package's own loop: those of the residual at each state and those of
+    the step from each state (the two calls alternate)."""
     seen = []
-    setup(which, lambda fn: (recording(fn, seen), None))(rows=False, ref=True)
+    setup(which, lambda fn: (recording(fn, seen), None))(
+        rows=False, ref=same_args(setup, which))
     return seen[0::2], seen[1::2]
 
 
@@ -405,7 +423,8 @@ def test_a_failing_step_past_a_tolerance_stop_leaves_no_trace(setup, which, fail
     bad = step_args[n]
     nan_at, fail_at = (None, bad) if failing == "raises" else (bad, None)
     solve = setup(which, lambda fn: poisoned(fn, nan_at, fail_at))
-    res = assert_same(solve(rows=True, tol=tol), solve(rows=False, ref=True, tol=tol))
+    compare = assert_same if same_args(setup, which) else assert_close
+    res = compare(solve(rows=True, tol=tol), solve(rows=False, ref=True, tol=tol))
     assert res.stopped == "tol" and res.n_iters == n
 
 
@@ -429,7 +448,7 @@ def test_failures_land_where_one_state_at_a_time_puts_them(setup, which, nan, fa
         want = ValueError("vector has non-finite entries")
     for got in (shared, one_at_a_time):
         assert type(got) is type(want) and str(got) == str(want)
-    if not isinstance(want, ArithmeticError):
+    if not isinstance(want, ArithmeticError) and same_args(setup, which):
         # the reference loop records a NaN residual of gcrifba and runs on
         ref = outcome(lambda: solve(rows=False, ref=True))
         assert type(ref) is type(want) and str(ref) == str(want)

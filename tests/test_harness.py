@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from monosplit import cli, harness, problems
+from monosplit import cli, crifba, harness, problems
+from monosplit.metriclin import operator_norm
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -199,7 +200,8 @@ def test_a_stride_that_is_not_a_positive_integer_is_refused(tmp_path, capsys,
 
 
 # short runs of each kind; tests/golden holds the CSV each wrote before the
-# trace columns were formed a block at a time
+# trace columns were formed a block at a time, but for cripda_p5_saddle,
+# recorded when cripda runs took the core step and the core columns
 GOLDEN = {
     "crifba_p2_lasso": {"problem": "p2_lasso", "solver": {"kind": "crifba"},
                         "stop": {"max_iter": 42, "tol": 0.0}, "stride": 3},
@@ -255,7 +257,8 @@ def test_run_config_gcrifba_and_cripda_and_baseline(tmp_path):
     summary, paths = harness.run_config(cfg, outdir=str(tmp_path))
     assert summary["certify"]["ok"] is True
     with open(paths["csv"]) as fh:
-        assert fh.readline().strip() == "n,vel2_M,fpr2_M"
+        assert fh.readline().strip() == "n,vel2,vn2,res2,energy,ystar_norm"
+    assert os.path.exists(paths["history"])
 
     cfg = {"problem": "p1_clamp", "solver": {"kind": "dr"},
            "stop": {"max_iter": 5000, "tol": 1e-10}, "output": "base"}
@@ -271,6 +274,29 @@ def test_check_history_roundtrip(tmp_path):
     assert report["all_passed"] is True
     names = {r["name"] for r in report["reports"]}
     assert "step_identities" in names and "energy_decrease" in names
+
+
+@pytest.mark.parametrize("w", [0.5, 0.3])
+@pytest.mark.parametrize("name", ["p5_saddle", "p5_lasso_pd"])
+def test_cripda_history_passes_monosplit_check(tmp_path, capsys, name, w):
+    # a primal-dual run writes the core trace and history, and the whole
+    # oracle suite replays it on the stack rebuilt from the config
+    step = 0.2 if name == "p5_saddle" else 0.7 / operator_norm(problems.get(name).saddle.K)
+    cfg = {"problem": name, "solver": {"kind": "cripda", "tau": step, "sigma": step, "w": w},
+           "stop": {"max_iter": 300, "tol": 0.0}, "stride": 3, "output": "pd"}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    capsys.readouterr()
+    assert cli.main(["run", path, "--outdir", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["iterations"] == 300
+    with open(summary["artifacts"]["csv"]) as fh:
+        assert fh.readline().strip() == ",".join(crifba.TRACE_COLUMNS)
+        assert len(fh.readlines()) == 101
+    assert cli.main(["check", summary["artifacts"]["history"], path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok" and report["all_passed"] is True
+    executed = {r["name"] for r in report["reports"] if r["status"] == "ok"}
+    assert {"step_identities", "energy_decrease", "rilo"} <= executed
 
 
 def test_check_history_flags_corruption(tmp_path):
