@@ -205,8 +205,8 @@ def extrapolate(params, state):
     return x + theta * (x - state.x_prev) + gamma * (state.z_prev - x)
 
 
-# The solvers form the record columns that iterate does not read for this
-# many states at a time, with one array operation each.
+# iterate keeps x_{n+1} and z_n, and the solvers form the record columns it
+# does not read, this many states at a time.
 RECORD_ROWS = 64
 
 
@@ -216,13 +216,16 @@ def root(r2):
     return math.sqrt(r2) if r2 >= 0.0 else math.nan
 
 
-def iterate(state, step, residual, record, max_iter, tol):
+def iterate(state, step, residual, max_iter, tol):
     """The corrected Krasnosel'skii-Mann loop of all three solvers.
 
-    Each pass stops on residual(state) <= tol, else sets state = step(state),
-    hands the new state to record and stops when the Euclidean norm of its
-    iterate exceeds 1e12. Returns the last state, whose n is the number of
-    steps taken, and the stop reason: "tol", "max_iter" or "diverged".
+    Each pass stops on residual(state) <= tol, else sets state = step(state)
+    and stops when the Euclidean norm of its iterate exceeds 1e12. The
+    first state has n = 0. Returns (state, stopped, X, Z): the last state,
+    whose n is the number of steps N taken, the stop reason ("tol",
+    "max_iter" or "diverged"), the iterates x_0..x_N and the extrapolated
+    points z_0..z_{N-1}, each stacked along a new first axis; the loop
+    keeps them RECORD_ROWS rows at a time, for a state x of any shape.
 
     residual(state, ahead) records its solver's columns at state and
     returns the norm to test and the values step(state, values) needs.
@@ -237,6 +240,9 @@ def iterate(state, step, residual, record, max_iter, tol):
     operator call at a time.
     """
     ahead = residual.ahead
+    shape = state.x.shape
+    xb, zb = [state.x[None]], [np.empty((0,) + shape)]
+    stopped = "max_iter"
     for _ in range(max_iter):
         try:
             r, values = residual(state, ahead)
@@ -245,13 +251,25 @@ def iterate(state, step, residual, record, max_iter, tol):
                 raise
             r, values = residual(state, False)
         if r <= tol:
-            return state, "tol"
+            stopped = "tol"
+            break
         state = step(state, values)
-        record(state)
+        i = (state.n - 1) % RECORD_ROWS
+        if i == 0:
+            xb.append(np.empty((RECORD_ROWS,) + shape))
+            zb.append(np.empty((RECORD_ROWS,) + shape))
+        xb[-1][i] = state.x
+        zb[-1][i] = state.z_prev
         x = state.x.ravel()
         if math.sqrt(x.dot(x)) > 1e12:
-            return state, "diverged"
-    return state, "max_iter"
+            stopped = "diverged"
+            break
+    N = state.n
+    X = np.concatenate(xb)[:N + 1]
+    xb.clear()      # the blocks of X go before Z is formed
+    Z = np.concatenate(zb)[:N]
+    zb.clear()
+    return state, stopped, X, Z
 
 
 def crifba_step(state, params, A, B, ahead=None):
@@ -316,7 +334,6 @@ def _run(A, B, params, x0, max_iter, tol, x_prev=None, z_prev=None):
     M = params.metric(d)
     lam = params.lam
     res2 = []
-    xb, zb = [x[None]], [np.empty((0, d))]     # x_0..x_N and z_0..z_{N-1}
 
     def residual(state, ahead):
         values = None
@@ -333,28 +350,15 @@ def _run(A, B, params, x0, max_iter, tol, x_prev=None, z_prev=None):
 
     residual.ahead = A.has_rows_in(M) and B.has_rows
 
-    def record(state):
-        i = (state.n - 1) % RECORD_ROWS
-        if i == 0:
-            xb.append(np.empty((RECORD_ROWS, d)))
-            zb.append(np.empty((RECORD_ROWS, d)))
-        xb[-1][i] = state.x
-        zb[-1][i] = state.z_prev
-
-    state, stopped = iterate(KMState(0, xp, x, zp),
-                             lambda s, values: crifba_step(s, params, A, B, values),
-                             residual, record, max_iter, tol)
+    state, stopped, X, Z = iterate(KMState(0, xp, x, zp),
+                                   lambda s, values: crifba_step(s, params, A, B, values),
+                                   residual, max_iter, tol)
     if stopped != "tol":
         residual(state, False)
-    N = state.n
-    X = np.concatenate(xb)[:N + 1]
-    xb.clear()
-    Z = np.concatenate(zb)[:N]
-    zb.clear()
     V = np.empty_like(X)
     V[0] = zp - x
     np.subtract(Z, X[1:], out=V[1:])
-    return RunResult(X, Z, V, np.array(res2), xp, N, stopped, params)
+    return RunResult(X, Z, V, np.array(res2), xp, state.n, stopped, params)
 
 
 def energy(params, x, x_prev, v, n, s, q):

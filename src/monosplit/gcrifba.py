@@ -7,65 +7,23 @@ and evaluating one resolvent per block and step.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .crifba import (RECORD_ROWS, KMState, extrapolate, iterate, root,
+from .crifba import (KMState, extrapolate, iterate, root,
                      schedule_violations)
 from .metriclin import all_finite, as_vector
 
 
-class ProductVector:
-    """p blocks of dimension d with positive weights summing to one."""
-
-    def __init__(self, blocks, weights):
-        b = np.asarray(blocks, dtype=float)
-        if b.ndim != 2:
-            raise ValueError("blocks must form a (p, d) array")
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if len(w) != b.shape[0]:
-            raise ValueError("one weight per block required")
-        if np.any(w <= 0) or np.any(w >= 1) and len(w) > 1 or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be in (0,1) and sum to 1")
-        self.blocks = b
-        self.weights = w
-
-    @property
-    def p(self):
-        return self.blocks.shape[0]
-
-    @property
-    def d(self):
-        return self.blocks.shape[1]
-
-    def bar(self):
-        """Weighted mean across blocks."""
-        return self.weights @ self.blocks
-
-    def inner(self, other):
-        return float(np.sum(self.weights[:, None] * self.blocks * other.blocks))
-
-    def norm2(self):
-        return self.inner(self)
-
-    def with_blocks(self, blocks):
-        """New blocks with these weights, which were checked on construction."""
-        b = np.asarray(blocks, dtype=float)
-        if b.ndim != 2:
-            raise ValueError("blocks must form a (p, d) array")
-        if b.shape[0] != self.p:
-            raise ValueError("one weight per block required")
-        out = object.__new__(ProductVector)
-        out.blocks = b
-        out.weights = self.weights
-        return out
-
-
-def constant_product(x, p, weights=None):
-    x = as_vector(x)
-    w = np.full(p, 1.0 / p) if weights is None else np.asarray(weights, float)
-    return ProductVector(np.tile(x, (p, 1)), w)
+def _block_weights(weights, p):
+    """The weights of p blocks as a float array, 1/p each by default; they
+    must be positive, below one when p > 1, and sum to one."""
+    w = np.full(p, 1.0 / p) if weights is None else np.asarray(weights, float).reshape(-1)
+    if len(w) != p:
+        raise ValueError("one weight per block required")
+    if np.any(w <= 0) or np.any(w >= 1) and len(w) > 1 or abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError("weights must be in (0,1) and sum to 1")
+    return w
 
 
 @dataclass
@@ -121,14 +79,15 @@ def _T_blocks(z, u, r):
     return r - u + z
 
 
-def apply_T(z, A_list, B, lam):
-    """One application of the splitting operator on the product space.
+def apply_T(z, weights, A_list, B, lam):
+    """One application of the splitting operator on the product space to
+    the (p, d) block array z with block weights rho_k.
 
     Block k of the output is J_{(lam/rho_k) A_k}(2 zbar - lam B(zbar) - z_k)
     - zbar + z_k, with zbar the weighted mean.
     """
-    U, R = _resolvents(z.blocks[None], A_list, B, lam, z.weights)
-    return z.with_blocks(_T_blocks(z.blocks, U[0], R[0]))
+    U, R = _resolvents(z[None], A_list, B, lam, weights)
+    return _T_blocks(z, U[0], R[0])
 
 
 def gcrifba_step(state, params, A_list, B, weights, ahead=None):
@@ -153,63 +112,37 @@ def gcrifba_step(state, params, A_list, B, weights, ahead=None):
 
 @dataclass
 class GcrifbaResult:
-    zeta: ProductVector
-    x: np.ndarray
+    blocks: np.ndarray     # (p, d), the last block array zeta_N
+    x: np.ndarray          # its weighted mean
     n_iters: int
-    stopped: str
-    ns: np.ndarray
-    zeta_vel2: np.ndarray
-    corr2: np.ndarray
-    fpr2: np.ndarray
-    x_hist: Optional[np.ndarray] = None
+    stopped: str           # "tol" | "max_iter" | "diverged"
+    ns: np.ndarray         # the indices of the tested states
+    X: np.ndarray          # (N+1, d), weighted means of zeta_0..zeta_N
+    vel2: np.ndarray       # (N+1,), |zeta_{n+1} - zeta_n|^2, NaN at N
+    vn2: np.ndarray        # (N+1,), |z_{n-1} - zeta_n|^2, 0 at n = 0
+    res2: np.ndarray       # (N+1,), |T(zeta_n) - zeta_n|^2, NaN if untested
 
 
-def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9,
-                weights=None, keep_x_hist=False):
+def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
     """Iterate to a fixed point of the splitting operator.
 
-    The averaged primal point is the weighted block mean of zeta. Trace
-    columns (all in the weighted product norm, squared): block velocity,
-    correction distance |zeta_{n+1} - z_n|, and fixed-point residual
-    |T(zeta_n) - zeta_n|; the run stops on the latter, or as "diverged"
-    once the norm of the blocks passes 1e12 (crifba.iterate). With row
-    forms of B and of every A_k, T(zeta_n) and the step from zeta_n share
-    one row call of each operator; the other columns are formed
-    crifba.RECORD_ROWS states at a time. A non-finite residual ends the
-    run with ArithmeticError.
+    The run starts from p copies of x0, zeta_0 = z_{-1} = (x0, ..., x0).
+    The averaged primal point is the weighted block mean of zeta. It stops
+    on the fixed-point residual |T(zeta_n) - zeta_n|, or as "diverged" once
+    the norm of the blocks passes 1e12 (crifba.iterate). With row forms of
+    B and of every A_k, T(zeta_n) and the step from zeta_n share one row
+    call of each operator. The columns have the meaning of the core
+    columns, squared in the weighted product norm, and are formed from the
+    block arrays the loop keeps once the run is over; res2 holds the
+    residual of every tested state, which leaves out zeta_N unless the run
+    stopped on tol. A non-finite residual ends the run with ArithmeticError.
     """
     validate_gcrifba(params)
-    zeta = constant_product(x0, len(A_list), weights)
+    x0 = as_vector(x0)
+    weights = _block_weights(weights, len(A_list))
     lam = params.lam
-    weights = zeta.weights
     wcol = weights[:, None]
-
-    def norm2(blocks):
-        # ProductVector.norm2 of these blocks, the weight column bound once
-        return float((wcol * blocks * blocks).sum())
-
-    def norm2_each(Z):
-        # norm2 of every block array of a (k, p, d) stack: each row sum adds
-        # the p * d products in the order of the sum in norm2
-        return (wcol * Z * Z).reshape(len(Z), -1).sum(axis=1)
-
-    ns, vel2, corr2, fpr2 = [], [], [], []
-    xs = []
-    tested, stepped = [], []
-
-    def settle():
-        # the columns the loop does not read, for the states tested and
-        # stepped to since the last call
-        if tested:
-            Zb = np.array([s.x for s in tested])
-            vel2.extend(norm2_each(Zb - np.array([s.x_prev for s in tested])))
-            if keep_x_hist:
-                xs.extend(weights @ Zb)
-            tested.clear()
-        if stepped:
-            corr2.extend(norm2_each(np.array([s.x for s in stepped])
-                                    - np.array([s.z_prev for s in stepped])))
-            stepped.clear()
+    res2 = []
 
     def residual(state, ahead):
         zb = state.x
@@ -219,31 +152,34 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9,
             tz = _T_blocks(zb, U[0], R[0])
             ahead = z, U[1], R[1]
         else:
-            tz = apply_T(zeta.with_blocks(zb), A_list, B, lam).blocks
+            tz = apply_T(zb, weights, A_list, B, lam)
             ahead = None
-        r2 = norm2(tz - zb)
+        diff = tz - zb
+        r2 = float((wcol * diff * diff).sum())
         # a non-finite entry of T(zeta_n) makes r2 non-finite, and this test
         # costs a fraction of a screen of T(zeta_n)
         if not math.isfinite(r2):
             raise ArithmeticError("non-finite residual at n=%d" % state.n)
-        ns.append(state.n)
-        fpr2.append(r2)
-        tested.append(state)
-        if len(tested) == RECORD_ROWS:
-            settle()
+        res2.append(r2)
         return root(r2), ahead
 
     residual.ahead = B.has_rows and all(A.has_rows for A in A_list)
 
-    b = zeta.blocks
-    state, stopped = iterate(KMState(0, b, b, b),
-                             lambda s, ahead: gcrifba_step(s, params, A_list, B, weights, ahead),
-                             residual, stepped.append, max_iter, tol)
-    settle()
-    if stopped == "tol":
-        corr2.append(0.0)
-    zeta = zeta.with_blocks(state.x)
-    return GcrifbaResult(zeta, zeta.bar(), state.n, stopped,
-                         np.array(ns), np.array(vel2), np.array(corr2),
-                         np.array(fpr2),
-                         np.array(xs) if keep_x_hist else None)
+    b = np.tile(x0, (len(A_list), 1))
+    state, stopped, Zeta, Z = iterate(
+        KMState(0, b, b, b),
+        lambda s, ahead: gcrifba_step(s, params, A_list, B, weights, ahead),
+        residual, max_iter, tol)
+    N, tested = state.n, len(res2)
+
+    def norm2_each(D):
+        # the weighted norm of every block array of a (k, p, d) stack: each
+        # row sum adds the p * d products in the order of the residual's sum
+        return (wcol * D * D).reshape(len(D), b.size).sum(axis=1)
+
+    vel2 = np.append(norm2_each(Zeta[1:] - Zeta[:-1]), np.nan)
+    vn2 = np.append(0.0, norm2_each(Zeta[1:] - Z))
+    # np.array(range(k)), not np.arange(k): an empty ns stays float
+    return GcrifbaResult(state.x, weights @ state.x, N, stopped,
+                         np.array(range(tested)), weights @ Zeta, vel2, vn2,
+                         np.array(res2 + [np.nan] * (N + 1 - tested)))

@@ -163,8 +163,9 @@ def write_trace_csv(path, columns):
 
 def run_config(cfg, outdir=None):
     """Execute one run; returns (summary dict, artifact paths). Each kind
-    names its trace columns and slope fits; the tail strides, writes and
-    fits them."""
+    gives its strided trace columns; the tail writes the columns of
+    crifba.TRACE_COLUMNS, NaN where a kind gives none, and fits vel2, vn2
+    and res2."""
     outdir = outdir or output_dir(cfg)
     os.makedirs(outdir, exist_ok=True)
     problem = problems.get(cfg["problem"])
@@ -176,7 +177,6 @@ def run_config(cfg, outdir=None):
     stride = trace_stride(cfg)
     base = os.path.join(outdir, cfg.get("output", "run_%s" % config_hash(cfg)))
     paths = {"csv": base + ".csv", "summary": base + ".summary.json"}
-    stride_left = stride    # the stride the solver has not applied
 
     if kind in ("crifba", "cripda"):
         A, B, params = _core_problem(problem, solver)
@@ -192,8 +192,6 @@ def run_config(cfg, outdir=None):
         trace = crifba.diagnostics(result, A, B, q=_core_solution(problem),
                                    stride=stride)
         cols = {name: trace[name] for name in crifba.TRACE_COLUMNS}
-        fits = {"vel2": "vel2", "vn2": "vn2", "res2": "res2"}
-        stride_left = 1
         final_res2 = result.res2[-1]
         paths["history"] = base + ".history.npz"
         np.savez_compressed(paths["history"], X=result.X, Z=result.Z,
@@ -203,10 +201,10 @@ def run_config(cfg, outdir=None):
         params = _gcrifba_params(problem, solver)
         result = gcrifba.run_gcrifba(problem.A_list, problem.B, params,
                                      problem.start, max_iter=max_iter, tol=tol)
-        cols = {"n": result.ns, "zeta_vel2": result.zeta_vel2,
-                "corr2": result.corr2, "fpr2": result.fpr2}
-        fits = {"vel2": "zeta_vel2", "res2": "fpr2"}
-        final_res2 = result.fpr2[-1]
+        n = np.arange(0, result.n_iters + 1, stride)
+        cols = {"n": n, "vel2": result.vel2[n], "vn2": result.vn2[n],
+                "res2": result.res2[n]}
+        final_res2 = result.res2[len(result.ns) - 1]
         candidate = result.x
     elif kind in BASELINE_KINDS:
         extra = {k: solver[k] for k in ("lam", "alpha", "inertia", "ac_alpha",
@@ -214,12 +212,7 @@ def run_config(cfg, outdir=None):
         result = baselines.run_baseline(kind, problem, problem.start,
                                         max_iter=max_iter, tol=tol,
                                         stride=stride, **extra)
-        undefined = np.full(len(result.ns), np.nan)
-        cols = {"n": result.ns, "vel2": result.vel2, "vn2": undefined,
-                "res2": result.res2, "energy": undefined,
-                "ystar_norm": undefined}
-        fits = {"vel2": "vel2", "res2": "res2"}
-        stride_left = 1
+        cols = {"n": result.ns, "vel2": result.vel2, "res2": result.res2}
         final_res2 = result.res2[-1]
         candidate = result.x
         if kind == "dr":
@@ -229,10 +222,11 @@ def run_config(cfg, outdir=None):
     else:
         raise ValueError("unknown solver kind %r" % kind)
 
-    cols = {name: col[::stride_left] for name, col in cols.items()}
+    undefined = np.full(len(cols["n"]), np.nan)
+    cols = {name: cols.get(name, undefined) for name in crifba.TRACE_COLUMNS}
     write_trace_csv(paths["csv"], cols)
     ok, residual = problems.certify(problem, candidate, tol=cfg.get("certify_tol", 1e-6))
-    slopes = {key: fit_slope(cols["n"], cols[name]) for key, name in fits.items()}
+    slopes = {name: fit_slope(cols["n"], cols[name]) for name in ("vel2", "vn2", "res2")}
     summary = {
         "config_hash": config_hash(cfg),
         "iterations": int(result.n_iters),

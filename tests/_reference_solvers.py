@@ -11,9 +11,11 @@ they were: every call re-screens its arguments, the metric is looked up
 per step, norms go through ``np.linalg.norm`` and ``ProductVector``, and
 the saddle residual concatenates its pieces, and the baseline loop runs an
 eight-way branch per step and evaluates its residual apart from the step,
-on recorded rows only. The state types and the schedule are kept here as
-they were too. Parameter types, validators, result types and the
-operators themselves are the package's own.
+on recorded rows only. The state types, the schedule and the block
+vector type ``ProductVector`` are kept here as they were too; the
+product-space loop forms the package's columns from its old lists.
+Parameter types, validators, result types and the operators themselves
+are the package's own.
 """
 
 from dataclasses import dataclass
@@ -24,8 +26,7 @@ from monosplit.baselines import _KINDS, BaselineResult, default_step
 from monosplit.crifba import RunResult, validate
 from monosplit.cripda import (CripdaResult, build_metric, precond_resolvent,
                               validate_cripda)
-from monosplit.gcrifba import (GcrifbaResult, ProductVector, constant_product,
-                               validate_gcrifba)
+from monosplit.gcrifba import GcrifbaResult, validate_gcrifba
 from monosplit.metriclin import as_vector
 
 
@@ -63,6 +64,45 @@ class SaddleState:
     y: np.ndarray
     xi_prev: np.ndarray
     chi_prev: np.ndarray
+
+
+class ProductVector:
+    """p blocks of dimension d with positive weights summing to one."""
+
+    def __init__(self, blocks, weights):
+        b = np.asarray(blocks, dtype=float)
+        if b.ndim != 2:
+            raise ValueError("blocks must form a (p, d) array")
+        w = np.asarray(weights, dtype=float).reshape(-1)
+        if len(w) != b.shape[0]:
+            raise ValueError("one weight per block required")
+        if np.any(w <= 0) or np.any(w >= 1) and len(w) > 1 or abs(w.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must be in (0,1) and sum to 1")
+        self.blocks = b
+        self.weights = w
+
+    @property
+    def p(self):
+        return self.blocks.shape[0]
+
+    def bar(self):
+        """Weighted mean across blocks."""
+        return self.weights @ self.blocks
+
+    def inner(self, other):
+        return float(np.sum(self.weights[:, None] * self.blocks * other.blocks))
+
+    def norm2(self):
+        return self.inner(self)
+
+    def with_blocks(self, blocks):
+        return ProductVector(blocks, self.weights)
+
+
+def constant_product(x, p, weights=None):
+    x = as_vector(x)
+    w = np.full(p, 1.0 / p) if weights is None else np.asarray(weights, float)
+    return ProductVector(np.tile(x, (p, 1)), w)
 
 
 @dataclass
@@ -246,8 +286,7 @@ def gcrifba_step(state, params, A_list, B):
     return GcrifbaState(state.n + 1, state.zeta, zeta_next, z), z
 
 
-def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9,
-                weights=None, keep_x_hist=False):
+def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
     validate_gcrifba(params)
     p = len(A_list)
     zeta = constant_product(x0, p, weights)
@@ -255,28 +294,33 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9,
     ns, vel2, corr2, fpr2 = [], [], [], []
     xs = []
     stopped = "max_iter"
+
+    def velocity(state):
+        return state.zeta.with_blocks(state.zeta.blocks - state.zeta_prev.blocks).norm2()
+
     for n in range(max_iter):
         t_here = apply_T(state.zeta, A_list, B, params.lam)
         r2 = state.zeta.with_blocks(t_here.blocks - state.zeta.blocks).norm2()
         ns.append(n)
-        vel2.append(state.zeta.with_blocks(
-            state.zeta.blocks - state.zeta_prev.blocks).norm2())
+        vel2.append(velocity(state))
         fpr2.append(r2)
-        if keep_x_hist:
-            xs.append(state.zeta.bar())
+        xs.append(state.zeta.bar())
         if np.sqrt(r2) <= tol:
             stopped = "tol"
-            corr2.append(0.0)
             break
         state_next, z = gcrifba_step(state, params, A_list, B)
         corr2.append(state.zeta.with_blocks(
             state_next.zeta.blocks - z.blocks).norm2())
         state = state_next
-    return GcrifbaResult(state.zeta, state.zeta.bar(),
-                         len(ns) - (stopped == "tol"), stopped,
-                         np.array(ns), np.array(vel2), np.array(corr2),
-                         np.array(fpr2),
-                         np.array(xs) if keep_x_hist else None)
+    if stopped != "tol":
+        # zeta_N, stepped to and not tested
+        vel2.append(velocity(state))
+        xs.append(state.zeta.bar())
+        fpr2.append(np.nan)
+    # vel2[n] is |zeta_{n+1} - zeta_n|^2 and vn2[n] |z_{n-1} - zeta_n|^2
+    return GcrifbaResult(state.zeta.blocks, state.zeta.bar(), len(corr2), stopped,
+                         np.array(ns), np.array(xs), np.array(vel2[1:] + [np.nan]),
+                         np.array([0.0] + corr2), np.array(fpr2))
 
 
 # --- baselines --------------------------------------------------------------

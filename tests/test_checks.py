@@ -7,10 +7,10 @@ import pytest
 import _reference_checks as reference
 from monosplit import cripda, problems
 from monosplit.checks import (BLOCK_ROWS, check_energy_decrease, check_estimg2,
-                              check_g_cocoercivity, check_gfru0_identity,
-                              check_graph_inclusion, check_residual_ratio,
-                              check_rilo, check_step_identities,
-                              check_ystar_bound, standard_suite)
+                              check_g_cocoercivity, check_graph_inclusion,
+                              check_residual_ratio, check_rilo,
+                              check_step_identities, check_ystar_bound,
+                              standard_suite)
 from monosplit.crifba import CrifbaParams, default_params, run
 from monosplit.metriclin import SpdMap
 from monosplit.operators import CocoerciveMap, MonotoneOp, affine_op
@@ -97,13 +97,6 @@ def test_estimg2_pass(lasso_run):
     rep = check_estimg2(res)
     assert rep.passed
     assert "drift_trend" in rep.details
-
-
-def test_energy_identity_synthetic():
-    rep = check_gfru0_identity(n_instances=100, d=5)
-    assert rep.passed
-    assert rep.n_checked == 100
-    assert rep.worst_violation <= 1e-10
 
 
 def test_g_cocoercivity_identity_metric(lasso_run):

@@ -2,48 +2,37 @@ import numpy as np
 import pytest
 
 from monosplit import problems
-from monosplit.gcrifba import (GcrifbaParams, ProductVector, apply_T,
-                               constant_product, default_gcrifba_params,
+from monosplit.gcrifba import (GcrifbaParams, apply_T, default_gcrifba_params,
                                run_gcrifba, validate_gcrifba)
 from monosplit.metriclin import SpdMap
 from monosplit.operators import CocoerciveMap, zero_op
 
 
-def test_product_vector_basics():
-    z = ProductVector([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])
-    assert z.p == 2 and z.d == 2
-    assert np.allclose(z.bar(), [2.0, 3.0])
-    assert z.norm2() == pytest.approx(0.5 * 5 + 0.5 * 25)
+def test_run_rejects_bad_weights():
+    prob = problems.get("p4_three")
+    p = default_gcrifba_params(prob.beta)
+    for weights, message in (([1.0], "one weight per block required"),
+                             ([0.9, 0.9], "weights must be in"),      # sum != 1
+                             ([-0.5, 1.5], "weights must be in")):    # negative
+        with pytest.raises(ValueError, match=message):
+            run_gcrifba(prob.A_list, prob.B, p, prob.start, weights=weights)
 
 
-def test_product_vector_weighted_mean():
-    z = ProductVector([[0.0], [4.0]], [0.25, 0.75])
-    assert z.bar()[0] == pytest.approx(3.0)
-
-
-def test_product_vector_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        ProductVector([[1.0], [2.0]], [0.5])            # wrong count
-    with pytest.raises(ValueError):
-        ProductVector([[1.0], [2.0]], [0.9, 0.9])       # sum != 1
-    with pytest.raises(ValueError):
-        ProductVector([[1.0], [2.0]], [-0.5, 1.5])      # negative
-
-
-def test_apply_T_zero_operators_projects():
-    # with every A_k = 0 and B = 0 each output block equals the mean
-    z = ProductVector([[1.0], [3.0]], [0.5, 0.5])
+@pytest.mark.parametrize("weights,mean", [([0.5, 0.5], 2.0), ([0.25, 0.75], 2.5)])
+def test_apply_T_zero_operators_projects(weights, mean):
+    # with every A_k = 0 and B = 0 each output block equals the weighted mean
     B = CocoerciveMap(lambda x: np.zeros_like(x), SpdMap(np.eye(1)))
-    out = apply_T(z, [zero_op(), zero_op()], B, 0.5)
-    assert np.allclose(out.blocks, [[2.0], [2.0]])
+    out = apply_T(np.array([[1.0], [3.0]]), np.array(weights),
+                  [zero_op(), zero_op()], B, 0.5)
+    assert np.allclose(out, [[mean], [mean]])
 
 
 def test_apply_T_fixed_point():
     # diagonal z with the mean at a zero of B and A_k = 0 is a fixed point
     B = CocoerciveMap(lambda x: x - 1.5, SpdMap(np.eye(1)))
-    z = constant_product([1.5], 2)
-    out = apply_T(z, [zero_op(), zero_op()], B, 0.5)
-    assert np.allclose(out.blocks, z.blocks)
+    z = np.array([[1.5], [1.5]])
+    out = apply_T(z, np.array([0.5, 0.5]), [zero_op(), zero_op()], B, 0.5)
+    assert np.allclose(out, z)
 
 
 def test_default_params_and_validation():
@@ -76,26 +65,11 @@ def test_run_resolvent_sum_problem():
 def test_run_trace_columns():
     prob = problems.get("p4_three")
     p = default_gcrifba_params(prob.beta)
-    res = run_gcrifba(prob.A_list, prob.B, p, prob.start, max_iter=30,
-                      tol=0.0, keep_x_hist=True)
-    assert res.stopped == "max_iter"
-    n = len(res.ns)
-    assert len(res.zeta_vel2) == n == len(res.corr2) == len(res.fpr2)
-    assert res.x_hist.shape == (n, prob.d)
-    assert res.zeta_vel2[0] == 0.0                 # cold start
-    assert np.all(res.fpr2 >= 0.0)
-
-
-def test_single_block_reduces_to_core_solver():
-    # p = 1 product-space run must reproduce the core iterates exactly
-    from monosplit.crifba import default_params, run
-    prob = problems.get("p1_clamp")
-    lam = 0.9
-    core = run(prob.A, prob.B, default_params(prob.L_map(), lam=lam),
-               prob.start, max_iter=300, tol=0.0)
-    p = default_gcrifba_params(prob.beta, lam=lam)
-    lifted = run_gcrifba([prob.A], prob.B, p, prob.start, max_iter=300,
-                         tol=0.0, keep_x_hist=True)
-    n = min(core.X.shape[0], lifted.x_hist.shape[0])
-    dev = np.abs(core.X[:n] - lifted.x_hist[:n]).max()
-    assert dev <= 1e-12
+    res = run_gcrifba(prob.A_list, prob.B, p, prob.start, max_iter=30, tol=0.0)
+    assert res.stopped == "max_iter" and res.n_iters == 30
+    assert res.X.shape == (31, prob.d) and res.blocks.shape == (2, prob.d)
+    assert len(res.vel2) == len(res.vn2) == len(res.res2) == 31
+    assert np.array_equal(res.ns, np.arange(30))
+    assert res.vn2[0] == 0.0                       # cold start
+    assert np.isnan(res.vel2[30]) and np.isnan(res.res2[30])
+    assert np.all(res.vel2[:30] >= 0.0) and np.all(res.res2[:30] >= 0.0)

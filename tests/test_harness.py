@@ -201,7 +201,8 @@ def test_a_stride_that_is_not_a_positive_integer_is_refused(tmp_path, capsys,
 
 # short runs of each kind; tests/golden holds the CSV each wrote before the
 # trace columns were formed a block at a time, but for cripda_p5_saddle,
-# recorded when cripda runs took the core step and the core columns
+# recorded when cripda runs took the core step and the core columns, and
+# gcrifba_p4_three, recorded when gcrifba runs wrote the core columns
 GOLDEN = {
     "crifba_p2_lasso": {"problem": "p2_lasso", "solver": {"kind": "crifba"},
                         "stop": {"max_iter": 42, "tol": 0.0}, "stride": 3},
@@ -249,7 +250,7 @@ def test_run_config_gcrifba_and_cripda_and_baseline(tmp_path):
     summary, paths = harness.run_config(cfg, outdir=str(tmp_path))
     assert summary["certify"]["ok"] is True
     with open(paths["csv"]) as fh:
-        assert fh.readline().strip() == "n,zeta_vel2,corr2,fpr2"
+        assert fh.readline().strip() == ",".join(crifba.TRACE_COLUMNS)
 
     cfg = {"problem": "p5_saddle",
            "solver": {"kind": "cripda", "tau": 0.2, "sigma": 0.2},
@@ -265,6 +266,17 @@ def test_run_config_gcrifba_and_cripda_and_baseline(tmp_path):
     summary, _ = harness.run_config(cfg, outdir=str(tmp_path))
     # certification happens on the shadow point, not the governing sequence
     assert summary["certify"]["ok"] is True
+
+
+@pytest.mark.parametrize("kind", sorted(STRIDE_CFGS))
+def test_every_kind_writes_one_trace_schema(tmp_path, kind):
+    # one header and one set of slope fits for the core, product-space,
+    # primal-dual and baseline runs
+    cfg = dict(STRIDE_CFGS[kind], stop={"max_iter": 50, "tol": 0.0}, output="s")
+    summary, paths = harness.run_config(cfg, outdir=str(tmp_path))
+    with open(paths["csv"]) as fh:
+        assert fh.readline().strip() == ",".join(crifba.TRACE_COLUMNS)
+    assert sorted(summary["slopes"]) == ["res2", "vel2", "vn2"]
 
 
 def test_check_history_roundtrip(tmp_path):
