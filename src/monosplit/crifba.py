@@ -152,24 +152,21 @@ def validate(params, d=None):
     return report
 
 
-def forward_backward(A, B, M, lam, x, Bx=None):
+def forward_backward(A, B, M, lam, x):
     """One forward-backward image (M + lam A)^{-1}(M x - lam B(x)).
 
-    Bx, when given, is B(x) evaluated already and is used in its place.
     x is not screened here: B screens its argument (and M.apply again
-    outside the identity), and a caller that passes Bx has screened x
-    already.
+    outside the identity).
     """
-    if Bx is None:
-        Bx = B(x)
+    Bx = B(x)
     if M is None or M.is_identity:
         return generalized_resolvent(A, M, lam, x - lam * Bx)
     return metric_resolvent(A, M, lam, M.apply(x) - lam * Bx)
 
 
 def _forward_backward_rows(A, B, M, lam, X, BX):
-    """forward_backward(A, B, M, lam, x_i, B(x_i)) for every row x_i of X,
-    given BX, the rows B(x_i), bit for bit: one resolvent row call, with M
+    """forward_backward(A, B, M, lam, x_i) for every row x_i of X, given
+    BX, the rows B(x_i), bit for bit: one resolvent row call, with M
     applied to the screened rows first outside the identity, which goes
     row by row when A has no row form in M."""
     if M.is_identity:
@@ -228,28 +225,26 @@ def iterate(state, step, residual, max_iter, tol):
     keeps them RECORD_ROWS rows at a time, for a state x of any shape.
 
     residual(state, ahead) records its solver's columns at state and
-    returns the norm to test and the values step(state, values) needs.
-    With ahead false the values are None and the step calls its operators
-    itself. With ahead true, which residual.ahead allows when every
-    operator has a row form, residual calls each row form once on two
-    rows, its own argument and the step's, and the step calls no
-    operator. The step's row is evaluated before the stop test, so the
-    operators must be pure; the step still runs only when the state does
-    not stop. When such a call raises, residual is called again with ahead
-    false, so that a stop or an exception lands where it lands one
-    operator call at a time.
+    returns the norm to test and the values step(state, values) needs. It
+    calls each operator's row form once: with ahead true on two rows, its
+    own argument and the step's, so that the step calls no operator; with
+    ahead false on its own row alone, and the values are None. The step's
+    row is evaluated before the stop test, and the state's again alone
+    after a failed call, so the operators must be pure; the step still
+    runs only when the state does not stop. When the two-row call raises,
+    the state's row is tested alone: its own error stands, a stop on tol
+    stands, and otherwise the first error is raised again.
     """
-    ahead = residual.ahead
     shape = state.x.shape
     xb, zb = [state.x[None]], [np.empty((0,) + shape)]
     stopped = "max_iter"
     for _ in range(max_iter):
         try:
-            r, values = residual(state, ahead)
+            r, values = residual(state, True)
         except Exception:
-            if not ahead:
-                raise
             r, values = residual(state, False)
+            if not r <= tol:
+                raise
         if r <= tol:
             stopped = "tol"
             break
@@ -315,9 +310,9 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
     The cold-start default sets x_{-1} = z_{-1} = x_0, so v_0 = 0 and the
     initial velocity is zero. The residual column is computed directly at
     x_n with its own resolvent each iteration, and once more at the last
-    x_n when the run does not stop on it. When B has a row form and A one
-    in the run's metric (MonotoneOp.has_rows_in), x_n and z_n share one B
-    call and one resolvent row call (see iterate). x_{n+1} and z_n are
+    x_n when the run does not stop on it. x_n and z_n share one row call
+    of B and of the resolvent (see iterate), which goes row by row for an
+    operator without a row form. x_{n+1} and z_n are
     kept RECORD_ROWS rows at a time, and the correction residuals
     v_{n+1} = z_n - x_{n+1} are formed from Z and X once the run is over.
     """
@@ -336,19 +331,14 @@ def _run(A, B, params, x0, max_iter, tol, x_prev=None, z_prev=None):
     res2 = []
 
     def residual(state, ahead):
-        values = None
+        X = state.x[None]
         if ahead:
             z = extrapolate(params, state)
             X = np.array([state.x, z])
-            FB = _forward_backward_rows(A, B, M, lam, X, B.apply_rows(X))
-            r2 = M.norm2((state.x - FB[0]) / lam)
-            values = z, FB[1]
-        else:
-            r2 = M.norm2(residual_G(A, B, M, lam, state.x))
+        FB = _forward_backward_rows(A, B, M, lam, X, B.apply_rows(X))
+        r2 = M.norm2((state.x - FB[0]) / lam)
         res2.append(r2)
-        return root(r2), values
-
-    residual.ahead = A.has_rows_in(M) and B.has_rows
+        return root(r2), (z, FB[1]) if ahead else None
 
     state, stopped, X, Z = iterate(KMState(0, xp, x, zp),
                                    lambda s, values: crifba_step(s, params, A, B, values),

@@ -55,16 +55,8 @@ def validate_gcrifba(params):
 def _resolvents(Z, A_list, B, lam, weights):
     """The weighted means U and the block resolvents R of a (k, p, d) stack
     Z of block arrays: R[i, j] = J_{(lam/rho_j) A_j}(2 U_i - lam B(U_i) -
-    Z[i, j]). One block array (k = 1) takes the scalar forms; a stack takes
-    one row call of B and of each A_j.
+    Z[i, j]), from one row call of B and of each A_j.
     """
-    if len(Z) == 1:
-        u = weights @ Z[0]
-        fw = 2.0 * u - lam * B(u)
-        R = np.empty_like(Z)
-        for j, A in enumerate(A_list):
-            R[0, j] = A.resolvent(lam / weights[j], fw - Z[0, j])
-        return u[None], R
     U = weights @ Z
     FW = 2.0 * U - lam * B.apply_rows(U)
     R = np.empty_like(Z)
@@ -90,19 +82,14 @@ def apply_T(z, weights, A_list, B, lam):
     return _T_blocks(z, U[0], R[0])
 
 
-def gcrifba_step(state, params, A_list, B, weights, ahead=None):
+def gcrifba_step(state, params, ahead):
     """One inertial-corrected relaxed step over the product space.
 
-    state.x is the (p, d) block array and weights the block weights. The
-    forward point 2u - lam B(u) is formed once for all blocks; the new
-    blocks are screened together with one dot. ahead, when given, is the
-    extrapolated block array with its weighted mean and block resolvents,
-    evaluated already by the residual (see crifba.iterate).
+    state.x is the (p, d) block array; ahead is the extrapolated block
+    array with its weighted mean and block resolvents, evaluated already by
+    the residual (see crifba.iterate). The new blocks are screened together
+    with one dot.
     """
-    if ahead is None:
-        z = extrapolate(params, state)
-        U, R = _resolvents(z[None], A_list, B, params.lam, weights)
-        ahead = z, U[0], R[0]
     z, u, r = ahead
     new_blocks = z + params.w * (r - u)
     if not all_finite(new_blocks.ravel()):
@@ -129,13 +116,13 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
     The run starts from p copies of x0, zeta_0 = z_{-1} = (x0, ..., x0).
     The averaged primal point is the weighted block mean of zeta. It stops
     on the fixed-point residual |T(zeta_n) - zeta_n|, or as "diverged" once
-    the norm of the blocks passes 1e12 (crifba.iterate). With row forms of
-    B and of every A_k, T(zeta_n) and the step from zeta_n share one row
-    call of each operator. The columns have the meaning of the core
-    columns, squared in the weighted product norm, and are formed from the
-    block arrays the loop keeps once the run is over; res2 holds the
-    residual of every tested state, which leaves out zeta_N unless the run
-    stopped on tol. A non-finite residual ends the run with ArithmeticError.
+    the norm of the blocks passes 1e12 (crifba.iterate). T(zeta_n) and the
+    step from zeta_n share one row call of B and of each A_k. The columns
+    have the meaning of the core columns, squared in the weighted product
+    norm, and are formed from the block arrays the loop keeps once the run
+    is over; res2 holds the residual of every tested state, which leaves
+    out zeta_N unless the run stopped on tol. A non-finite residual ends
+    the run with ArithmeticError.
     """
     validate_gcrifba(params)
     x0 = as_vector(x0)
@@ -146,29 +133,24 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
 
     def residual(state, ahead):
         zb = state.x
+        stack = zb[None]
         if ahead:
             z = extrapolate(params, state)
-            U, R = _resolvents(np.array([zb, z]), A_list, B, lam, weights)
-            tz = _T_blocks(zb, U[0], R[0])
-            ahead = z, U[1], R[1]
-        else:
-            tz = apply_T(zb, weights, A_list, B, lam)
-            ahead = None
-        diff = tz - zb
+            stack = np.array([zb, z])
+        U, R = _resolvents(stack, A_list, B, lam, weights)
+        diff = _T_blocks(zb, U[0], R[0]) - zb
         r2 = float((wcol * diff * diff).sum())
         # a non-finite entry of T(zeta_n) makes r2 non-finite, and this test
         # costs a fraction of a screen of T(zeta_n)
         if not math.isfinite(r2):
             raise ArithmeticError("non-finite residual at n=%d" % state.n)
         res2.append(r2)
-        return root(r2), ahead
-
-    residual.ahead = B.has_rows and all(A.has_rows for A in A_list)
+        return root(r2), (z, U[1], R[1]) if ahead else None
 
     b = np.tile(x0, (len(A_list), 1))
     state, stopped, Zeta, Z = iterate(
         KMState(0, b, b, b),
-        lambda s, ahead: gcrifba_step(s, params, A_list, B, weights, ahead),
+        lambda s, ahead: gcrifba_step(s, params, ahead),
         residual, max_iter, tol)
     N, tested = state.n, len(res2)
 

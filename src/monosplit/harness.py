@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -22,7 +23,7 @@ def config_hash(cfg):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def output_dir(cfg=None):
+def output_dir():
     return os.environ.get("MONOSPLIT_OUT", ".")
 
 
@@ -166,7 +167,7 @@ def run_config(cfg, outdir=None):
     gives its strided trace columns; the tail writes the columns of
     crifba.TRACE_COLUMNS, NaN where a kind gives none, and fits vel2, vn2
     and res2."""
-    outdir = outdir or output_dir(cfg)
+    outdir = outdir or output_dir()
     os.makedirs(outdir, exist_ok=True)
     problem = problems.get(cfg["problem"])
     solver = cfg.get("solver", {})
@@ -213,7 +214,7 @@ def run_config(cfg, outdir=None):
                                         max_iter=max_iter, tol=tol,
                                         stride=stride, **extra)
         cols = {"n": result.ns, "vel2": result.vel2, "res2": result.res2}
-        final_res2 = result.res2[-1]
+        final_res2 = result.res2[-1] if len(result.res2) else math.nan
         candidate = result.x
         if kind == "dr":
             candidate = baselines.dr_shadow(
@@ -230,7 +231,8 @@ def run_config(cfg, outdir=None):
     summary = {
         "config_hash": config_hash(cfg),
         "iterations": int(result.n_iters),
-        "final_res2": float(final_res2),
+        # strict JSON has no NaN or inf: null, as for an untested state
+        "final_res2": float(final_res2) if math.isfinite(final_res2) else None,
         "certify": {"ok": ok, "residual": residual},
         "slopes": slopes,
         "checks": [],

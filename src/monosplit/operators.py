@@ -67,10 +67,10 @@ class MonotoneOp:
     screening as graph_member does, and returns k booleans. Each must agree
     with its scalar form row by row. The method resolvent_rows screens the
     blocks going in and out, so the resolvent_rows callable need not.
-    Without them, the methods of the same names and
-    metric_resolvent_rows loop over the scalar forms. With
-    them, the solvers evaluate the resolvent for the step from a state
-    before its stop test, so the scalar and row forms must be pure
+    Without them, the methods of the same names and metric_resolvent_rows
+    call the scalar forms once per row. The solvers evaluate the resolvent
+    for the step from a state before its stop test, and the state's again
+    alone after a failed call, so the scalar and row forms must be pure
     functions of their arguments.
     """
 
@@ -85,20 +85,6 @@ class MonotoneOp:
         self._resolvent_rows = resolvent_rows
         self._member_rows = member_rows
         self._gen_resolvent_rows = gen_resolvent_rows
-
-    @property
-    def has_rows(self):
-        """True when the operator carries its own resolvent row form, so
-        that resolvent_rows costs one call per block, not one per row."""
-        return self._resolvent_rows is not None
-
-    def has_rows_in(self, M):
-        """True when a block of resolvents in the metric M (None is the
-        identity) costs one call, resolvent_rows or gen_resolvent_rows,
-        not one per row."""
-        if M is None or M.is_identity:
-            return self.has_rows
-        return self._gen_resolvent_rows is not None
 
     def resolvent_rows(self, lam, X):
         """(I + lam A)^{-1} x_i for every row x_i of a (k, d) block; the
@@ -265,9 +251,10 @@ class CocoerciveMap:
 
     The apply_rows callable, when given, maps a (k, d) block to the (k, d)
     block of B(x_i) and must agree with apply row by row; without it, the
-    method of the same name loops over apply. With it, the solvers evaluate
-    B for the step from a state before its stop test, so apply and
-    apply_rows must be pure functions of their arguments.
+    method of the same name calls apply once per row. The solvers evaluate
+    B for the step from a state before its stop test, and the state's again
+    alone after a failed call, so apply and apply_rows must be pure
+    functions of their arguments.
     """
 
     def __init__(self, apply, certificate_L, label="", apply_rows=None):
@@ -284,12 +271,6 @@ class CocoerciveMap:
         value, for a caller that goes on to use the argument."""
         v = as_vector(x)
         return v, as_vector(self._apply(v))
-
-    @property
-    def has_rows(self):
-        """True when the map carries its own row form, so that apply_rows
-        costs one call per block, not one per row."""
-        return self._apply_rows is not None
 
     def apply_rows(self, X):
         """B(x_i) for every row x_i of a (k, d) block; the input and
@@ -338,9 +319,9 @@ class SaddleFunctionPair:
     its rows. Each must agree with its scalar form row by row. Only with
     all four do the stacked operators of cripda.stacked_operators have row
     forms, whose callers screen the blocks going in and out
-    (CocoerciveMap.apply_rows and metric_resolvent_rows). The solvers evaluate the row forms
-    for the step from a state before its stop test, so the scalar and row
-    forms must be pure functions of their arguments.
+    (CocoerciveMap.apply_rows and metric_resolvent_rows). The solvers
+    evaluate the forms for the step from a state before its stop test, so
+    the scalar and row forms must be pure functions of their arguments.
     """
 
     def __init__(self, prox_G, prox_Fstar, grad_Q, lip_Q, grad_Pstar,

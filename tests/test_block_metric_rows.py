@@ -85,8 +85,6 @@ def test_pair_has_rows_only_with_all_four_row_forms():
     assert not pair.has_rows
     # one row form is not enough
     assert not SaddleFunctionPair(*scalar, prox_G_rows=catalog.prox_G_rows).has_rows
-    A, B = cripda.stacked_operators(pair)
-    assert not B.has_rows and not A.has_rows_in(metric(pair))
 
 
 # --- the stacked operators and the forward-backward image -----------------
@@ -97,8 +95,6 @@ def test_stacked_row_forms_match_scalar_forms(name, k):
     pair = problems.get(name).saddle
     A, B = cripda.stacked_operators(pair)
     M = metric(pair)
-    assert A.has_rows_in(M) and B.has_rows
-    assert not A.has_rows       # no resolvent in the identity metric
     d = pair.d_primal + pair.d_dual
     rng = np.random.default_rng(100 + k)
     U = sample(rng, k, d)
@@ -140,25 +136,20 @@ def test_metric_resolvent_rows_dispatch():
     U = sample(rng, 6, 3)
     D = SpdMap(np.diag([1.0, 1.5, 2.0]))
     l1 = l1_op(0.7)
-    # the identity metric takes the resolvent row form
-    assert l1.has_rows_in(None) and l1.has_rows_in(SpdMap.identity(3))
     # an affine operator outside the identity goes row by row
     raw = rng.standard_normal((3, 3))
     affine = affine_op(raw @ raw.T, rng.standard_normal(3))
-    assert not affine.has_rows_in(D)
     same_rows(metric_resolvent_rows(affine, D, 0.4, U),
               [metric_resolvent(affine, D, 0.4, u) for u in U], 3)
     assert metric_resolvent_rows(affine, D, 0.4, np.empty((0, 3))).shape == (0, 3)
     # a generalized row form's output is screened, as the scalar form's is
     nan_out = MonotoneOp(None, gen_resolvent=lambda M, lam, r: np.full(3, np.nan),
                          gen_resolvent_rows=lambda M, lam, R: np.full_like(R, np.nan))
-    assert nan_out.has_rows_in(D) and not nan_out.has_rows_in(None)
     for call in (lambda: metric_resolvent(nan_out, D, 0.4, U[0]),
                  lambda: metric_resolvent_rows(nan_out, D, 0.4, U)):
         with pytest.raises(ValueError, match="^vector has non-finite entries$"):
             call()
     # and an operator with neither form is refused, as one row is
-    assert not l1.has_rows_in(D)
     for call in (lambda: metric_resolvent(l1, D, 0.4, U[0]),
                  lambda: metric_resolvent_rows(l1, D, 0.4, U)):
         with pytest.raises(ValueError, match="generalized resolvent unavailable"):

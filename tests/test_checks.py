@@ -280,6 +280,45 @@ def test_nan_outside_the_screen_fails_the_oracle(field, name):
     assert np.isnan(rep.worst_violation)
 
 
+# --- one perturbed quantity of a default-parameter run fails each oracle ---
+# (step_identities, energy_decrease and rilo: see
+# test_corruption_on_a_block_seam_is_caught and
+# test_rilo_tests_B_on_a_default_parameter_run)
+
+def perturbed(recorded_run, field, delta, row=200):
+    """The standard_suite reports, by name, of the run with delta added to
+    row `row` of its recorded field."""
+    prob, res = recorded_run
+    bad = copy.deepcopy(res)
+    getattr(bad, field)[row] += delta
+    reports = standard_suite(bad, prob.A, prob.B, q=prob.certified_solution)
+    return {r.name: r for r in reports}
+
+
+def assert_caught(rep):
+    # a finite violation above the tolerance, unlike a NaN's
+    assert not rep.passed and rep.worst_violation > rep.tol
+
+
+def test_drift_telescoping_catches_a_perturbed_correction(lasso_run):
+    # v_{n+1} enters the drift v_{n+1} + xdot_{n+1} at one row only
+    assert_caught(perturbed(lasso_run, "V", 0.01)["drift_telescoping"])
+
+
+def test_residual_ratio_catches_a_finite_perturbed_residual(lasso_run):
+    assert_caught(perturbed(lasso_run, "res2", 1.0)["residual_ratio"])
+
+
+def test_ystar_bound_catches_a_perturbed_extrapolated_point(lasso_run):
+    # B(z_n) enters y*_{n+1}, and v_{n+1} stays as recorded
+    assert_caught(perturbed(lasso_run, "Z", 0.01)["ystar_bound"])
+
+
+def test_graph_inclusion_catches_a_perturbed_correction(clamp_run):
+    # y_{n+1} and y*_{n+1} both move with v_{n+1}, off the normal cone's graph
+    assert_caught(perturbed(clamp_run, "V", 0.01)["graph_inclusion"])
+
+
 # --- the row-form protocol against its scalar fallback ---------------------
 
 def counted(fn, calls, key):

@@ -188,10 +188,11 @@ def counting(calls, key, fn):
 @pytest.mark.parametrize("rows", [True, False], ids=["row_forms", "scalar_forms"])
 @pytest.mark.parametrize("tol", [0.0, 1e-6], ids=["max_iter", "tol"])
 def test_residual_and_step_share_one_row_call(monkeypatch, rows, tol):
-    # with row forms each tested state costs one row call of B and of the
-    # resolvent, on the state and the point its step starts from; without,
-    # one scalar call each for the residual and for the step. Either way the
-    # step runs once per step taken, never ahead of the stop test
+    # each tested state costs one row call of B and of the resolvent, on the
+    # state and the point its step starts from, and a capped run one more,
+    # on its last state alone; without row forms each row is one scalar
+    # call. Either way the step runs once per step taken, never ahead of
+    # the stop test
     prob = problems.get("p2_lasso")
     calls = {}
     A = MonotoneOp(counting(calls, "resolvent", prob.A.resolvent),
@@ -206,12 +207,11 @@ def test_residual_and_step_share_one_row_call(monkeypatch, rows, tol):
                      max_iter=10**5 if tol else 300, tol=tol)
     n = res.n_iters
     assert res.stopped == ("tol" if tol else "max_iter") and 0 < n
-    final = int(not tol)     # the residual at the last state of a capped run
     if rows:
-        assert calls == dict({"B_rows": n + 1 - final, "resolvent_rows": n + 1 - final,
-                              "step": n}, **({"B": 1, "resolvent": 1} if final else {}))
+        assert calls == {"B_rows": n + 1, "resolvent_rows": n + 1, "step": n}
     else:
-        assert calls == {"B": 2 * n + 1, "resolvent": 2 * n + 1, "step": n}
+        scalar = 2 * n + (2 if tol else 1)
+        assert calls == {"B": scalar, "resolvent": scalar, "step": n}
 
 
 FORMS = ("prox_G", "prox_Fstar", "grad_Q", "grad_Pstar")
@@ -233,13 +233,14 @@ def counted_pair(calls, rows):
 @pytest.mark.parametrize("rows", [True, False], ids=["row_forms", "scalar_forms"])
 @pytest.mark.parametrize("tol", [0.0, 1e-6], ids=["max_iter", "tol"])
 def test_stacked_run_in_the_block_metric_shares_one_row_call(monkeypatch, rows, tol):
-    # with the pair's row forms each tested state costs one row call of B
-    # (each gradient) and of the generalized resolvent (each prox) and one
-    # block product with M; a run of n steps makes one scalar
-    # forward-backward call (with one product with M), the residual at the
-    # last state of a capped run, where the per-row path makes 2n + 1. No
-    # run solves with M. The replay makes no scalar call, and calls each row
-    # form once per block of rows
+    # each tested state costs one row call of B (each gradient) and of the
+    # generalized resolvent (each prox) and one block product with M, and a
+    # capped run one more of each, on its last state alone: n + 1 of each
+    # with the pair's row forms, and no scalar call. Without them each row
+    # is one scalar call of each form: 2n + 1 on a cap, 2n + 2 on a tol
+    # stop. No run makes a scalar forward-backward call, applies M to one
+    # vector or solves with M. The replay makes no scalar call, and calls
+    # each row form once per block of rows
     calls = {}
     monkeypatch.setattr(crifba, "forward_backward",
                         counting(calls, "forward_backward", crifba.forward_backward))
@@ -251,13 +252,12 @@ def test_stacked_run_in_the_block_metric_shares_one_row_call(monkeypatch, rows, 
     res = new(max_iter=10**5 if tol else 300, tol=tol)
     n = res.n_iters
     assert res.stopped == ("tol" if tol else "max_iter") and 0 < n
-    final = int(not tol)     # the residual at the last state of a capped run
-    scalar = final if rows else 2 * n + 1
-    want = dict.fromkeys(("forward_backward", "apply") + FORMS, scalar)
+    want = {"apply_each": n + 1}
     if rows:
-        want.update(dict.fromkeys([f + "_rows" for f in FORMS] + ["apply_each"],
-                                  n + 1 - final))
-    assert calls == {key: count for key, count in want.items() if count}
+        want.update(dict.fromkeys([f + "_rows" for f in FORMS], n + 1))
+    else:
+        want.update(dict.fromkeys(FORMS, 2 * n + (2 if tol else 1)))
+    assert calls == want
     calls.clear()
     q = np.concatenate(problems.get("p5_saddle").certified_solution)
     reports = checks.standard_suite(res, A, B, q=q)
@@ -353,9 +353,10 @@ def product_with(which, make):
 
 def stack_with(which, make):
     """crifba on the stacked p5_saddle inclusion in its block metric with a
-    form of the pair, or the metric's apply (and apply_each its row form),
-    replaced by make(scalar form); without row forms the pair has none, and
-    the run goes one call at a time."""
+    form of the pair replaced by make(scalar form), or with the metric's
+    apply_each, which is how the loop applies M, replaced by make(apply)
+    row by row; without row forms the pair has none, and its forms are
+    called one row at a time."""
     pair = problems.get("p5_saddle").saddle
 
     def solve(rows, ref=False, tol=0.0):
@@ -366,9 +367,7 @@ def stack_with(which, make):
                           for name in FORMS})
         scalar, row_form = make(M.apply if which == "apply" else forms[which])
         if which == "apply":
-            M.apply = scalar
-            if rows:
-                M.apply_each = row_form
+            M.apply_each = lambda X: np.array([scalar(x) for x in X])
         else:
             forms[which] = scalar
             if rows:
@@ -397,10 +396,11 @@ def same_args(setup, which):
 
 
 def arguments(setup, which):
-    """The operator's arguments in a clean one-call-at-a-time run, of the
+    """The operator's arguments in a clean run without row forms, of the
     reference loop or, on the stacked path (see same_args), of the
-    package's own loop: those of the residual at each state and those of
-    the step from each state (the two calls alternate)."""
+    package's own loop, which calls the scalar form once per row: those of
+    the residual at each state and those of the step from each state (the
+    two calls alternate)."""
     seen = []
     setup(which, lambda fn: (recording(fn, seen), None))(
         rows=False, ref=same_args(setup, which))
@@ -437,17 +437,15 @@ def test_failures_land_where_one_state_at_a_time_puts_them(setup, which, nan, fa
     residual_args, step_args = arguments(setup, which)
     r = fail + nan
     solve = setup(which, lambda fn: poisoned(fn, residual_args[r], step_args[fail]))
-    shared, one_at_a_time = outcome(lambda: solve(rows=True)), \
+    shared, per_row = outcome(lambda: solve(rows=True)), \
         outcome(lambda: solve(rows=False))
-    if r > fail:
-        want = RuntimeError("step failed")
-    elif setup is product_with and which == "resolvent":
-        want = ArithmeticError("non-finite residual at n=%d" % r)
-    else:
-        want = ValueError("vector has non-finite entries")
-    for got in (shared, one_at_a_time):
+    want = RuntimeError("step failed") if r > fail \
+        else ValueError("vector has non-finite entries")
+    for got in (shared, per_row):
         assert type(got) is type(want) and str(got) == str(want)
-    if not isinstance(want, ArithmeticError) and same_args(setup, which):
-        # the reference loop records a NaN residual of gcrifba and runs on
+    # where the row call screens a NaN block resolvent of gcrifba, the
+    # reference loop records a NaN residual and runs on
+    nan_block = setup is product_with and which == "resolvent" and r <= fail
+    if same_args(setup, which) and not nan_block:
         ref = outcome(lambda: solve(rows=False, ref=True))
         assert type(ref) is type(want) and str(ref) == str(want)

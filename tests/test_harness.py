@@ -279,6 +279,31 @@ def test_every_kind_writes_one_trace_schema(tmp_path, kind):
     assert sorted(summary["slopes"]) == ["res2", "vel2", "vn2"]
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and the infinities, which JSON lacks."""
+    def refuse(name):
+        raise ValueError("not JSON: %s" % name)
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("kind", sorted(STRIDE_CFGS))
+def test_a_run_of_no_steps_writes_strict_json(tmp_path, capsys, kind):
+    # a gcrifba run of no steps tests no state and a baseline run records no
+    # row, so their final_res2 is undefined: null in the summary file and in
+    # what `monosplit run` prints, not NaN
+    cfg = dict(STRIDE_CFGS[kind], stop={"max_iter": 0, "tol": 0.0}, output="s")
+    summary, paths = harness.run_config(cfg, outdir=str(tmp_path))
+    with open(paths["summary"]) as fh:
+        written = strict_json(fh.read())
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    capsys.readouterr()
+    assert cli.main(["run", path, "--outdir", str(tmp_path)]) == 0
+    printed = strict_json(capsys.readouterr().out)
+    undefined = kind in ("gcrifba", "fba")
+    for final in (summary["final_res2"], written["final_res2"], printed["final_res2"]):
+        assert (final is None) == undefined
+
+
 def test_check_history_roundtrip(tmp_path):
     _, paths = harness.run_config(CLAMP_CFG, outdir=str(tmp_path))
     report = harness.check_history(paths["history"], CLAMP_CFG)

@@ -382,23 +382,21 @@ def test_gcrifba_nan_from_B(k):
 @pytest.mark.parametrize("k", [0, 1, 7, 8])
 def test_gcrifba_nan_from_resolvent(k):
     # resolvent calls alternate between T(zeta_n) for the residual (even k)
-    # and the step itself (odd k: the new blocks are non-finite)
+    # and the step itself (odd k); the package's row call screens the
+    # block resolvents of both, where the reference loop records a NaN
+    # residual and runs on, or ends on the non-finite new blocks
     def go(solve):
         A_list, B, params, x0 = _three_with(resolvent=k)
         return solve(A_list, B, params, x0, max_iter=50, tol=0.0)
+    with pytest.raises(ValueError) as err:
+        go(gcrifba.run_gcrifba)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "vector has non-finite entries"
+    ref = outcome(lambda: go(reference.run_gcrifba))
     if k % 2:
-        got = same_outcome(lambda: go(gcrifba.run_gcrifba),
-                           lambda: go(reference.run_gcrifba))
-        assert type(got) is ArithmeticError
-        assert str(got) == "non-finite iterate at n=%d" % (k // 2)
+        assert type(ref) is ArithmeticError
+        assert str(ref) == "non-finite iterate at n=%d" % (k // 2)
     else:
-        # the residual screen ends the run where the reference loop
-        # records a NaN residual and runs on to max_iter
-        with pytest.raises(ArithmeticError) as err:
-            go(gcrifba.run_gcrifba)
-        assert type(err.value) is ArithmeticError
-        assert str(err.value) == "non-finite residual at n=%d" % (k // 2)
-        ref = go(reference.run_gcrifba)
         assert np.isnan(ref.res2[k // 2]) and ref.stopped == "max_iter"
 
 
@@ -407,3 +405,13 @@ def test_gcrifba_overflowing_start():
     same_failure(
         lambda: gcrifba.run_gcrifba(A_list, B, params, [1.7e308], max_iter=10),
         lambda: reference.run_gcrifba(A_list, B, params, [1.7e308], max_iter=10))
+
+
+def test_gcrifba_overflowing_residual_raises():
+    # the blocks and their resolvents are finite, but the squared residual
+    # overflows: the residual screen ends the run at the state it tests
+    A_list, B, params, _ = _three_with()
+    with np.errstate(over="ignore"), pytest.raises(ArithmeticError) as err:
+        gcrifba.run_gcrifba(A_list, B, params, [1e200], max_iter=10)
+    assert type(err.value) is ArithmeticError
+    assert str(err.value) == "non-finite residual at n=0"
