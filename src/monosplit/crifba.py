@@ -331,10 +331,11 @@ def _run(A, B, params, x0, max_iter, tol, x_prev=None, z_prev=None):
     res2 = []
 
     def residual(state, ahead):
-        X = state.x[None]
         if ahead:
             z = extrapolate(params, state)
             X = np.array([state.x, z])
+        else:
+            X = state.x[None]
         FB = _forward_backward_rows(A, B, M, lam, X, B.apply_rows(X))
         r2 = M.norm2((state.x - FB[0]) / lam)
         res2.append(r2)

@@ -189,7 +189,9 @@ def stacked_problem(problem, params):
 def _constant_gradients(problem, x0, y0):
     """The pair itself, or a shallow copy whose gradients with a declared
     Lipschitz constant of 0 return their one value, evaluated and screened
-    here once (a 0-Lipschitz gradient is constant)."""
+    here once (a 0-Lipschitz gradient is constant). A row form of such a
+    gradient, when the pair has one, becomes a read-only block of that
+    value, made once per block height."""
     if problem.lip_Q != 0.0 and problem.lip_Pstar != 0.0:
         return problem
     pair = copy.copy(problem)
@@ -199,7 +201,24 @@ def _constant_gradients(problem, x0, y0):
             g = as_vector(getattr(problem, name)(at)).copy()
             g.flags.writeable = False
             setattr(pair, name, lambda _, g=g: g)
+            if getattr(problem, name + "_rows") is not None:
+                setattr(pair, name + "_rows", _constant_rows(g))
     return pair
+
+
+def _constant_rows(g):
+    """Row form of the constant map to g: the read-only (k, d) block of
+    rows g, one per block height k."""
+    blocks = {}
+
+    def rows(X):
+        G = blocks.get(len(X))
+        if G is None:
+            G = blocks[len(X)] = np.tile(g, (len(X), 1))
+            G.flags.writeable = False
+        return G
+
+    return rows
 
 
 def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):

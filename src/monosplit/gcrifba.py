@@ -133,10 +133,11 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
 
     def residual(state, ahead):
         zb = state.x
-        stack = zb[None]
         if ahead:
             z = extrapolate(params, state)
             stack = np.array([zb, z])
+        else:
+            stack = zb[None]
         U, R = _resolvents(stack, A_list, B, lam, weights)
         diff = _T_blocks(zb, U[0], R[0]) - zb
         r2 = float((wcol * diff * diff).sum())

@@ -1,4 +1,12 @@
-"""Desk-scale test problems with independently certified solutions."""
+"""Desk-scale test problems with independently certified solutions.
+
+The random instances (the lasso data of p2_lasso and p5_lasso_pd, and K
+and a of p5_saddle) are recorded float64 draws of numpy's default
+generator seeded with SEED and SEED + 1, written out by repr, which
+round-trips a float exactly; building them imports no numpy.random. The
+lasso solution is certified by lasso_oracle, which enumerates every sign
+pattern and solves the patterns of one support in one batched call.
+"""
 
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -8,10 +16,32 @@ from typing import Callable, Optional
 import numpy as np
 
 from .metriclin import SpdMap, as_vector, operator_norm
-from .operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair,
+from .operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair, _soft,
                         affine_op, box_op, l1_op, prox_l1, zero_op)
 
+# the source of the recorded draws below: with rng = default_rng(SEED),
+# _LASSO_K is rng.standard_normal((5, 5)) and _LASSO_B the next
+# standard_normal(5); with rng = default_rng(SEED + 1), _SADDLE_K is
+# rng.standard_normal((2, 2)) and _SADDLE_A the next standard_normal(2)
 SEED = 0x5EED
+
+_LASSO_K = (
+    (0.33352022349401306, 0.9172215260365335, 1.5730051894320924,
+     -0.016294883913270213, -1.6944050029422977),
+    (1.0453565912042704, 1.1655008276549355, -0.7525601906848596,
+     -0.6189613039986762, -1.4143017502421436),
+    (-0.30351918084892965, -0.6379541313240132, 0.5501089729187354,
+     -0.7914037419617501, 0.4480199326212812),
+    (0.6144549027024118, -0.2572101641020711, 0.47294125011147975,
+     1.2829082114582062, -0.6712604630766571),
+    (-0.36091163096569345, -0.465203451955796, 1.6517807904407567,
+     -0.43520036641850723, -0.356847947681846),
+)
+_LASSO_B = (-1.0386975428783947, -2.1146222599910818, -1.8467257940274615,
+            0.14969169776806054, -0.1986179504701014)
+_SADDLE_K = ((-1.7603796301471144, -1.4341948167777552),
+             (-0.797776673973188, -1.1876650029808788))
+_SADDLE_A = (0.35170086403236667, -0.3403717362114469)
 
 
 @dataclass
@@ -82,24 +112,40 @@ def lasso_oracle(K, b, mu):
     For each candidate support with signs s, solve the stationarity system
     on the support and keep patterns whose solution matches the signs and
     whose inactive coordinates satisfy the dual bound. Ties resolved by
-    objective value.
+    objective value: the first minimum in the enumeration order of
+    product((-1, 0, 1), repeat=d) wins.
+
+    The patterns are solved one support at a time: the support's Gram
+    matrix and K^T b are formed once, and one batched solve gives every
+    pattern of the support its own single right-hand-side solve. A singular
+    support skips all of its patterns.
     """
     d = K.shape[1]
+    S = np.array(list(product((-1.0, 0.0, 1.0), repeat=d)))
+    codes = (S != 0) @ (1 << np.arange(d))
+    found = {}                          # pattern index -> x on its support
+    for code in range(1 << d):
+        idx = np.flatnonzero(codes == code)
+        free = S[idx[0]] != 0
+        if not free.any():
+            found[idx[0]] = np.zeros(0)
+            continue
+        KF = K[:, free]
+        G = KF.T @ KF
+        SF = S[idx][:, free]
+        try:
+            XF = np.linalg.solve(np.broadcast_to(G, (len(idx),) + G.shape),
+                                 (KF.T @ b - mu * SF)[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            continue
+        for i in np.flatnonzero((np.sign(XF) == SF).all(axis=1)):
+            found[idx[i]] = XF[i]
     best = None
     best_obj = np.inf
-    for signs in product((-1, 0, 1), repeat=d):
-        s = np.array(signs, dtype=float)
-        free = s != 0
+    for i in sorted(found):
+        free = S[i] != 0
         x = np.zeros(d)
-        if free.any():
-            KF = K[:, free]
-            try:
-                xf = np.linalg.solve(KF.T @ KF, KF.T @ b - mu * s[free])
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(np.sign(xf) != s[free]):
-                continue
-            x[free] = xf
+        x[free] = found[i]
         g = K.T @ (K @ x - b)
         if np.any(np.abs(g[~free]) > mu * (1 + 1e-12) + 1e-12):
             continue
@@ -126,15 +172,23 @@ def lasso_cert(K, b, mu, x, tol_active=1e-9):
 @lru_cache(maxsize=None)
 def _lasso_instance():
     """K, b, mu and the oracle solution q of the seeded lasso instance,
-    computed once per process (the oracle takes 3^5 solves); read-only."""
-    rng = np.random.default_rng(SEED)
-    K = rng.standard_normal((5, 5))
-    b = rng.standard_normal(5)
+    computed once per process; read-only. K and b are the recorded draws
+    _LASSO_K and _LASSO_B; q comes from lasso_oracle, which solves the 3^5
+    sign patterns one support at a time (2^5 batched solves)."""
+    K = np.array(_LASSO_K)
+    b = np.array(_LASSO_B)
     mu = 0.3 * np.abs(K.T @ b).max()
     q = lasso_oracle(K, b, mu)
     for a in (K, b, q):
         a.flags.writeable = False
     return K, b, mu, q
+
+
+@lru_cache(maxsize=None)
+def _lasso_beta():
+    """Co-coercivity modulus 1/||K||^2 of the lasso gradient, by the power
+    iteration of operator_norm once per process."""
+    return 1.0 / operator_norm(_lasso_instance()[0]) ** 2
 
 
 def _lasso_data():
@@ -146,7 +200,7 @@ def _lasso_data():
 
 def _p2_lasso():
     K, b, mu, q = _lasso_data()
-    beta = 1.0 / operator_norm(K) ** 2
+    beta = _lasso_beta()
     A = l1_op(mu)
 
     def grad_rows(X):
@@ -216,9 +270,8 @@ def _p4_three():
 
 
 def _p5_saddle():
-    rng = np.random.default_rng(SEED + 1)
-    K = rng.standard_normal((2, 2))
-    a = rng.standard_normal(2)
+    K = np.array(_SADDLE_K)
+    a = np.array(_SADDLE_A)
     pair = SaddleFunctionPair(
         prox_G=lambda tau, u: as_vector(u),
         prox_Fstar=lambda sigma, u: as_vector(u) / (1.0 + sigma),
@@ -251,7 +304,7 @@ def _p5_lasso_pd():
         grad_Q=lambda x: np.zeros_like(as_vector(x)), lip_Q=0.0,
         grad_Pstar=lambda y: np.zeros_like(as_vector(y)), lip_Pstar=0.0,
         K=K, label="l1_least_squares_saddle",
-        prox_G_rows=lambda tau, U: prox_l1(tau * mu, U.reshape(-1)).reshape(U.shape),
+        prox_G_rows=lambda tau, U: _soft(tau * mu, U),
         prox_Fstar_rows=lambda sigma, U: (U - sigma * b) / (1.0 + sigma),
         grad_Q_rows=np.zeros_like,
         grad_Pstar_rows=np.zeros_like)

@@ -57,18 +57,18 @@ def test_cripda_screens_per_step(screens):
     # cripda runs the core step on the stack, with its residual and its
     # step sharing one row call of each operator: B's row form screens the
     # block of x_n and z_n and its value (2 as_rows), the stack's resolvent
-    # row form the block of M u - B(u) (1) and the catalog l1 prox its
-    # input tau (M u - B(u)) (1 as_vector), and the output block is
-    # screened as it returns (1); M u itself is not screened, nor is any
-    # of these values a second time. vel2 is formed RECORD_ROWS states at
-    # a time, one screen of each block
+    # row form the block of M u - B(u) (1), and the output block is
+    # screened as it returns (1); the catalog l1 prox row form soft-
+    # thresholds its block unscreened, and M u itself is not screened, nor
+    # is any of these values a second time. vel2 is formed RECORD_ROWS
+    # states at a time, one screen of each block
     prob = problems.get("p5_lasso_pd")
     step = 0.7 / operator_norm(prob.saddle.K)
     params = cripda.CripdaParams(tau=step, sigma=step)
     y0 = 0.01 * np.random.default_rng(1).standard_normal(5)
     got = per_step(screens, lambda n: cripda.run_cripda(
         prob.saddle, params, start(prob, 1), y0, max_iter=n, tol=0.0))
-    assert got == {"as_vector": 1, "as_rows": 4 + 1 / crifba.RECORD_ROWS}
+    assert got == {"as_vector": 0, "as_rows": 4 + 1 / crifba.RECORD_ROWS}
 
 
 def test_crifba_and_gcrifba_screen_only_blocks(screens):
