@@ -45,11 +45,14 @@ def default_gcrifba_params(beta, safety=0.9, **overrides):
 
 
 def validate_gcrifba(params):
+    """The step bound 4w(1-w)beta; ValueError on a bad schedule or lam."""
     reasons = schedule_violations(params)
-    if not 0.0 < params.lam < 4.0 * params.w * (1.0 - params.w) * params.beta:
+    bound = 4.0 * params.w * (1.0 - params.w) * params.beta
+    if not 0.0 < params.lam < bound:
         reasons.append("lam outside (0, 4w(1-w)beta)")
     if reasons:
         raise ValueError("invalid product-space parameters: " + "; ".join(reasons))
+    return bound
 
 
 def _resolvents(Z, A_list, B, lam, weights):

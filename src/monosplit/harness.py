@@ -10,7 +10,9 @@ import numpy as np
 
 from . import baselines, checks, cripda, crifba, gcrifba, problems
 
-BASELINE_KINDS = set(baselines._KINDS)
+# the field of a catalog problem that each solver kind runs on
+_FORMS = {"crifba": "A", "gcrifba": "A_list", "cripda": "saddle",
+          **dict.fromkeys(baselines._KINDS, "A")}
 
 
 def load_config(path):
@@ -33,47 +35,45 @@ def _crifba_params(problem, solver_cfg):
     return crifba.default_params(problem.L_map(), **overrides)
 
 
+def _problem(cfg, kind):
+    """The config's catalog problem, which the solver kind must run on."""
+    if kind not in _FORMS:
+        raise ValueError("unknown solver kind %r" % kind)
+    problem = problems.get(cfg["problem"])
+    if getattr(problem, _FORMS[kind]) is None:
+        raise ValueError("solver kind %r does not run on problem %r"
+                         % (kind, problem.name))
+    return problem
+
+
 def validate_config(cfg):
-    """Run every applicable validator; returns (ok, report)."""
+    """Make the checks a run of cfg makes, with its parameters, and no step;
+    returns (ok, report), with the run's error message when it would fail."""
     solver = cfg.get("solver", {})
     kind = solver.get("kind", "crifba")
     report = {"problem": cfg.get("problem"), "kind": kind}
     try:
         trace_stride(cfg)
-        problem = problems.get(cfg["problem"])
+        stop_limits(cfg)
+        problem = _problem(cfg, kind)
         if kind == "crifba":
             params = _crifba_params(problem, solver)
-            ok, reasons = crifba.validate_core(params)
-            report["core_violations"] = reasons
+            ok, report["core_violations"] = crifba.validate_core(params)
             metric = crifba.validate_metric(params, d=problem.d)
-            report["selector"] = metric.selector
-            report["margins"] = metric.margins
-            # the message crifba.validate raises, as the other kinds report it
-            if not ok:
-                report["error"] = "invalid parameters: " + "; ".join(reasons)
-            elif not metric.ok:
-                report["error"] = ("step/metric conditions failed, margins: %r"
-                                   % metric.margins)
-            return (ok and metric.ok), report
-        if kind == "gcrifba":
-            params = _gcrifba_params(problem, solver)
-            gcrifba.validate_gcrifba(params)
-            report["lam_bound"] = 4.0 * params.w * (1.0 - params.w) * params.beta
-            return True, report
-        if kind == "cripda":
-            params = _cripda_params(solver)
-            selector, margins = cripda.validate_cripda(params, problem.saddle)
-            report["selector"] = selector
-            report["margins"] = margins
-            return True, report
-        if kind in BASELINE_KINDS:
-            lam = solver.get("lam", baselines.default_step(kind, problem))
-            report["lam"] = lam
-            # re-use the runner's own feasibility guards without iterating
-            baselines.run_baseline(kind, problem, problem.start, lam=lam, max_iter=0)
-            return True, report
-        report["error"] = "unknown solver kind %r" % kind
-        return False, report
+            report["selector"], report["margins"] = metric.selector, metric.margins
+            if not (ok and metric.ok):
+                crifba.validate(params, d=problem.d)    # raises the run's error
+        elif kind == "gcrifba":
+            report["lam_bound"] = gcrifba.validate_gcrifba(
+                _gcrifba_params(problem, solver))
+        elif kind == "cripda":
+            report["selector"], report["margins"] = cripda.validate_cripda(
+                _cripda_params(solver), problem.saddle)
+        else:
+            params = _baseline_params(kind, problem, solver)
+            report["lam"] = params["lam"]
+            baselines.baseline_step(kind, problem, **params)
+        return True, report
     except (ValueError, KeyError) as exc:
         report["error"] = str(exc)
         return False, report
@@ -105,6 +105,15 @@ def _gcrifba_params(problem, solver_cfg):
 def _cripda_params(solver_cfg):
     keys = ("tau", "sigma", "e", "s0", "s1", "nu0", "w", "delta")
     return cripda.CripdaParams(**{k: solver_cfg[k] for k in keys if k in solver_cfg})
+
+
+def _baseline_params(kind, problem, solver_cfg):
+    """A baseline run's keyword arguments, lam default_step when unset."""
+    keys = ("lam", "alpha", "inertia", "ac_alpha", "ac_rho")
+    params = {k: solver_cfg[k] for k in keys if k in solver_cfg}
+    if params.get("lam") is None:
+        params["lam"] = baselines.default_step(kind, problem)
+    return params
 
 
 def fit_slope(ns, values, window=None):
@@ -149,6 +158,22 @@ def trace_stride(cfg):
     return stride
 
 
+def stop_limits(cfg):
+    """The config's max_iter, an integer >= 0 (default 10**6; 1e6 reads as
+    one), and tol, a number >= 0 (default 1e-9); ValueError otherwise."""
+    stop = cfg.get("stop", {})
+    if type(stop) is not dict:
+        raise ValueError("stop must be an object, got %r" % (stop,))
+    max_iter = stop.get("max_iter", 10**6)
+    if type(max_iter) not in (int, float) or not max_iter >= 0 \
+            or max_iter % 1 != 0:
+        raise ValueError("max_iter must be an integer >= 0, got %r" % (max_iter,))
+    tol = stop.get("tol", 1e-9)
+    if type(tol) not in (int, float) or not tol >= 0:
+        raise ValueError("tol must be a number >= 0, got %r" % (tol,))
+    return int(max_iter), float(tol)
+
+
 def write_trace_csv(path, columns):
     """Write the trace columns (name: 1-D array, in CSV order, the integer
     n first); floats as %.17g, NaN (an undefined cell) as an empty cell."""
@@ -167,29 +192,28 @@ def run_config(cfg, outdir=None):
     gives its strided trace columns; the tail writes the columns of
     crifba.TRACE_COLUMNS, NaN where a kind gives none, and fits vel2, vn2
     and res2."""
-    outdir = outdir or output_dir()
-    os.makedirs(outdir, exist_ok=True)
-    problem = problems.get(cfg["problem"])
+    stride = trace_stride(cfg)
+    max_iter, tol = stop_limits(cfg)
     solver = cfg.get("solver", {})
     kind = solver.get("kind", "crifba")
-    stop = cfg.get("stop", {})
-    max_iter = int(stop.get("max_iter", 10**6))
-    tol = float(stop.get("tol", 1e-9))
-    stride = trace_stride(cfg)
+    problem = _problem(cfg, kind)
+    outdir = outdir or output_dir()
+    os.makedirs(outdir, exist_ok=True)
     base = os.path.join(outdir, cfg.get("output", "run_%s" % config_hash(cfg)))
     paths = {"csv": base + ".csv", "summary": base + ".summary.json"}
 
     if kind in ("crifba", "cripda"):
-        A, B, params = _core_problem(problem, solver)
         if kind == "crifba":
-            result = crifba.run(A, B, params, problem.start, max_iter=max_iter,
-                                tol=tol)
+            A, B = problem.A, problem.B
+            result = crifba.run(A, B, _crifba_params(problem, solver), problem.start,
+                                max_iter=max_iter, tol=tol)
             candidate = result.x
         else:
             pd = cripda.run_cripda(problem.saddle, _cripda_params(solver),
                                    problem.start, np.zeros(problem.saddle.d_dual),
                                    max_iter=max_iter, tol=tol)
             result, candidate = pd.core, (pd.x, pd.y)
+            A, B = cripda.stacked_operators(problem.saddle)
         trace = crifba.diagnostics(result, A, B, q=_core_solution(problem),
                                    stride=stride)
         cols = {name: trace[name] for name in crifba.TRACE_COLUMNS}
@@ -207,21 +231,16 @@ def run_config(cfg, outdir=None):
                 "res2": result.res2[n]}
         final_res2 = result.res2[len(result.ns) - 1]
         candidate = result.x
-    elif kind in BASELINE_KINDS:
-        extra = {k: solver[k] for k in ("lam", "alpha", "inertia", "ac_alpha",
-                                        "ac_rho") if k in solver}
+    else:
+        params = _baseline_params(kind, problem, solver)
         result = baselines.run_baseline(kind, problem, problem.start,
                                         max_iter=max_iter, tol=tol,
-                                        stride=stride, **extra)
+                                        stride=stride, **params)
         cols = {"n": result.ns, "vel2": result.vel2, "res2": result.res2}
         final_res2 = result.res2[-1] if len(result.res2) else math.nan
         candidate = result.x
         if kind == "dr":
-            candidate = baselines.dr_shadow(
-                problem, solver.get("lam", baselines.default_step(kind, problem)),
-                result.x)
-    else:
-        raise ValueError("unknown solver kind %r" % kind)
+            candidate = baselines.dr_shadow(problem, params["lam"], result.x)
 
     undefined = np.full(len(cols["n"]), np.nan)
     cols = {name: cols.get(name, undefined) for name in crifba.TRACE_COLUMNS}

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from monosplit import problems
-from monosplit.baselines import (_attouch_cabot, _chambolle_dossal, _dr, _fb,
-                                 _fbf, _lorenz_pock, _moudafi_oliny, _ppa,
-                                 default_step, dr_shadow, run_baseline)
+from monosplit.baselines import (baseline_step, default_step, dr_shadow,
+                                 run_baseline)
 from monosplit.crifba import CrifbaParams, KMState, crifba_step
 from monosplit.harness import fit_slope
 from monosplit.metriclin import SpdMap
 
-# The step formulas are the private steps _ppa ... _chambolle_dossal, which
-# take screened 1-D float64 arrays; the examples below call them directly
-# or through one step of run_baseline.
+# The step examples go through baseline_step, the step a run takes after
+# its checks; it takes screened 1-D float64 arrays and returns x_{n+1}
+# and the residual vector at x_n.
 
 
 @pytest.fixture(scope="module")
@@ -31,64 +30,69 @@ def one_step(kind, problem, x0, lam):
     return res.x
 
 
-def fba(clamp, lam, x):
+def step_at(kind, problem, lam, n, x, x_prev=None, **kw):
+    """x_{n+1} and the residual at x_n of one step of baseline_step."""
     x = np.array(x)
-    return _fb(clamp.A.resolvent, lam, x, clamp.B(x))
+    x_prev = x if x_prev is None else np.array(x_prev)
+    return baseline_step(kind, problem, lam, **kw)(n, x, x_prev)
 
 
 def test_fba_step_example(clamp):
     # x = 2: forward point 2 - 0.5*(2-1) = 1.5, clamp leaves it
     assert one_step("fba", clamp, [2.0], 0.5)[0] == pytest.approx(1.5)
-    # x = -1: forward point -1 - 0.5*(-2) = 0, already on the boundary
-    assert fba(clamp, 0.5, [-1.0])[0] == pytest.approx(0.0)
+    # x = -1: forward point -1 - 0.5*(-2) = 0, already on the boundary;
+    # the residual is (x - fb)/lam = -2
+    x_next, r = step_at("fba", clamp, 0.5, 0, [-1.0])
+    assert (x_next[0], r[0]) == pytest.approx((0.0, -2.0))
 
 
 def test_ppa_step_example(clamp):
     # resolvent of the full sum: clip((u + lam)/(1 + lam), 0, inf)
     assert one_step("ppa", clamp, [3.0], 1.0)[0] == pytest.approx(2.0)
-    assert _ppa(clamp.extras["sum_op"], 1.0, np.array([3.0]))[0] == pytest.approx(2.0)
+    assert step_at("ppa", clamp, 1.0, 0, [3.0])[0][0] == pytest.approx(2.0)
 
 
 def test_fbf_step_example(clamp):
-    # x = 2, lam = 0.5: y = 1.5, correction -0.5*(0.5 - 1.0) = +0.25
+    # x = 2, lam = 0.5: y = 1.5, correction -0.5*(0.5 - 1.0) = +0.25; the
+    # residual (x - y)/lam = 1
     assert one_step("fbf", clamp, [2.0], 0.5)[0] == pytest.approx(1.75)
-    x_next, y = _fbf(clamp.A, clamp.B, 0.5, np.array([2.0]))
-    assert (x_next[0], y[0]) == pytest.approx((1.75, 1.5))
+    x_next, r = step_at("fbf", clamp, 0.5, 0, [2.0])
+    assert (x_next[0], r[0]) == pytest.approx((1.75, 1.0))
 
 
 def test_dr_step_fixed_point(clamp):
     # at the solution of the inclusion the governing map is stationary
-    out = _dr(clamp.A, clamp.B_resolvent, 1.0, np.array([1.0]))
-    assert out[0] == pytest.approx(1.0)
+    x_next, r = step_at("dr", clamp, 1.0, 0, [1.0])
+    assert (x_next[0], r[0]) == pytest.approx((1.0, 0.0))
 
 
 def test_inertial_steps_extrapolate(clamp):
     # same data, different evaluation point for the smooth part
-    x, xp = np.array([2.0]), np.array([1.0])
-    mo = _moudafi_oliny(clamp.A, 0.5, 0.5, x, xp, clamp.B(x))
-    lp = _lorenz_pock(clamp.A, clamp.B, 0.5, 0.5, x, xp)
+    x, xp = [2.0], [1.0]
+    mo = step_at("moudafi_oliny", clamp, 0.5, 5, x, xp, inertia=0.5)[0]
+    lp = step_at("lorenz_pock", clamp, 0.5, 5, x, xp, inertia=0.5)[0]
     # z = 2.5; B at x gives 2.5 - 0.5*1 = 2.0, B at z gives 2.5 - 0.5*1.5
     assert mo[0] == pytest.approx(2.0)
     assert lp[0] == pytest.approx(1.75)
 
 
 def test_attouch_cabot_step_no_inertia_full_relaxation(clamp):
-    # alpha_n = 0 and w_n = 1 reduce to the plain forward-backward step
-    x = np.array([2.0])
-    out = _attouch_cabot(clamp.A, clamp.B, 0.5, 0.0, 1.0, x, x)
-    assert out[0] == pytest.approx(fba(clamp, 0.5, x)[0])
+    # at n = 0, alpha_n = 0 and w_n = 1 reduce to the plain
+    # forward-backward step
+    x, xp = [2.0], [7.0]
+    out = step_at("attouch_cabot", clamp, 0.5, 0, x, xp)[0]
+    assert out[0] == pytest.approx(step_at("fba", clamp, 0.5, 0, x)[0][0])
 
 
 def test_chambolle_dossal_step_momentum_coefficient(clamp):
-    f_grad = clamp.extras["f_grad"]
-    g_prox = clamp.extras["g_prox"]
-    x, xp = np.array([2.0]), np.array([5.0])
+    x, xp = [2.0], [5.0]
     # n = 0 has no momentum
-    out0 = _chambolle_dossal(f_grad, g_prox, 0.5, 3.1, 0, x, xp)
+    out0 = step_at("chambolle_dossal", clamp, 0.5, 0, x, xp)[0]
     assert out0[0] == pytest.approx(1.5)
-    # n = 3, alpha = 3: momentum (3-1)/(3+3-1) = 0.4, z = 2.4
-    out3 = _chambolle_dossal(f_grad, g_prox, 0.5, 3.0, 3, x, np.array([1.0]))
-    assert out3[0] == pytest.approx(2.4 - 0.5 * 1.4)
+    # n = 3, alpha = 3.5: momentum (3-1)/(3+3.5-1) = 4/11, z = 26/11, and
+    # z - 0.5*(z - 1) = 37/22
+    out3 = step_at("chambolle_dossal", clamp, 0.5, 3, x, [1.0], alpha=3.5)[0]
+    assert out3[0] == pytest.approx(37.0 / 22.0)
 
 
 def test_default_steps(clamp):
@@ -99,19 +103,35 @@ def test_default_steps(clamp):
     assert default_step("dr", clamp) == 1.0
 
 
-def test_run_guards(clamp, lasso):
-    with pytest.raises(ValueError):
-        run_baseline("nope", clamp, clamp.start)
-    with pytest.raises(ValueError):
-        run_baseline("fba", clamp, clamp.start, lam=2.5)   # > 2 beta
-    with pytest.raises(ValueError):
-        run_baseline("fbf", clamp, clamp.start, lam=1.5)   # > 1/Lip
-    with pytest.raises(ValueError):
-        run_baseline("chambolle_dossal", clamp, clamp.start, alpha=2.0)
-    with pytest.raises(ValueError):
-        run_baseline("ppa", lasso, lasso.start)            # no sum resolvent
-    with pytest.raises(ValueError):
-        run_baseline("dr", lasso, lasso.start)             # no B resolvent
+@pytest.mark.parametrize("kind,name,kw,message", [
+    ("nope", "p1_clamp", {}, "unknown baseline kind 'nope'"),
+    ("fba", "p1_clamp", {"lam": 2.5}, "step must lie in (0, 2*beta)"),
+    ("attouch_cabot", "p1_clamp", {"lam": 0.0}, "step must lie in (0, 2*beta)"),
+    ("fbf", "p1_clamp", {"lam": 1.5}, "step must lie in (0, 1/Lipschitz)"),
+    ("chambolle_dossal", "p1_clamp", {"lam": 0.5, "alpha": 3.0},
+     "momentum parameter must exceed 3"),
+    ("chambolle_dossal", "p1_clamp", {"lam": 1.5},
+     "step must lie in (0, 1/Lipschitz)"),
+    ("chambolle_dossal", "p3_spectrum", {},
+     "this problem has no f_grad and g_prox split"),
+    ("ppa", "p2_lasso", {}, "this problem has no resolvent of the full sum"),
+    ("dr", "p2_lasso", {}, "this problem has no resolvent form for B"),
+])
+def test_baseline_step_refuses_what_a_run_refuses(kind, name, kw, message):
+    prob = problems.get(name)
+    kw = dict({"lam": None}, **kw)
+    for make in (lambda: baseline_step(kind, prob, **kw),
+                 lambda: run_baseline(kind, prob, prob.start, max_iter=0, **kw)):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("stride", [0, -2, 1.5, float("nan"), float("inf")])
+def test_a_run_refuses_a_stride_that_is_not_a_positive_integer(clamp, stride):
+    with pytest.raises(ValueError) as err:
+        run_baseline("fba", clamp, clamp.start, max_iter=10, stride=stride)
+    assert str(err.value) == "stride must be an integer >= 1, got %r" % (stride,)
 
 
 def test_all_kinds_converge_on_clamp(clamp):
@@ -124,17 +144,21 @@ def test_all_kinds_converge_on_clamp(clamp):
         assert ok, (kind, r)
 
 
-def test_stride_rows(clamp):
+@pytest.mark.parametrize("stride", [10, 10.0])
+def test_stride_rows(clamp, stride):
     res = run_baseline("fba", clamp, clamp.start, max_iter=100, tol=0.0,
-                       stride=10)
+                       stride=stride)
     assert list(res.ns) == list(range(0, 100, 10))
     assert len(res.vel2) == len(res.res2) == 10
 
 
 def test_attouch_cabot_matches_core_without_inertia(clamp):
     # constant schedule (s0 = e, s1 = 0) makes the core update the relaxed
-    # forward-backward iteration, which is the alpha_n = 0, w_n = w case
+    # forward-backward iteration, which is the alpha_n = 0, w_n = w case:
+    # at n = 1, alpha_n = max(0, 1 - ac_alpha) = 0 and w_n = 1 - ac_rho = w
     lam, w = 0.9, 0.5
+    step = baseline_step("attouch_cabot", clamp, lam, ac_alpha=1.0,
+                         ac_rho=1.0 - w)
     params = CrifbaParams(e=3.0, s0=3.0, s1=0.0, lam=lam, w=w,
                           L=SpdMap(np.eye(1)))
     x = np.array([4.0])
@@ -143,7 +167,7 @@ def test_attouch_cabot_matches_core_without_inertia(clamp):
     xa_prev = x.copy()
     for _ in range(60):
         state = crifba_step(state, params, clamp.A, clamp.B)
-        nxt = _attouch_cabot(clamp.A, clamp.B, lam, 0.0, w, xa, xa_prev)
+        nxt = step(1, xa, xa_prev)[0]
         xa_prev, xa = xa, nxt
         # the core correction term vanishes only in the limit of the
         # constant schedule when gamma = 0, which s0 = e delivers exactly
@@ -154,17 +178,15 @@ def test_objective_decay_on_lasso(lasso):
     # momentum prox-gradient on the small l1 least-squares problem: the
     # objective gap decays superlinearly on the log-log scale; fit over the
     # final decade of a 250-iteration run
-    f_grad = lasso.extras["f_grad"]
-    g_prox = lasso.extras["g_prox"]
     obj = lasso.extras["objective"]
     opt = lasso.extras["objective_opt"]
-    lam = 0.9 * lasso.beta
+    step = baseline_step("chambolle_dossal", lasso, 0.9 * lasso.beta)
     x = lasso.start.copy()
     x_prev = x.copy()
     gaps = []
     for n in range(250):
         gaps.append(obj(x) - opt)
-        nxt = _chambolle_dossal(f_grad, g_prox, lam, 3.1, n, x, x_prev)
+        nxt = step(n, x, x_prev)[0]
         x_prev, x = x, nxt
     fit = fit_slope(np.arange(250), np.array(gaps))
     assert fit["status"] == "ok"

@@ -199,6 +199,125 @@ def test_a_stride_that_is_not_a_positive_integer_is_refused(tmp_path, capsys,
     assert not os.path.exists(tmp_path / "s.csv")
 
 
+BAD_STOPS = [({"max_iter": "x"}, "max_iter must be an integer >= 0, got 'x'"),
+             ({"max_iter": -1}, "max_iter must be an integer >= 0, got -1"),
+             ({"max_iter": 1.5}, "max_iter must be an integer >= 0, got 1.5"),
+             ({"max_iter": True}, "max_iter must be an integer >= 0, got True"),
+             ({"max_iter": float("inf")},
+              "max_iter must be an integer >= 0, got inf"),
+             ({"tol": "abc"}, "tol must be a number >= 0, got 'abc'"),
+             ({"tol": -1e-9}, "tol must be a number >= 0, got -1e-09"),
+             ({"tol": float("nan")}, "tol must be a number >= 0, got nan"),
+             ({"tol": False}, "tol must be a number >= 0, got False"),
+             ([], "stop must be an object, got []")]
+
+
+@pytest.mark.parametrize("stop,message", BAD_STOPS)
+@pytest.mark.parametrize("kind", sorted(STRIDE_CFGS))
+def test_a_malformed_stop_block_is_refused(tmp_path, capsys, kind, stop,
+                                           message):
+    cfg = dict(STRIDE_CFGS[kind], stop=stop, output="s")
+    ok, report = harness.validate_config(cfg)
+    assert not ok and report["error"] == message
+    with pytest.raises(ValueError) as err:
+        harness.run_config(cfg, outdir=str(tmp_path))
+    assert str(err.value) == message
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    capsys.readouterr()
+    for argv in (["validate", path], ["run", path, "--outdir", str(tmp_path)]):
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == message
+    assert cli.main(["compare", path, "--outdir", str(tmp_path)]) == 1
+    entry = json.loads(capsys.readouterr().out)[0]
+    assert entry["status"] == "invalid" and entry["report"]["error"] == message
+    assert not os.path.exists(tmp_path / "s.csv")
+
+
+def test_a_stop_block_reads_integral_floats_and_integer_tolerances(tmp_path):
+    # JSON writes 1e6 as a float; int() has always read it as 10**6
+    assert harness.stop_limits({"stop": {"max_iter": 1e6, "tol": 0}}) == (10**6, 0.0)
+    assert harness.stop_limits({}) == (10**6, 1e-9)
+    cfg = dict(STRIDE_CFGS["fba"], stop={"max_iter": 20.0, "tol": 0}, output="s")
+    assert harness.validate_config(cfg)[0]
+    assert harness.run_config(cfg, outdir=str(tmp_path))[0]["iterations"] == 20
+
+
+def _solver(problem, kind, **solver):
+    return {"problem": problem, "solver": dict(solver, kind=kind)}
+
+
+# configs that a run refuses, each for one reason but the last, which has
+# two; monosplit validate must refuse them with the message the run raises
+REFUSED = {
+    "crifba_lam": _solver("p1_clamp", "crifba", lam=2.0),
+    "crifba_schedule": _solver("p1_clamp", "crifba", s0=5.0),
+    "gcrifba_schedule": _solver("p4_three", "gcrifba", s1=2.0),
+    "gcrifba_lam": _solver("p4_three", "gcrifba", lam=1.5),
+    "cripda_tau": _solver("p5_saddle", "cripda", tau=5.0, sigma=0.2),
+    "cripda_schedule": _solver("p5_saddle", "cripda", tau=0.2, sigma=0.2,
+                               e=2.0),
+    "fba_lam": _solver("p1_clamp", "fba", lam=5.0),
+    "fbf_lam": _solver("p1_clamp", "fbf", lam=1.5),
+    "lorenz_pock_lam": _solver("p1_clamp", "lorenz_pock", lam=-0.5),
+    "chambolle_dossal_alpha": _solver("p1_clamp", "chambolle_dossal", alpha=2.0),
+    "chambolle_dossal_no_split": _solver("p3_spectrum", "chambolle_dossal"),
+    "ppa_no_sum_resolvent": _solver("p2_lasso", "ppa"),
+    "dr_no_B_resolvent": _solver("p2_lasso", "dr"),
+    "crifba_on_three_operators": _solver("p4_three", "crifba"),
+    "crifba_on_saddle": _solver("p5_saddle", "crifba"),
+    "gcrifba_on_two_operators": _solver("p1_clamp", "gcrifba"),
+    "cripda_on_two_operators": _solver("p2_lasso", "cripda", tau=0.2, sigma=0.2),
+    "fba_on_three_operators": _solver("p6_res_sum", "fba"),
+    "fbf_on_saddle": _solver("p5_lasso_pd", "fbf"),
+    "unknown_kind": _solver("p1_clamp", "mystery"),
+    "unknown_kind_and_problem": _solver("p9_nope", "mystery"),
+    "unknown_problem": _solver("p9_nope", "fba"),
+    "no_problem": {"solver": {"kind": "fba"}},
+    "stride": dict(_solver("p1_clamp", "fbf"), stride=0),
+    "stop_max_iter": dict(_solver("p1_clamp", "attouch_cabot"),
+                          stop={"max_iter": -1}),
+    "stop_tol": dict(_solver("p5_saddle", "cripda", tau=0.2, sigma=0.2),
+                     stop={"tol": "abc"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_validate_refuses_what_run_refuses_with_its_message(tmp_path, name):
+    cfg = dict(REFUSED[name], output="r")
+    cfg.setdefault("stop", {"max_iter": 20, "tol": 0.0})
+    ok, report = harness.validate_config(cfg)
+    assert not ok
+    with pytest.raises((ValueError, KeyError)) as err:
+        harness.run_config(cfg, outdir=str(tmp_path))
+    assert str(err.value) == report["error"]
+    assert not os.path.exists(tmp_path / "r.csv")
+
+
+# one feasible config per kind, non-default parameters where a kind has them
+FEASIBLE = [
+    _solver("p1_clamp", "crifba", w=0.3),
+    _solver("p4_three", "gcrifba", lam=0.5),
+    _solver("p5_saddle", "cripda", tau=0.2, sigma=0.2),
+    _solver("p1_clamp", "ppa", lam=0.5),
+    _solver("p2_lasso", "fba"),
+    _solver("p1_clamp", "fbf", lam=0.5),
+    _solver("p1_clamp", "dr", lam=2.0),
+    _solver("p2_lasso", "moudafi_oliny", inertia=0.2),
+    _solver("p3_spectrum", "lorenz_pock", inertia=0.1),
+    _solver("p2_lasso", "attouch_cabot", ac_alpha=4.0, ac_rho=1.0),
+    _solver("p2_lasso", "chambolle_dossal", alpha=3.5),
+]
+
+
+@pytest.mark.parametrize("cfg", FEASIBLE, ids=lambda c: c["solver"]["kind"])
+def test_validate_accepts_what_run_runs(tmp_path, cfg):
+    cfg = dict(cfg, stop={"max_iter": 20, "tol": 0.0}, output="f")
+    ok, report = harness.validate_config(cfg)
+    assert ok and "error" not in report
+    summary, paths = harness.run_config(cfg, outdir=str(tmp_path))
+    assert summary["iterations"] == 20 and os.path.exists(paths["csv"])
+
+
 # short runs of each kind; tests/golden holds the CSV each wrote before the
 # trace columns were formed a block at a time, but for cripda_p5_saddle,
 # recorded when cripda runs took the core step and the core columns, and
