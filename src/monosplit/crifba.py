@@ -169,9 +169,14 @@ def _forward_backward_rows(A, B, M, lam, X, BX):
     BX, the rows B(x_i), bit for bit: one resolvent row call, with M
     applied to the screened rows first outside the identity, which goes
     row by row when A has no row form in M."""
+    return _backward_rows(A, M, lam, X, lam * BX)
+
+
+def _backward_rows(A, M, lam, X, lamBX):
+    # _forward_backward_rows given lam B(x_i) as rows or as one shared row
     if M.is_identity:
-        return A.resolvent_rows(lam, X - lam * BX)
-    return metric_resolvent_rows(A, M, lam, M.apply_each(X) - lam * BX)
+        return A.resolvent_rows(lam, X - lamBX)
+    return metric_resolvent_rows(A, M, lam, M.apply_each(X) - lamBX)
 
 
 def residual_G(A, B, M, lam, x):
@@ -195,11 +200,11 @@ class KMState:
     z_prev: np.ndarray
 
 
-def extrapolate(params, state):
-    """z_n = x_n + theta_n (x_n - x_{n-1}) + gamma_n (z_{n-1} - x_n)."""
+def extrapolate(params, state, out=None):
+    """z_n = x_n + theta_n (x_n - x_{n-1}) + gamma_n (z_{n-1} - x_n), in out."""
     _, theta, gamma, _ = schedule(params, state.n)
     x = state.x
-    return x + theta * (x - state.x_prev) + gamma * (state.z_prev - x)
+    return np.add(x + theta * (x - state.x_prev), gamma * (state.z_prev - x), out=out)
 
 
 # iterate keeps x_{n+1} and z_n, and the solvers form the record columns it
@@ -217,12 +222,14 @@ def iterate(state, step, residual, max_iter, tol):
     """The corrected Krasnosel'skii-Mann loop of all three solvers.
 
     Each pass stops on residual(state) <= tol, else sets state = step(state)
-    and stops when the Euclidean norm of its iterate exceeds 1e12. The
-    first state has n = 0. Returns (state, stopped, X, Z): the last state,
-    whose n is the number of steps N taken, the stop reason ("tol",
-    "max_iter" or "diverged"), the iterates x_0..x_N and the extrapolated
-    points z_0..z_{N-1}, each stacked along a new first axis; the loop
-    keeps them RECORD_ROWS rows at a time, for a state x of any shape.
+    and tests its iterate with one dot: past Euclidean norm 1e12 the loop
+    stops as "diverged", or raises ArithmeticError("non-finite iterate at
+    n=%d") with the n stepped from when the iterate is not finite, so the
+    step need not screen it. The first state has n = 0. Returns (state,
+    stopped, X, Z): the last state, whose n is the number of steps N taken,
+    the stop reason ("tol", "max_iter" or "diverged"), the iterates
+    x_0..x_N and the extrapolated points z_0..z_{N-1}, each stacked along a
+    new first axis, kept RECORD_ROWS rows at a time, for x of any shape.
 
     residual(state, ahead) records its solver's columns at state and
     returns the norm to test and the values step(state, values) needs. It
@@ -256,7 +263,9 @@ def iterate(state, step, residual, max_iter, tol):
         xb[-1][i] = state.x
         zb[-1][i] = state.z_prev
         x = state.x.ravel()
-        if math.sqrt(x.dot(x)) > 1e12:
+        if not math.sqrt(x.dot(x)) <= 1e12:
+            if not all_finite(x):
+                raise ArithmeticError("non-finite iterate at n=%d" % (state.n - 1))
             stopped = "diverged"
             break
     N = state.n
@@ -271,10 +280,10 @@ def crifba_step(state, params, A, B, ahead=None):
     """Advance one iteration; returns the new state.
 
     ahead, when given, is (z_n, forward_backward image of z_n), evaluated
-    already by the residual (see iterate). z_n is screened where it enters
-    B, the resolvent output by generalized_resolvent or metric_resolvent
-    and x_{n+1} here. The metric is params.M as given: None is the
-    identity to forward_backward.
+    already by the residual, and x_{n+1} is screened by iterate. Without
+    it, z_n is screened where it enters B, the resolvent output by
+    generalized_resolvent or metric_resolvent and x_{n+1} here. The metric
+    is params.M as given: None is the identity to forward_backward.
     """
     w = params.w
     if ahead is None:
@@ -283,7 +292,7 @@ def crifba_step(state, params, A, B, ahead=None):
     else:
         z, fb = ahead
     x_next = (1.0 - w) * z + w * fb
-    if not all_finite(x_next):
+    if ahead is None and not all_finite(x_next):
         raise ArithmeticError("non-finite iterate at n=%d" % state.n)
     return KMState(state.n + 1, state.x, x_next, z)
 
@@ -308,35 +317,38 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
     """Iterate until the residual M-norm drops below tol or the cap is hit.
 
     The cold-start default sets x_{-1} = z_{-1} = x_0, so v_0 = 0 and the
-    initial velocity is zero. The residual column is computed directly at
-    x_n with its own resolvent each iteration, and once more at the last
-    x_n when the run does not stop on it. x_n and z_n share one row call
-    of B and of the resolvent (see iterate), which goes row by row for an
-    operator without a row form. x_{n+1} and z_n are
-    kept RECORD_ROWS rows at a time, and the correction residuals
-    v_{n+1} = z_n - x_{n+1} are formed from Z and X once the run is over.
+    initial velocity is zero. The residual at x_n and the step from it
+    share one row call of B and of the resolvent on x_n and z_n (see
+    iterate), which goes row by row for an operator without a row form;
+    the residual at the last x_n is evaluated once more, alone, when the
+    run does not stop on it. x_{n+1} and z_n are kept RECORD_ROWS rows at
+    a time, and the correction residuals v_{n+1} = z_n - x_{n+1} are
+    formed from Z and X once the run is over.
     """
     validate(params, d=len(as_vector(x0)))
     return _run(A, B, params, x0, max_iter, tol, x_prev, z_prev)
 
 
-def _run(A, B, params, x0, max_iter, tol, x_prev=None, z_prev=None):
-    """The loop of run on parameters validated already."""
+def _run(A, B, params, x0, max_iter, tol, x_prev=None, z_prev=None, B_value=None):
+    """The loop of run on parameters validated already; B_value is the
+    value of a constant B, which is then not called, or None."""
     x = as_vector(x0).copy()
     xp = x.copy() if x_prev is None else as_vector(x_prev).copy()
     zp = x.copy() if z_prev is None else as_vector(z_prev).copy()
     d = len(x)
     M = params.metric(d)
     lam = params.lam
+    lamB = None if B_value is None else lam * B_value
     res2 = []
 
     def residual(state, ahead):
         if ahead:
-            z = extrapolate(params, state)
-            X = np.array([state.x, z])
+            X = np.empty((2, d))
+            X[0] = state.x
+            z = extrapolate(params, state, out=X[1])
         else:
             X = state.x[None]
-        FB = _forward_backward_rows(A, B, M, lam, X, B.apply_rows(X))
+        FB = _backward_rows(A, M, lam, X, lam * B.apply_rows(X) if lamB is None else lamB)
         r2 = M.norm2((state.x - FB[0]) / lam)
         res2.append(r2)
         return root(r2), (z, FB[1]) if ahead else None

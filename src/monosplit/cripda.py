@@ -110,15 +110,17 @@ def stacked_operators(problem):
     When the pair has row forms, B gets apply_rows and A the row form of
     its generalized resolvent, each equal to the scalar form row by row
     bit for bit: the products with K are stacked matrix-vector products,
-    which take the path of the 1-D products of the scalar forms.
+    which take the path of the 1-D products of the scalar forms. run_cripda
+    takes a B of two constant gradients once per run.
     """
     K = problem.K
     dy, dx = K.shape
 
     def gen_resolvent(M, lam, r):
-        # (M + A)^{-1} r in the block metric; lam is fixed to 1 upstream
-        x, y = precond_resolvent(problem, _tau_of(M, dx), _sigma_of(M, dx, dy),
-                                 r[:dx], r[dx:])
+        # (M + A)^{-1} r in the block metric; lam is fixed to 1 upstream, and
+        # tau and sigma are read off M
+        x, y = precond_resolvent(problem, 1.0 / M.matrix[0, 0],
+                                 1.0 / M.matrix[dx, dx], r[:dx], r[dx:])
         return np.concatenate([x, y])
 
     def gen_resolvent_rows(M, lam, R):
@@ -126,7 +128,7 @@ def stacked_operators(problem):
         # precond_resolvent screens its vectors, and the block returned by
         # metric_resolvent_rows
         R = as_rows(R)
-        tau, sigma = _tau_of(M, dx), _sigma_of(M, dx, dy)
+        tau, sigma = 1.0 / M.matrix[0, 0], 1.0 / M.matrix[dx, dx]
         X = problem.prox_G_rows(tau, tau * R[:, :dx])
         Y = problem.prox_Fstar_rows(
             sigma, sigma * R[:, dx:] + 2.0 * sigma * (K @ X[:, :, None])[:, :, 0])
@@ -151,14 +153,6 @@ def stacked_operators(problem):
     B = CocoerciveMap(B_apply, SpdMap(lip), label="saddle_smooth",
                       apply_rows=B_rows if rows else None)
     return A, B
-
-
-def _tau_of(M, dx):
-    return 1.0 / M.matrix[0, 0]
-
-
-def _sigma_of(M, dx, dy):
-    return 1.0 / M.matrix[dx, dx]
 
 
 @dataclass
@@ -226,7 +220,9 @@ def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):
 
     The run is crifba's loop on the stacked inclusion (stacked_problem),
     from u_0 = (x_0, y_0), with the parameters checked by validate_cripda
-    alone; any constant gradient is fixed once per run. core is that run.
+    alone; any constant gradient is fixed once per run, and with both, B
+    is taken once and not called: a non-finite z_n makes all of M z_n
+    non-finite, which the resolvent screens. core is that run.
     The other columns are read off it: hist is its X; ns and fpr2 (its
     res2) cover the states tested, which leave out x_N unless the run
     stopped on tol; vel2 is the squared M-norm of u_{n+1} - u_n, formed
@@ -236,7 +232,9 @@ def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):
     x0 = as_vector(x0)
     y0 = as_vector(y0)
     A, B, core = stacked_problem(_constant_gradients(problem, x0, y0), params)
-    res = _run(A, B, core, np.concatenate([x0, y0]), max_iter, tol)
+    u0 = np.concatenate([x0, y0])
+    c = B(u0) if problem.lip_Q == problem.lip_Pstar == 0.0 else None
+    res = _run(A, B, core, u0, max_iter, tol, B_value=c)
     N, X, M, dx = res.n_iters, res.X, core.M, len(x0)
     tested = N + (res.stopped == "tol")
     vel2 = [M.norm2_each(np.diff(X[a:a + RECORD_ROWS + 1], axis=0))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .crifba import (KMState, extrapolate, iterate, root,
                      schedule_violations)
-from .metriclin import all_finite, as_vector
+from .metriclin import as_vector
 
 
 def _block_weights(weights, p):
@@ -55,16 +55,16 @@ def validate_gcrifba(params):
     return bound
 
 
-def _resolvents(Z, A_list, B, lam, weights):
+def _resolvents(Z, A_list, B, lam, weights, steps):
     """The weighted means U and the block resolvents R of a (k, p, d) stack
     Z of block arrays: R[i, j] = J_{(lam/rho_j) A_j}(2 U_i - lam B(U_i) -
-    Z[i, j]), from one row call of B and of each A_j.
+    Z[i, j]), from one row call of B and of each A_j; steps[j] = lam/rho_j.
     """
     U = weights @ Z
     FW = 2.0 * U - lam * B.apply_rows(U)
     R = np.empty_like(Z)
     for j, A in enumerate(A_list):
-        R[:, j] = A.resolvent_rows(lam / weights[j], FW - Z[:, j])
+        R[:, j] = A.resolvent_rows(steps[j], FW - Z[:, j])
     return U, R
 
 
@@ -81,7 +81,7 @@ def apply_T(z, weights, A_list, B, lam):
     Block k of the output is J_{(lam/rho_k) A_k}(2 zbar - lam B(zbar) - z_k)
     - zbar + z_k, with zbar the weighted mean.
     """
-    U, R = _resolvents(z[None], A_list, B, lam, weights)
+    U, R = _resolvents(z[None], A_list, B, lam, weights, (lam / weights).tolist())
     return _T_blocks(z, U[0], R[0])
 
 
@@ -90,13 +90,10 @@ def gcrifba_step(state, params, ahead):
 
     state.x is the (p, d) block array; ahead is the extrapolated block
     array with its weighted mean and block resolvents, evaluated already by
-    the residual (see crifba.iterate). The new blocks are screened together
-    with one dot.
+    the residual (see crifba.iterate), which screens the new blocks.
     """
     z, u, r = ahead
     new_blocks = z + params.w * (r - u)
-    if not all_finite(new_blocks.ravel()):
-        raise ArithmeticError("non-finite iterate at n=%d" % state.n)
     return KMState(state.n + 1, state.x, new_blocks, z)
 
 
@@ -131,17 +128,20 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
     x0 = as_vector(x0)
     weights = _block_weights(weights, len(A_list))
     lam = params.lam
+    # the block steps lam/rho_j as Python floats: numpy's quotients, formed once
+    steps = (lam / weights).tolist()
     wcol = weights[:, None]
     res2 = []
 
     def residual(state, ahead):
         zb = state.x
         if ahead:
-            z = extrapolate(params, state)
-            stack = np.array([zb, z])
+            stack = np.empty((2,) + zb.shape)
+            stack[0] = zb
+            z = extrapolate(params, state, out=stack[1])
         else:
             stack = zb[None]
-        U, R = _resolvents(stack, A_list, B, lam, weights)
+        U, R = _resolvents(stack, A_list, B, lam, weights, steps)
         diff = _T_blocks(zb, U[0], R[0]) - zb
         r2 = float((wcol * diff * diff).sum())
         # a non-finite entry of T(zeta_n) makes r2 non-finite, and this test

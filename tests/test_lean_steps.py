@@ -55,20 +55,21 @@ def per_step(screens, run, n1=128, n2=256):
 
 def test_cripda_screens_per_step(screens):
     # cripda runs the core step on the stack, with its residual and its
-    # step sharing one row call of each operator: B's row form screens the
-    # block of x_n and z_n and its value (2 as_rows), the stack's resolvent
-    # row form the block of M u - B(u) (1), and the output block is
-    # screened as it returns (1); the catalog l1 prox row form soft-
-    # thresholds its block unscreened, and M u itself is not screened, nor
-    # is any of these values a second time. vel2 is formed RECORD_ROWS
-    # states at a time, one screen of each block
+    # step sharing one row call of the resolvent. p5_lasso_pd's gradients
+    # are both constant, so the stacked B is taken once per run and the
+    # loop makes no B call: the two screens left are the stack's resolvent
+    # row form screening the block M u - B(u) of x_n and z_n as it enters
+    # (1), and its output block as it returns (1); the catalog l1 prox row
+    # form soft-thresholds its block unscreened, and M u itself is not
+    # screened, nor is any of these values a second time. vel2 is formed
+    # RECORD_ROWS states at a time, one screen of each block
     prob = problems.get("p5_lasso_pd")
     step = 0.7 / operator_norm(prob.saddle.K)
     params = cripda.CripdaParams(tau=step, sigma=step)
     y0 = 0.01 * np.random.default_rng(1).standard_normal(5)
     got = per_step(screens, lambda n: cripda.run_cripda(
         prob.saddle, params, start(prob, 1), y0, max_iter=n, tol=0.0))
-    assert got == {"as_vector": 0, "as_rows": 4 + 1 / crifba.RECORD_ROWS}
+    assert got == {"as_vector": 0, "as_rows": 2 + 1 / crifba.RECORD_ROWS}
 
 
 def test_crifba_and_gcrifba_screen_only_blocks(screens):
@@ -103,10 +104,13 @@ def test_baseline_screens_per_step(screens, kind):
     assert got == {"as_vector": BASELINE_SCREENS[kind], "as_rows": 0}
 
 
-def big_prox_pair(k, big):
+def big_prox_pair(k, big, rows=False):
     """A saddle pair with zero gradients and K = 0.1 whose primal prox
     returns the constant big on its k-th call (from 0) and its argument
-    otherwise; counts its calls in .calls."""
+    otherwise; counts its calls in .calls. With rows, the pair has row
+    forms too, whose proxes take the rows of a block one call at a time, so
+    that a run through the row path meets big where the per-row path
+    does."""
     calls = []
 
     def prox_G(tau, u):
@@ -114,10 +118,20 @@ def big_prox_pair(k, big):
         u = as_vector(u)
         return np.full_like(u, big) if len(calls) == k + 1 else u
 
+    def prox_Fstar(sigma, u):
+        return as_vector(u) / (1.0 + sigma)
+
+    def each(prox):
+        return lambda t, U: np.array([prox(t, u) for u in U]).reshape(U.shape)
+
+    forms = {}
+    if rows:
+        forms = dict(prox_G_rows=each(prox_G), prox_Fstar_rows=each(prox_Fstar),
+                     grad_Q_rows=np.zeros_like, grad_Pstar_rows=np.zeros_like)
     pair = SaddleFunctionPair(
-        prox_G=prox_G, prox_Fstar=lambda sigma, u: as_vector(u) / (1.0 + sigma),
+        prox_G=prox_G, prox_Fstar=prox_Fstar,
         grad_Q=lambda x: 0.0 * x, lip_Q=0.0, grad_Pstar=lambda y: 0.0 * y,
-        lip_Pstar=0.0, K=np.array([[0.1]]), label="big_prox")
+        lip_Pstar=0.0, K=np.array([[0.1]]), label="big_prox", **forms)
     pair.calls = calls
     return pair
 
@@ -158,6 +172,47 @@ def test_cripda_overflowing_residual_norm_is_recorded_as_before(k):
     assert res.stopped == "max_iter"
     assert np.isinf(res.fpr2[k // 2])
     assert np.isfinite(np.delete(res.fpr2, k // 2)).all()
+
+
+# (x_0, k, big): the overflowing difference of the test above, the
+# overflowing residual norms of the one above that, and NaN proxes in the
+# residual (even k) and in the step (odd k)
+BIG_PROX = [(1e308, 0, -1e308), (1.0, 0, 1e308), (1.0, 6, 1e308),
+            (1.0, 0, np.nan), (1.0, 1, np.nan), (1.0, 6, np.nan), (1.0, 7, np.nan)]
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["scalar_forms", "row_forms"])
+@pytest.mark.parametrize("x0,k,big", BIG_PROX)
+def test_cripda_big_prox_through_either_path_of_the_constant_stack(rows, x0, k, big):
+    # both gradients are constant, so the loop takes the stacked B once and
+    # calls it no more: without the screens of a B call, each run still
+    # ends as the reference loop ends it, through the per-row path and the
+    # row path alike
+    params = cripda.CripdaParams(tau=2.0, sigma=2.0)
+
+    def go(solve):
+        return solve(big_prox_pair(k, big, rows), params, [x0], [0.5],
+                     max_iter=10, tol=0.0)
+
+    same_outcome(lambda: go(cripda.run_cripda),
+                 lambda: go(reference.run_cripda), same=assert_close)
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["scalar_forms", "row_forms"])
+def test_cripda_overflowing_metric_image_raises_before_any_prox(rows):
+    # M u_0 overflows (tau = 0.2): with no B call, the screen of the
+    # resolvent's argument raises, before the pair's forms see it
+    params = cripda.CripdaParams(tau=0.2, sigma=0.2)
+    pairs = []
+
+    def go(solve):
+        pairs.append(big_prox_pair(-1, 0.0, rows))
+        return solve(pairs[-1], params, [1.7e308], [0.0], max_iter=10, tol=0.0)
+
+    err = same_failure(lambda: go(cripda.run_cripda),
+                       lambda: go(reference.run_cripda))
+    assert type(err) is ValueError and str(err) == "vector has non-finite entries"
+    assert [len(p.calls) for p in pairs] == [0, 0]
 
 
 @pytest.mark.parametrize("steps,tol", [(200, 0.0), (50000, 1e-6)])
