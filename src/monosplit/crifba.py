@@ -174,7 +174,7 @@ def _forward_backward_rows(A, B, M, lam, X, BX):
 
 def _backward_rows(A, M, lam, X, lamBX):
     # _forward_backward_rows given lam B(x_i) as rows or as one shared row
-    if M.is_identity:
+    if M.is_identity and A.resolvent is not None:
         return A.resolvent_rows(lam, X - lamBX)
     return metric_resolvent_rows(A, M, lam, M.apply_each(X) - lamBX)
 
@@ -207,8 +207,7 @@ def extrapolate(params, state, out=None):
     return np.add(x + theta * (x - state.x_prev), gamma * (state.z_prev - x), out=out)
 
 
-# iterate keeps x_{n+1} and z_n, and the solvers form the record columns it
-# does not read, this many states at a time.
+# rows iterate allocates first; columns formed after a run go this many at a time
 RECORD_ROWS = 64
 
 
@@ -221,47 +220,53 @@ def root(r2):
 def iterate(state, step, residual, max_iter, tol):
     """The corrected Krasnosel'skii-Mann loop of all three solvers.
 
-    Each pass stops on residual(state) <= tol, else sets state = step(state)
-    and tests its iterate with one dot: past Euclidean norm 1e12 the loop
-    stops as "diverged", or raises ArithmeticError("non-finite iterate at
-    n=%d") with the n stepped from when the iterate is not finite, so the
-    step need not screen it. The first state has n = 0. Returns (state,
-    stopped, X, Z): the last state, whose n is the number of steps N taken,
-    the stop reason ("tol", "max_iter" or "diverged"), the iterates
-    x_0..x_N and the extrapolated points z_0..z_{N-1}, each stacked along a
-    new first axis, kept RECORD_ROWS rows at a time, for x of any shape.
+    Each pass stops on the root of residual(state) <= tol, else sets state =
+    step(state) and tests its iterate with one dot: past Euclidean norm 1e12
+    the loop stops as "diverged", or raises ArithmeticError("non-finite
+    iterate at n=%d") with the n stepped from when the iterate is not
+    finite, so the step need not screen it. The first state has n = 0.
+    Returns (state, stopped, X, Z, res2): the last state, whose n is the
+    number of steps N taken, the stop reason ("tol", "max_iter" or
+    "diverged"), the iterates x_0..x_N and the points z_0..z_{N-1} along a
+    new first axis, for x of any shape, and the N + 1 residuals, NaN at x_N
+    unless the run stopped on tol, each written in place into an array of
+    RECORD_ROWS rows that doubles as needed, up to max_iter rows.
 
-    residual(state, ahead) records its solver's columns at state and
-    returns the norm to test and the values step(state, values) needs. It
-    calls each operator's row form once: with ahead true on two rows, its
-    own argument and the step's, so that the step calls no operator; with
-    ahead false on its own row alone, and the values are None. The step's
-    row is evaluated before the stop test, and the state's again alone
-    after a failed call, so the operators must be pure; the step still
-    runs only when the state does not stop. When the two-row call raises,
-    the state's row is tested alone: its own error stands, a stop on tol
-    stands, and otherwise the first error is raised again.
+    residual(state, ahead) returns the squared norm to test and the values
+    step(state, values) needs. It calls each operator's row form once: with
+    ahead true on two rows, its own argument and the step's, so that the
+    step calls no operator; with ahead false on its own row alone, and the
+    values are None. The step's row is evaluated before the stop test, and
+    the state's again alone after a failed call, so the operators must be
+    pure; the step still runs only when the state does not stop. When the
+    two-row call raises, the state's row is tested alone: its own error
+    stands, a stop on tol stands, else the first error is raised again.
     """
     shape = state.x.shape
-    xb, zb = [state.x[None]], [np.empty((0,) + shape)]
+    rows = min(max(max_iter, 0), RECORD_ROWS)
+    X, Z = np.empty((rows + 1,) + shape), np.empty((rows,) + shape)
+    res2 = np.empty(rows + 1)
+    X[0] = state.x
     stopped = "max_iter"
     for _ in range(max_iter):
         try:
-            r, values = residual(state, True)
+            r2, values = residual(state, True)
         except Exception:
-            r, values = residual(state, False)
-            if not r <= tol:
+            r2, values = residual(state, False)
+            if not root(r2) <= tol:
                 raise
-        if r <= tol:
+        res2[state.n] = r2
+        if root(r2) <= tol:
             stopped = "tol"
             break
         state = step(state, values)
-        i = (state.n - 1) % RECORD_ROWS
-        if i == 0:
-            xb.append(np.empty((RECORD_ROWS,) + shape))
-            zb.append(np.empty((RECORD_ROWS,) + shape))
-        xb[-1][i] = state.x
-        zb[-1][i] = state.z_prev
+        if state.n > len(Z):
+            # iterate holds the only references, so they resize in place
+            rows = min(2 * len(Z), max_iter)
+            for a, k in ((X, rows + 1), (Z, rows), (res2, rows + 1)):
+                a.resize((k,) + a.shape[1:], refcheck=False)
+        X[state.n] = state.x
+        Z[state.n - 1] = state.z_prev
         x = state.x.ravel()
         if not math.sqrt(x.dot(x)) <= 1e12:
             if not all_finite(x):
@@ -269,11 +274,11 @@ def iterate(state, step, residual, max_iter, tol):
             stopped = "diverged"
             break
     N = state.n
-    X = np.concatenate(xb)[:N + 1]
-    xb.clear()      # the blocks of X go before Z is formed
-    Z = np.concatenate(zb)[:N]
-    zb.clear()
-    return state, stopped, X, Z
+    if stopped != "tol":
+        res2[N] = np.nan
+    for a, k in ((X, N + 1), (Z, N), (res2, N + 1)):
+        a.resize((k,) + a.shape[1:], refcheck=False)
+    return state, stopped, X, Z, res2
 
 
 def crifba_step(state, params, A, B, ahead=None):
@@ -299,14 +304,29 @@ def crifba_step(state, params, A, B, ahead=None):
 
 @dataclass
 class RunResult:
+    """A run's record. V given as None, as run gives it, is formed from X, Z
+    and _v0 = z_{-1} - x_0 on first read and kept; a V given is kept."""
     X: np.ndarray          # (N+1, d), iterates x_0..x_N
     Z: np.ndarray          # (N, d), extrapolated points z_0..z_{N-1}
-    V: np.ndarray          # (N+1, d), correction residuals v_0..v_N
+    V: Optional[np.ndarray]  # (N+1, d), correction residuals v_0..v_N
     res2: np.ndarray       # (N+1,), squared M-norm of the residual at x_n
     x_prev_init: np.ndarray
     n_iters: int
     stopped: str           # "tol" | "max_iter" | "diverged"
     params: CrifbaParams
+    _v0: Optional[np.ndarray] = None
+
+    def __getattribute__(self, name):
+        value = object.__getattribute__(self, name)
+        if name == "V" and value is None:
+            value = self.V = np.empty_like(self.X)
+            value[0] = self._v0
+            np.subtract(self.Z, self.X[1:], out=value[1:])
+        return value
+
+    def __getstate__(self):
+        # a copy holds V formed, apart from the X and Z it was formed from
+        return {**vars(self), "V": self.V}
 
     @property
     def x(self):
@@ -321,9 +341,9 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
     share one row call of B and of the resolvent on x_n and z_n (see
     iterate), which goes row by row for an operator without a row form;
     the residual at the last x_n is evaluated once more, alone, when the
-    run does not stop on it. x_{n+1} and z_n are kept RECORD_ROWS rows at
-    a time, and the correction residuals v_{n+1} = z_n - x_{n+1} are
-    formed from Z and X once the run is over.
+    run does not stop on it. The result holds X, Z and res2 as iterate
+    writes them, and the correction residuals v_{n+1} = z_n - x_{n+1} are
+    formed from Z and X when V is first read.
     """
     validate(params, d=len(as_vector(x0)))
     return _run(A, B, params, x0, max_iter, tol, x_prev, z_prev)
@@ -339,7 +359,6 @@ def _run(A, B, params, x0, max_iter, tol, x_prev=None, z_prev=None, B_value=None
     M = params.metric(d)
     lam = params.lam
     lamB = None if B_value is None else lam * B_value
-    res2 = []
 
     def residual(state, ahead):
         if ahead:
@@ -349,19 +368,14 @@ def _run(A, B, params, x0, max_iter, tol, x_prev=None, z_prev=None, B_value=None
         else:
             X = state.x[None]
         FB = _backward_rows(A, M, lam, X, lam * B.apply_rows(X) if lamB is None else lamB)
-        r2 = M.norm2((state.x - FB[0]) / lam)
-        res2.append(r2)
-        return root(r2), (z, FB[1]) if ahead else None
+        return M.norm2((state.x - FB[0]) / lam), (z, FB[1]) if ahead else None
 
-    state, stopped, X, Z = iterate(KMState(0, xp, x, zp),
-                                   lambda s, values: crifba_step(s, params, A, B, values),
-                                   residual, max_iter, tol)
+    state, stopped, X, Z, res2 = iterate(
+        KMState(0, xp, x, zp), lambda s, values: crifba_step(s, params, A, B, values),
+        residual, max_iter, tol)
     if stopped != "tol":
-        residual(state, False)
-    V = np.empty_like(X)
-    V[0] = zp - x
-    np.subtract(Z, X[1:], out=V[1:])
-    return RunResult(X, Z, V, np.array(res2), xp, state.n, stopped, params)
+        res2[-1] = residual(state, False)[0]
+    return RunResult(X, Z, None, res2, xp, state.n, stopped, params, _v0=zp - x)
 
 
 def energy(params, x, x_prev, v, n, s, q):

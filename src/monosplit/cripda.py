@@ -237,10 +237,11 @@ def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):
     res = _run(A, B, core, u0, max_iter, tol, B_value=c)
     N, X, M, dx = res.n_iters, res.X, core.M, len(x0)
     tested = N + (res.stopped == "tol")
-    vel2 = [M.norm2_each(np.diff(X[a:a + RECORD_ROWS + 1], axis=0))
-            for a in range(0, N, RECORD_ROWS)]
-    vel2 = np.concatenate(vel2 + [np.zeros(tested - N)])
-    # np.array(range(k)), not np.arange(k): an empty ns stays float
+    vel2 = np.zeros(tested)
+    for a in range(0, N, RECORD_ROWS):
+        c = min(a + RECORD_ROWS, N)
+        vel2[a:c] = M.norm2_each(np.diff(X[a:c + 1], axis=0))
+    # an empty ns is float, as np.array([]); np.arange makes no Python ints
     return CripdaResult(res.x[:dx], res.x[dx:], N, res.stopped,
-                        np.array(range(tested)), vel2, res.res2[:tested], X,
-                        selector, res)
+                        np.arange(tested) if tested else np.empty(0), vel2,
+                        res.res2[:tested], X, selector, res)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crifba import (KMState, extrapolate, iterate, root,
+from .crifba import (RECORD_ROWS, KMState, extrapolate, iterate,
                      schedule_violations)
 from .metriclin import as_vector
 
@@ -119,10 +119,10 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
     the norm of the blocks passes 1e12 (crifba.iterate). T(zeta_n) and the
     step from zeta_n share one row call of B and of each A_k. The columns
     have the meaning of the core columns, squared in the weighted product
-    norm, and are formed from the block arrays the loop keeps once the run
-    is over; res2 holds the residual of every tested state, which leaves
-    out zeta_N unless the run stopped on tol. A non-finite residual ends
-    the run with ArithmeticError.
+    norm, and are formed from the block arrays the loop keeps, RECORD_ROWS
+    states at a time, once the run is over; res2 holds the residual of
+    every tested state, which leaves out zeta_N unless the run stopped on
+    tol. A non-finite residual ends the run with ArithmeticError.
     """
     validate_gcrifba(params)
     x0 = as_vector(x0)
@@ -131,7 +131,6 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
     # the block steps lam/rho_j as Python floats: numpy's quotients, formed once
     steps = (lam / weights).tolist()
     wcol = weights[:, None]
-    res2 = []
 
     def residual(state, ahead):
         zb = state.x
@@ -148,24 +147,26 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
         # costs a fraction of a screen of T(zeta_n)
         if not math.isfinite(r2):
             raise ArithmeticError("non-finite residual at n=%d" % state.n)
-        res2.append(r2)
-        return root(r2), (z, U[1], R[1]) if ahead else None
+        return r2, (z, U[1], R[1]) if ahead else None
 
     b = np.tile(x0, (len(A_list), 1))
-    state, stopped, Zeta, Z = iterate(
+    state, stopped, Zeta, Z, res2 = iterate(
         KMState(0, b, b, b),
         lambda s, ahead: gcrifba_step(s, params, ahead),
         residual, max_iter, tol)
-    N, tested = state.n, len(res2)
+    N, tested = state.n, state.n + (stopped == "tol")
 
     def norm2_each(D):
         # the weighted norm of every block array of a (k, p, d) stack: each
         # row sum adds the p * d products in the order of the residual's sum
         return (wcol * D * D).reshape(len(D), b.size).sum(axis=1)
 
-    vel2 = np.append(norm2_each(Zeta[1:] - Zeta[:-1]), np.nan)
-    vn2 = np.append(0.0, norm2_each(Zeta[1:] - Z))
-    # np.array(range(k)), not np.arange(k): an empty ns stays float
+    vel2, vn2 = np.full(N + 1, np.nan), np.zeros(N + 1)
+    for a in range(0, N, RECORD_ROWS):
+        c = min(a + RECORD_ROWS, N)
+        vel2[a:c] = norm2_each(Zeta[a + 1:c + 1] - Zeta[a:c])
+        vn2[a + 1:c + 1] = norm2_each(Zeta[a + 1:c + 1] - Z[a:c])
+    # an empty ns is float, as np.array([]); np.arange makes no Python ints
     return GcrifbaResult(state.x, weights @ state.x, N, stopped,
-                         np.array(range(tested)), weights @ Zeta, vel2, vn2,
-                         np.array(res2 + [np.nan] * (N + 1 - tested)))
+                         np.arange(tested) if tested else np.empty(0),
+                         weights @ Zeta, vel2, vn2, res2)

@@ -13,6 +13,7 @@ from . import baselines, checks, cripda, crifba, gcrifba, problems
 # the field of a catalog problem that each solver kind runs on
 _FORMS = {"crifba": "A", "gcrifba": "A_list", "cripda": "saddle",
           **dict.fromkeys(baselines._KINDS, "A")}
+CSV_ROWS = 4096     # the trace rows write_trace_csv formats at a time
 
 
 def load_config(path):
@@ -49,10 +50,10 @@ def _problem(cfg, kind):
 def validate_config(cfg):
     """Make the checks a run of cfg makes, with its parameters, and no step;
     returns (ok, report), with the run's error message when it would fail."""
-    solver = cfg.get("solver", {})
-    kind = solver.get("kind", "crifba")
-    report = {"problem": cfg.get("problem"), "kind": kind}
+    report = {"problem": cfg.get("problem"), "kind": None}
     try:
+        solver, kind = solver_config(cfg)
+        report["kind"] = kind
         trace_stride(cfg)
         stop_limits(cfg)
         problem = _problem(cfg, kind)
@@ -74,7 +75,7 @@ def validate_config(cfg):
             report["lam"] = params["lam"]
             baselines.baseline_step(kind, problem, **params)
         return True, report
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         report["error"] = str(exc)
         return False, report
 
@@ -149,6 +150,14 @@ def fit_slope(ns, values, window=None):
             "dropped_nonpositive": dropped}
 
 
+def solver_config(cfg):
+    """The config's solver object and kind (default crifba), or ValueError."""
+    solver = cfg.get("solver", {})
+    if type(solver) is not dict:
+        raise ValueError("solver must be an object, got %r" % (solver,))
+    return solver, solver.get("kind", "crifba")
+
+
 def trace_stride(cfg):
     """The config's stride, an integer >= 1 (default 1); ValueError
     otherwise."""
@@ -176,15 +185,16 @@ def stop_limits(cfg):
 
 def write_trace_csv(path, columns):
     """Write the trace columns (name: 1-D array, in CSV order, the integer
-    n first); floats as %.17g, NaN (an undefined cell) as an empty cell."""
+    n first); floats as %.17g, NaN (an undefined cell) as an empty cell.
+    The rows are formatted and written CSV_ROWS at a time."""
     names = list(columns)
-    cells = [columns[names[0]].tolist()]
-    cells += [["" if v != v else "%.17g" % v for v in columns[name].tolist()]
-              for name in names[1:]]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(names)
-        wr.writerows(zip(*cells))
+        for a in range(0, len(columns[names[0]]), CSV_ROWS):
+            cells = [columns[name][a:a + CSV_ROWS].tolist() for name in names]
+            cells[1:] = [["" if v != v else "%.17g" % v for v in c] for c in cells[1:]]
+            wr.writerows(zip(*cells))
 
 
 def run_config(cfg, outdir=None):
@@ -194,8 +204,7 @@ def run_config(cfg, outdir=None):
     and res2."""
     stride = trace_stride(cfg)
     max_iter, tol = stop_limits(cfg)
-    solver = cfg.get("solver", {})
-    kind = solver.get("kind", "crifba")
+    solver, kind = solver_config(cfg)
     problem = _problem(cfg, kind)
     outdir = outdir or output_dir()
     os.makedirs(outdir, exist_ok=True)
@@ -265,10 +274,10 @@ def check_history(history_path, cfg):
     """Replay every checker over a stored run history."""
     try:
         problem = problems.get(cfg["problem"])
-    except KeyError as exc:
+        solver, kind = solver_config(cfg)
+    except (KeyError, ValueError) as exc:
         return {"status": "error", "error": str(exc)}
-    solver = cfg.get("solver", {})
-    if solver.get("kind", "crifba") not in ("crifba", "cripda"):
+    if kind not in ("crifba", "cripda"):
         return {"status": "skipped",
                 "reason": "history replay covers the core and primal-dual solvers"}
     A, B, params = _core_problem(problem, solver)

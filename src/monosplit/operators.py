@@ -196,8 +196,8 @@ def affine_op(Q, b, label="affine"):
 def generalized_resolvent(A, M, lam, u):
     """Solve M p + lam a = M u with a in A(p), i.e. p = (M + lam A)^{-1}(M u).
 
-    Dispatch: identity metric uses the plain resolvent; any other goes
-    through metric_resolvent with M u.
+    Dispatch: identity metric uses the plain resolvent, when A has one;
+    any other goes through metric_resolvent with M u.
 
     An ndarray u is taken as given: in the solvers it is x - lam B(x) for a
     screened x, and either M.apply screens u or the resolvent's output is
@@ -205,7 +205,7 @@ def generalized_resolvent(A, M, lam, u):
     """
     if type(u) is not np.ndarray:
         u = as_vector(u)
-    if M is None or M.is_identity:
+    if M is None or M.is_identity and A.resolvent is not None:
         return as_vector(A.resolvent(lam, u))
     return metric_resolvent(A, M, lam, M.apply(u))
 
