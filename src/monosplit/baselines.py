@@ -7,6 +7,7 @@ the step where they stop.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,9 +15,12 @@ import numpy as np
 from .metriclin import all_finite, as_vector
 
 
-def _fb(J, lam, x, bx):
-    """The forward-backward point J(lam, x - lam bx)."""
-    return as_vector(J(lam, x - lam * bx))
+def _with_momentum(x, x_prev, a):
+    """The (2, d) block of rows x and x + a (x - x_prev)."""
+    X = np.empty((2, len(x)))
+    X[0] = x
+    np.add(x, a * (x - x_prev), out=X[1])
+    return X
 
 
 @dataclass
@@ -50,18 +54,27 @@ def default_step(kind, problem):
 def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
                   ac_rho=None):
     """The step of a baseline run, after every check the run makes: a
-    ValueError when the kind is unknown, the problem lacks an operator the
-    kind needs or a parameter is infeasible. lam None takes default_step.
+    ValueError when the kind is unknown, a parameter is not a number, the
+    problem lacks an operator the kind needs or a parameter is infeasible.
+    lam None takes default_step, and ac_rho None the attouch_cabot default.
 
     step(n, x, x_prev), on screened 1-D float64 arrays, returns x_{n+1}
     and the residual vector at x_n, the residual taken first, as the
-    reference loop takes it; it screens every resolvent and prox output.
-    ppa, fba, fbf and dr read the residual off the step's own operator
-    calls; the inertial kinds spend one resolvent of their own on it and,
-    but for moudafi_oliny, one B call.
+    reference loop takes it. Every operator is called through its row form,
+    which screens its blocks. ppa, fba, fbf and dr read the residual off the
+    step's own operator calls; moudafi_oliny takes B at x_n and both of its
+    resolvent arguments in one row call; lorenz_pock, attouch_cabot and
+    chambolle_dossal take the (2, d) block of x_n and the extrapolated z_n
+    in one B call and one resolvent call, which the residual and the step
+    share.
     """
     if kind not in _KINDS:
         raise ValueError("unknown baseline kind %r" % kind)
+    for name, value in (("lam", lam), ("alpha", alpha), ("inertia", inertia),
+                        ("ac_alpha", ac_alpha), ("ac_rho", ac_rho)):
+        if not (isinstance(value, numbers.Real) and type(value) is not bool
+                or value is None and name in ("lam", "ac_rho")):
+            raise ValueError("%s must be a number, got %r" % (name, value))
     A, B, extras = problem.A, problem.B, problem.extras
     if kind == "ppa":
         # the proximal point method sees the whole inclusion through one
@@ -78,62 +91,59 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
         raise ValueError("momentum parameter must exceed 3")
     if kind in ("fbf", "chambolle_dossal") and not 0.0 < lam < beta:
         raise ValueError("step must lie in (0, 1/Lipschitz)")
-    if kind == "chambolle_dossal" and not {"f_grad", "g_prox"} <= extras.keys():
-        raise ValueError("this problem has no f_grad and g_prox split")
     B_res = problem.B_resolvent
     if kind == "dr" and B_res is None:
         raise ValueError("this problem has no resolvent form for B")
     if kind == "attouch_cabot" and ac_rho is None:
         ac_rho = 0.5 * ac_alpha * (ac_alpha - 2.0) * (1.0 - lam / (4.0 * beta))
 
-    def residual(x, bx):
-        return (x - _fb(A.resolvent, lam, x, bx)) / lam
+    def inertial(x, x_prev, a):
+        # z = x + a (x - x_prev), its forward-backward point and the
+        # residual at x, from one row call of B and of the resolvent
+        X = _with_momentum(x, x_prev, a)
+        FB = A.resolvent_rows(lam, X - lam * B.apply_rows(X))
+        return X[1], FB[1], (x - FB[0]) / lam
 
     if kind == "ppa":
         def step(n, x, x_prev):
-            jx = as_vector(A.resolvent(lam, x))
+            jx = A.resolvent_rows(lam, x[None])[0]
             return jx, (x - jx) / lam
     elif kind == "fba":
         def step(n, x, x_prev):
-            fb = _fb(A.resolvent, lam, x, B(x))
+            X = x[None]
+            fb = A.resolvent_rows(lam, X - lam * B.apply_rows(X))[0]
             return fb, (x - fb) / lam
     elif kind == "fbf":
         def step(n, x, x_prev):
-            # B screens and flattens the resolvent output y as it enters,
-            # and the step's arithmetic uses that copy
-            bx = B(x)
-            y, by = B.with_value(A.resolvent(lam, x - lam * bx))
-            return y - lam * (by - bx), (x - y) / lam
+            X = x[None]
+            BX = B.apply_rows(X)
+            Y = A.resolvent_rows(lam, X - lam * BX)
+            return (Y - lam * (B.apply_rows(Y) - BX))[0], (x - Y[0]) / lam
     elif kind == "dr":
         def step(n, x, x_prev):
-            jb = as_vector(B_res.resolvent(lam, x))
-            x_next = as_vector(A.resolvent(lam, 2.0 * jb - x)) + x - jb
+            jb = B_res.resolvent_rows(lam, x[None])[0]
+            x_next = A.resolvent_rows(lam, (2.0 * jb - x)[None])[0] + x - jb
             return x_next, x_next - x
     elif kind == "moudafi_oliny":
         def step(n, x, x_prev):
-            bx = B(x)
-            r = residual(x, bx)
-            return _fb(A.resolvent, lam, x + inertia * (x - x_prev), bx), r
+            J = A.resolvent_rows(lam, _with_momentum(x, x_prev, inertia)
+                                 - lam * B.apply_rows(x[None]))
+            return J[1], (x - J[0]) / lam
     elif kind == "lorenz_pock":
         def step(n, x, x_prev):
-            r = residual(x, B(x))
-            z = x + inertia * (x - x_prev)
-            return _fb(A.resolvent, lam, z, B(z)), r
+            _, fz, r = inertial(x, x_prev, inertia)
+            return fz, r
     elif kind == "attouch_cabot":
         def step(n, x, x_prev):
-            r = residual(x, B(x))
             a_n = max(0.0, 1.0 - ac_alpha / n) if n >= 1 else 0.0
             w_n = 1.0 - ac_rho / n ** 2 if n >= 1 else 1.0
-            z = x + a_n * (x - x_prev)
-            return (1.0 - w_n) * z + w_n * _fb(A.resolvent, lam, z, B(z)), r
+            z, fz, r = inertial(x, x_prev, a_n)
+            return (1.0 - w_n) * z + w_n * fz, r
     else:
-        f_grad, g_prox = extras["f_grad"], extras["g_prox"]
-
         def step(n, x, x_prev):
-            r = residual(x, B(x))
-            mom = (n - 1.0) / (n + alpha - 1.0) if n >= 1 else 0.0
-            z = x + mom * (x - x_prev)
-            return _fb(g_prox, lam, z, f_grad(z)), r
+            _, fz, r = inertial(x, x_prev,
+                                (n - 1.0) / (n + alpha - 1.0) if n >= 1 else 0.0)
+            return fz, r
     return step
 
 

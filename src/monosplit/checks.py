@@ -11,10 +11,8 @@ rows. X, Z and V are screened for finiteness once, up front. The user
 operators are called once per block through their row forms (see
 ``operators``): B at the z_n block, the resolvent at z_n fed with those
 B(z_n) (in a metric other than the identity, the metric resolvent of
-M z_n - lam B(z_n)), B at the y_n block and the graph
-membership test. An operator without row forms falls back to one scalar
-call per row; the scalar path is the reference the row forms are tested
-against. Everything else
+M z_n - lam B(z_n)), B at the y_n block and the graph membership test;
+an operator given per vector calls its map once per row. Everything else
 is array arithmetic over the block, and each oracle is an accumulator fed
 block by block, carrying at most one row across a block seam, so the
 memory on top of the history is O(BLOCK_ROWS * d). ``standard_suite``
@@ -31,9 +29,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .crifba import (_forward_backward_rows, decade_ratio, energy,
-                     graph_element, graph_point, schedule, validate_metric)
+from .crifba import (decade_ratio, energy, graph_element, graph_point,
+                     schedule, validate_metric)
 from .metriclin import as_rows, as_vector
+from .operators import _backward_rows
 
 
 DEFAULT_TOL = 1e-10
@@ -132,8 +131,8 @@ def check_g_cocoercivity(A, B, M, lam, pairs, delta=None, tol=DEFAULT_TOL):
     P = np.asarray(pairs, dtype=float).reshape(-1, 2, M.d)
     X1, X2 = P[:, 0], P[:, 1]
     B1, B2 = B.apply_rows(X1), B.apply_rows(X2)
-    dG = ((X1 - _forward_backward_rows(A, B, M, lam, X1, B1)) / lam
-          - (X2 - _forward_backward_rows(A, B, M, lam, X2, B2)) / lam)
+    dG = ((X1 - _backward_rows(A, M, lam, X1, lam * B1)) / lam
+          - (X2 - _backward_rows(A, M, lam, X2, lam * B2)) / lam)
     dB = B1 - B2
     lhs = M.inner_rows(dG, X1 - X2)
     dB_linv = _dots(dB, L.solve_rows(dB))
@@ -287,7 +286,7 @@ class _Block:
     def FB(self):
         """Forward-backward image of z_k, fed with B(z_k)."""
         r = self.run
-        return _forward_backward_rows(r.A, r.B, r.M, r.p.lam, self.Z, self.Bz)
+        return _backward_rows(r.A, r.M, r.p.lam, self.Z, r.p.lam * self.Bz)
 
     @cached_property
     def Y(self):

@@ -24,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .metriclin import SpdMap, all_finite, as_rows, as_vector, min_eigenvalue_sym
-from .operators import (generalized_resolvent, metric_resolvent,
-                        metric_resolvent_rows)
+from .operators import _backward_rows, _one_row
 
 
 @dataclass
@@ -153,30 +152,14 @@ def validate(params, d=None):
 
 
 def forward_backward(A, B, M, lam, x):
-    """One forward-backward image (M + lam A)^{-1}(M x - lam B(x)).
+    """One forward-backward image (M + lam A)^{-1}(M x - lam B(x)), as a
+    one-row call of the loop's row path; M None is the identity.
 
-    x is not screened here: B screens its argument (and M.apply again
-    outside the identity).
+    x is screened where it enters B.
     """
-    Bx = B(x)
-    if M is None or M.is_identity:
-        return generalized_resolvent(A, M, lam, x - lam * Bx)
-    return metric_resolvent(A, M, lam, M.apply(x) - lam * Bx)
-
-
-def _forward_backward_rows(A, B, M, lam, X, BX):
-    """forward_backward(A, B, M, lam, x_i) for every row x_i of X, given
-    BX, the rows B(x_i), bit for bit: one resolvent row call, with M
-    applied to the screened rows first outside the identity, which goes
-    row by row when A has no row form in M."""
-    return _backward_rows(A, M, lam, X, lam * BX)
-
-
-def _backward_rows(A, M, lam, X, lamBX):
-    # _forward_backward_rows given lam B(x_i) as rows or as one shared row
-    if M.is_identity and A.resolvent is not None:
-        return A.resolvent_rows(lam, X - lamBX)
-    return metric_resolvent_rows(A, M, lam, M.apply_each(X) - lamBX)
+    X = _one_row(x)
+    M = SpdMap.identity(X.shape[1]) if M is None else M
+    return _backward_rows(A, M, lam, X, lam * B.apply_rows(X))[0]
 
 
 def residual_G(A, B, M, lam, x):
@@ -287,8 +270,8 @@ def crifba_step(state, params, A, B, ahead=None):
     ahead, when given, is (z_n, forward_backward image of z_n), evaluated
     already by the residual, and x_{n+1} is screened by iterate. Without
     it, z_n is screened where it enters B, the resolvent output by
-    generalized_resolvent or metric_resolvent and x_{n+1} here. The metric
-    is params.M as given: None is the identity to forward_backward.
+    forward_backward and x_{n+1} here. The metric is params.M as given:
+    None is the identity to forward_backward.
     """
     w = params.w
     if ahead is None:
@@ -339,9 +322,8 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
     The cold-start default sets x_{-1} = z_{-1} = x_0, so v_0 = 0 and the
     initial velocity is zero. The residual at x_n and the step from it
     share one row call of B and of the resolvent on x_n and z_n (see
-    iterate), which goes row by row for an operator without a row form;
-    the residual at the last x_n is evaluated once more, alone, when the
-    run does not stop on it. The result holds X, Z and res2 as iterate
+    iterate); the residual at the last x_n is evaluated once more, alone,
+    when the run does not stop on it. The result holds X, Z and res2 as iterate
     writes them, and the correction residuals v_{n+1} = z_n - x_{n+1} are
     formed from Z and X when V is first read.
     """

@@ -90,68 +90,42 @@ def validate_cripda(params, problem):
     raise ValueError("saddle step sizes inadmissible, margins: %r" % margins)
 
 
-def precond_resolvent(problem, tau, sigma, xi_p, chi_p):
-    """Closed form of the metric-shifted resolvent.
+def stacked_operators(problem):
+    """The stacked inclusion data: the multivalued part A, whose
+    generalized resolvent in the block metric is the closed form below, and
+    the smooth part B, the stacked gradients; both on (k, d) blocks of
+    stacked (x, y) rows, each one call of every map of the pair.
 
     The lower-triangular structure of metric-plus-operator lets the primal
-    prox go first and feed the dual prox.
-    """
-    x = as_vector(problem.prox_G(tau, tau * as_vector(xi_p)))
-    y = as_vector(problem.prox_Fstar(
-        sigma, sigma * as_vector(chi_p) + 2.0 * sigma * (problem.K @ x)))
-    return x, y
-
-
-def stacked_operators(problem):
-    """The stacked inclusion data: multivalued part A, whose
-    gen_resolvent is precond_resolvent in the block metric, and smooth
-    part B, the stacked gradients.
-
-    When the pair has row forms, B gets apply_rows and A the row form of
-    its generalized resolvent, each equal to the scalar form row by row
-    bit for bit: the products with K are stacked matrix-vector products,
-    which take the path of the 1-D products of the scalar forms. run_cripda
-    takes a B of two constant gradients once per run.
+    prox go first and feed the dual prox. The products with K are stacked
+    matrix-vector products, which take the path of a 1-D product, so each
+    row is bit for bit what a one-row call gives. run_cripda takes a B of
+    two constant gradients once per run.
     """
     K = problem.K
     dy, dx = K.shape
 
-    def gen_resolvent(M, lam, r):
-        # (M + A)^{-1} r in the block metric; lam is fixed to 1 upstream, and
-        # tau and sigma are read off M
-        x, y = precond_resolvent(problem, 1.0 / M.matrix[0, 0],
-                                 1.0 / M.matrix[dx, dx], r[:dx], r[dx:])
-        return np.concatenate([x, y])
-
-    def gen_resolvent_rows(M, lam, R):
-        # precond_resolvent a block at a time: R is screened here, as
-        # precond_resolvent screens its vectors, and the block returned by
-        # metric_resolvent_rows
+    def gen_resolvent(M, lam, R):
+        # (M + A)^{-1} r_i in the block metric; lam is fixed to 1 upstream,
+        # and tau and sigma are read off M. R is screened here, and the
+        # block returned by metric_resolvent_rows
         R = as_rows(R)
         tau, sigma = 1.0 / M.matrix[0, 0], 1.0 / M.matrix[dx, dx]
-        X = problem.prox_G_rows(tau, tau * R[:, :dx])
-        Y = problem.prox_Fstar_rows(
+        X = problem.prox_G(tau, tau * R[:, :dx])
+        Y = problem.prox_Fstar(
             sigma, sigma * R[:, dx:] + 2.0 * sigma * (K @ X[:, :, None])[:, :, 0])
         return np.concatenate([X, Y], axis=1)
 
-    def B_apply(u):
-        x = u[:dx]
-        y = u[dx:]
-        return np.concatenate([problem.grad_Q(x), problem.grad_Pstar(y)])
-
     def B_rows(U):
-        return np.concatenate([problem.grad_Q_rows(U[:, :dx]),
-                               problem.grad_Pstar_rows(U[:, dx:])], axis=1)
+        return np.concatenate([problem.grad_Q(U[:, :dx]),
+                               problem.grad_Pstar(U[:, dx:])], axis=1)
 
-    rows = problem.has_rows
-    A = MonotoneOp(resolvent=None, label="saddle_stack",
-                   gen_resolvent=gen_resolvent,
-                   gen_resolvent_rows=gen_resolvent_rows if rows else None)
+    A = MonotoneOp(None, label="saddle_stack", gen_resolvent=gen_resolvent,
+                   rows=True)
     lip = np.zeros((dx + dy, dx + dy))
     lip[:dx, :dx] = np.eye(dx) * max(problem.lip_Q, 1e-12)
     lip[dx:, dx:] = np.eye(dy) * max(problem.lip_Pstar, 1e-12)
-    B = CocoerciveMap(B_apply, SpdMap(lip), label="saddle_smooth",
-                      apply_rows=B_rows if rows else None)
+    B = CocoerciveMap(B_rows, SpdMap(lip), label="saddle_smooth", rows=True)
     return A, B
 
 
@@ -182,21 +156,17 @@ def stacked_problem(problem, params):
 
 def _constant_gradients(problem, x0, y0):
     """The pair itself, or a shallow copy whose gradients with a declared
-    Lipschitz constant of 0 return their one value, evaluated and screened
-    here once (a 0-Lipschitz gradient is constant). A row form of such a
-    gradient, when the pair has one, becomes a read-only block of that
-    value, made once per block height."""
+    Lipschitz constant of 0 (a 0-Lipschitz gradient is constant) give the
+    read-only block of their one value, evaluated and screened here once,
+    one block per block height."""
     if problem.lip_Q != 0.0 and problem.lip_Pstar != 0.0:
         return problem
     pair = copy.copy(problem)
     for name, lip, at in (("grad_Q", problem.lip_Q, x0),
                           ("grad_Pstar", problem.lip_Pstar, y0)):
         if lip == 0.0:
-            g = as_vector(getattr(problem, name)(at)).copy()
-            g.flags.writeable = False
-            setattr(pair, name, lambda _, g=g: g)
-            if getattr(problem, name + "_rows") is not None:
-                setattr(pair, name + "_rows", _constant_rows(g))
+            g = as_rows(getattr(problem, name)(at[None]))[0].copy()
+            setattr(pair, name, _constant_rows(g))
     return pair
 
 

@@ -56,6 +56,7 @@ def validate_config(cfg):
         report["kind"] = kind
         trace_stride(cfg)
         stop_limits(cfg)
+        output_fields(cfg)
         problem = _problem(cfg, kind)
         if kind == "crifba":
             params = _crifba_params(problem, solver)
@@ -183,6 +184,18 @@ def stop_limits(cfg):
     return int(max_iter), float(tol)
 
 
+def output_fields(cfg):
+    """The config's output, a string (default run_<config hash>), and
+    certify_tol, a number >= 0 (default 1e-6); ValueError otherwise."""
+    output = cfg.get("output", "run_%s" % config_hash(cfg))
+    if type(output) is not str:
+        raise ValueError("output must be a string, got %r" % (output,))
+    tol = cfg.get("certify_tol", 1e-6)
+    if type(tol) not in (int, float) or not tol >= 0:
+        raise ValueError("certify_tol must be a number >= 0, got %r" % (tol,))
+    return output, float(tol)
+
+
 def write_trace_csv(path, columns):
     """Write the trace columns (name: 1-D array, in CSV order, the integer
     n first); floats as %.17g, NaN (an undefined cell) as an empty cell.
@@ -204,11 +217,12 @@ def run_config(cfg, outdir=None):
     and res2."""
     stride = trace_stride(cfg)
     max_iter, tol = stop_limits(cfg)
+    output, certify_tol = output_fields(cfg)
     solver, kind = solver_config(cfg)
     problem = _problem(cfg, kind)
     outdir = outdir or output_dir()
     os.makedirs(outdir, exist_ok=True)
-    base = os.path.join(outdir, cfg.get("output", "run_%s" % config_hash(cfg)))
+    base = os.path.join(outdir, output)
     paths = {"csv": base + ".csv", "summary": base + ".summary.json"}
 
     if kind in ("crifba", "cripda"):
@@ -254,7 +268,7 @@ def run_config(cfg, outdir=None):
     undefined = np.full(len(cols["n"]), np.nan)
     cols = {name: cols.get(name, undefined) for name in crifba.TRACE_COLUMNS}
     write_trace_csv(paths["csv"], cols)
-    ok, residual = problems.certify(problem, candidate, tol=cfg.get("certify_tol", 1e-6))
+    ok, residual = problems.certify(problem, candidate, tol=certify_tol)
     slopes = {name: fit_slope(cols["n"], cols[name]) for name in ("vel2", "vn2", "res2")}
     summary = {
         "config_hash": config_hash(cfg),

@@ -49,7 +49,7 @@ def as_rows(rows):
     several times per step."""
     if type(rows) is not np.ndarray or rows.dtype is not _FLOAT64:
         rows = np.asarray(rows, dtype=float)
-    v = rows.reshape(-1)
+    v = rows.ravel()
     n = len(v)
     if v.dot(_zeros(n)) != 0.0 if n <= SCREEN_CHUNK else not all_finite(v):
         raise ValueError("vector has non-finite entries")

@@ -22,11 +22,43 @@ def prox_box(lo, hi, x):
     return as_vector(x).clip(lo, hi)
 
 
-def _per_row(fn, rows):
-    """The fallback of the row forms: the scalar fn on each row of a (k, d)
-    block in turn, the results stacked as rows."""
-    out = [fn(row) for row in rows]
-    return np.array(out) if out else np.empty((0, np.shape(rows)[-1]))
+def _per_row(fn):
+    """The row form of a per-vector callable fn(..., x): fn on each row x
+    of the (k, d) block, its last argument, in turn, each result flattened
+    and the results stacked as float rows, which are not screened. None
+    stays None."""
+    if fn is None:
+        return None
+
+    def rows(*args):
+        X = args[-1]
+        out = [np.ravel(fn(*args[:-1], x)) for x in X]
+        return np.array(out, dtype=float) if out else np.empty((0, X.shape[-1]))
+
+    return rows
+
+
+def _one_row(x):
+    """x as the (1, d) block of a one-row call, as as_vector reads a vector."""
+    return np.reshape(x, (1, -1))
+
+
+def _solve_rows(lhs, R):
+    """lhs^{-1} r_i for every row r_i of a (k, d) block, each solved as
+    np.linalg.solve solves one vector: one batched call of its
+    single-right-hand-side solve, lhs broadcast over the rows."""
+    return np.linalg.solve(lhs, R[:, :, None])[:, :, 0]
+
+
+def _quadratic_rows(lhs, R, X):
+    """The rows (I + lam Q)^{-1}(x_i - lam b) of a (k, d) block X, given
+    lhs = I + lam Q and R, the rows x_i - lam b; each solve is verified by
+    plugging its result back into its equation."""
+    P = _solve_rows(lhs, R)
+    res = np.hypot.reduce((lhs @ P[:, :, None])[:, :, 0] - R, axis=1)
+    if (res > 1e-10 * np.maximum(np.hypot.reduce(X, axis=1), 1.0)).any():
+        raise ArithmeticError("resolvent solve failed; check Q is PSD")
+    return P
 
 
 def prox_quadratic(lam, Q, b, x):
@@ -35,93 +67,73 @@ def prox_quadratic(lam, Q, b, x):
     Q must be positive semidefinite; the solve is verified by plugging the
     result back into the defining equation.
     """
-    Q = np.asarray(Q, dtype=float)
-    b = as_vector(b)
     x = as_vector(x)
-    lhs = np.eye(len(x)) + lam * Q
-    p = np.linalg.solve(lhs, x - lam * b)
-    res = np.linalg.norm(lhs @ p - (x - lam * b))
-    if res > 1e-10 * max(np.linalg.norm(x), 1.0):
-        raise ArithmeticError("resolvent solve failed; check Q is PSD")
-    return p
+    lhs = np.eye(len(x)) + lam * np.asarray(Q, dtype=float)
+    return _quadratic_rows(lhs, (x - lam * as_vector(b))[None], x[None])[0]
 
 
 class MonotoneOp:
     """A maximally monotone operator seen through its resolvent.
 
-    resolvent(lam, x) returns (I + lam A)^{-1} x. graph_member, when
-    available, tests (x, u) membership in the graph of A up to a tolerance;
-    only the inclusion diagnostics need it. affine=(Q, b) marks operators of
-    the form A(x) = Qx + b, for which preconditioned resolvents have a
-    direct linear solve.
-
-    gen_resolvent(M, lam, r), for a metric M other than the identity,
-    returns (M + lam A)^{-1} r: its argument has M applied already, so that
-    a solver passes M x - lam B(x) without a solve with M.
-
-    Row forms are opt-in. The resolvent_rows callable maps lam and a (k, d)
-    block to the (k, d) block of resolvents of its rows; gen_resolvent_rows
-    maps M, lam and a (k, d) block to the rows gen_resolvent(M, lam, r_i),
-    screening each row r_i as gen_resolvent does; member_rows
-    tests every row pair (x_i, u_i) against a (k, 1) tolerance column,
-    screening as graph_member does, and returns k booleans. Each must agree
-    with its scalar form row by row. The method resolvent_rows screens the
-    blocks going in and out, so the resolvent_rows callable need not.
-    Without them, the methods of the same names and metric_resolvent_rows
-    call the scalar forms once per row. The solvers evaluate the resolvent
-    for the step from a state before its stop test, and the state's again
-    alone after a failed call, so the scalar and row forms must be pure
-    functions of their arguments.
+    Each map is stored once, as a callable on (k, d) blocks of rows:
+    resolvent(lam, X) gives the rows (I + lam A)^{-1} x_i; graph_member(X,
+    U, tol), which only the inclusion diagnostics need, tests each row pair
+    (x_i, u_i) against the (k, 1) tolerance column tol, as k booleans; and
+    gen_resolvent(M, lam, R), for a metric M other than the identity, gives
+    the rows (M + lam A)^{-1} r_i of an argument with M applied already.
+    affine=(Q, b) marks A(x) = Qx + b, which gets a direct linear solve in
+    any metric. With rows false, the default, the callables given are
+    per-vector forms, resolvent(lam, x), graph_member(x, u, tol) and
+    gen_resolvent(M, lam, r), each made here a row callable that calls it
+    once per row. resolvent_rows and member_rows screen the blocks going in
+    (and the resolvent's coming out), metric_resolvent_rows the generalized
+    resolvent's output. The attributes resolvent, graph_member and
+    gen_resolvent are the one-row calls of the stored forms, or None where
+    A has no such map; the first screens its argument, the second both.
+    The solvers evaluate a state's resolvent before its stop test and again
+    alone after a failed call, so the callables must be pure.
     """
 
     def __init__(self, resolvent, graph_member=None, label="", affine=None,
-                 gen_resolvent=None, resolvent_rows=None, member_rows=None,
-                 gen_resolvent_rows=None):
-        self.resolvent = resolvent
-        self.graph_member = graph_member
+                 gen_resolvent=None, rows=False):
+        if not rows:
+            resolvent, gen_resolvent = _per_row(resolvent), _per_row(gen_resolvent)
+            if graph_member is not None:
+                member = graph_member
+                graph_member = lambda X, U, tol: [
+                    member(*row) for row in zip(X, U, tol[:, 0])]
+        self._resolvent_rows = resolvent
+        self._member_rows = graph_member
+        self._gen_resolvent_rows = gen_resolvent
         self.label = label
         self.affine = affine
-        self.gen_resolvent = gen_resolvent
-        self._resolvent_rows = resolvent_rows
-        self._member_rows = member_rows
-        self._gen_resolvent_rows = gen_resolvent_rows
+        self.resolvent = None if resolvent is None else (
+            lambda lam, x: resolvent(lam, as_rows(_one_row(x)))[0])
+        self.graph_member = None if graph_member is None else (
+            lambda x, u, tol=1e-8: bool(
+                self.member_rows(_one_row(x), _one_row(u), [tol])[0]))
+        self.gen_resolvent = None if gen_resolvent is None else (
+            lambda M, lam, r: gen_resolvent(M, lam, _one_row(r))[0])
 
     def resolvent_rows(self, lam, X):
         """(I + lam A)^{-1} x_i for every row x_i of a (k, d) block; the
-        input and output blocks are screened as the scalar path screens
-        its vectors."""
-        if self._resolvent_rows is None:
-            return _per_row(lambda x: as_vector(self.resolvent(lam, x)), X)
+        input and output blocks are screened."""
         return as_rows(self._resolvent_rows(lam, as_rows(X)))
 
     def member_rows(self, X, U, tol):
-        """graph_member(x_i, u_i, tol_i) for every row pair, as k booleans;
-        tol is a length-k array."""
-        if self._member_rows is None:
-            return np.array([bool(self.graph_member(x, u, t))
-                             for x, u, t in zip(X, U, tol)], dtype=bool)
-        return np.asarray(self._member_rows(X, U, np.asarray(tol)[:, None]),
-                          dtype=bool)
+        """Graph membership of every row pair (x_i, u_i), as k booleans;
+        tol is a length-k array. X and U are screened."""
+        return np.asarray(self._member_rows(as_rows(X), as_rows(U),
+                                            np.asarray(tol)[:, None]), dtype=bool)
 
     def __repr__(self):
         return "MonotoneOp(%s)" % (self.label or "anonymous")
 
 
 def zero_op():
-    def graph_member(x, u, tol=1e-8):
-        as_vector(x)
-        return bool(np.all(np.abs(as_vector(u)) <= tol))
-
-    def member_rows(X, U, tol):
-        as_rows(X)
-        return np.all(np.abs(as_rows(U)) <= tol, axis=1)
-
-    return MonotoneOp(lambda lam, x: as_vector(x),
-                      graph_member=graph_member,
-                      label="zero",
-                      affine=(None, None),
-                      resolvent_rows=lambda lam, X: X,
-                      member_rows=member_rows)
+    return MonotoneOp(lambda lam, X: X,
+                      lambda X, U, tol: np.all(np.abs(U) <= tol, axis=1),
+                      label="zero", affine=(None, None), rows=True)
 
 
 def box_op(lo, hi):
@@ -129,27 +141,13 @@ def box_op(lo, hi):
     if lo > hi:
         raise ValueError("empty box: lo > hi")
 
-    def graph_member(x, u, tol=1e-8):
-        x = as_vector(x)
-        u = as_vector(u)
-        if (x < lo - tol).any() or (x > hi + tol).any():
-            return False
-        up_ok = (u <= tol) | (x >= hi - tol)
-        lo_ok = (u >= -tol) | (x <= lo + tol)
-        return bool(up_ok.all() and lo_ok.all())
-
-    def member_rows(X, U, tol):
-        X = as_rows(X)
-        U = as_rows(U)
+    def member(X, U, tol):
         outside = ((X < lo - tol) | (X > hi + tol)).any(axis=1)
         ok = ((U <= tol) | (X >= hi - tol)) & ((U >= -tol) | (X <= lo + tol))
         return ~outside & ok.all(axis=1)
 
-    return MonotoneOp(lambda lam, x: prox_box(lo, hi, x),
-                      graph_member=graph_member,
-                      label="normal_cone[%g,%g]" % (lo, hi),
-                      resolvent_rows=lambda lam, X: X.clip(lo, hi),
-                      member_rows=member_rows)
+    return MonotoneOp(lambda lam, X: X.clip(lo, hi), member,
+                      label="normal_cone[%g,%g]" % (lo, hi), rows=True)
 
 
 def l1_op(weight=1.0):
@@ -157,90 +155,69 @@ def l1_op(weight=1.0):
     if weight < 0:
         raise ValueError("weight must be nonnegative")
 
-    def graph_member(x, u, tol=1e-8):
-        x = as_vector(x)
-        u = as_vector(u)
-        if (np.abs(u) > weight + tol).any():
-            return False
-        active = np.abs(x) > tol
-        return bool((np.abs(u[active] - weight * np.sign(x[active])) <= tol).all())
-
-    def member_rows(X, U, tol):
-        X = as_rows(X)
-        U = as_rows(U)
+    def member(X, U, tol):
         outside = (np.abs(U) > weight + tol).any(axis=1)
         ok = (np.abs(X) <= tol) | (np.abs(U - weight * np.sign(X)) <= tol)
         return ~outside & ok.all(axis=1)
 
-    return MonotoneOp(lambda lam, x: prox_l1(lam * weight, x),
-                      graph_member=graph_member,
-                      label="l1_subdiff(w=%g)" % weight,
-                      resolvent_rows=lambda lam, X: _soft(lam * weight, X),
-                      member_rows=member_rows)
+    return MonotoneOp(lambda lam, X: _soft(lam * weight, X), member,
+                      label="l1_subdiff(w=%g)" % weight, rows=True)
 
 
 def affine_op(Q, b, label="affine"):
     """Monotone map A(x) = Qx + b with Q positive semidefinite."""
     Q = np.asarray(Q, dtype=float)
     b = as_vector(b)
+    eye = np.eye(len(b))
 
-    def graph_member(x, u, tol=1e-8):
-        return bool(np.linalg.norm(as_vector(u) - (Q @ as_vector(x) + b)) <= tol)
+    def member(X, U, tol):
+        D = U - ((Q @ X[:, :, None])[:, :, 0] + b)
+        return np.linalg.norm(D, axis=1) <= tol[:, 0]
 
-    return MonotoneOp(lambda lam, x: prox_quadratic(lam, Q, b, x),
-                      graph_member=graph_member,
-                      label=label,
-                      affine=(Q, b))
+    return MonotoneOp(lambda lam, X: _quadratic_rows(eye + lam * Q, X - lam * b, X),
+                      member, label=label, affine=(Q, b), rows=True)
+
+
+def _backward_rows(A, M, lam, X, lamBX):
+    """(M + lam A)^{-1}(M x_i - lam B(x_i)) for every row x_i of X, given
+    lamBX, the rows lam B(x_i) or one shared row: the plain resolvent in
+    the identity metric, when A has one, else metric_resolvent_rows with
+    M applied to the rows first."""
+    if M.is_identity and A.resolvent is not None:
+        return A.resolvent_rows(lam, X - lamBX)
+    return metric_resolvent_rows(A, M, lam, M.apply_each(X) - lamBX)
 
 
 def generalized_resolvent(A, M, lam, u):
-    """Solve M p + lam a = M u with a in A(p), i.e. p = (M + lam A)^{-1}(M u).
-
-    Dispatch: identity metric uses the plain resolvent, when A has one;
-    any other goes through metric_resolvent with M u.
-
-    An ndarray u is taken as given: in the solvers it is x - lam B(x) for a
-    screened x, and either M.apply screens u or the resolvent's output is
-    screened. Other input is coerced and screened here.
-    """
-    if type(u) is not np.ndarray:
-        u = as_vector(u)
-    if M is None or M.is_identity and A.resolvent is not None:
-        return as_vector(A.resolvent(lam, u))
-    return metric_resolvent(A, M, lam, M.apply(u))
-
-
-def metric_resolvent(A, M, lam, r):
-    """(M + lam A)^{-1} r in a metric M other than the identity.
-
-    Affine operators get a direct linear solve; otherwise the operator must
-    carry its own closed form, gen_resolvent. Anything else is rejected
-    rather than approximated. r is taken as given: in the solvers it is
-    M x - lam B(x) for a screened x, and gen_resolvent screens where it
-    reads r, as the stacked saddle operator's does.
-    """
-    if A.gen_resolvent is not None:
-        return as_vector(A.gen_resolvent(M, lam, r))
-    if A.affine is not None:
-        Q, b = A.affine
-        d = len(r)
-        Q = np.zeros((d, d)) if Q is None else np.asarray(Q, dtype=float)
-        b = np.zeros(d) if b is None else as_vector(b)
-        return np.linalg.solve(M.matrix + lam * Q, r - lam * b)
-    raise ValueError("generalized resolvent unavailable: metric is not the "
-                     "identity and operator %r has no affine form or closed "
-                     "formula" % A)
+    """Solve M p + lam a = M u with a in A(p), i.e. p = (M + lam A)^{-1}(M u),
+    as a one-row call of _backward_rows; M None is the identity."""
+    U = as_rows(_one_row(u))
+    M = SpdMap.identity(U.shape[1]) if M is None else M
+    return _backward_rows(A, M, lam, U, 0.0)[0]
 
 
 def metric_resolvent_rows(A, M, lam, R):
-    """metric_resolvent(A, M, lam, r_i) for every row r_i of a (k, d)
-    block: one call of the operator's gen_resolvent_rows, or without it
-    the rows one at a time. The output block is screened as
-    metric_resolvent screens its vector.
+    """(M + lam A)^{-1} r_i for every row r_i of a (k, d) block, in a
+    metric M other than the identity.
+
+    The operator's own generalized resolvent goes first, its output block
+    screened; an affine operator gets a direct linear solve per row. A
+    block with rows is rejected for anything else rather than
+    approximated. R is taken as given: in the solvers it is M x - lam B(x)
+    for screened x, and a generalized resolvent screens where it reads R,
+    as the stacked saddle operator's does.
     """
     if A._gen_resolvent_rows is not None:
         return as_rows(A._gen_resolvent_rows(M, lam, R))
-    return _per_row(lambda r: metric_resolvent(A, M, lam, r), R)
+    if A.affine is None and len(R):
+        raise ValueError("generalized resolvent unavailable: metric is not the "
+                         "identity and operator %r has no affine form or closed "
+                         "formula" % A)
+    Q, b = A.affine or (None, None)
+    d = R.shape[1]
+    Q = np.zeros((d, d)) if Q is None else np.asarray(Q, dtype=float)
+    b = np.zeros(d) if b is None else as_vector(b)
+    return _solve_rows(M.matrix + lam * Q, R - lam * b)
 
 
 class CocoerciveMap:
@@ -249,34 +226,24 @@ class CocoerciveMap:
     The certificate means <Bx - By, x - y> >= ||Bx - By||^2 in the L^{-1}
     norm. With L = (1/beta) I this is the usual beta-co-coercivity.
 
-    The apply_rows callable, when given, maps a (k, d) block to the (k, d)
-    block of B(x_i) and must agree with apply row by row; without it, the
-    method of the same name calls apply once per row. The solvers evaluate
-    B for the step from a state before its stop test, and the state's again
-    alone after a failed call, so apply and apply_rows must be pure
-    functions of their arguments.
+    B is stored once, as a callable on (k, d) blocks that gives the rows
+    B(x_i); with rows false, the default, the callable given is a
+    per-vector form B(x), made here a row callable that calls it once per
+    row. apply_rows screens the blocks going in and out; a call on a vector
+    is the one-row call. Like the resolvent, B must be pure.
     """
 
-    def __init__(self, apply, certificate_L, label="", apply_rows=None):
-        self._apply = apply
+    def __init__(self, apply, certificate_L, label="", rows=False):
+        self._apply_rows = apply if rows else _per_row(apply)
         self.certificate_L = certificate_L
         self.label = label
-        self._apply_rows = apply_rows
 
     def __call__(self, x):
-        return as_vector(self._apply(as_vector(x)))
-
-    def with_value(self, x):
-        """(v, B(v)) for v = as_vector(x): the screened argument with its
-        value, for a caller that goes on to use the argument."""
-        v = as_vector(x)
-        return v, as_vector(self._apply(v))
+        return as_rows(self._apply_rows(as_rows(_one_row(x))))[0]
 
     def apply_rows(self, X):
         """B(x_i) for every row x_i of a (k, d) block; the input and
-        output blocks are screened as __call__ screens its vectors."""
-        if self._apply_rows is None:
-            return _per_row(self, X)
+        output blocks are screened."""
         return as_rows(self._apply_rows(as_rows(X)))
 
     def __repr__(self):
@@ -312,33 +279,24 @@ class SaddleFunctionPair:
     their prox operators and Q, P* by gradients with known Lipschitz
     constants.
 
-    Row forms are opt-in and, like the scalar forms, plain attributes (None
-    when absent). The prox_G_rows and prox_Fstar_rows callables map a step
-    size and a (k, d) block to the (k, d) block of proxes of its rows;
-    grad_Q_rows and grad_Pstar_rows map a (k, d) block to the gradients of
-    its rows. Each must agree with its scalar form row by row. Only with
-    all four do the stacked operators of cripda.stacked_operators have row
-    forms, whose callers screen the blocks going in and out
-    (CocoerciveMap.apply_rows and metric_resolvent_rows). The solvers
-    evaluate the forms for the step from a state before its stop test, so
-    the scalar and row forms must be pure functions of their arguments.
+    Each of the four maps is stored once, as a callable on (k, d) blocks of
+    rows: prox_G(tau, X) and prox_Fstar(sigma, Y) give the proxes of the
+    rows, grad_Q(X) and grad_Pstar(Y) their gradients. With rows false,
+    the default, the callables given are per-vector forms, each made here a
+    row callable that calls it once per row. The maps must be pure; the
+    callers of cripda.stacked_operators screen its blocks.
     """
 
     def __init__(self, prox_G, prox_Fstar, grad_Q, lip_Q, grad_Pstar,
-                 lip_Pstar, K, label="", prox_G_rows=None,
-                 prox_Fstar_rows=None, grad_Q_rows=None, grad_Pstar_rows=None):
-        self.prox_G = prox_G
-        self.prox_Fstar = prox_Fstar
-        self.grad_Q = grad_Q
+                 lip_Pstar, K, label="", rows=False):
+        maps = (prox_G, prox_Fstar, grad_Q, grad_Pstar)
+        if not rows:
+            maps = [_per_row(f) for f in maps]
+        self.prox_G, self.prox_Fstar, self.grad_Q, self.grad_Pstar = maps
         self.lip_Q = float(lip_Q)
-        self.grad_Pstar = grad_Pstar
         self.lip_Pstar = float(lip_Pstar)
         self.K = np.asarray(K, dtype=float)
         self.label = label
-        self.prox_G_rows = prox_G_rows
-        self.prox_Fstar_rows = prox_Fstar_rows
-        self.grad_Q_rows = grad_Q_rows
-        self.grad_Pstar_rows = grad_Pstar_rows
 
     @property
     def d_primal(self):
@@ -347,9 +305,3 @@ class SaddleFunctionPair:
     @property
     def d_dual(self):
         return self.K.shape[0]
-
-    @property
-    def has_rows(self):
-        """True when the pair carries all four row forms."""
-        return None not in (self.prox_G_rows, self.prox_Fstar_rows,
-                            self.grad_Q_rows, self.grad_Pstar_rows)

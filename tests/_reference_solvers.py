@@ -15,7 +15,11 @@ on recorded rows only. The state types, the schedule and the block
 vector type ``ProductVector`` are kept here as they were too; the
 product-space loop forms the package's columns from its old lists.
 Parameter types, validators, result types and the operators themselves
-are the package's own.
+are the package's own; the maps of a saddle pair, which the package
+stores only as row forms, are called here one vector at a time (one_row),
+and the primal-dual residual writes its closed-form resolvent out, with
+tau and sigma as given. The chambolle_dossal step reads B and A, as the
+package's does.
 """
 
 from dataclasses import dataclass
@@ -24,10 +28,15 @@ import numpy as np
 
 from monosplit.baselines import _KINDS, BaselineResult, default_step
 from monosplit.crifba import RunResult, validate
-from monosplit.cripda import (CripdaResult, build_metric, precond_resolvent,
-                              validate_cripda)
+from monosplit.cripda import CripdaResult, build_metric, validate_cripda
 from monosplit.gcrifba import GcrifbaResult, validate_gcrifba
 from monosplit.metriclin import as_vector
+
+
+def one_row(fn, *args):
+    """A row form fn on one vector, its last argument: the row of its
+    (1, d) block."""
+    return fn(*args[:-1], np.reshape(args[-1], (1, -1)))[0]
 
 
 def schedule(params, n):
@@ -201,12 +210,14 @@ def cripda_step(state, params, problem):
     xi = state.x + theta * (state.x - state.x_prev) + gamma * (state.xi_prev - state.x)
     chi = state.y + theta * (state.y - state.y_prev) + gamma * (state.chi_prev - state.y)
     K = problem.K
-    x_hat = as_vector(problem.prox_G(
-        params.tau, xi - params.tau * (problem.grad_Q(xi) + K.T @ chi)))
+    x_hat = as_vector(one_row(
+        problem.prox_G, params.tau,
+        xi - params.tau * (one_row(problem.grad_Q, xi) + K.T @ chi)))
     x_next = (1.0 - params.w) * xi + params.w * x_hat
     xi_bar = 2.0 / params.w * (x_next - (1.0 - params.w) * xi) - xi
-    y_hat = as_vector(problem.prox_Fstar(
-        params.sigma, chi - params.sigma * (problem.grad_Pstar(chi) - K @ xi_bar)))
+    y_hat = as_vector(one_row(
+        problem.prox_Fstar, params.sigma,
+        chi - params.sigma * (one_row(problem.grad_Pstar, chi) - K @ xi_bar)))
     y_next = (1.0 - params.w) * chi + params.w * y_hat
     if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(y_next))):
         raise ArithmeticError("non-finite iterate at n=%d" % state.n)
@@ -216,9 +227,14 @@ def cripda_step(state, params, problem):
 def fixed_point_residual(problem, params, M, x, y):
     dx = len(x)
     u = np.concatenate([x, y])
-    smooth = np.concatenate([problem.grad_Q(x), problem.grad_Pstar(y)])
+    smooth = np.concatenate([one_row(problem.grad_Q, x),
+                             one_row(problem.grad_Pstar, y)])
     r = M.apply(u) - smooth
-    px, py = precond_resolvent(problem, params.tau, params.sigma, r[:dx], r[dx:])
+    # the metric-shifted resolvent: the primal prox first, feeding the dual
+    tau, sigma = params.tau, params.sigma
+    px = as_vector(one_row(problem.prox_G, tau, tau * as_vector(r[:dx])))
+    py = as_vector(one_row(problem.prox_Fstar, sigma, sigma * as_vector(r[dx:])
+                           + 2.0 * sigma * (problem.K @ px)))
     diff = u - np.concatenate([px, py])
     return np.sqrt(max(M.norm2(diff), 0.0))
 
@@ -376,12 +392,13 @@ def attouch_cabot_step(A, B, lam, alpha_n, w_n, x, x_prev):
     return (1.0 - w_n) * z + w_n * as_vector(A.resolvent(lam, z - lam * B(z)))
 
 
-def chambolle_dossal_step(f_grad, g_prox, lam, alpha, n, x, x_prev):
-    """Momentum prox-gradient step with the (n-1)/(n+alpha-1) coefficient."""
+def chambolle_dossal_step(A, B, lam, alpha, n, x, x_prev):
+    """Momentum forward-backward step with the (n-1)/(n+alpha-1)
+    coefficient."""
     x = as_vector(x)
     mom = (n - 1.0) / (n + alpha - 1.0) if n >= 1 else 0.0
     z = x + mom * (x - as_vector(x_prev))
-    return as_vector(g_prox(lam, z - lam * f_grad(z)))
+    return as_vector(A.resolvent(lam, z - lam * B(z)))
 
 
 def run_baseline(kind, problem, x0, lam=None, max_iter=10**6, tol=1e-9,
@@ -414,8 +431,6 @@ def run_baseline(kind, problem, x0, lam=None, max_iter=10**6, tol=1e-9,
             raise ValueError("momentum parameter must exceed 3")
         if not 0.0 < lam < beta:
             raise ValueError("step must lie in (0, 1/Lipschitz)")
-        f_grad = problem.extras["f_grad"]
-        g_prox = problem.extras["g_prox"]
     if kind == "dr":
         if problem.B_resolvent is None:
             raise ValueError("this problem has no resolvent form for B")
@@ -457,7 +472,7 @@ def run_baseline(kind, problem, x0, lam=None, max_iter=10**6, tol=1e-9,
             w_n = 1.0 - ac_rho / n ** 2 if n >= 1 else 1.0
             x_next = attouch_cabot_step(A, B, lam, a_n, w_n, x, x_prev)
         else:
-            x_next = chambolle_dossal_step(f_grad, g_prox, lam, alpha, n, x, x_prev)
+            x_next = chambolle_dossal_step(A, B, lam, alpha, n, x, x_prev)
         if record:
             ns.append(n)
             res2.append(r2)

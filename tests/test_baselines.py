@@ -112,8 +112,10 @@ def test_default_steps(clamp):
      "momentum parameter must exceed 3"),
     ("chambolle_dossal", "p1_clamp", {"lam": 1.5},
      "step must lie in (0, 1/Lipschitz)"),
-    ("chambolle_dossal", "p3_spectrum", {},
-     "this problem has no f_grad and g_prox split"),
+    ("moudafi_oliny", "p1_clamp", {"inertia": "x"}, "inertia must be a number, got 'x'"),
+    ("attouch_cabot", "p2_lasso", {"ac_rho": "x"}, "ac_rho must be a number, got 'x'"),
+    ("chambolle_dossal", "p1_clamp", {"alpha": True}, "alpha must be a number, got True"),
+    ("ppa", "p1_clamp", {"lam": [1.0]}, "lam must be a number, got [1.0]"),
     ("ppa", "p2_lasso", {}, "this problem has no resolvent of the full sum"),
     ("dr", "p2_lasso", {}, "this problem has no resolvent form for B"),
 ])

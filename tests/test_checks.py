@@ -157,8 +157,7 @@ def test_rilo_tests_B_on_a_default_parameter_run(row):
         X = np.asarray(X, dtype=float)
         return prob.B._apply_rows(X) + 10.0 * np.all(X == z, axis=-1)[..., None]
 
-    B = CocoerciveMap(lambda x: bent(x[None])[0], prob.B.certificate_L,
-                      apply_rows=bent)
+    B = CocoerciveMap(bent, prob.B.certificate_L, rows=True)
     clean = check_rilo(res, prob.B, q)
     assert clean.passed
     lam, ww, Lnorm = params.lam, params.w * (1.0 - params.w), params.L.norm()
@@ -319,7 +318,7 @@ def test_graph_inclusion_catches_a_perturbed_correction(clamp_run):
     assert_caught(perturbed(clamp_run, "V", 0.01)["graph_inclusion"])
 
 
-# --- the row-form protocol against its scalar fallback ---------------------
+# --- row forms against per-vector forms -------------------------------------
 
 def counted(fn, calls, key):
     def wrapper(*args):
@@ -328,18 +327,20 @@ def counted(fn, calls, key):
     return wrapper
 
 
-def with_scalar_counts(A, B, calls, row_forms):
-    """A and B with counted scalar forms, keeping or dropping their row
-    forms."""
-    A2 = MonotoneOp(counted(A.resolvent, calls, "resolvent"),
-                    graph_member=counted(A.graph_member, calls, "member"),
-                    label=A.label,
-                    resolvent_rows=A._resolvent_rows if row_forms else None,
-                    member_rows=A._member_rows if row_forms else None)
-    B2 = CocoerciveMap(counted(B._apply, calls, "B"), B.certificate_L,
-                       label=B.label,
-                       apply_rows=B._apply_rows if row_forms else None)
-    return A2, B2
+def with_counts(A, B, calls, row_forms):
+    """A and B, counted: with row_forms their row forms, otherwise their
+    one-row calls given as per-vector forms, which the operators call once
+    per row."""
+    if row_forms:
+        return (MonotoneOp(counted(A._resolvent_rows, calls, "resolvent"),
+                           counted(A._member_rows, calls, "member"),
+                           label=A.label, rows=True),
+                CocoerciveMap(counted(B._apply_rows, calls, "B"), B.certificate_L,
+                              label=B.label, rows=True))
+    return (MonotoneOp(counted(A.resolvent, calls, "resolvent"),
+                       graph_member=counted(A.graph_member, calls, "member"),
+                       label=A.label),
+            CocoerciveMap(counted(B, calls, "B"), B.certificate_L, label=B.label))
 
 
 @pytest.mark.parametrize("name", ["p1_clamp", "p2_lasso", "p3_spectrum",
@@ -347,10 +348,12 @@ def with_scalar_counts(A, B, calls, row_forms):
 def test_user_operators_without_row_forms_report_the_same(name):
     A, B, q, res = recorded(name, LONG)
     rows_calls, scalar_calls = {}, {}
-    with_rows = standard_suite(res, *with_scalar_counts(A, B, rows_calls, True), q=q)
-    fallback = standard_suite(res, *with_scalar_counts(A, B, scalar_calls, False), q=q)
-    # the row forms leave only B(q) of rilo to the scalar path
-    assert rows_calls == {"B": 1}
+    with_rows = standard_suite(res, *with_counts(A, B, rows_calls, True), q=q)
+    fallback = standard_suite(res, *with_counts(A, B, scalar_calls, False), q=q)
+    # one row call of each map per block, B twice (at the z and the y
+    # rows), and B(q) of rilo as a call on one row
+    blocks = -(-LONG // BLOCK_ROWS)
+    assert rows_calls == {"B": 2 * blocks + 1, "resolvent": blocks, "member": blocks}
     assert scalar_calls == {"B": 2 * LONG + 1, "resolvent": LONG, "member": LONG}
     if name == "p2_lasso":      # a matrix form: within 64 d eps
         assert_matches_reference(with_rows, fallback, res.X.shape[1])

@@ -3,9 +3,8 @@ import pytest
 
 from monosplit import problems
 from monosplit.crifba import KMState, crifba_step, residual_G
-from monosplit.cripda import (CripdaParams, build_metric, precond_resolvent,
-                              run_cripda, stacked_operators, stacked_problem,
-                              validate_cripda)
+from monosplit.cripda import (CripdaParams, build_metric, run_cripda,
+                              stacked_operators, stacked_problem, validate_cripda)
 from monosplit.metriclin import operator_norm
 from monosplit.operators import SaddleFunctionPair, prox_l1
 
@@ -60,6 +59,15 @@ def test_validate_vacuous_bounds_for_smooth_free_problem():
     assert selector in (1, 2)
 
 
+def precond_resolvent(pair, tau, sigma, xi_p, chi_p):
+    """The stacked operator's generalized resolvent in the block metric of
+    tau and sigma, on the argument (xi', chi'), split into (x, y)."""
+    A, _ = stacked_operators(pair)
+    u = A.gen_resolvent(build_metric(pair, tau, sigma), 1.0,
+                        np.concatenate([xi_p, chi_p]))
+    return u[:pair.d_primal], u[pair.d_primal:]
+
+
 def test_precond_resolvent_decouples_when_K_zero():
     pair = plain_pair(np.zeros((1, 1)))
     x, y = precond_resolvent(pair, 0.25, 0.5, [2.0], [-3.0])
@@ -76,7 +84,8 @@ def test_precond_resolvent_plugback_certificate():
     b = prob.extras["b"]
     rng = np.random.default_rng(8)
     for _ in range(50):
-        tau, sigma = rng.uniform(0.05, 1.0, 2)
+        # tau sigma ||K||^2 < 1 keeps the block metric positive definite
+        tau, sigma = rng.uniform(0.05, 1.0, 2) / operator_norm(pair.K)
         xi_p = rng.standard_normal(5)
         chi_p = rng.standard_normal(5)
         x, y = precond_resolvent(pair, tau, sigma, xi_p, chi_p)
@@ -143,7 +152,10 @@ def test_stacked_operators_resolvent_matches_closed_form():
     from monosplit.operators import generalized_resolvent
     out = generalized_resolvent(A, M, 1.0, u)
     r = M.apply(u)
-    x, y = precond_resolvent(prob.saddle, 0.2, 0.2, r[:5], r[5:])
+    # the primal prox first, feeding the dual prox
+    mu, b, K = prob.extras["mu"], prob.extras["b"], prob.extras["K"]
+    x = prox_l1(0.2 * mu, 0.2 * r[:5])
+    y = (0.2 * r[5:] + 0.4 * (K @ x) - 0.2 * b) / 1.2
     assert np.allclose(out, np.concatenate([x, y]))
     # gen_resolvent takes its argument with M applied
     assert np.array_equal(A.gen_resolvent(M, 1.0, r), out)

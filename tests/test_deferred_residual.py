@@ -125,9 +125,8 @@ def test_step_cap_around_a_record_block(case, steps):
 
 def test_divergence():
     unit = SpdMap(np.eye(1))
-    push = MonotoneOp(lambda lam, x: 10.0 * np.asarray(x),
-                      resolvent_rows=lambda lam, X: 10.0 * X)
-    still = CocoerciveMap(lambda x: 0.0 * x, unit, apply_rows=lambda X: 0.0 * X)
+    push = MonotoneOp(lambda lam, X: 10.0 * X, rows=True)
+    still = CocoerciveMap(lambda X: 0.0 * X, unit, rows=True)
     p = crifba.CrifbaParams(lam=0.5, L=unit)
     core_run = assert_same(crifba.run(push, still, p, [1.0], max_iter=1000, tol=0.0),
                            reference.run(push, still, p, [1.0], max_iter=1000, tol=0.0))
@@ -136,7 +135,7 @@ def test_divergence():
     g = gcrifba.default_gcrifba_params(1.0)
     lifted = assert_same(
         gcrifba.run_gcrifba([zero_op(), zero_op()],
-                            CocoerciveMap(lambda x: -x, unit, apply_rows=lambda X: -X),
+                            CocoerciveMap(lambda X: -X, unit, rows=True),
                             g, [1.0], max_iter=1000),
         gcrifba.run_gcrifba([zero_op(), zero_op()], CocoerciveMap(lambda x: -x, unit),
                             g, [1.0], max_iter=1000))
@@ -190,17 +189,19 @@ def counting(calls, key, fn):
 def test_residual_and_step_share_one_row_call(monkeypatch, rows, tol):
     # each tested state costs one row call of B and of the resolvent, on the
     # state and the point its step starts from, and a capped run one more,
-    # on its last state alone; without row forms each row is one scalar
-    # call. Either way the step runs once per step taken, never ahead of
-    # the stop test
+    # on its last state alone; given per vector, each row is one call.
+    # Either way the step runs once per step taken, never ahead of the stop
+    # test
     prob = problems.get("p2_lasso")
     calls = {}
-    A = MonotoneOp(counting(calls, "resolvent", prob.A.resolvent),
-                   resolvent_rows=counting(calls, "resolvent_rows",
-                                           prob.A._resolvent_rows) if rows else None)
-    B = CocoerciveMap(counting(calls, "B", prob.B._apply), prob.B.certificate_L,
-                      apply_rows=counting(calls, "B_rows", prob.B._apply_rows)
-                      if rows else None)
+    if rows:
+        A = MonotoneOp(counting(calls, "resolvent_rows", prob.A._resolvent_rows),
+                       rows=True)
+        B = CocoerciveMap(counting(calls, "B_rows", prob.B._apply_rows),
+                          prob.B.certificate_L, rows=True)
+    else:
+        A = MonotoneOp(counting(calls, "resolvent", prob.A.resolvent))
+        B = CocoerciveMap(counting(calls, "B", prob.B), prob.B.certificate_L)
     monkeypatch.setattr(crifba, "crifba_step",
                         counting(calls, "step", crifba.crifba_step))
     res = crifba.run(A, B, crifba.default_params(prob.L_map()), start(prob, 15),
@@ -218,16 +219,14 @@ FORMS = ("prox_G", "prox_Fstar", "grad_Q", "grad_Pstar")
 
 
 def counted_pair(calls, rows):
-    """The p5_saddle pair with its scalar forms, and with rows its row
-    forms, counted."""
+    """The p5_saddle pair, counted: with rows its row forms, otherwise the
+    same callables given as per-vector forms (they broadcast over one
+    vector as over a block), which the pair calls once per row."""
     pair = problems.get("p5_saddle").saddle
-    forms = {name: counting(calls, name, getattr(pair, name)) for name in FORMS}
-    if rows:
-        forms.update({name + "_rows": counting(calls, name + "_rows",
-                                               getattr(pair, "%s_rows" % name))
-                      for name in FORMS})
+    key = "%s_rows" if rows else "%s"
+    forms = {name: counting(calls, key % name, getattr(pair, name)) for name in FORMS}
     return SaddleFunctionPair(lip_Q=pair.lip_Q, lip_Pstar=pair.lip_Pstar, K=pair.K,
-                              **forms)
+                              rows=rows, **forms)
 
 
 @pytest.mark.parametrize("rows", [True, False], ids=["row_forms", "scalar_forms"])
@@ -236,11 +235,10 @@ def test_stacked_run_in_the_block_metric_shares_one_row_call(monkeypatch, rows, 
     # each tested state costs one row call of B (each gradient) and of the
     # generalized resolvent (each prox) and one block product with M, and a
     # capped run one more of each, on its last state alone: n + 1 of each
-    # with the pair's row forms, and no scalar call. Without them each row
-    # is one scalar call of each form: 2n + 1 on a cap, 2n + 2 on a tol
-    # stop. No run makes a scalar forward-backward call, applies M to one
-    # vector or solves with M. The replay makes no scalar call, and calls
-    # each row form once per block of rows
+    # with the pair's row forms. Given per vector, each row is one call of
+    # each form: 2n + 1 on a cap, 2n + 2 on a tol stop. No run makes a
+    # scalar forward-backward call, applies M to one vector or solves with
+    # M. The replay calls each row form once per block of rows
     calls = {}
     monkeypatch.setattr(crifba, "forward_backward",
                         counting(calls, "forward_backward", crifba.forward_backward))
@@ -263,12 +261,12 @@ def test_stacked_run_in_the_block_metric_shares_one_row_call(monkeypatch, rows, 
     reports = checks.standard_suite(res, A, B, q=q)
     assert all(r.passed for r in reports)
     blocks = -(-n // checks.BLOCK_ROWS)
-    # B(q) of rilo is the one scalar call of the gradients
-    want = dict.fromkeys(["grad_Q", "grad_Pstar"], 1)
+    # B(q) of rilo is one more call of the gradients, on one row
     if rows:
-        want.update(dict.fromkeys(["grad_Q_rows", "grad_Pstar_rows"], 2 * blocks))
+        want = dict.fromkeys(["grad_Q_rows", "grad_Pstar_rows"], 2 * blocks + 1)
         want.update(dict.fromkeys(["prox_G_rows", "prox_Fstar_rows", "apply_each"], blocks))
     else:
+        want = {}
         want.update(dict.fromkeys(["grad_Q", "grad_Pstar"], 2 * n + 1))
         want.update(dict.fromkeys(["prox_G", "prox_Fstar"], n))
         want["apply_each"] = blocks
@@ -316,15 +314,15 @@ def core_with(which, make):
     prob = problems.get("p2_lasso")
     params = crifba.default_params(prob.L_map())
     x0 = start(prob, 16)
-    scalar_of = {"B": prob.B._apply, "resolvent": prob.A.resolvent}[which]
+    scalar_of = {"B": prob.B, "resolvent": prob.A.resolvent}[which]
 
     def solve(rows, ref=False, tol=0.0):
         scalar, row_form = make(scalar_of)
+        form = row_form if rows else scalar
         if which == "B":
-            A, B = prob.A, CocoerciveMap(scalar, prob.B.certificate_L,
-                                         apply_rows=row_form if rows else None)
+            A, B = prob.A, CocoerciveMap(form, prob.B.certificate_L, rows=rows)
         else:
-            A, B = MonotoneOp(scalar, resolvent_rows=row_form if rows else None), prob.B
+            A, B = MonotoneOp(form, rows=rows), prob.B
         run = reference.run if ref else crifba.run
         return run(A, B, params, x0, max_iter=3 * ROWS, tol=tol)
 
@@ -336,15 +334,16 @@ def product_with(which, make):
     prob = problems.get("p4_three")
     params = gcrifba.default_gcrifba_params(prob.beta)
     x0 = start(prob, 17)
-    scalar_of = {"B": prob.B._apply, "resolvent": prob.A_list[1].resolvent}[which]
+    scalar_of = {"B": prob.B, "resolvent": prob.A_list[1].resolvent}[which]
 
     def solve(rows, ref=False, tol=0.0):
         scalar, row_form = make(scalar_of)
+        form = row_form if rows else scalar
         A_list, B = list(prob.A_list), prob.B
         if which == "B":
-            B = CocoerciveMap(scalar, B.certificate_L, apply_rows=row_form if rows else None)
+            B = CocoerciveMap(form, B.certificate_L, rows=rows)
         else:
-            A_list[1] = MonotoneOp(scalar, resolvent_rows=row_form if rows else None)
+            A_list[1] = MonotoneOp(form, rows=rows)
         run = reference.run_gcrifba if ref else gcrifba.run_gcrifba
         return run(A_list, B, params, x0, max_iter=3 * ROWS, tol=tol)
 
@@ -355,25 +354,21 @@ def stack_with(which, make):
     """crifba on the stacked p5_saddle inclusion in its block metric with a
     form of the pair replaced by make(scalar form), or with the metric's
     apply_each, which is how the loop applies M, replaced by make(apply)
-    row by row; without row forms the pair has none, and its forms are
-    called one row at a time."""
+    row by row; without row forms the pair's callables are given as
+    per-vector forms (they broadcast over one vector as over a block), and
+    are called one row at a time."""
     pair = problems.get("p5_saddle").saddle
 
     def solve(rows, ref=False, tol=0.0):
         M = cripda.build_metric(pair, 0.2, 0.2)
         forms = {name: getattr(pair, name) for name in FORMS}
-        if rows:
-            forms.update({name + "_rows": getattr(pair, "%s_rows" % name)
-                          for name in FORMS})
         scalar, row_form = make(M.apply if which == "apply" else forms[which])
         if which == "apply":
             M.apply_each = lambda X: np.array([scalar(x) for x in X])
         else:
-            forms[which] = scalar
-            if rows:
-                forms[which + "_rows"] = row_form
+            forms[which] = row_form if rows else scalar
         new, reference_run = stack(SaddleFunctionPair(
-            lip_Q=pair.lip_Q, lip_Pstar=pair.lip_Pstar, K=pair.K, **forms),
+            lip_Q=pair.lip_Q, lip_Pstar=pair.lip_Pstar, K=pair.K, rows=rows, **forms),
             metric=M, seed=18)
         return (reference_run if ref else new)(max_iter=3 * ROWS, tol=tol)
 

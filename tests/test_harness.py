@@ -260,7 +260,8 @@ REFUSED = {
     "fbf_lam": _solver("p1_clamp", "fbf", lam=1.5),
     "lorenz_pock_lam": _solver("p1_clamp", "lorenz_pock", lam=-0.5),
     "chambolle_dossal_alpha": _solver("p1_clamp", "chambolle_dossal", alpha=2.0),
-    "chambolle_dossal_no_split": _solver("p3_spectrum", "chambolle_dossal"),
+    "moudafi_oliny_inertia": _solver("p1_clamp", "moudafi_oliny", inertia="x"),
+    "attouch_cabot_ac_rho": _solver("p2_lasso", "attouch_cabot", ac_rho="x"),
     "ppa_no_sum_resolvent": _solver("p2_lasso", "ppa"),
     "dr_no_B_resolvent": _solver("p2_lasso", "dr"),
     "crifba_on_three_operators": _solver("p4_three", "crifba"),
@@ -278,12 +279,14 @@ REFUSED = {
                           stop={"max_iter": -1}),
     "stop_tol": dict(_solver("p5_saddle", "cripda", tau=0.2, sigma=0.2),
                      stop={"tol": "abc"}),
+    "certify_tol": dict(_solver("p1_clamp", "fba"), certify_tol="x"),
+    "output": dict(_solver("p1_clamp", "fba"), output=7),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED))
 def test_validate_refuses_what_run_refuses_with_its_message(tmp_path, name):
-    cfg = dict(REFUSED[name], output="r")
+    cfg = dict({"output": "r"}, **REFUSED[name])
     cfg.setdefault("stop", {"max_iter": 20, "tol": 0.0})
     ok, report = harness.validate_config(cfg)
     assert not ok
@@ -316,6 +319,18 @@ def test_validate_accepts_what_run_runs(tmp_path, cfg):
     assert ok and "error" not in report
     summary, paths = harness.run_config(cfg, outdir=str(tmp_path))
     assert summary["iterations"] == 20 and os.path.exists(paths["csv"])
+
+
+@pytest.mark.parametrize("problem", ["p3_spectrum", "flat_interval"])
+def test_chambolle_dossal_runs_on_problems_without_a_prox_split(tmp_path, problem):
+    # the momentum step reads B and A, as the other forward-backward kinds do
+    cfg = dict(_solver(problem, "chambolle_dossal"), stop={"max_iter": 20, "tol": 0.0},
+               output="cd")
+    ok, report = harness.validate_config(cfg)
+    assert ok and "error" not in report
+    summary, paths = harness.run_config(cfg, outdir=str(tmp_path))
+    # flat_interval's residual is exactly 0 once the iterate enters [-1, 1]
+    assert 0 < summary["iterations"] <= 20 and os.path.exists(paths["csv"])
 
 
 # short runs of each kind; tests/golden holds the CSV each wrote before the

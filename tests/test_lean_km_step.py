@@ -152,16 +152,15 @@ def test_a_constant_stack_takes_B_once_per_run(monkeypatch, steps, tol):
 
 
 def linear_pair(rows):
-    """constant_gradient_pair, whose grad_Q is a nonzero constant, with
-    its row forms when rows is true."""
+    """constant_gradient_pair, whose grad_Q is a nonzero constant, given
+    per vector, or with rows its maps replaced by row forms."""
     pair = constant_gradient_pair([])
     if rows:
-        c = pair.grad_Q(None)
-        pair.prox_G_rows = lambda tau, U: U
-        pair.prox_Fstar_rows = lambda sigma, U: U / (1.0 + sigma)
-        pair.grad_Q_rows = lambda X: np.tile(c, (len(X), 1))
-        pair.grad_Pstar_rows = np.zeros_like
-        assert pair.has_rows
+        c = pair.grad_Q(np.zeros((1, 2)))[0]
+        pair.prox_G = lambda tau, U: U
+        pair.prox_Fstar = lambda sigma, U: U / (1.0 + sigma)
+        pair.grad_Q = lambda X: np.tile(c, (len(X), 1))
+        pair.grad_Pstar = np.zeros_like
     return pair
 
 
@@ -186,8 +185,8 @@ def test_a_constant_B_value_off_a_unit_step(metric):
     # crifba._run with the value of a constant B, at lam != 1, in the
     # identity and in another metric: bit for bit the run that calls B
     c = np.array([0.4, -1.3, 0.2])
-    B = CocoerciveMap(lambda x: c, SpdMap(np.eye(3)),
-                      apply_rows=lambda X: np.tile(c, (len(X), 1)))
+    B = CocoerciveMap(lambda X: np.tile(c, (len(X), 1)), SpdMap(np.eye(3)),
+                      rows=True)
     A = affine_op(np.diag([1.0, 0.5, 2.0]), [0.1, 0.0, -0.3])
     M = None if metric is None else SpdMap([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2],
                                              [0.0, -0.2, 1.8]])

@@ -238,12 +238,10 @@ def identity_metric_pair(rows):
     at tau = sigma = 1 its block metric is the identity."""
     soft = lambda t, u: np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
     clip = lambda s, u: np.clip(u, -1.0, 1.0)
-    forms = dict(prox_G_rows=soft, prox_Fstar_rows=clip,
-                 grad_Q_rows=np.zeros_like, grad_Pstar_rows=np.zeros_like)
     return SaddleFunctionPair(
         prox_G=soft, prox_Fstar=clip, grad_Q=np.zeros_like, lip_Q=0.0,
         grad_Pstar=np.zeros_like, lip_Pstar=0.0, K=[[0.0]], label="identity_metric",
-        **(forms if rows else {}))
+        rows=rows)
 
 
 @pytest.mark.parametrize("rows", [True, False], ids=["rows", "scalar"])

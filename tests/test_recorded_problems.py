@@ -171,7 +171,7 @@ def test_lasso_pd_prox_rows_match_prox_l1_row_by_row():
     pair = get("p5_lasso_pd").saddle
     mu = get("p5_lasso_pd").extras["mu"]
     U = np.random.default_rng(1404).standard_normal((3, 5))
-    out = pair.prox_G_rows(0.7, U)
+    out = pair.prox_G(0.7, U)
     for row, u in zip(out, U):
         assert row.tobytes() == prox_l1(0.7 * mu, u).tobytes()
 
@@ -179,7 +179,7 @@ def test_lasso_pd_prox_rows_match_prox_l1_row_by_row():
 def test_constant_gradient_rows_are_read_only_blocks_of_the_value():
     pair = _constant_gradients(get("p5_lasso_pd").saddle, np.zeros(5), np.zeros(5))
     X = np.ones((2, 5))
-    for name in ("grad_Q_rows", "grad_Pstar_rows"):
+    for name in ("grad_Q", "grad_Pstar"):
         G = getattr(pair, name)(X)
         assert G.shape == (2, 5) and not G.flags.writeable
         assert G.tobytes() == np.zeros((2, 5)).tobytes()

@@ -66,7 +66,7 @@ def _with_nan(name, which, k):
     (which) returns NaN on its k-th call."""
     prob = problems.get(name)
     if which == "B":
-        prob.B = CocoerciveMap(nan_on_call(prob.B._apply, k), prob.B.certificate_L)
+        prob.B = CocoerciveMap(nan_on_call(prob.B, k), prob.B.certificate_L)
     elif which == "A":
         prob.A = MonotoneOp(nan_on_call(prob.A.resolvent, k))
     elif which == "sum_op":

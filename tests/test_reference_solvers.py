@@ -301,7 +301,7 @@ def same_failure(new, ref):
 def _lasso_with(B_apply=None, resolvent=None):
     prob = problems.get("p2_lasso")
     B = prob.B if B_apply is None else CocoerciveMap(
-        nan_on_call(prob.B._apply, B_apply), prob.B.certificate_L)
+        nan_on_call(prob.B, B_apply), prob.B.certificate_L)
     A = prob.A if resolvent is None else MonotoneOp(
         nan_on_call(prob.A.resolvent, resolvent), label="l1")
     return A, B, crifba.default_params(prob.L_map()), start(prob, 7)
@@ -362,7 +362,7 @@ def test_cripda_overflowing_start():
 def _three_with(B_apply=None, resolvent=None):
     prob = problems.get("p4_three")
     B = prob.B if B_apply is None else CocoerciveMap(
-        nan_on_call(prob.B._apply, B_apply), prob.B.certificate_L)
+        nan_on_call(prob.B, B_apply), prob.B.certificate_L)
     A_list = list(prob.A_list)
     if resolvent is not None:
         A_list[1] = MonotoneOp(nan_on_call(box_op(1.0, np.inf).resolvent, resolvent))
