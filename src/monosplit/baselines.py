@@ -37,6 +37,14 @@ _KINDS = ("ppa", "fba", "fbf", "dr", "moudafi_oliny", "lorenz_pock",
           "attouch_cabot", "chambolle_dossal")
 
 
+def require_number(name, value, nullable=False):
+    """ValueError unless value is a real number, not a bool, or None where
+    nullable; numpy scalars pass."""
+    if not (isinstance(value, numbers.Real) and type(value) is not bool
+            or value is None and nullable):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+
+
 def default_step(kind, problem):
     """Feasible default step length for a baseline on a given problem."""
     beta = problem.beta
@@ -72,9 +80,7 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
         raise ValueError("unknown baseline kind %r" % kind)
     for name, value in (("lam", lam), ("alpha", alpha), ("inertia", inertia),
                         ("ac_alpha", ac_alpha), ("ac_rho", ac_rho)):
-        if not (isinstance(value, numbers.Real) and type(value) is not bool
-                or value is None and name in ("lam", "ac_rho")):
-            raise ValueError("%s must be a number, got %r" % (name, value))
+        require_number(name, value, nullable=name in ("lam", "ac_rho"))
     A, B, extras = problem.A, problem.B, problem.extras
     if kind == "ppa":
         # the proximal point method sees the whole inclusion through one
@@ -154,9 +160,9 @@ def run_baseline(kind, problem, x0, lam=None, max_iter=10**6, tol=1e-9,
     Every step tests the plain (identity metric) fixed-point residual at
     the current iterate against tol, so where the run stops does not
     depend on stride, an integer >= 1. Rows are stored at n = 0, stride,
-    2 stride, ... and at the step where the run stops on tol or diverges;
-    a row holds the squared residual at x_n and the squared step just
-    taken.
+    2 stride, ..., at the step where the run stops on tol or diverges and
+    at its last step, n = max_iter - 1; a row holds the squared residual at
+    x_n and the squared step just taken.
     """
     step = baseline_step(kind, problem, lam, alpha, inertia, ac_alpha, ac_rho)
     if not (stride >= 1 and stride % 1 == 0):
@@ -175,7 +181,7 @@ def run_baseline(kind, problem, x0, lam=None, max_iter=10**6, tol=1e-9,
             raise ArithmeticError("non-finite iterate at n=%d" % n)
         elif math.sqrt(x_next.dot(x_next)) > 1e12:
             stopped = "diverged"
-        if n % stride == 0 or stopped != "max_iter":
+        if n % stride == 0 or stopped != "max_iter" or n + 1 == max_iter:
             ns.append(n)
             res2.append(r2)
             d = x_next - x

@@ -1,18 +1,28 @@
 """Batch front end: JSON run configs, CSV traces, slope fits, summaries."""
 
+import collections
 import csv
 import hashlib
 import json
 import math
 import os
+import zipfile
 
 import numpy as np
 
 from . import baselines, checks, cripda, crifba, gcrifba, problems
 
-# the field of a catalog problem that each solver kind runs on
-_FORMS = {"crifba": "A", "gcrifba": "A_list", "cripda": "saddle",
-          **dict.fromkeys(baselines._KINDS, "A")}
+# each solver kind: the field of a catalog problem it runs on, the solver
+# keys it reads and those of them that may be null, for the solver's default
+_SCHEDULE = ("e", "s0", "s1", "nu0", "w")
+SOLVER_KEYS = {
+    "crifba": ("A", _SCHEDULE + ("lam", "delta"), ("delta",)),
+    "gcrifba": ("A_list", _SCHEDULE + ("lam",), ()),
+    "cripda": ("saddle", _SCHEDULE + ("tau", "sigma", "delta"), ("delta",)),
+    **dict.fromkeys(baselines._KINDS, ("A", ("lam", "alpha", "inertia", "ac_alpha",
+                                             "ac_rho"), ("lam", "ac_rho")))}
+RunConfig = collections.namedtuple(
+    "RunConfig", "problem kind params max_iter tol stride output certify_tol")
 CSV_ROWS = 4096     # the trace rows write_trace_csv formats at a time
 
 
@@ -30,63 +40,101 @@ def output_dir():
     return os.environ.get("MONOSPLIT_OUT", ".")
 
 
-def _crifba_params(problem, solver_cfg):
-    keys = ("e", "s0", "s1", "nu0", "w", "delta", "lam")
-    overrides = {k: solver_cfg[k] for k in keys if k in solver_cfg}
-    return crifba.default_params(problem.L_map(), **overrides)
+def _object(value, where, keys=None):
+    """value, a dict with no key outside keys (when given), or ValueError."""
+    if type(value) is not dict:
+        raise ValueError("%s must be an object, got %r" % (where, value))
+    for key in value:
+        if keys is not None and key not in keys:
+            raise ValueError("unknown key %r in %s" % (key, where))
+    return value
 
 
-def _problem(cfg, kind):
-    """The config's catalog problem, which the solver kind must run on."""
-    if kind not in _FORMS:
-        raise ValueError("unknown solver kind %r" % kind)
+def _limit(block, key, default):
+    """block[key] (default when unset), a number >= 0, as a float."""
+    value = block.get(key, default)
+    if type(value) not in (int, float) or not value >= 0:
+        raise ValueError("%s must be a number >= 0, got %r" % (key, value))
+    return float(value)
+
+
+def read_config(cfg):
+    """The run a config describes, read once through SOLVER_KEYS, as a
+    RunConfig. params is the solver's parameter record, or a baseline's
+    keyword arguments with lam default_step when unset or null. A solver
+    field must be a number, null only where the solver's default is None;
+    the solvers' validators check its range. ValueError on a key the kind
+    does not read, a field of the wrong type or a problem the kind does not
+    run on; KeyError on an unknown or missing problem. Defaults: kind crifba,
+    stride 1, max_iter 10**6 (1e6 reads as an integer), tol 1e-9, output
+    run_<config hash>, certify_tol 1e-6."""
+    _object(cfg, "config", ("problem", "solver", "stop", "stride", "output",
+                            "certify_tol"))
+    solver = _object(cfg.get("solver", {}), "solver")
+    kind = solver.get("kind", "crifba")
+    if type(kind) is not str or kind not in SOLVER_KEYS:
+        raise ValueError("unknown solver kind %r" % (kind,))
+    form, keys, nullable = SOLVER_KEYS[kind]
+    _object(solver, "solver", ("kind",) + keys)
+    given = {k: v for k, v in solver.items() if k != "kind"}
+    for key, value in given.items():
+        baselines.require_number(key, value, nullable=key in nullable)
+    stride = cfg.get("stride", 1)
+    if type(stride) is not int or stride < 1:
+        raise ValueError("stride must be an integer >= 1, got %r" % (stride,))
+    stop = _object(cfg.get("stop", {}), "stop", ("max_iter", "tol"))
+    max_iter = stop.get("max_iter", 10**6)
+    if type(max_iter) not in (int, float) or not max_iter >= 0 or max_iter % 1:
+        raise ValueError("max_iter must be an integer >= 0, got %r" % (max_iter,))
+    tol = _limit(stop, "tol", 1e-9)
+    output = cfg.get("output", "run_%s" % config_hash(cfg))
+    if type(output) is not str:
+        raise ValueError("output must be a string, got %r" % (output,))
+    certify_tol = _limit(cfg, "certify_tol", 1e-6)
     problem = problems.get(cfg["problem"])
-    if getattr(problem, _FORMS[kind]) is None:
+    if getattr(problem, form) is None:
         raise ValueError("solver kind %r does not run on problem %r"
                          % (kind, problem.name))
-    return problem
+    if kind == "crifba":
+        params = crifba.default_params(problem.L_map(), **given)
+    elif kind == "gcrifba":
+        params = gcrifba.default_gcrifba_params(problem.beta, **given)
+    elif kind == "cripda":
+        params = cripda.CripdaParams(**given)
+    else:
+        params = given
+        if given.get("lam") is None:
+            given["lam"] = baselines.default_step(kind, problem)
+    return RunConfig(problem, kind, params, int(max_iter), tol, stride, output,
+                     certify_tol)
 
 
 def validate_config(cfg):
     """Make the checks a run of cfg makes, with its parameters, and no step;
     returns (ok, report), with the run's error message when it would fail."""
-    report = {"problem": cfg.get("problem"), "kind": None}
+    report = {"problem": cfg.get("problem") if type(cfg) is dict else None, "kind": None}
     try:
-        solver, kind = solver_config(cfg)
+        rc = read_config(cfg)
+        problem, kind, params = rc.problem, rc.kind, rc.params
         report["kind"] = kind
-        trace_stride(cfg)
-        stop_limits(cfg)
-        output_fields(cfg)
-        problem = _problem(cfg, kind)
         if kind == "crifba":
-            params = _crifba_params(problem, solver)
             ok, report["core_violations"] = crifba.validate_core(params)
             metric = crifba.validate_metric(params, d=problem.d)
             report["selector"], report["margins"] = metric.selector, metric.margins
             if not (ok and metric.ok):
                 crifba.validate(params, d=problem.d)    # raises the run's error
         elif kind == "gcrifba":
-            report["lam_bound"] = gcrifba.validate_gcrifba(
-                _gcrifba_params(problem, solver))
+            report["lam_bound"] = gcrifba.validate_gcrifba(params)
         elif kind == "cripda":
             report["selector"], report["margins"] = cripda.validate_cripda(
-                _cripda_params(solver), problem.saddle)
+                params, problem.saddle)
         else:
-            params = _baseline_params(kind, problem, solver)
             report["lam"] = params["lam"]
             baselines.baseline_step(kind, problem, **params)
         return True, report
     except (ValueError, KeyError, TypeError) as exc:
         report["error"] = str(exc)
         return False, report
-
-
-def _core_problem(problem, solver_cfg):
-    """(A, B, crifba parameters) of a crifba run, or of the stacked
-    inclusion that a cripda run iterates on."""
-    if solver_cfg.get("kind", "crifba") == "cripda":
-        return cripda.stacked_problem(problem.saddle, _cripda_params(solver_cfg))
-    return problem.A, problem.B, _crifba_params(problem, solver_cfg)
 
 
 def _core_solution(problem):
@@ -96,26 +144,6 @@ def _core_solution(problem):
     if isinstance(q, tuple):
         return np.concatenate(q)
     return q if isinstance(q, np.ndarray) else None
-
-
-def _gcrifba_params(problem, solver_cfg):
-    keys = ("e", "s0", "s1", "nu0", "w", "lam")
-    overrides = {k: solver_cfg[k] for k in keys if k in solver_cfg}
-    return gcrifba.default_gcrifba_params(problem.beta, **overrides)
-
-
-def _cripda_params(solver_cfg):
-    keys = ("tau", "sigma", "e", "s0", "s1", "nu0", "w", "delta")
-    return cripda.CripdaParams(**{k: solver_cfg[k] for k in keys if k in solver_cfg})
-
-
-def _baseline_params(kind, problem, solver_cfg):
-    """A baseline run's keyword arguments, lam default_step when unset."""
-    keys = ("lam", "alpha", "inertia", "ac_alpha", "ac_rho")
-    params = {k: solver_cfg[k] for k in keys if k in solver_cfg}
-    if params.get("lam") is None:
-        params["lam"] = baselines.default_step(kind, problem)
-    return params
 
 
 def fit_slope(ns, values, window=None):
@@ -151,51 +179,6 @@ def fit_slope(ns, values, window=None):
             "dropped_nonpositive": dropped}
 
 
-def solver_config(cfg):
-    """The config's solver object and kind (default crifba), or ValueError."""
-    solver = cfg.get("solver", {})
-    if type(solver) is not dict:
-        raise ValueError("solver must be an object, got %r" % (solver,))
-    return solver, solver.get("kind", "crifba")
-
-
-def trace_stride(cfg):
-    """The config's stride, an integer >= 1 (default 1); ValueError
-    otherwise."""
-    stride = cfg.get("stride", 1)
-    if type(stride) is not int or stride < 1:
-        raise ValueError("stride must be an integer >= 1, got %r" % (stride,))
-    return stride
-
-
-def stop_limits(cfg):
-    """The config's max_iter, an integer >= 0 (default 10**6; 1e6 reads as
-    one), and tol, a number >= 0 (default 1e-9); ValueError otherwise."""
-    stop = cfg.get("stop", {})
-    if type(stop) is not dict:
-        raise ValueError("stop must be an object, got %r" % (stop,))
-    max_iter = stop.get("max_iter", 10**6)
-    if type(max_iter) not in (int, float) or not max_iter >= 0 \
-            or max_iter % 1 != 0:
-        raise ValueError("max_iter must be an integer >= 0, got %r" % (max_iter,))
-    tol = stop.get("tol", 1e-9)
-    if type(tol) not in (int, float) or not tol >= 0:
-        raise ValueError("tol must be a number >= 0, got %r" % (tol,))
-    return int(max_iter), float(tol)
-
-
-def output_fields(cfg):
-    """The config's output, a string (default run_<config hash>), and
-    certify_tol, a number >= 0 (default 1e-6); ValueError otherwise."""
-    output = cfg.get("output", "run_%s" % config_hash(cfg))
-    if type(output) is not str:
-        raise ValueError("output must be a string, got %r" % (output,))
-    tol = cfg.get("certify_tol", 1e-6)
-    if type(tol) not in (int, float) or not tol >= 0:
-        raise ValueError("certify_tol must be a number >= 0, got %r" % (tol,))
-    return output, float(tol)
-
-
 def write_trace_csv(path, columns):
     """Write the trace columns (name: 1-D array, in CSV order, the integer
     n first); floats as %.17g, NaN (an undefined cell) as an empty cell.
@@ -215,26 +198,23 @@ def run_config(cfg, outdir=None):
     gives its strided trace columns; the tail writes the columns of
     crifba.TRACE_COLUMNS, NaN where a kind gives none, and fits vel2, vn2
     and res2."""
-    stride = trace_stride(cfg)
-    max_iter, tol = stop_limits(cfg)
-    output, certify_tol = output_fields(cfg)
-    solver, kind = solver_config(cfg)
-    problem = _problem(cfg, kind)
+    rc = read_config(cfg)
+    problem, kind, params, stride = rc.problem, rc.kind, rc.params, rc.stride
     outdir = outdir or output_dir()
     os.makedirs(outdir, exist_ok=True)
-    base = os.path.join(outdir, output)
+    base = os.path.join(outdir, rc.output)
     paths = {"csv": base + ".csv", "summary": base + ".summary.json"}
 
     if kind in ("crifba", "cripda"):
         if kind == "crifba":
             A, B = problem.A, problem.B
-            result = crifba.run(A, B, _crifba_params(problem, solver), problem.start,
-                                max_iter=max_iter, tol=tol)
+            result = crifba.run(A, B, params, problem.start,
+                                max_iter=rc.max_iter, tol=rc.tol)
             candidate = result.x
         else:
-            pd = cripda.run_cripda(problem.saddle, _cripda_params(solver),
+            pd = cripda.run_cripda(problem.saddle, params,
                                    problem.start, np.zeros(problem.saddle.d_dual),
-                                   max_iter=max_iter, tol=tol)
+                                   max_iter=rc.max_iter, tol=rc.tol)
             result, candidate = pd.core, (pd.x, pd.y)
             A, B = cripda.stacked_operators(problem.saddle)
         trace = crifba.diagnostics(result, A, B, q=_core_solution(problem),
@@ -246,18 +226,16 @@ def run_config(cfg, outdir=None):
                             V=result.V, res2=result.res2,
                             x_prev_init=result.x_prev_init)
     elif kind == "gcrifba":
-        params = _gcrifba_params(problem, solver)
-        result = gcrifba.run_gcrifba(problem.A_list, problem.B, params,
-                                     problem.start, max_iter=max_iter, tol=tol)
+        result = gcrifba.run_gcrifba(problem.A_list, problem.B, params, problem.start,
+                                     max_iter=rc.max_iter, tol=rc.tol)
         n = np.arange(0, result.n_iters + 1, stride)
         cols = {"n": n, "vel2": result.vel2[n], "vn2": result.vn2[n],
                 "res2": result.res2[n]}
         final_res2 = result.res2[len(result.ns) - 1]
         candidate = result.x
     else:
-        params = _baseline_params(kind, problem, solver)
         result = baselines.run_baseline(kind, problem, problem.start,
-                                        max_iter=max_iter, tol=tol,
+                                        max_iter=rc.max_iter, tol=rc.tol,
                                         stride=stride, **params)
         cols = {"n": result.ns, "vel2": result.vel2, "res2": result.res2}
         final_res2 = result.res2[-1] if len(result.res2) else math.nan
@@ -268,7 +246,7 @@ def run_config(cfg, outdir=None):
     undefined = np.full(len(cols["n"]), np.nan)
     cols = {name: cols.get(name, undefined) for name in crifba.TRACE_COLUMNS}
     write_trace_csv(paths["csv"], cols)
-    ok, residual = problems.certify(problem, candidate, tol=certify_tol)
+    ok, residual = problems.certify(problem, candidate, tol=rc.certify_tol)
     slopes = {name: fit_slope(cols["n"], cols[name]) for name in ("vel2", "vn2", "res2")}
     summary = {
         "config_hash": config_hash(cfg),
@@ -285,22 +263,25 @@ def run_config(cfg, outdir=None):
 
 
 def check_history(history_path, cfg):
-    """Replay every checker over a stored run history."""
+    """Replay every checker over a stored run history; an error status
+    when the config or the history cannot be read."""
     try:
-        problem = problems.get(cfg["problem"])
-        solver, kind = solver_config(cfg)
-    except (KeyError, ValueError) as exc:
+        rc = read_config(cfg)
+        if rc.kind not in ("crifba", "cripda"):
+            return {"status": "skipped",
+                    "reason": "history replay covers the core and primal-dual solvers"}
+        if rc.kind == "crifba":
+            A, B, params = rc.problem.A, rc.problem.B, rc.params
+        else:
+            A, B, params = cripda.stacked_problem(rc.problem.saddle, rc.params)
+        with np.load(history_path) as data:
+            result = crifba.RunResult(
+                X=data["X"], Z=data["Z"], V=data["V"], res2=data["res2"],
+                x_prev_init=data["x_prev_init"], n_iters=data["X"].shape[0] - 1,
+                stopped="replay", params=params)
+    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         return {"status": "error", "error": str(exc)}
-    if kind not in ("crifba", "cripda"):
-        return {"status": "skipped",
-                "reason": "history replay covers the core and primal-dual solvers"}
-    A, B, params = _core_problem(problem, solver)
-    with np.load(history_path) as data:
-        result = crifba.RunResult(
-            X=data["X"], Z=data["Z"], V=data["V"], res2=data["res2"],
-            x_prev_init=data["x_prev_init"], n_iters=data["X"].shape[0] - 1,
-            stopped="replay", params=params)
-    reports = checks.standard_suite(result, A, B, q=_core_solution(problem))
+    reports = checks.standard_suite(result, A, B, q=_core_solution(rc.problem))
     executed = [r for r in reports if not r.status.startswith("skipped")]
     return {
         "status": "ok",

@@ -1,10 +1,12 @@
+import dataclasses
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
-from monosplit import cli, crifba, harness, problems
+from monosplit import baselines, cli, cripda, crifba, gcrifba, harness, problems
 from monosplit.metriclin import operator_norm
 
 
@@ -235,8 +237,10 @@ def test_a_malformed_stop_block_is_refused(tmp_path, capsys, kind, stop,
 
 def test_a_stop_block_reads_integral_floats_and_integer_tolerances(tmp_path):
     # JSON writes 1e6 as a float; int() has always read it as 10**6
-    assert harness.stop_limits({"stop": {"max_iter": 1e6, "tol": 0}}) == (10**6, 0.0)
-    assert harness.stop_limits({}) == (10**6, 1e-9)
+    rc = harness.read_config(dict(STRIDE_CFGS["fba"], stop={"max_iter": 1e6, "tol": 0}))
+    assert (rc.max_iter, rc.tol) == (10**6, 0.0) and type(rc.max_iter) is int
+    rc = harness.read_config(STRIDE_CFGS["fba"])
+    assert (rc.max_iter, rc.tol) == (10**6, 1e-9)
     cfg = dict(STRIDE_CFGS["fba"], stop={"max_iter": 20.0, "tol": 0}, output="s")
     assert harness.validate_config(cfg)[0]
     assert harness.run_config(cfg, outdir=str(tmp_path))[0]["iterations"] == 20
@@ -282,6 +286,29 @@ REFUSED = {
     "certify_tol": dict(_solver("p1_clamp", "fba"), certify_tol="x"),
     "output": dict(_solver("p1_clamp", "fba"), output=7),
 }
+# refusals of the config reader, each with the message that names its key
+READ_REFUSED = {
+    "crifba_unknown_key": (_solver("p1_clamp", "crifba", lamda=50.0),
+                           "unknown key 'lamda' in solver"),
+    "fba_cripda_key": (_solver("p1_clamp", "fba", tau=0.2),
+                       "unknown key 'tau' in solver"),
+    "stop_unknown_key": (dict(_solver("p1_clamp", "fba"), stop={"maxiter": 20}),
+                         "unknown key 'maxiter' in stop"),
+    "top_unknown_key": (dict(_solver("p1_clamp", "fba"), strid=2),
+                        "unknown key 'strid' in config"),
+    "crifba_w_string": (_solver("p1_clamp", "crifba", w="x"),
+                        "w must be a number, got 'x'"),
+    "crifba_e_bool": (_solver("p1_clamp", "crifba", e=True),
+                      "e must be a number, got True"),
+    "crifba_lam_null": (_solver("p1_clamp", "crifba", lam=None),
+                        "lam must be a number, got None"),
+    "gcrifba_nu0_string": (_solver("p4_three", "gcrifba", nu0="x"),
+                           "nu0 must be a number, got 'x'"),
+    "cripda_tau_string": (_solver("p5_saddle", "cripda", tau="x", sigma=0.2),
+                          "tau must be a number, got 'x'"),
+    "kind_list": (_solver("p1_clamp", ["fba"]), "unknown solver kind ['fba']"),
+}
+REFUSED.update({name: cfg for name, (cfg, _) in READ_REFUSED.items()})
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED))
@@ -293,7 +320,30 @@ def test_validate_refuses_what_run_refuses_with_its_message(tmp_path, name):
     with pytest.raises((ValueError, KeyError)) as err:
         harness.run_config(cfg, outdir=str(tmp_path))
     assert str(err.value) == report["error"]
+    if name in READ_REFUSED:
+        assert report["error"] == READ_REFUSED[name][1]
     assert not os.path.exists(tmp_path / "r.csv")
+
+
+def test_the_key_table_reads_every_solver_field():
+    # a field added to a solver must become a key the reader accepts
+    def fields(cls, *dropped):
+        return {f.name for f in dataclasses.fields(cls)} - set(dropped)
+
+    def keys(kind):
+        return set(harness.SOLVER_KEYS[kind][1])
+
+    assert keys("crifba") == fields(crifba.CrifbaParams, "M", "L")
+    assert keys("gcrifba") == fields(gcrifba.GcrifbaParams, "beta")
+    assert keys("cripda") == fields(cripda.CripdaParams)
+    step = set(inspect.signature(baselines.baseline_step).parameters) - {"kind", "problem"}
+    run = inspect.signature(baselines.run_baseline).parameters
+    for kind in baselines._KINDS:
+        assert keys(kind) == step
+        # null only where the solver's default is None
+        assert set(harness.SOLVER_KEYS[kind][2]) == {k for k in step if run[k].default is None}
+    assert harness.SOLVER_KEYS["crifba"][2] == harness.SOLVER_KEYS["cripda"][2] == ("delta",)
+    assert harness.SOLVER_KEYS["gcrifba"][2] == ()
 
 
 # one feasible config per kind, non-default parameters where a kind has them
@@ -400,6 +450,24 @@ def test_run_config_gcrifba_and_cripda_and_baseline(tmp_path):
     summary, _ = harness.run_config(cfg, outdir=str(tmp_path))
     # certification happens on the shadow point, not the governing sequence
     assert summary["certify"]["ok"] is True
+
+
+@pytest.mark.parametrize("kind", baselines._KINDS)
+def test_a_capped_baseline_reports_the_same_final_res2_at_every_stride(tmp_path, kind):
+    # the row of the last step, n = N - 1, is kept at every stride; ppa and
+    # dr need p1_clamp's resolvents, on which the inertial kinds reach a
+    # zero residual within 50 steps
+    problem = "p1_clamp" if kind in ("ppa", "dr") else "p3_spectrum"
+    finals = set()
+    for stride in (1, 2, 5, 7):
+        cfg = dict(_solver(problem, kind), stop={"max_iter": 50, "tol": 0.0},
+                   stride=stride, output="s%d" % stride)
+        summary, paths = harness.run_config(cfg, outdir=str(tmp_path))
+        assert summary["iterations"] == 50
+        with open(paths["csv"]) as fh:
+            assert fh.readlines()[-1].split(",")[0] == "49"
+        finals.add(summary["final_res2"])
+    assert len(finals) == 1 and None not in finals
 
 
 @pytest.mark.parametrize("kind", sorted(STRIDE_CFGS))
@@ -525,6 +593,37 @@ def test_cli_check(tmp_path):
     arrays["X"][50] += 0.1
     np.savez_compressed(hist, **arrays)
     assert cli.main(["check", hist, cfg_path]) == 1
+
+
+def test_a_config_that_is_not_an_object_is_refused(tmp_path, capsys):
+    _, paths = harness.run_config(CLAMP_CFG, outdir=str(tmp_path))
+    path = write_cfg(tmp_path, "list.json", [1, 2])
+    message = "config must be an object, got [1, 2]"
+    capsys.readouterr()
+    for argv in (["validate", path], ["run", path, "--outdir", str(tmp_path)]):
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == message
+    assert cli.main(["compare", path, "--outdir", str(tmp_path)]) == 1
+    entry = json.loads(capsys.readouterr().out)[0]
+    assert entry["status"] == "invalid" and entry["report"]["error"] == message
+    assert cli.main(["check", paths["history"], path]) == 1
+    assert json.loads(capsys.readouterr().out) == {"status": "error", "error": message}
+
+
+def test_check_reports_a_history_it_cannot_read(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, "cfg.json", CLAMP_CFG)
+    not_npz = tmp_path / "not.npz"
+    not_npz.write_text("not an archive")
+    no_z = tmp_path / "no_z.npz"
+    np.savez_compressed(no_z, X=np.zeros((2, 1)))
+    truncated = tmp_path / "truncated.npz"
+    truncated.write_bytes(no_z.read_bytes()[:40])
+    capsys.readouterr()
+    for history in (tmp_path / "missing.npz", not_npz, truncated, no_z):
+        assert cli.main(["check", str(history), cfg_path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error" and report["error"]
+    assert "Z is not a file in the archive" in report["error"]
 
 
 def test_cli_compare(tmp_path):
