@@ -159,10 +159,14 @@ def run_baseline(kind, problem, x0, lam=None, max_iter=10**6, tol=1e-9,
 
     Every step tests the plain (identity metric) fixed-point residual at
     the current iterate against tol, so where the run stops does not
-    depend on stride, an integer >= 1. Rows are stored at n = 0, stride,
-    2 stride, ..., at the step where the run stops on tol or diverges and
-    at its last step, n = max_iter - 1; a row holds the squared residual at
-    x_n and the squared step just taken.
+    depend on stride, an integer >= 1. Unless it stops on tol, x_{n+1} is
+    tested with one dot, as crifba.iterate tests its iterates: past
+    Euclidean norm 1e12 the run stops as "diverged", or raises
+    ArithmeticError("non-finite iterate at n=%d") when x_{n+1} is not
+    finite. Rows are stored at n = 0, stride, 2 stride, ..., at the step
+    where the run stops on tol or diverges and at its last step,
+    n = max_iter - 1; a row holds the squared residual at x_n and the
+    squared step just taken.
     """
     step = baseline_step(kind, problem, lam, alpha, inertia, ac_alpha, ac_rho)
     if not (stride >= 1 and stride % 1 == 0):
@@ -174,18 +178,18 @@ def run_baseline(kind, problem, x0, lam=None, max_iter=10**6, tol=1e-9,
     n = 0
     while n < max_iter:
         x_next, r = step(n, x, x_prev)
-        r2 = float(r @ r)
+        r2 = float(r.dot(r))
         if math.sqrt(r2) <= tol:
             stopped = "tol"
-        elif not all_finite(x_next):
-            raise ArithmeticError("non-finite iterate at n=%d" % n)
-        elif math.sqrt(x_next.dot(x_next)) > 1e12:
+        elif not math.sqrt(x_next.dot(x_next)) <= 1e12:
+            if not all_finite(x_next):
+                raise ArithmeticError("non-finite iterate at n=%d" % n)
             stopped = "diverged"
         if n % stride == 0 or stopped != "max_iter" or n + 1 == max_iter:
             ns.append(n)
             res2.append(r2)
             d = x_next - x
-            vel2.append(float(d @ d))
+            vel2.append(float(d.dot(d)))
             if stopped != "max_iter":
                 break
         x_prev = x

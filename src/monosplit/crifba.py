@@ -307,6 +307,18 @@ class RunResult:
             np.subtract(self.Z, self.X[1:], out=value[1:])
         return value
 
+    def v_rows(self, n):
+        """V[n] for an ascending index array n: rows of a V held, else formed
+        as V is formed, by the same subtraction, without the other rows."""
+        V = object.__getattribute__(self, "V")
+        if V is not None:
+            return V[n]
+        first = int(len(n) > 0 and n[0] == 0)
+        out = np.empty((len(n),) + self.X.shape[1:])
+        out[:first] = self._v0
+        np.subtract(self.Z[n[first:] - 1], self.X[n[first:]], out=out[first:])
+        return out
+
     def __getstate__(self):
         # a copy holds V formed, apart from the X and Z it was formed from
         return {**vars(self), "V": self.V}
@@ -427,12 +439,13 @@ def diagnostics(result, A, B, q=None, stride=1):
     y*_n (graph_sequence). NaN marks an undefined cell: vel2 on the final
     row, energy without q and ystar_norm at n = 0. Rows are formed
     RECORD_ROWS at a time and screened as the scalar forms screen them;
-    every cell but energy at d > 1 equals its scalar form bit for bit.
+    every cell but energy at d > 1 equals its scalar form bit for bit. Only
+    the rows of V that the trace reads are formed (RunResult.v_rows).
     """
     if stride < 1:
         raise ValueError("stride must be at least 1")
     params = result.params
-    X, Z, V = result.X, result.Z, result.V
+    X, Z = result.X, result.Z
     M = params.metric(X.shape[1])
     N = result.n_iters
     rows = np.arange(0, N + 1, stride)
@@ -443,7 +456,7 @@ def diagnostics(result, A, B, q=None, stride=1):
     for a in range(0, len(out), RECORD_ROWS):
         blk = out[a:a + RECORD_ROWS]
         n = blk["n"]
-        Xn, Vn = as_rows(X[n]), V[n]
+        Xn, Vn = as_rows(X[n]), result.v_rows(n)
         blk["vn2"] = M.norm2_each(Vn)       # screens Vn
         m = n[n < N]
         blk["vel2"][:len(m)] = M.norm2_each(X[m + 1] - X[m])

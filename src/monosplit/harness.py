@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -64,8 +65,9 @@ def read_config(cfg):
     keyword arguments with lam default_step when unset or null. A solver
     field must be a number, null only where the solver's default is None;
     the solvers' validators check its range. ValueError on a key the kind
-    does not read, a field of the wrong type or a problem the kind does not
-    run on; KeyError on an unknown or missing problem. Defaults: kind crifba,
+    does not read, a key it needs that is missing (cripda's tau and sigma),
+    a field of the wrong type or a problem the kind does not run on;
+    KeyError on an unknown or missing problem. Defaults: kind crifba,
     stride 1, max_iter 10**6 (1e6 reads as an integer), tol 1e-9, output
     run_<config hash>, certify_tol 1e-6."""
     _object(cfg, "config", ("problem", "solver", "stop", "stride", "output",
@@ -100,6 +102,11 @@ def read_config(cfg):
     elif kind == "gcrifba":
         params = gcrifba.default_gcrifba_params(problem.beta, **given)
     elif kind == "cripda":
+        missing = [f.name for f in dataclasses.fields(cripda.CripdaParams)
+                   if f.default is dataclasses.MISSING and f.name not in given]
+        if missing:
+            raise ValueError("solver kind 'cripda' needs the key%s %s" % (
+                "s" * (len(missing) > 1), " and ".join(map(repr, missing))))
         params = cripda.CripdaParams(**given)
     else:
         params = given
@@ -182,15 +189,17 @@ def fit_slope(ns, values, window=None):
 def write_trace_csv(path, columns):
     """Write the trace columns (name: 1-D array, in CSV order, the integer
     n first); floats as %.17g, NaN (an undefined cell) as an empty cell.
-    The rows are formatted and written CSV_ROWS at a time."""
+    The rows are formatted and written CSV_ROWS at a time, the bytes of
+    csv.writer's excel dialect: a row is formatted with one %, and the
+    "nan" that %.17g gives a NaN, the only output of %d or %.17g that holds
+    those letters, is then cut from the block."""
     names = list(columns)
+    line = "%d" + ",%.17g" * (len(names) - 1) + "\r\n"
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(names)
+        csv.writer(fh).writerow(names)
         for a in range(0, len(columns[names[0]]), CSV_ROWS):
             cells = [columns[name][a:a + CSV_ROWS].tolist() for name in names]
-            cells[1:] = [["" if v != v else "%.17g" % v for v in c] for c in cells[1:]]
-            wr.writerows(zip(*cells))
+            fh.write("".join([line % row for row in zip(*cells)]).replace("nan", ""))
 
 
 def run_config(cfg, outdir=None):
@@ -222,9 +231,10 @@ def run_config(cfg, outdir=None):
         cols = {name: trace[name] for name in crifba.TRACE_COLUMNS}
         final_res2 = result.res2[-1]
         paths["history"] = base + ".history.npz"
-        np.savez_compressed(paths["history"], X=result.X, Z=result.Z,
-                            V=result.V, res2=result.res2,
-                            x_prev_init=result.x_prev_init)
+        # uncompressed and without V, which check_history forms from X, Z
+        # and v0: compression takes as long as the run and saves little
+        np.savez(paths["history"], X=result.X, Z=result.Z, res2=result.res2,
+                 x_prev_init=result.x_prev_init, v0=result._v0)
     elif kind == "gcrifba":
         result = gcrifba.run_gcrifba(problem.A_list, problem.B, params, problem.start,
                                      max_iter=rc.max_iter, tol=rc.tol)
@@ -263,8 +273,10 @@ def run_config(cfg, outdir=None):
 
 
 def check_history(history_path, cfg):
-    """Replay every checker over a stored run history; an error status
-    when the config or the history cannot be read."""
+    """Replay every checker over a stored run history, an .npz archive of
+    X, Z, res2, x_prev_init and v0, or of V in place of v0 as older runs
+    wrote it; an error status when the config or the history cannot be
+    read."""
     try:
         rc = read_config(cfg)
         if rc.kind not in ("crifba", "cripda"):
@@ -274,11 +286,17 @@ def check_history(history_path, cfg):
             A, B, params = rc.problem.A, rc.problem.B, rc.params
         else:
             A, B, params = cripda.stacked_problem(rc.problem.saddle, rc.params)
-        with np.load(history_path) as data:
+        data = np.load(history_path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("history %s is not an .npz archive" % history_path)
+        with data:
+            # an archive written before v0 holds V, which is read as stored
+            V = data["V"] if "V" in data.files else None
             result = crifba.RunResult(
-                X=data["X"], Z=data["Z"], V=data["V"], res2=data["res2"],
+                X=data["X"], Z=data["Z"], V=V, res2=data["res2"],
                 x_prev_init=data["x_prev_init"], n_iters=data["X"].shape[0] - 1,
-                stopped="replay", params=params)
+                stopped="replay", params=params,
+                _v0=data["v0"] if V is None else None)
     except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         return {"status": "error", "error": str(exc)}
     reports = checks.standard_suite(result, A, B, q=_core_solution(rc.problem))

@@ -186,7 +186,9 @@ class SpdMap:
             v = x
         else:
             v = np.asarray(x, dtype=float).reshape(-1)
-        r2 = float(v @ v) if self.is_identity else float(v @ self.matrix @ v)
+        # ndarray.dot gives the bits of v @ v and v @ M @ v (pinned by
+        # tests/test_metriclin.py) at about half their dispatch cost
+        r2 = float(v.dot(v)) if self.is_identity else float(v.dot(self.matrix).dot(v))
         if not math.isfinite(r2):
             as_vector(v)
         return r2
@@ -218,8 +220,9 @@ class SpdMap:
     def norm2_each(self, X):
         """norm2 of every row of a (k, d) block, screened as norm2 screens
         its vector. Unlike norm2_rows, each equals norm2 of its row bit for
-        bit: the stacked products below take the paths of the 1-D products
-        in norm2, where an einsum may sum in another order."""
+        bit: the stacked products below take the paths of v @ v and
+        v @ M @ v, whose bits norm2's dots give, where an einsum may sum in
+        another order."""
         X = as_rows(X)
         R = X[:, None, :] if self.is_identity else X[:, None, :] @ self.matrix
         return (R @ X[:, :, None])[:, 0, 0]

@@ -306,6 +306,10 @@ READ_REFUSED = {
                            "nu0 must be a number, got 'x'"),
     "cripda_tau_string": (_solver("p5_saddle", "cripda", tau="x", sigma=0.2),
                           "tau must be a number, got 'x'"),
+    "cripda_no_steps": (_solver("p5_saddle", "cripda"),
+                        "solver kind 'cripda' needs the keys 'tau' and 'sigma'"),
+    "cripda_no_sigma": (_solver("p5_saddle", "cripda", tau=0.2, w=0.3),
+                        "solver kind 'cripda' needs the key 'sigma'"),
     "kind_list": (_solver("p1_clamp", ["fba"]), "unknown solver kind ['fba']"),
 }
 REFUSED.update({name: cfg for name, (cfg, _) in READ_REFUSED.items()})
@@ -618,11 +622,16 @@ def test_check_reports_a_history_it_cannot_read(tmp_path, capsys):
     np.savez_compressed(no_z, X=np.zeros((2, 1)))
     truncated = tmp_path / "truncated.npz"
     truncated.write_bytes(no_z.read_bytes()[:40])
+    # np.load gives a plain array for a .npy file, which is no archive
+    npy = tmp_path / "h.npy"
+    np.save(npy, np.zeros((2, 1)))
     capsys.readouterr()
-    for history in (tmp_path / "missing.npz", not_npz, truncated, no_z):
+    for history in (tmp_path / "missing.npz", not_npz, truncated, npy, no_z):
         assert cli.main(["check", str(history), cfg_path]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "error" and report["error"]
+        if history == npy:
+            assert report["error"] == "history %s is not an .npz archive" % npy
     assert "Z is not a file in the archive" in report["error"]
 
 

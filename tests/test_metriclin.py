@@ -227,6 +227,20 @@ def test_norm2_each_is_norm2_of_each_row_bit_for_bit(identity, d, k):
             m.norm2_each(bad)
 
 
+@pytest.mark.parametrize("d", range(1, 31))
+def test_norm2_is_the_matmul_form_bit_for_bit(d):
+    # norm2 takes ndarray.dot, where it took v @ v and v @ M @ v, at the
+    # scales where the squares near underflow and overflow too
+    rng = np.random.default_rng(400 + d)
+    identity, m = SpdMap.identity(d), random_spd(rng, d)
+    for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+        for _ in range(40):
+            v = rng.standard_normal(d) * scale
+            got = np.array([identity.norm2(v), m.norm2(v)])
+            want = np.array([float(v @ v), float(v @ m.matrix @ v)])
+            assert got.tobytes() == want.tobytes()
+
+
 def test_solve_rows_checks_every_row(monkeypatch):
     m = SpdMap(np.diag([2.0, 4.0]))
     B = np.array([[2.0, 4.0], [4.0, 8.0], [6.0, 12.0]])

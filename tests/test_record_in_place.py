@@ -153,19 +153,70 @@ def test_a_stored_v_is_kept_and_a_perturbed_one_fails_drift_telescoping():
     assert all(r.passed for r in checks.standard_suite(res, prob.A, prob.B))
 
 
-def test_a_perturbed_stored_history_fails_drift_telescoping(tmp_path):
-    # monosplit check replays the V of the history file, not one formed
-    # from its X and Z
-    cfg = {"problem": "p2_lasso", "stop": {"max_iter": 500, "tol": 0.0}, "output": "h"}
-    _, paths = harness.run_config(cfg, outdir=str(tmp_path))
+HISTORY_CFG = {"problem": "p2_lasso", "stop": {"max_iter": 500, "tol": 0.0},
+               "output": "h"}
+
+
+def stored_history(tmp_path):
+    """The path and arrays of the history a 500-step p2_lasso run writes."""
+    _, paths = harness.run_config(HISTORY_CFG, outdir=str(tmp_path))
     with np.load(paths["history"]) as data:
         history = dict(data)
-    assert harness.check_history(paths["history"], cfg)["all_passed"]
-    history["V"][200] += 0.01
-    np.savez(paths["history"], **history)
-    report = harness.check_history(paths["history"], cfg)
-    failed = {r["name"] for r in report["reports"] if not r["passed"]}
-    assert "drift_telescoping" in failed
+    assert harness.check_history(paths["history"], HISTORY_CFG)["all_passed"]
+    return paths["history"], history
+
+
+def failed_checks(path):
+    report = harness.check_history(path, HISTORY_CFG)
+    return {r["name"] for r in report["reports"] if not r["passed"]}
+
+
+def with_v(history):
+    """The arrays of a history as runs wrote them before v0: V in its
+    place, v_0 and then z_{n-1} - x_n."""
+    history = dict(history)
+    v0 = history.pop("v0")
+    history["V"] = np.concatenate([v0[None], history["Z"] - history["X"][1:]])
+    return history
+
+
+def test_a_perturbed_stored_history_fails_drift_telescoping(tmp_path):
+    # monosplit check replays the V of a history file that holds one, as
+    # runs wrote them before v0, not one formed from its X and Z
+    path, history = stored_history(tmp_path)
+    legacy = with_v(history)
+    np.savez(path, **legacy)
+    assert failed_checks(path) == set()
+    legacy["V"][200] += 0.01
+    np.savez(path, **legacy)
+    assert "drift_telescoping" in failed_checks(path)
+
+
+def test_a_perturbed_history_without_v_fails_drift_telescoping(tmp_path):
+    # a history holds X, Z and v0, and V is formed from them: a perturbed
+    # z_200 moves v_201 with it
+    path, history = stored_history(tmp_path)
+    assert "V" not in history and history["v0"].shape == history["X"][0].shape
+    history["Z"][200] += 0.01
+    np.savez(path, **history)
+    assert "drift_telescoping" in failed_checks(path)
+
+
+@pytest.mark.parametrize("problem", ["p2_lasso", "p5_saddle"])
+def test_check_reports_alike_on_a_history_with_and_without_v(tmp_path, problem):
+    # the same run stored both ways, by crifba and by cripda: every report
+    # is the same, n_checked and worst_violation included
+    cfg = dict(HISTORY_CFG, problem=problem)
+    if problem == "p5_saddle":
+        cfg["solver"] = {"kind": "cripda", "tau": 0.2, "sigma": 0.2}
+    _, paths = harness.run_config(cfg, outdir=str(tmp_path))
+    new = harness.check_history(paths["history"], cfg)
+    assert new["all_passed"]
+    assert any(r["n_checked"] > 0 for r in new["reports"])
+    with np.load(paths["history"]) as data:
+        np.savez(paths["history"], **with_v(data))
+    old = harness.check_history(paths["history"], cfg)
+    assert json.dumps(old, default=float) == json.dumps(new, default=float)
 
 
 def test_a_copy_holds_its_own_v():
