@@ -13,8 +13,10 @@ with theta_n, gamma_n derived from the affine index nu_n = s1 n + nu0.
 The product-space (gcrifba) and primal-dual (cripda) solvers take the same
 corrected Krasnosel'skii-Mann step on another space, so the state, the
 schedule and its inequalities, the extrapolation and the loop are written
-once here: KMState, schedule, schedule_violations, extrapolate and
-iterate.
+once here: KMState, schedule, extrapolate and iterate. So are the
+parameter checks: the other two solvers run validate on the crifba
+parameters of their own loop (cripda.stacked_problem,
+gcrifba.default_gcrifba_params).
 """
 
 import math
@@ -70,12 +72,10 @@ def schedule(params, n):
     return nu_n, theta, gamma, tau
 
 
-def schedule_violations(params):
-    """The violated inequalities of the schedule and the relaxation,
-    s1 >= 0, nu0 >= 0, 2 s1 < s0 < e and 0 < w < 1, as a list of reasons.
-
-    params is the parameter record of any of the three solvers.
-    """
+def validate_core(params):
+    """The violated inequalities of the schedule, the relaxation and the
+    step, s1 >= 0, nu0 >= 0, 2 s1 < s0 < e, 0 < w < 1 and lam > 0;
+    returns (ok, list of violations)."""
     reasons = []
     if not params.s1 >= 0:
         reasons.append("s1 must be nonnegative")
@@ -87,12 +87,6 @@ def schedule_violations(params):
         reasons.append("s0 < e violated (got %g >= %g)" % (params.s0, params.e))
     if not 0.0 < params.w < 1.0:
         reasons.append("w in (0,1) violated (got %g)" % params.w)
-    return reasons
-
-
-def validate_core(params):
-    """Strict parameter inequalities; returns (ok, list of violations)."""
-    reasons = schedule_violations(params)
     if not params.lam > 0:
         reasons.append("lam must be positive")
     return (not reasons), reasons

@@ -11,14 +11,12 @@ loop of crifba on this inclusion with the step index fixed to one; tau
 and sigma carry the step-size role inside the metric.
 """
 
-import copy
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .crifba import (RECORD_ROWS, CrifbaParams, RunResult, _run,
-                     schedule_violations)
+from .crifba import RECORD_ROWS, CrifbaParams, RunResult, _run, validate
 from .metriclin import SpdMap, as_rows, as_vector, operator_norm
 from .operators import MonotoneOp, CocoerciveMap
 
@@ -36,58 +34,22 @@ class CripdaParams:
 
 
 def build_metric(problem, tau, sigma):
-    """Assemble the block metric as a dense SpdMap."""
+    """Assemble the block metric as a dense SpdMap; ValueError on a step
+    that is not positive or a metric that is not positive definite, which
+    it is exactly when tau sigma ||K||^2 < 1."""
+    for name, step in (("tau", tau), ("sigma", sigma)):
+        if not step > 0:
+            raise ValueError("%s must be positive, got %g" % (name, step))
     K = problem.K
     dy, dx = K.shape
     top = np.hstack([np.eye(dx) / tau, -K.T])
     bot = np.hstack([-K, np.eye(dy) / sigma])
-    return SpdMap(np.vstack([top, bot]))
-
-
-def validate_cripda(params, problem):
-    """Check the two admissibility conditions; returns (selector, margins).
-
-    Zero Lipschitz constants make the corresponding box constraint vacuous.
-    Raises when the schedule is infeasible or neither condition holds.
-    """
-    reasons = schedule_violations(params)
-    if reasons:
-        raise ValueError("invalid saddle parameters: " + "; ".join(reasons))
-    lq = problem.lip_Q
-    lp = problem.lip_Pstar
-    ww = params.w * (1.0 - params.w)
-    Knorm2 = operator_norm(problem.K) ** 2
-    margins = {}
-    delta = params.delta
-    if delta is None:
-        delta = max(0.25 * max(lq, lp), 0.0) + 1e-3
-    cap = ww / delta
-    m1 = {
-        "delta_slack": delta - 0.25 * max(lq, lp),
-        "tau_slack": cap - params.tau,
-        "sigma_slack": cap - params.sigma,
-        "K_slack": (1.0 / params.tau - delta / ww) * (1.0 / params.sigma - delta / ww)
-        - Knorm2 if params.tau < cap and params.sigma < cap else float("-inf"),
-    }
-    margins["cond1"] = m1
-    sel1 = (m1["delta_slack"] > 0 and m1["tau_slack"] > 0
-            and m1["sigma_slack"] > 0 and m1["K_slack"] > 0)
-    tau_cap = ww / lq if lq > 0 else float("inf")
-    sigma_cap = ww / lp if lp > 0 else float("inf")
-    m2 = {
-        "tau_slack": tau_cap - params.tau,
-        "sigma_slack": sigma_cap - params.sigma,
-        "K_slack": (1.0 / params.tau - lq / ww) * (1.0 / params.sigma - lp / ww)
-        - Knorm2 if params.tau < tau_cap and params.sigma < sigma_cap
-        else float("-inf"),
-    }
-    margins["cond2"] = m2
-    sel2 = m2["tau_slack"] > 0 and m2["sigma_slack"] > 0 and m2["K_slack"] > 0
-    if sel1:
-        return 1, margins
-    if sel2:
-        return 2, margins
-    raise ValueError("saddle step sizes inadmissible, margins: %r" % margins)
+    try:
+        return SpdMap(np.vstack([top, bot]))
+    except ValueError as exc:
+        raise ValueError("block metric of tau=%g, sigma=%g and ||K||=%g: %s "
+                         "(tau*sigma*||K||^2 must be below 1)"
+                         % (tau, sigma, operator_norm(K), exc)) from None
 
 
 def stacked_operators(problem):
@@ -100,7 +62,7 @@ def stacked_operators(problem):
     prox go first and feed the dual prox. The products with K are stacked
     matrix-vector products, which take the path of a 1-D product, so each
     row is bit for bit what a one-row call gives. run_cripda takes a B of
-    two constant gradients once per run.
+    two constant gradients (Lipschitz constant 0) once per run.
     """
     K = problem.K
     dy, dx = K.shape
@@ -146,62 +108,35 @@ class CripdaResult:
 def stacked_problem(problem, params):
     """(A, B, core parameters) of the run on the stacked inclusion: the
     stacked operators, and crifba parameters with lam = 1 in the block
-    metric, the schedule and w of params."""
+    metric, the schedule, w and delta of params. crifba.validate on them
+    is the check of the saddle step sizes: its conditions 1 and 2 in the
+    block metric are the box and product bounds on tau and sigma, through
+    a Schur complement."""
     A, B = stacked_operators(problem)
     core = CrifbaParams(e=params.e, s0=params.s0, s1=params.s1, nu0=params.nu0,
                         lam=1.0, w=params.w, L=B.certificate_L,
-                        M=build_metric(problem, params.tau, params.sigma))
+                        M=build_metric(problem, params.tau, params.sigma),
+                        delta=params.delta)
     return A, B, core
-
-
-def _constant_gradients(problem, x0, y0):
-    """The pair itself, or a shallow copy whose gradients with a declared
-    Lipschitz constant of 0 (a 0-Lipschitz gradient is constant) give the
-    read-only block of their one value, evaluated and screened here once,
-    one block per block height."""
-    if problem.lip_Q != 0.0 and problem.lip_Pstar != 0.0:
-        return problem
-    pair = copy.copy(problem)
-    for name, lip, at in (("grad_Q", problem.lip_Q, x0),
-                          ("grad_Pstar", problem.lip_Pstar, y0)):
-        if lip == 0.0:
-            g = as_rows(getattr(problem, name)(at[None]))[0].copy()
-            setattr(pair, name, _constant_rows(g))
-    return pair
-
-
-def _constant_rows(g):
-    """Row form of the constant map to g: the read-only (k, d) block of
-    rows g, one per block height k."""
-    blocks = {}
-
-    def rows(X):
-        G = blocks.get(len(X))
-        if G is None:
-            G = blocks[len(X)] = np.tile(g, (len(X), 1))
-            G.flags.writeable = False
-        return G
-
-    return rows
 
 
 def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):
     """Iterate the saddle solver until the metric residual is below tol.
 
     The run is crifba's loop on the stacked inclusion (stacked_problem),
-    from u_0 = (x_0, y_0), with the parameters checked by validate_cripda
-    alone; any constant gradient is fixed once per run, and with both, B
-    is taken once and not called: a non-finite z_n makes all of M z_n
-    non-finite, which the resolvent screens. core is that run.
+    from u_0 = (x_0, y_0), with its parameters checked by crifba.validate;
+    with two constant gradients, B is taken once and not called: a
+    non-finite z_n makes all of M z_n non-finite, which the resolvent
+    screens. core is that run.
     The other columns are read off it: hist is its X; ns and fpr2 (its
     res2) cover the states tested, which leave out x_N unless the run
     stopped on tol; vel2 is the squared M-norm of u_{n+1} - u_n, formed
     crifba.RECORD_ROWS states at a time, with 0 for the state that met tol.
     """
-    selector, _ = validate_cripda(params, problem)
+    A, B, core = stacked_problem(problem, params)
+    selector = validate(core).selector
     x0 = as_vector(x0)
     y0 = as_vector(y0)
-    A, B, core = stacked_problem(_constant_gradients(problem, x0, y0), params)
     u0 = np.concatenate([x0, y0])
     c = B(u0) if problem.lip_Q == problem.lip_Pstar == 0.0 else None
     res = _run(A, B, core, u0, max_iter, tol, B_value=c)

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crifba import (RECORD_ROWS, KMState, extrapolate, iterate,
-                     schedule_violations)
-from .metriclin import as_vector
+from .crifba import (RECORD_ROWS, CrifbaParams, KMState, extrapolate, iterate,
+                     validate)
+from .metriclin import SpdMap, as_vector
 
 
 def _block_weights(weights, p):
@@ -26,33 +26,15 @@ def _block_weights(weights, p):
     return w
 
 
-@dataclass
-class GcrifbaParams:
-    beta: float
-    lam: float
-    w: float = 0.5
-    e: float = 3.0
-    s0: float = 2.5
-    s1: float = 1.0
-    nu0: float = 0.0
-
-
 def default_gcrifba_params(beta, safety=0.9, **overrides):
+    """crifba parameters of a run on a problem whose B is beta-cocoercive:
+    L = (1/beta) I_1, so that crifba.validate reads the step bound
+    lam < 4w(1-w)beta as its condition 1 in the identity metric; lam, when
+    not given, is that bound times safety."""
     lam = overrides.pop("lam", None)
-    p = GcrifbaParams(beta=beta, lam=0.0, **overrides)
+    p = CrifbaParams(L=SpdMap(np.eye(1) / beta), **overrides)
     p.lam = lam if lam is not None else safety * 4.0 * p.w * (1.0 - p.w) * beta
     return p
-
-
-def validate_gcrifba(params):
-    """The step bound 4w(1-w)beta; ValueError on a bad schedule or lam."""
-    reasons = schedule_violations(params)
-    bound = 4.0 * params.w * (1.0 - params.w) * params.beta
-    if not 0.0 < params.lam < bound:
-        reasons.append("lam outside (0, 4w(1-w)beta)")
-    if reasons:
-        raise ValueError("invalid product-space parameters: " + "; ".join(reasons))
-    return bound
 
 
 def _resolvents(Z, A_list, B, lam, weights, steps):
@@ -122,9 +104,13 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
     norm, and are formed from the block arrays the loop keeps, RECORD_ROWS
     states at a time, once the run is over; res2 holds the residual of
     every tested state, which leaves out zeta_N unless the run stopped on
-    tol. A non-finite residual ends the run with ArithmeticError.
+    tol. A non-finite residual ends the run with ArithmeticError. params
+    are crifba parameters (default_gcrifba_params) in the identity metric,
+    checked by crifba.validate.
     """
-    validate_gcrifba(params)
+    if params.M is not None:
+        raise ValueError("the product-space run takes no metric M")
+    validate(params)
     x0 = as_vector(x0)
     weights = _block_weights(weights, len(A_list))
     lam = params.lam

@@ -118,26 +118,28 @@ def read_config(cfg):
 
 def validate_config(cfg):
     """Make the checks a run of cfg makes, with its parameters, and no step;
-    returns (ok, report), with the run's error message when it would fail."""
+    returns (ok, report), with the run's error message when it would fail.
+    A KM kind reports core_violations (crifba.validate_core), and selector
+    and margins (crifba.validate_metric) once those are empty; a baseline
+    its step lam."""
     report = {"problem": cfg.get("problem") if type(cfg) is dict else None, "kind": None}
     try:
         rc = read_config(cfg)
-        problem, kind, params = rc.problem, rc.kind, rc.params
-        report["kind"] = kind
-        if kind == "crifba":
+        report["kind"] = rc.kind
+        if rc.kind in ("crifba", "gcrifba", "cripda"):
+            # the crifba parameters the run validates, on the stack for cripda
+            params, d = rc.params, rc.problem.d if rc.kind == "crifba" else None
+            if rc.kind == "cripda":
+                params = cripda.stacked_problem(rc.problem.saddle, params)[2]
             ok, report["core_violations"] = crifba.validate_core(params)
-            metric = crifba.validate_metric(params, d=problem.d)
-            report["selector"], report["margins"] = metric.selector, metric.margins
+            if ok:
+                metric = crifba.validate_metric(params, d=d)
+                report["selector"], report["margins"] = metric.selector, metric.margins
             if not (ok and metric.ok):
-                crifba.validate(params, d=problem.d)    # raises the run's error
-        elif kind == "gcrifba":
-            report["lam_bound"] = gcrifba.validate_gcrifba(params)
-        elif kind == "cripda":
-            report["selector"], report["margins"] = cripda.validate_cripda(
-                params, problem.saddle)
+                crifba.validate(params, d=d)    # raises the run's error
         else:
-            report["lam"] = params["lam"]
-            baselines.baseline_step(kind, problem, **params)
+            report["lam"] = rc.params["lam"]
+            baselines.baseline_step(rc.kind, rc.problem, **rc.params)
         return True, report
     except (ValueError, KeyError, TypeError) as exc:
         report["error"] = str(exc)

@@ -28,8 +28,8 @@ import numpy as np
 
 from monosplit.baselines import _KINDS, BaselineResult, default_step
 from monosplit.crifba import RunResult, validate
-from monosplit.cripda import CripdaResult, build_metric, validate_cripda
-from monosplit.gcrifba import GcrifbaResult, validate_gcrifba
+from monosplit.cripda import CripdaResult, stacked_problem
+from monosplit.gcrifba import GcrifbaResult
 from monosplit.metriclin import as_vector
 
 
@@ -240,8 +240,8 @@ def fixed_point_residual(problem, params, M, x, y):
 
 
 def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):
-    selector, _ = validate_cripda(params, problem)
-    M = build_metric(problem, params.tau, params.sigma)
+    core = stacked_problem(problem, params)[2]
+    selector, M = validate(core).selector, core.M
     x0 = as_vector(x0)
     y0 = as_vector(y0)
     state = SaddleState(0, x0.copy(), x0.copy(), y0.copy(), y0.copy(),
@@ -303,7 +303,7 @@ def gcrifba_step(state, params, A_list, B):
 
 
 def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
-    validate_gcrifba(params)
+    validate(params)
     p = len(A_list)
     zeta = constant_product(x0, p, weights)
     state = GcrifbaState(0, zeta, zeta, zeta)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from monosplit import problems
-from monosplit.crifba import KMState, crifba_step, residual_G
+from monosplit.crifba import KMState, crifba_step, residual_G, validate
 from monosplit.cripda import (CripdaParams, build_metric, run_cripda,
-                              stacked_operators, stacked_problem, validate_cripda)
+                              stacked_operators, stacked_problem)
 from monosplit.metriclin import operator_norm
 from monosplit.operators import SaddleFunctionPair, prox_l1
 
@@ -25,38 +25,47 @@ def test_build_metric_example():
     assert m.min_eigenvalue() == pytest.approx(1.0)
 
 
+def validate_steps(params, pair):
+    """crifba.validate on the stacked core parameters of params, the check
+    run_cripda makes."""
+    return validate(stacked_problem(pair, params)[2])
+
+
 def test_validate_condition1_example():
-    # delta = 0.3, w = 1/2: both step sizes below 0.25/0.3 and the product
-    # bound (1/0.1 - 1.2)^2 = 77.44 leaves plenty of room for ||K|| = 1
+    # delta = 0.3, w = 1/2: M - delta/(w(1-w)) I = [[8.8, -1], [-1, 8.8]]
+    # at tau = sigma = 0.1 and ||K|| = 1, whose least eigenvalue 7.8 leaves
+    # plenty of room; lam ||L|| = 1 <= 4 delta
     pair = plain_pair(np.array([[1.0]]), lip_Q=1.0)
     params = CripdaParams(tau=0.1, sigma=0.1, w=0.5, delta=0.3)
-    selector, margins = validate_cripda(params, pair)
-    assert selector == 1
-    assert margins["cond1"]["K_slack"] == pytest.approx(77.44 - 1.0)
+    report = validate_steps(params, pair)
+    assert report.selector == 1 and report.delta_used == 0.3
+    assert report.margins["cond1_step_slack"] == pytest.approx(0.2)
+    assert report.margins["cond1_min_eig"] == pytest.approx(7.8)
 
 
 def test_validate_condition2_example():
-    # a too-small delta disables condition 1; condition 2 needs
-    # tau < w(1-w)/lip_Q = 0.125
+    # a too-small delta disables condition 1 (4 delta < lip_Q); condition
+    # 2 needs M - L/(w(1-w)) = [[10 - 8, -0.5], [-0.5, 10]] positive
+    # definite, that is tau < w(1-w)/lip_Q = 0.125 and the Schur bound
     pair = plain_pair(np.array([[0.5]]), lip_Q=2.0)
     params = CripdaParams(tau=0.1, sigma=0.1, w=0.5, delta=0.1)
-    selector, margins = validate_cripda(params, pair)
-    assert selector == 2
-    assert margins["cond1"]["delta_slack"] < 0
-    assert margins["cond2"]["tau_slack"] == pytest.approx(0.025)
+    report = validate_steps(params, pair)
+    assert report.selector == 2
+    assert report.margins["cond1_step_slack"] == pytest.approx(-1.6)
+    assert report.margins["cond2_min_eig"] == pytest.approx(6.0 - np.sqrt(16.25))
 
 
 def test_validate_rejects_oversized_steps():
     pair = plain_pair(np.array([[0.5]]), lip_Q=2.0)
-    with pytest.raises(ValueError):
-        validate_cripda(CripdaParams(tau=0.2, sigma=0.1, w=0.5, delta=0.1), pair)
+    with pytest.raises(ValueError, match="step/metric conditions failed"):
+        validate_steps(CripdaParams(tau=0.2, sigma=0.1, w=0.5, delta=0.1), pair)
 
 
 def test_validate_vacuous_bounds_for_smooth_free_problem():
     # zero Lipschitz constants leave only the K product bound
     pair = plain_pair(np.array([[1.0]]))
-    selector, _ = validate_cripda(CripdaParams(tau=0.5, sigma=0.5, w=0.5), pair)
-    assert selector in (1, 2)
+    report = validate_steps(CripdaParams(tau=0.5, sigma=0.5, w=0.5), pair)
+    assert report.selector == 1
 
 
 def precond_resolvent(pair, tau, sigma, xi_p, chi_p):

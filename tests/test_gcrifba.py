@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from monosplit import problems
-from monosplit.gcrifba import (GcrifbaParams, apply_T, default_gcrifba_params,
-                               run_gcrifba, validate_gcrifba)
+from monosplit.crifba import validate
+from monosplit.gcrifba import apply_T, default_gcrifba_params, run_gcrifba
 from monosplit.metriclin import SpdMap
 from monosplit.operators import CocoerciveMap, zero_op
 
@@ -36,13 +36,25 @@ def test_apply_T_fixed_point():
 
 
 def test_default_params_and_validation():
+    # the parameters carry L = (1/beta) I_1, so crifba.validate reads the
+    # step bound lam < 4w(1-w)beta as its condition 1
     p = default_gcrifba_params(2.0)
     assert p.lam == pytest.approx(0.9 * 4 * 0.25 * 2.0)
-    validate_gcrifba(p)
-    with pytest.raises(ValueError):
-        validate_gcrifba(GcrifbaParams(beta=1.0, lam=1.1, w=0.5))
-    with pytest.raises(ValueError):
-        validate_gcrifba(GcrifbaParams(beta=1.0, lam=0.5, w=1.5))
+    assert p.L.matrix.tolist() == [[0.5]] and p.M is None
+    assert validate(p).selector == 1
+    with pytest.raises(ValueError, match="step/metric conditions failed"):
+        validate(default_gcrifba_params(1.0, lam=1.1, w=0.5))
+    with pytest.raises(ValueError, match=r"w in \(0,1\) violated"):
+        validate(default_gcrifba_params(1.0, lam=0.5, w=1.5))
+
+
+def test_run_refuses_a_metric():
+    # the product-space loop iterates in the identity metric, so it takes
+    # no M to validate in
+    prob = problems.get("p4_three")
+    p = default_gcrifba_params(prob.beta, M=SpdMap(np.eye(1)))
+    with pytest.raises(ValueError, match="takes no metric M"):
+        run_gcrifba(prob.A_list, prob.B, p, prob.start)
 
 
 def test_run_two_constraint_problem():

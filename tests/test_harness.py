@@ -338,7 +338,8 @@ def test_the_key_table_reads_every_solver_field():
         return set(harness.SOLVER_KEYS[kind][1])
 
     assert keys("crifba") == fields(crifba.CrifbaParams, "M", "L")
-    assert keys("gcrifba") == fields(gcrifba.GcrifbaParams, "beta")
+    # gcrifba's parameters are crifba's, with L from the problem's beta
+    assert keys("gcrifba") == fields(crifba.CrifbaParams, "M", "L", "delta")
     assert keys("cripda") == fields(cripda.CripdaParams)
     step = set(inspect.signature(baselines.baseline_step).parameters) - {"kind", "problem"}
     run = inspect.signature(baselines.run_baseline).parameters
@@ -613,6 +614,51 @@ def test_a_config_that_is_not_an_object_is_refused(tmp_path, capsys):
     assert cli.main(["check", paths["history"], path]) == 1
     assert json.loads(capsys.readouterr().out) == {"status": "error", "error": message}
 
+
+
+# cripda steps that give no block metric: each is refused by build_metric,
+# with a message that names the step, or tau, sigma and ||K||
+K_NORM = operator_norm(problems.get("p5_saddle").saddle.K)
+BAD_STEPS = {
+    "tau_zero": ({"tau": 0, "sigma": 0.2}, "tau must be positive, got 0"),
+    "sigma_zero": ({"tau": 0.2, "sigma": 0}, "sigma must be positive, got 0"),
+    "tau_negative": ({"tau": -0.1, "sigma": 0.2}, "tau must be positive, got -0.1"),
+    "near_singular_metric": ({"tau": 1.01 / K_NORM, "sigma": 1.01 / K_NORM},
+                             "block metric of tau=%g, sigma=%g and ||K||=%g: "
+                             % (1.01 / K_NORM, 1.01 / K_NORM, K_NORM)),
+    "indefinite_metric": ({"tau": 2.0, "sigma": 2.0},
+                          "block metric of tau=2, sigma=2 and ||K||=%g: " % K_NORM),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STEPS))
+def test_a_step_that_gives_no_block_metric_is_refused(tmp_path, capsys, name):
+    steps, message = BAD_STEPS[name]
+    path = write_cfg(tmp_path, "cfg.json", _solver("p5_saddle", "cripda", **steps))
+    errors = []
+    for argv in (["validate", path], ["run", path, "--outdir", str(tmp_path)]):
+        assert cli.main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["kind"] == "cripda"
+        errors.append(report["error"])
+    assert errors[0] == errors[1] and errors[0].startswith(message)
+    if name.endswith("metric"):
+        assert errors[0].endswith("(tau*sigma*||K||^2 must be below 1)")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0])
+@pytest.mark.parametrize("cfg", FEASIBLE[:3], ids=lambda c: c["solver"]["kind"])
+def test_a_relaxation_outside_the_open_interval_is_refused(tmp_path, cfg, w):
+    # the report names the violation; the step/metric conditions, which
+    # divide by w(1-w), are not evaluated
+    cfg = dict(cfg, solver=dict(cfg["solver"], w=w), output="r")
+    ok, report = harness.validate_config(cfg)
+    assert not ok and "w in (0,1) violated (got %g)" % w in report["core_violations"]
+    assert "selector" not in report
+    with pytest.raises(ValueError) as err:
+        harness.run_config(cfg, outdir=str(tmp_path))
+    assert str(err.value) == report["error"]
 
 def test_check_reports_a_history_it_cannot_read(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, "cfg.json", CLAMP_CFG)

@@ -167,14 +167,14 @@ def linear_pair(rows):
 @pytest.mark.parametrize("rows", [False, True], ids=["scalar_forms", "row_forms"])
 @pytest.mark.parametrize("steps,tol", [(3 * ROWS + 5, 0.0), (10**5, 1e-6)])
 def test_a_nonzero_constant_gradient_runs_as_the_B_call_did(rows, steps, tol):
-    # lam c, formed once and subtracted from M u, against the loop that
-    # calls B on every block of rows, as run_cripda did: bit for bit
+    # lam c, formed once and subtracted from M u, against crifba's loop on
+    # the same stacked inclusion, which calls B on every block of rows: bit
+    # for bit
     pair = linear_pair(rows)
     params = cripda.CripdaParams(tau=0.3, sigma=0.3)
     x0, y0 = np.array([1.0, -2.0]), np.array([0.5, 0.0])
     res = cripda.run_cripda(pair, params, x0, y0, max_iter=steps, tol=tol)
-    A, B, core = cripda.stacked_problem(cripda._constant_gradients(pair, x0, y0),
-                                        params)
+    A, B, core = cripda.stacked_problem(pair, params)
     called = crifba._run(A, B, core, np.concatenate([x0, y0]), steps, tol)
     assert_same(res.core, called)
     assert res.stopped == ("tol" if tol else "max_iter")

@@ -300,7 +300,7 @@ def identity_metric_pair(rows):
 def test_primal_dual_run_in_an_identity_block_metric(rows, steps, tol):
     pair = identity_metric_pair(rows)
     params = cripda.CripdaParams(tau=1.0, sigma=1.0)
-    assert cripda.validate_cripda(params, pair)[0] == 1
+    assert crifba.validate(cripda.stacked_problem(pair, params)[2]).selector == 1
     assert cripda.build_metric(pair, 1.0, 1.0).is_identity
     res = assert_close(
         cripda.run_cripda(pair, params, [2.0], [3.0], max_iter=steps, tol=tol),

@@ -17,7 +17,6 @@ import pytest
 
 import monosplit
 from monosplit import operator_norm
-from monosplit.cripda import _constant_gradients
 from monosplit.operators import prox_l1
 from monosplit.problems import SEED, _lasso_beta, get, lasso_oracle
 
@@ -175,13 +174,3 @@ def test_lasso_pd_prox_rows_match_prox_l1_row_by_row():
     for row, u in zip(out, U):
         assert row.tobytes() == prox_l1(0.7 * mu, u).tobytes()
 
-
-def test_constant_gradient_rows_are_read_only_blocks_of_the_value():
-    pair = _constant_gradients(get("p5_lasso_pd").saddle, np.zeros(5), np.zeros(5))
-    X = np.ones((2, 5))
-    for name in ("grad_Q", "grad_Pstar"):
-        G = getattr(pair, name)(X)
-        assert G.shape == (2, 5) and not G.flags.writeable
-        assert G.tobytes() == np.zeros((2, 5)).tobytes()
-        assert getattr(pair, name)(X) is G
-        assert getattr(pair, name)(X[:1]).shape == (1, 5)
