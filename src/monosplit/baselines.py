@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metriclin import all_finite, as_vector
+from .metriclin import all_finite, as_rows, as_vector
 
 
 def _with_momentum(x, x_prev, a):
@@ -68,9 +68,13 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
 
     step(n, x, x_prev), on screened 1-D float64 arrays, returns x_{n+1}
     and the residual vector at x_n, the residual taken first, as the
-    reference loop takes it. Every operator is called through its row form,
-    which screens its blocks. ppa, fba, fbf and dr read the residual off the
-    step's own operator calls; moudafi_oliny takes B at x_n and both of its
+    reference loop takes it. Every operator is called through its row form.
+    The rows of x_n and z_n are not screened again, nor is B's output on
+    them: the resolvent's row form screens its argument x - lam B(x),
+    which is non-finite where B's rows or lam B(x) are, and its output.
+    fbf's second B call, on that screened output, screens only B's rows
+    coming out. ppa, fba, fbf and dr read the residual off the step's own
+    operator calls; moudafi_oliny takes B at x_n and both of its
     resolvent arguments in one row call; lorenz_pock, attouch_cabot and
     chambolle_dossal take the (2, d) block of x_n and the extrapolated z_n
     in one B call and one resolvent call, which the residual and the step
@@ -107,7 +111,7 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
         # z = x + a (x - x_prev), its forward-backward point and the
         # residual at x, from one row call of B and of the resolvent
         X = _with_momentum(x, x_prev, a)
-        FB = A.resolvent_rows(lam, X - lam * B.apply_rows(X))
+        FB = A.resolvent_rows(lam, X - lam * B._loop_rows(X))
         return X[1], FB[1], (x - FB[0]) / lam
 
     if kind == "ppa":
@@ -117,14 +121,14 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
     elif kind == "fba":
         def step(n, x, x_prev):
             X = x[None]
-            fb = A.resolvent_rows(lam, X - lam * B.apply_rows(X))[0]
+            fb = A.resolvent_rows(lam, X - lam * B._loop_rows(X))[0]
             return fb, (x - fb) / lam
     elif kind == "fbf":
         def step(n, x, x_prev):
             X = x[None]
-            BX = B.apply_rows(X)
+            BX = B._loop_rows(X)
             Y = A.resolvent_rows(lam, X - lam * BX)
-            return (Y - lam * (B.apply_rows(Y) - BX))[0], (x - Y[0]) / lam
+            return (Y - lam * (as_rows(B._loop_rows(Y)) - BX))[0], (x - Y[0]) / lam
     elif kind == "dr":
         def step(n, x, x_prev):
             jb = B_res.resolvent_rows(lam, x[None])[0]
@@ -133,7 +137,7 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
     elif kind == "moudafi_oliny":
         def step(n, x, x_prev):
             J = A.resolvent_rows(lam, _with_momentum(x, x_prev, inertia)
-                                 - lam * B.apply_rows(x[None]))
+                                 - lam * B._loop_rows(x[None]))
             return J[1], (x - J[0]) / lam
     elif kind == "lorenz_pock":
         def step(n, x, x_prev):

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .metriclin import SpdMap, all_finite, as_rows, as_vector, min_eigenvalue_sym
-from .operators import _backward_rows, _one_row
+from .operators import _backward_rows, _forward_backward_rows, _one_row
 
 
 @dataclass
@@ -149,17 +149,18 @@ def forward_backward(A, B, M, lam, x):
     """One forward-backward image (M + lam A)^{-1}(M x - lam B(x)), as a
     one-row call of the loop's row path; M None is the identity.
 
-    x is screened where it enters B.
+    x is screened before B is called; B(x) is checked as the loop checks
+    it (operators._forward_backward_rows).
     """
-    X = _one_row(x)
+    X = as_rows(_one_row(x))
     M = SpdMap.identity(X.shape[1]) if M is None else M
-    return _backward_rows(A, M, lam, X, lam * B.apply_rows(X))[0]
+    return _forward_backward_rows(A, B, M, lam, X)[0]
 
 
 def residual_G(A, B, M, lam, x):
     """Fixed-point residual; vanishes exactly on the solution set.
 
-    x is screened where it enters B (see forward_backward).
+    x is screened before B is called (see forward_backward).
     """
     return (x - forward_backward(A, B, M, lam, x)) / lam
 
@@ -213,11 +214,16 @@ def iterate(state, step, residual, max_iter, tol):
     step(state, values) needs. It calls each operator's row form once: with
     ahead true on two rows, its own argument and the step's, so that the
     step calls no operator; with ahead false on its own row alone, and the
-    values are None. The step's row is evaluated before the stop test, and
-    the state's again alone after a failed call, so the operators must be
-    pure; the step still runs only when the state does not stop. When the
-    two-row call raises, the state's row is tested alone: its own error
-    stands, a stop on tol stands, else the first error is raised again.
+    values are None. Those rows, tested here or formed from tested rows,
+    are not screened again: B is evaluated on them unscreened, and its
+    rows are checked by the argument screen of the resolvent they feed,
+    or on the way out in a metric whose path screens no argument
+    (operators._forward_backward_rows). The step's row is evaluated
+    before the stop test, and the state's again alone after a failed
+    call, so the operators must be pure; the step still runs only when
+    the state does not stop. When the two-row call raises, the state's row
+    is tested alone: its own error stands, a stop on tol stands, else the
+    first error is raised again.
     """
     shape = state.x.shape
     rows = min(max(max_iter, 0), RECORD_ROWS)
@@ -263,7 +269,7 @@ def crifba_step(state, params, A, B, ahead=None):
 
     ahead, when given, is (z_n, forward_backward image of z_n), evaluated
     already by the residual, and x_{n+1} is screened by iterate. Without
-    it, z_n is screened where it enters B, the resolvent output by
+    it, z_n is screened before B is called, the resolvent output by
     forward_backward and x_{n+1} here. The metric is params.M as given:
     None is the identity to forward_backward.
     """
@@ -355,7 +361,8 @@ def _run(A, B, params, x0, max_iter, tol, x_prev=None, z_prev=None, B_value=None
             z = extrapolate(params, state, out=X[1])
         else:
             X = state.x[None]
-        FB = _backward_rows(A, M, lam, X, lam * B.apply_rows(X) if lamB is None else lamB)
+        FB = (_forward_backward_rows(A, B, M, lam, X) if lamB is None
+              else _backward_rows(A, M, lam, X, lamB))
         return M.norm2((state.x - FB[0]) / lam), (z, FB[1]) if ahead else None
 
     state, stopped, X, Z, res2 = iterate(

@@ -12,7 +12,7 @@ import numpy as np
 
 from .crifba import (RECORD_ROWS, CrifbaParams, KMState, extrapolate, iterate,
                      validate)
-from .metriclin import SpdMap, as_vector
+from .metriclin import SpdMap, as_rows, as_vector
 
 
 def _block_weights(weights, p):
@@ -41,9 +41,14 @@ def _resolvents(Z, A_list, B, lam, weights, steps):
     """The weighted means U and the block resolvents R of a (k, p, d) stack
     Z of block arrays: R[i, j] = J_{(lam/rho_j) A_j}(2 U_i - lam B(U_i) -
     Z[i, j]), from one row call of B and of each A_j; steps[j] = lam/rho_j.
+
+    Z is not screened here, nor are U and B's rows: a non-finite entry of
+    Z, U, B(U_i) or lam B(U_i) makes every block argument of row i
+    non-finite, so the argument screen of A_1's resolvent raises, before
+    any A_j is called.
     """
     U = weights @ Z
-    FW = 2.0 * U - lam * B.apply_rows(U)
+    FW = 2.0 * U - lam * B._loop_rows(U)
     R = np.empty_like(Z)
     for j, A in enumerate(A_list):
         R[:, j] = A.resolvent_rows(steps[j], FW - Z[:, j])
@@ -61,9 +66,11 @@ def apply_T(z, weights, A_list, B, lam):
     the (p, d) block array z with block weights rho_k.
 
     Block k of the output is J_{(lam/rho_k) A_k}(2 zbar - lam B(zbar) - z_k)
-    - zbar + z_k, with zbar the weighted mean.
+    - zbar + z_k, with zbar the weighted mean. z is screened before B is
+    called.
     """
-    U, R = _resolvents(z[None], A_list, B, lam, weights, (lam / weights).tolist())
+    U, R = _resolvents(as_rows(z[None]), A_list, B, lam, weights,
+                       (lam / weights).tolist())
     return _T_blocks(z, U[0], R[0])
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .metriclin import SpdMap, as_rows, as_vector
+from .metriclin import _FLOAT64, SpdMap, as_rows, as_vector
 
 
 def _soft(t, x):
@@ -87,7 +87,10 @@ class MonotoneOp:
     gen_resolvent(M, lam, r), each made here a row callable that calls it
     once per row. resolvent_rows and member_rows screen the blocks going in
     (and the resolvent's coming out), metric_resolvent_rows the generalized
-    resolvent's output. The attributes resolvent, graph_member and
+    resolvent's output. The argument screen of resolvent_rows is also the
+    check of B's rows in the solver loops: they evaluate B on their own
+    rows, which are not screened again, and leave its rows unscreened (see
+    CocoerciveMap). The attributes resolvent, graph_member and
     gen_resolvent are the one-row calls of the stored forms, or None where
     A has no such map; the first screens its argument, the second both.
     The solvers evaluate a state's resolvent before its stop test and again
@@ -178,14 +181,34 @@ def affine_op(Q, b, label="affine"):
                       member, label=label, affine=(Q, b), rows=True)
 
 
+def _plain(A, M):
+    """True when _backward_rows takes the plain resolvent, whose argument
+    screen checks lam B(x_i): in the identity metric, when A has one."""
+    return M.is_identity and A.resolvent is not None
+
+
 def _backward_rows(A, M, lam, X, lamBX):
     """(M + lam A)^{-1}(M x_i - lam B(x_i)) for every row x_i of X, given
     lamBX, the rows lam B(x_i) or one shared row: the plain resolvent in
-    the identity metric, when A has one, else metric_resolvent_rows with
-    M applied to the rows first."""
-    if M.is_identity and A.resolvent is not None:
+    the identity metric, when A has one, which screens the argument
+    x_i - lam B(x_i), else metric_resolvent_rows with M applied to the rows
+    first, which screens no argument. X is not screened here."""
+    if _plain(A, M):
         return A.resolvent_rows(lam, X - lamBX)
     return metric_resolvent_rows(A, M, lam, M.apply_each(X) - lamBX)
+
+
+def _forward_backward_rows(A, B, M, lam, X):
+    """_backward_rows of the rows x_i of X, with B evaluated on them.
+
+    X holds rows screened already and is not screened again. Nor are B's
+    rows where the plain resolvent screens its argument: a non-finite
+    B(x_i) or an overflowing lam B(x_i) makes x_i - lam B(x_i) non-finite
+    in the same row, so that screen raises the ValueError that a screen of
+    B's rows raised, before A is called. In a metric whose path screens no
+    argument, B's rows are screened as they come out."""
+    BX = B._loop_rows(X)
+    return _backward_rows(A, M, lam, X, lam * (BX if _plain(A, M) else as_rows(BX)))
 
 
 def generalized_resolvent(A, M, lam, u):
@@ -231,6 +254,13 @@ class CocoerciveMap:
     per-vector form B(x), made here a row callable that calls it once per
     row. apply_rows screens the blocks going in and out; a call on a vector
     is the one-row call. Like the resolvent, B must be pure.
+
+    The solver loops screen neither block: their rows are screened
+    already and are not screened again, and B's rows are checked by the
+    argument screen of the resolvent they feed, or, in a metric other
+    than the identity, whose path screens no argument, as they come out
+    (operators._forward_backward_rows). The public entry points screen
+    their caller's argument.
     """
 
     def __init__(self, apply, certificate_L, label="", rows=False):
@@ -245,6 +275,14 @@ class CocoerciveMap:
         """B(x_i) for every row x_i of a (k, d) block; the input and
         output blocks are screened."""
         return as_rows(self._apply_rows(as_rows(X)))
+
+    def _loop_rows(self, X):
+        """B(x_i) for every row x_i of a block of loop rows, as a float
+        array; neither block is screened."""
+        BX = self._apply_rows(X)
+        if type(BX) is not np.ndarray or BX.dtype is not _FLOAT64:
+            BX = np.asarray(BX, dtype=float)
+        return BX
 
     def __repr__(self):
         return "CocoerciveMap(%s)" % (self.label or "anonymous")

@@ -135,20 +135,26 @@ def test_a_standalone_step_still_screens_its_iterate():
 
 @pytest.mark.parametrize("steps,tol", [(3 * ROWS, 0.0), (10**5, 1e-6)])
 def test_a_constant_stack_takes_B_once_per_run(monkeypatch, steps, tol):
+    # calls of the stacked B's stored row form, through any of its entry
+    # points: the one-row call of the constant's value, or the loop's rows
     pair, params, x0, y0 = saddle_case("p5_lasso_pd")
     calls = {}
-    for name in ("__call__", "apply_rows"):
-        monkeypatch.setattr(CocoerciveMap, name,
-                            counting(calls, name, getattr(CocoerciveMap, name)))
+
+    def counted_stack(problem, stack=cripda.stacked_operators):
+        A, B = stack(problem)
+        B._apply_rows = counting(calls, "B_rows", B._apply_rows)
+        return A, B
+
+    monkeypatch.setattr(cripda, "stacked_operators", counted_stack)
     res = cripda.run_cripda(pair, params, x0, y0, max_iter=steps, tol=tol)
     assert res.stopped == ("tol" if tol else "max_iter")
-    assert calls == {"__call__": 1}
+    assert calls == {"B_rows": 1}
     # a pair with one gradient that is not constant calls B on every state
     calls.clear()
     res = cripda.run_cripda(problems.get("p5_saddle").saddle,
                             cripda.CripdaParams(tau=0.2, sigma=0.2),
                             np.zeros(2), np.zeros(2), max_iter=steps, tol=tol)
-    assert calls == {"apply_rows": res.n_iters + 1}
+    assert calls == {"B_rows": res.n_iters + 1}
 
 
 def linear_pair(rows):

@@ -73,34 +73,57 @@ def test_cripda_screens_per_step(screens):
 
 
 def test_crifba_and_gcrifba_screen_only_blocks(screens):
-    # the shared row calls screen their blocks in and out (as_rows); the
-    # catalog row forms and the residual norm screen nothing again
+    # the shared row calls evaluate B on the loop's rows, which are not
+    # screened again, and leave B's rows to the resolvent's screen of its
+    # argument (1); the resolvent's output is screened as it returns (1).
+    # The catalog row forms and the residual norm screen nothing again
     p2 = problems.get("p2_lasso")
     got = per_step(screens, lambda n: crifba.run(
         p2.A, p2.B, crifba.default_params(p2.L_map()), start(p2, 2),
         max_iter=n, tol=0.0))
-    assert got == {"as_vector": 0, "as_rows": 4}
+    assert got == {"as_vector": 0, "as_rows": 2}
+    # one row call of B, whose rows feed both block arguments, and of each
+    # of the two block resolvents, which screen their argument and output
     p4 = problems.get("p4_three")
     got = per_step(screens, lambda n: gcrifba.run_gcrifba(
         p4.A_list, p4.B, gcrifba.default_gcrifba_params(p4.beta), start(p4, 2),
         max_iter=n, tol=0.0))
-    assert got == {"as_vector": 0, "as_rows": 6}
+    assert got == {"as_vector": 0, "as_rows": 4}
 
 
-# every operator call is a row call, which screens its block going in and
-# coming out (2): fbf makes three (B, the resolvent, B again), and the
-# inertial kinds two, each on the rows of x_n and the extrapolated point
-BASELINE_SCREENS = {"fba": 4, "fbf": 6, "moudafi_oliny": 4, "lorenz_pock": 4,
-                    "attouch_cabot": 4, "chambolle_dossal": 4}
+def test_the_stacked_run_screens_B_on_the_way_out(screens):
+    # in the block metric the generalized resolvent's path screens no
+    # argument, so B's rows keep their screen as they come out (1); the
+    # stack's resolvent screens the block M u - B(u) where it reads it (1),
+    # and metric_resolvent_rows its output (1)
+    pair = problems.get("p5_saddle").saddle
+    A, B = cripda.stacked_operators(pair)
+    params = crifba.CrifbaParams(lam=1.0, w=0.5, M=cripda.build_metric(pair, 0.2, 0.2),
+                                 L=B.certificate_L)
+    x0 = 0.5 * np.random.default_rng(3).standard_normal(4)
+    got = per_step(screens, lambda n: crifba.run(A, B, params, x0, max_iter=n, tol=0.0))
+    assert got == {"as_vector": 0, "as_rows": 3}
+
+
+# every resolvent call is a row call, which screens its argument and its
+# output (2); B's rows on the loop's rows are checked by the argument
+# screen of the resolvent they feed. fbf's second B call, on the screened
+# resolvent output, screens only B's rows (1). The inertial kinds take the
+# rows of x_n and the extrapolated point in one call of each operator.
+# ppa (one resolvent call) and dr (two, the first of B's resolvent) call
+# no B: they are the controls
+BASELINE_SCREENS = {"fba": 2, "fbf": 3, "moudafi_oliny": 2, "lorenz_pock": 2,
+                    "attouch_cabot": 2, "chambolle_dossal": 2, "ppa": 2, "dr": 4}
 
 
 @pytest.mark.parametrize("kind", sorted(BASELINE_SCREENS))
 def test_baseline_screens_per_step(screens, kind):
     # tol = -1 never stops: p2's forward-backward kinds reach their fixed
-    # point exactly within a few dozen steps
-    p2 = problems.get("p2_lasso")
+    # point exactly within a few dozen steps. p2 has no resolvent of the
+    # full sum or of B, so ppa and dr run on p1_clamp
+    prob = problems.get("p1_clamp" if kind in ("ppa", "dr") else "p2_lasso")
     got = per_step(screens, lambda n: baselines.run_baseline(
-        kind, p2, start(p2, 3), max_iter=n, tol=-1.0))
+        kind, prob, start(prob, 3), max_iter=n, tol=-1.0))
     assert got == {"as_vector": 0, "as_rows": BASELINE_SCREENS[kind]}
 
 

@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""A/B pairs of the benchmark between two checkouts of the repository.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workloads harness_sweep long_core solve_to_tol --pairs 10 \\
+        --seeds 21 22 23 --seconds 10 --out BENCH_prNN.json
+
+Each pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
+once in each checkout, one after the other, with OPENBLAS_NUM_THREADS=1;
+the side that runs first alternates from pair to pair (the parent first in
+even pairs), and the seeds are used in turn. Every run is the JSON object
+on the last stdout line of run.py, kept whole under "runs". "summary"
+holds, per workload and end-to-end metric, each side's quartiles and
+median over the pairs, the pairs in which the change is better (by the
+metric's direction in BENCHMARK.json) and the change of the medians in
+percent. "machine" records the CPU, the CPU count, the OS and the Python
+and numpy that run this script, and "parent"/"change" the commits (read
+with git, or given with --parent-commit/--change-commit).
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+SIDES = ("parent", "change")
+
+
+def commit_of(path, given):
+    if given:
+        return given
+    proc = subprocess.run(["git", "-C", path, "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or None
+
+
+def machine():
+    try:
+        import numpy
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    return {"cpu": cpu_model(), "cpus": os.cpu_count(), "os": platform.platform(),
+            "python": platform.python_version(), "numpy": numpy_version}
+
+
+def run_once(checkout, workload, seed, seconds):
+    """The JSON result of one benchmark run in checkout."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError("%s failed (exit %d): %s" % (" ".join(cmd), proc.returncode,
+                                                        proc.stderr[-2000:]))
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(runs, directions):
+    """Per workload and metric: quartiles of each side, wins of the change."""
+    out = []
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        mine = [r for r in runs if r["workload"] == workload]
+        pairs = sorted({r["pair"] for r in mine})
+        side = {(r["pair"], r["side"]): r["result"]["metrics"] for r in mine}
+        names = [m for m in directions if all(m in side[p, s] for p in pairs for s in SIDES)]
+        for name in names:
+            values = {s: [side[p, s][name]["value"] for p in pairs] for s in SIDES}
+            higher = directions[name] == "higher"
+            wins = sum((c > p) if higher else (c < p)
+                       for p, c in zip(values["parent"], values["change"]))
+            stats = {s: quartiles(values[s]) for s in SIDES}
+            out.append({
+                "workload": workload, "metric": name, "pairs": len(pairs),
+                "seeds": sorted({r["seed"] for r in mine}),
+                "parent": stats["parent"], "change": stats["change"],
+                "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+                "change_better_pairs": wins,
+                "median_change_pct": 100.0 * (stats["change"]["median"]
+                                              / stats["parent"]["median"] - 1.0),
+                "all_correct": all(r["result"]["correct"] and r["result"]["failed"] == 0
+                                   for r in mine),
+            })
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", default=".", help="checkout of the change")
+    ap.add_argument("--workloads", nargs="+",
+                    default=["harness_sweep", "long_core", "solve_to_tol"])
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0])
+    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--parent-commit")
+    ap.add_argument("--change-commit")
+    ap.add_argument("--what", default="")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    checkouts = {"parent": os.path.abspath(args.parent),
+                 "change": os.path.abspath(args.change)}
+    with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as fh:
+        directions = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    runs = []
+    for workload in args.workloads:
+        for pair in range(args.pairs):
+            seed = args.seeds[pair % len(args.seeds)]
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for side in order:
+                result = run_once(checkouts[side], workload, seed, args.seconds)
+                runs.append({"workload": workload, "seed": seed, "side": side,
+                             "pair": pair, "first": order[0], "result": result})
+                print("%s pair %d seed %d %s: steps_per_s %.0f" % (
+                    workload, pair, seed, side,
+                    result["metrics"]["steps_per_s"]["value"]), file=sys.stderr)
+    report = {
+        "what": args.what or (
+            "A/B of perfbench/run.py between two checkouts, alternating which "
+            "side runs first; each run is the last stdout line of one "
+            "`python3 perfbench/run.py --workload W --seed S --seconds %g "
+            "--trace 0` with OPENBLAS_NUM_THREADS=1." % args.seconds),
+        "settings": {"workloads": args.workloads, "pairs": args.pairs,
+                     "seeds": args.seeds, "seconds": args.seconds},
+        "machine": machine(),
+        "parent": {"commit": commit_of(checkouts["parent"], args.parent_commit)},
+        "change": {"commit": commit_of(checkouts["change"], args.change_commit)},
+        "summary": summarize(runs, directions),
+        "runs": runs,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
