@@ -73,12 +73,13 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
     them: the resolvent's row form screens its argument x - lam B(x),
     which is non-finite where B's rows or lam B(x) are, and its output.
     fbf's second B call, on that screened output, screens only B's rows
-    coming out. ppa, fba, fbf and dr read the residual off the step's own
-    operator calls; moudafi_oliny takes B at x_n and both of its
-    resolvent arguments in one row call; lorenz_pock, attouch_cabot and
-    chambolle_dossal take the (2, d) block of x_n and the extrapolated z_n
-    in one B call and one resolvent call, which the residual and the step
-    share.
+    coming out; ppa's resolvent and dr's first take x_n unscreened, and
+    screen only their output. ppa, fba, fbf and dr read the residual off
+    the step's own operator calls; moudafi_oliny takes B at x_n and both
+    of its resolvent arguments in one row call; lorenz_pock, attouch_cabot
+    and chambolle_dossal take the (2, d) block of x_n and the extrapolated
+    z_n in one B call and one resolvent call, which the residual and the
+    step share.
     """
     if kind not in _KINDS:
         raise ValueError("unknown baseline kind %r" % kind)
@@ -116,7 +117,7 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
 
     if kind == "ppa":
         def step(n, x, x_prev):
-            jx = A.resolvent_rows(lam, x[None])[0]
+            jx = A._loop_resolvent_rows(lam, x[None])[0]
             return jx, (x - jx) / lam
     elif kind == "fba":
         def step(n, x, x_prev):
@@ -131,7 +132,7 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
             return (Y - lam * (as_rows(B._loop_rows(Y)) - BX))[0], (x - Y[0]) / lam
     elif kind == "dr":
         def step(n, x, x_prev):
-            jb = B_res.resolvent_rows(lam, x[None])[0]
+            jb = B_res._loop_resolvent_rows(lam, x[None])[0]
             x_next = A.resolvent_rows(lam, (2.0 * jb - x)[None])[0] + x - jb
             return x_next, x_next - x
     elif kind == "moudafi_oliny":

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .crifba import RECORD_ROWS, CrifbaParams, RunResult, _run, validate
-from .metriclin import SpdMap, as_rows, as_vector, operator_norm
+from .metriclin import SpdMap, as_vector, operator_norm
 from .operators import MonotoneOp, CocoerciveMap
 
 
@@ -59,23 +59,21 @@ def stacked_operators(problem):
     stacked (x, y) rows, each one call of every map of the pair.
 
     The lower-triangular structure of metric-plus-operator lets the primal
-    prox go first and feed the dual prox. The products with K are stacked
-    matrix-vector products, which take the path of a 1-D product, so each
-    row is bit for bit what a one-row call gives. run_cripda takes a B of
-    two constant gradients (Lipschitz constant 0) once per run.
+    prox go first and feed the dual prox. The products with K are np.matvec
+    calls, which take the path of a 1-D product, so each row is bit for bit
+    what a one-row call gives. run_cripda takes a B of two constant
+    gradients (Lipschitz constant 0) once per run.
     """
     K = problem.K
     dy, dx = K.shape
 
     def gen_resolvent(M, lam, R):
         # (M + A)^{-1} r_i in the block metric; lam is fixed to 1 upstream,
-        # and tau and sigma are read off M. R is screened here, and the
-        # block returned by metric_resolvent_rows
-        R = as_rows(R)
+        # and tau and sigma are read off M. metric_resolvent_rows screens R
+        # and the block returned
         tau, sigma = 1.0 / M.matrix[0, 0], 1.0 / M.matrix[dx, dx]
         X = problem.prox_G(tau, tau * R[:, :dx])
-        Y = problem.prox_Fstar(
-            sigma, sigma * R[:, dx:] + 2.0 * sigma * (K @ X[:, :, None])[:, :, 0])
+        Y = problem.prox_Fstar(sigma, sigma * R[:, dx:] + 2.0 * sigma * np.matvec(K, X))
         return np.concatenate([X, Y], axis=1)
 
     def B_rows(U):

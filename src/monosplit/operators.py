@@ -55,7 +55,7 @@ def _quadratic_rows(lhs, R, X):
     lhs = I + lam Q and R, the rows x_i - lam b; each solve is verified by
     plugging its result back into its equation."""
     P = _solve_rows(lhs, R)
-    res = np.hypot.reduce((lhs @ P[:, :, None])[:, :, 0] - R, axis=1)
+    res = np.hypot.reduce(np.matvec(lhs, P) - R, axis=1)
     if (res > 1e-10 * np.maximum(np.hypot.reduce(X, axis=1), 1.0)).any():
         raise ArithmeticError("resolvent solve failed; check Q is PSD")
     return P
@@ -85,14 +85,15 @@ class MonotoneOp:
     any metric. With rows false, the default, the callables given are
     per-vector forms, resolvent(lam, x), graph_member(x, u, tol) and
     gen_resolvent(M, lam, r), each made here a row callable that calls it
-    once per row. resolvent_rows and member_rows screen the blocks going in
-    (and the resolvent's coming out), metric_resolvent_rows the generalized
-    resolvent's output. The argument screen of resolvent_rows is also the
+    once per row. resolvent_rows, member_rows and metric_resolvent_rows
+    (but for its affine solve) screen the blocks going in, and the
+    resolvent's coming out unless it is the block that went in (zero_op's);
+    _loop_resolvent_rows only the latter. The argument screens are also the
     check of B's rows in the solver loops: they evaluate B on their own
     rows, which are not screened again, and leave its rows unscreened (see
     CocoerciveMap). The attributes resolvent, graph_member and
     gen_resolvent are the one-row calls of the stored forms, or None where
-    A has no such map; the first screens its argument, the second both.
+    A has no such map; each screens its vector arguments.
     The solvers evaluate a state's resolvent before its stop test and again
     alone after a failed call, so the callables must be pure.
     """
@@ -116,12 +117,18 @@ class MonotoneOp:
             lambda x, u, tol=1e-8: bool(
                 self.member_rows(_one_row(x), _one_row(u), [tol])[0]))
         self.gen_resolvent = None if gen_resolvent is None else (
-            lambda M, lam, r: gen_resolvent(M, lam, _one_row(r))[0])
+            lambda M, lam, r: gen_resolvent(M, lam, as_rows(_one_row(r)))[0])
 
     def resolvent_rows(self, lam, X):
         """(I + lam A)^{-1} x_i for every row x_i of a (k, d) block; the
-        input and output blocks are screened."""
-        return as_rows(self._resolvent_rows(lam, as_rows(X)))
+        input block is screened, the output as _loop_resolvent_rows does."""
+        return self._loop_resolvent_rows(lam, as_rows(X))
+
+    def _loop_resolvent_rows(self, lam, X):
+        """resolvent_rows of a float block of rows screened already, which
+        are not screened again; the output block is screened unless it is X."""
+        out = self._resolvent_rows(lam, X)
+        return out if out is X else as_rows(out)
 
     def member_rows(self, X, U, tol):
         """Graph membership of every row pair (x_i, u_i), as k booleans;
@@ -174,7 +181,7 @@ def affine_op(Q, b, label="affine"):
     eye = np.eye(len(b))
 
     def member(X, U, tol):
-        D = U - ((Q @ X[:, :, None])[:, :, 0] + b)
+        D = U - (np.matvec(Q, X) + b)
         return np.linalg.norm(D, axis=1) <= tol[:, 0]
 
     return MonotoneOp(lambda lam, X: _quadratic_rows(eye + lam * Q, X - lam * b, X),
@@ -182,8 +189,8 @@ def affine_op(Q, b, label="affine"):
 
 
 def _plain(A, M):
-    """True when _backward_rows takes the plain resolvent, whose argument
-    screen checks lam B(x_i): in the identity metric, when A has one."""
+    """True when _backward_rows takes the plain resolvent: in the identity
+    metric, when A has one."""
     return M.is_identity and A.resolvent is not None
 
 
@@ -192,7 +199,8 @@ def _backward_rows(A, M, lam, X, lamBX):
     lamBX, the rows lam B(x_i) or one shared row: the plain resolvent in
     the identity metric, when A has one, which screens the argument
     x_i - lam B(x_i), else metric_resolvent_rows with M applied to the rows
-    first, which screens no argument. X is not screened here."""
+    first, which screens the argument of a generalized resolvent. X is not
+    screened here."""
     if _plain(A, M):
         return A.resolvent_rows(lam, X - lamBX)
     return metric_resolvent_rows(A, M, lam, M.apply_each(X) - lamBX)
@@ -202,13 +210,15 @@ def _forward_backward_rows(A, B, M, lam, X):
     """_backward_rows of the rows x_i of X, with B evaluated on them.
 
     X holds rows screened already and is not screened again. Nor are B's
-    rows where the plain resolvent screens its argument: a non-finite
-    B(x_i) or an overflowing lam B(x_i) makes x_i - lam B(x_i) non-finite
-    in the same row, so that screen raises the ValueError that a screen of
-    B's rows raised, before A is called. In a metric whose path screens no
-    argument, B's rows are screened as they come out."""
+    rows where the resolvent screens its argument, the plain one or a
+    generalized one: a non-finite B(x_i) or an overflowing lam B(x_i)
+    makes the argument non-finite in the same row, so that screen raises
+    the ValueError that a screen of B's rows raised, before A is called.
+    On the affine solve, which screens no argument, B's rows are screened
+    as they come out."""
     BX = B._loop_rows(X)
-    return _backward_rows(A, M, lam, X, lam * (BX if _plain(A, M) else as_rows(BX)))
+    screened = _plain(A, M) or A._gen_resolvent_rows is not None
+    return _backward_rows(A, M, lam, X, lam * (BX if screened else as_rows(BX)))
 
 
 def generalized_resolvent(A, M, lam, u):
@@ -223,15 +233,14 @@ def metric_resolvent_rows(A, M, lam, R):
     """(M + lam A)^{-1} r_i for every row r_i of a (k, d) block, in a
     metric M other than the identity.
 
-    The operator's own generalized resolvent goes first, its output block
-    screened; an affine operator gets a direct linear solve per row. A
-    block with rows is rejected for anything else rather than
-    approximated. R is taken as given: in the solvers it is M x - lam B(x)
-    for screened x, and a generalized resolvent screens where it reads R,
-    as the stacked saddle operator's does.
+    The operator's own generalized resolvent goes first, its argument and
+    output blocks screened; an affine operator gets a direct linear solve
+    per row of R as given, with no screen, so that an overflowing M x_i
+    fails where the solver tests its iterate. A block with rows is
+    rejected for anything else rather than approximated.
     """
     if A._gen_resolvent_rows is not None:
-        return as_rows(A._gen_resolvent_rows(M, lam, R))
+        return as_rows(A._gen_resolvent_rows(M, lam, as_rows(R)))
     if A.affine is None and len(R):
         raise ValueError("generalized resolvent unavailable: metric is not the "
                          "identity and operator %r has no affine form or closed "
@@ -257,8 +266,8 @@ class CocoerciveMap:
 
     The solver loops screen neither block: their rows are screened
     already and are not screened again, and B's rows are checked by the
-    argument screen of the resolvent they feed, or, in a metric other
-    than the identity, whose path screens no argument, as they come out
+    argument screen of the resolvent they feed, plain or generalized, or,
+    on the affine solve, which screens no argument, as they come out
     (operators._forward_backward_rows). The public entry points screen
     their caller's argument.
     """

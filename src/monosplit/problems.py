@@ -201,10 +201,9 @@ def _p2_lasso():
     A = l1_op(mu)
 
     def grad_rows(X):
-        # K^T (K x_i - b) by stacked matrix-vector products, which take the
-        # path of the 1-D products, where X @ K.T may sum in another order
-        R = (K @ X[:, :, None])[:, :, 0] - b
-        return (K.T @ R[:, :, None])[:, :, 0]
+        # K^T (K x_i - b) by np.matvec, which takes the path of the 1-D
+        # products for each row, where X @ K.T may sum in another order
+        return np.matvec(K.T, np.matvec(K, X) - b)
 
     B = CocoerciveMap(grad_rows, SpdMap(np.eye(5) / beta),
                       label="least_squares_grad", rows=True)

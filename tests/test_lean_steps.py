@@ -4,6 +4,8 @@ put-off screen must still raise as the screen did, and the primal-dual
 run against its reference loop at w != 1/2, where (1 - w) products
 round."""
 
+import traceback
+
 import numpy as np
 import pytest
 
@@ -57,9 +59,9 @@ def test_cripda_screens_per_step(screens):
     # cripda runs the core step on the stack, with its residual and its
     # step sharing one row call of the resolvent. p5_lasso_pd's gradients
     # are both constant, so the stacked B is taken once per run and the
-    # loop makes no B call: the two screens left are the stack's resolvent
-    # row form screening the block M u - B(u) of x_n and z_n as it enters
-    # (1), and its output block as it returns (1); the catalog l1 prox row
+    # loop makes no B call: the two screens left are metric_resolvent_rows
+    # screening the block M u - B(u) of x_n and z_n as it enters the
+    # stack's resolvent (1), and its output block (1); the catalog l1 prox row
     # form soft-thresholds its block unscreened, and M u itself is not
     # screened, nor is any of these values a second time. vel2 is formed
     # RECORD_ROWS states at a time, one screen of each block
@@ -82,6 +84,13 @@ def test_crifba_and_gcrifba_screen_only_blocks(screens):
         p2.A, p2.B, crifba.default_params(p2.L_map()), start(p2, 2),
         max_iter=n, tol=0.0))
     assert got == {"as_vector": 0, "as_rows": 2}
+    # p3's A is zero_op, whose resolvent returns its screened argument:
+    # that block is not screened again on the way out
+    p3 = problems.get("p3_spectrum")
+    got = per_step(screens, lambda n: crifba.run(
+        p3.A, p3.B, crifba.default_params(p3.L_map()), start(p3, 2),
+        max_iter=n, tol=0.0))
+    assert got == {"as_vector": 0, "as_rows": 1}
     # one row call of B, whose rows feed both block arguments, and of each
     # of the two block resolvents, which screen their argument and output
     p4 = problems.get("p4_three")
@@ -91,18 +100,52 @@ def test_crifba_and_gcrifba_screen_only_blocks(screens):
     assert got == {"as_vector": 0, "as_rows": 4}
 
 
-def test_the_stacked_run_screens_B_on_the_way_out(screens):
-    # in the block metric the generalized resolvent's path screens no
-    # argument, so B's rows keep their screen as they come out (1); the
-    # stack's resolvent screens the block M u - B(u) where it reads it (1),
-    # and metric_resolvent_rows its output (1)
+def stacked_saddle_run():
+    """The stacked p5_saddle operators (A, B) and a run of crifba on them in
+    the block metric, run(n, A, B), which takes max_iter=n and tol=0."""
     pair = problems.get("p5_saddle").saddle
     A, B = cripda.stacked_operators(pair)
     params = crifba.CrifbaParams(lam=1.0, w=0.5, M=cripda.build_metric(pair, 0.2, 0.2),
                                  L=B.certificate_L)
     x0 = 0.5 * np.random.default_rng(3).standard_normal(4)
-    got = per_step(screens, lambda n: crifba.run(A, B, params, x0, max_iter=n, tol=0.0))
-    assert got == {"as_vector": 0, "as_rows": 3}
+    return A, B, lambda n: crifba.run(A, B, params, x0, max_iter=n, tol=0.0)
+
+
+def test_the_stacked_run_screens_B_in_the_resolvent_argument(screens):
+    # in the block metric metric_resolvent_rows screens the generalized
+    # resolvent's argument M u - B(u) (1), which checks B's rows, and its
+    # output (1)
+    _, _, run = stacked_saddle_run()
+    got = per_step(screens, run)
+    assert got == {"as_vector": 0, "as_rows": 2}
+
+
+def test_a_nan_B_row_on_the_stacked_run_fails_in_the_argument_screen():
+    # from B's fifth call on, one entry of its last row is NaN: the
+    # argument M u - B(u) is NaN in that row, and metric_resolvent_rows'
+    # screen of it raises the ValueError that a screen of B's rows raised,
+    # in the same row call, before the stack's generalized resolvent is
+    # called; the retry on x_n alone meets the same NaN and raises again
+    A, B, run = stacked_saddle_run()
+    apply_rows, gen_rows = B._apply_rows, A._gen_resolvent_rows
+    events = []
+
+    def B_rows(U):
+        events.append("B")
+        out = apply_rows(U)
+        if events.count("B") >= 5:
+            out[-1, 0] = np.nan
+        return out
+
+    def gen(M, lam, R):
+        events.append("gen")
+        return gen_rows(M, lam, R)
+
+    B._apply_rows, A._gen_resolvent_rows = B_rows, gen
+    with pytest.raises(ValueError, match="^vector has non-finite entries$") as info:
+        run(10)
+    assert traceback.extract_tb(info.tb)[-2].name == "metric_resolvent_rows"
+    assert events == ["B", "gen"] * 4 + ["B", "B"]
 
 
 # every resolvent call is a row call, which screens its argument and its
@@ -110,10 +153,11 @@ def test_the_stacked_run_screens_B_on_the_way_out(screens):
 # screen of the resolvent they feed. fbf's second B call, on the screened
 # resolvent output, screens only B's rows (1). The inertial kinds take the
 # rows of x_n and the extrapolated point in one call of each operator.
-# ppa (one resolvent call) and dr (two, the first of B's resolvent) call
-# no B: they are the controls
+# ppa's one resolvent call and dr's first, of B's resolvent, take x_n as it
+# is and screen only their output (1); dr's second screens its argument
+# 2 jb - x_n, which can overflow, and its output (2)
 BASELINE_SCREENS = {"fba": 2, "fbf": 3, "moudafi_oliny": 2, "lorenz_pock": 2,
-                    "attouch_cabot": 2, "chambolle_dossal": 2, "ppa": 2, "dr": 4}
+                    "attouch_cabot": 2, "chambolle_dossal": 2, "ppa": 1, "dr": 3}
 
 
 @pytest.mark.parametrize("kind", sorted(BASELINE_SCREENS))

@@ -241,6 +241,25 @@ def test_norm2_is_the_matmul_form_bit_for_bit(d):
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("d", range(1, 31))
+def test_matvec_is_the_per_row_product_bit_for_bit(d):
+    # the step path's stacked products (SpdMap.apply_each, p2_lasso's
+    # gradient, the saddle stack's K) are np.matvec calls: each row must be
+    # M @ x of that row, for square C- and F-ordered and rectangular M, on
+    # contiguous and column-sliced rows, near underflow and overflow too
+    rng = np.random.default_rng(500 + d)
+    square = rng.standard_normal((d, d))
+    for M in (square, np.asfortranarray(square), rng.standard_normal((d + 3, d))):
+        for k in (1, 2, 3, 17, 64):
+            for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+                W = rng.standard_normal((k, d + 2)) * scale
+                for X in (W[:, :d].copy(), W[:, 1:d + 1]):
+                    got = np.matvec(M, X)
+                    want = np.array([M @ x for x in X])
+                    assert got.shape == (k, M.shape[0])
+                    assert got.tobytes() == want.tobytes()
+
+
 def test_solve_rows_checks_every_row(monkeypatch):
     m = SpdMap(np.diag([2.0, 4.0]))
     B = np.array([[2.0, 4.0], [4.0, 8.0], [6.0, 12.0]])

@@ -12,10 +12,14 @@ even pairs), and the seeds are used in turn. Every run is the JSON object
 on the last stdout line of run.py, kept whole under "runs". "summary"
 holds, per workload and end-to-end metric, each side's quartiles and
 median over the pairs, the pairs in which the change is better (by the
-metric's direction in BENCHMARK.json) and the change of the medians in
-percent. "machine" records the CPU, the CPU count, the OS and the Python
-and numpy that run this script, and "parent"/"change" the commits (read
-with git, or given with --parent-commit/--change-commit).
+metric's direction in BENCHMARK.json, ties counting for neither side), the
+change of the medians in percent, and "gain": true when the change is
+better in at least nine tenths of the pairs and its median is better than
+the parent's by more than the parent's interquartile range; each summary
+row is also printed to stdout as one line. "machine" records the CPU, the
+CPU count, the OS and the Python and numpy that run this script, and
+"parent"/"change" the commits (read with git, or given with
+--parent-commit/--change-commit).
 """
 
 import argparse
@@ -91,18 +95,31 @@ def summarize(runs, directions):
             wins = sum((c > p) if higher else (c < p)
                        for p, c in zip(values["parent"], values["change"]))
             stats = {s: quartiles(values[s]) for s in SIDES}
+            iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+            ahead = stats["change"]["median"] - stats["parent"]["median"]
             out.append({
                 "workload": workload, "metric": name, "pairs": len(pairs),
                 "seeds": sorted({r["seed"] for r in mine}),
                 "parent": stats["parent"], "change": stats["change"],
-                "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+                "parent_iqr": iqr,
                 "change_better_pairs": wins,
                 "median_change_pct": 100.0 * (stats["change"]["median"]
                                               / stats["parent"]["median"] - 1.0),
+                "gain": wins >= 0.9 * len(pairs) and (ahead if higher else -ahead) > iqr,
                 "all_correct": all(r["result"]["correct"] and r["result"]["failed"] == 0
                                    for r in mine),
             })
     return out
+
+
+def verdict(row):
+    """One line of a summary row: each side's median and interquartile
+    range, the change of the medians and the pairs the change won."""
+    sides = ["%s %.6g (IQR %.3g)" % (s, row[s]["median"], row[s]["q3"] - row[s]["q1"])
+             for s in SIDES]
+    return "%s %s: %s; %+.1f %%, change better in %d/%d pairs%s" % (
+        row["workload"], row["metric"], ", ".join(sides), row["median_change_pct"],
+        row["change_better_pairs"], row["pairs"], ", gain" if row["gain"] else "")
 
 
 def main(argv=None):
@@ -152,6 +169,8 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
+    for row in report["summary"]:
+        print(verdict(row))
     return 0
 
 
