@@ -250,7 +250,7 @@ def iterate(state, step, residual, max_iter, tol):
                 a.resize((k,) + a.shape[1:], refcheck=False)
         X[state.n] = state.x
         Z[state.n - 1] = state.z_prev
-        x = state.x if state.x.ndim == 1 else state.x.ravel()
+        x = state.x.ravel()
         if not math.sqrt(x.dot(x)) <= 1e12:
             if not all_finite(x):
                 raise ArithmeticError("non-finite iterate at n=%d" % (state.n - 1))

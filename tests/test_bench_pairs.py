@@ -14,13 +14,16 @@ _spec.loader.exec_module(bench_pairs)
 DIRECTIONS = {"steps_per_s": "higher", "wall_s": "lower"}
 
 
-def synthetic_runs(parent, change, metric="steps_per_s", workload="long_core"):
-    """Runs of one workload, pair i reading parent[i] and change[i]."""
+def synthetic_runs(parent, change, metric="steps_per_s", workload="long_core",
+                   failed=None):
+    """Runs of one workload, pair i reading parent[i] and change[i];
+    failed maps (pair, side) to the failed operations of that run."""
     runs = []
     for pair, values in enumerate(zip(parent, change)):
         for side, value in zip(bench_pairs.SIDES, values):
             runs.append({"workload": workload, "seed": 7, "side": side, "pair": pair,
-                         "result": {"correct": True, "failed": 0,
+                         "result": {"correct": True,
+                                    "failed": (failed or {}).get((pair, side), 0),
                                     "metrics": {metric: {"value": value}}}})
     return runs
 
@@ -66,3 +69,17 @@ def test_lower_is_better_where_the_benchmark_says_so():
     assert faster["change_better_pairs"] == 10 and faster["gain"] is True
     slower = only_row(synthetic_runs(parent, [v + 0.5 for v in parent], metric="wall_s"))
     assert slower["change_better_pairs"] == 0 and slower["gain"] is False
+
+
+def test_a_gain_does_not_count_when_the_change_fails_more_operations():
+    parent = [float(v) for v in range(100, 110)]
+    change = [v + 10.0 for v in parent]
+    worse = only_row(synthetic_runs(parent, change, failed={(3, "change"): 1}))
+    assert worse["change_better_pairs"] == 10
+    assert worse["failed"] == {"parent": 0, "change": 1}
+    assert worse["gain"] is False and worse["all_correct"] is False
+    assert not bench_pairs.verdict(worse).endswith("gain")
+    # as many failures on each side leave the gain standing
+    even = only_row(synthetic_runs(parent, change,
+                                   failed={(3, "change"): 1, (5, "parent"): 1}))
+    assert even["failed"] == {"parent": 1, "change": 1} and even["gain"] is True

@@ -14,9 +14,10 @@ holds, per workload and end-to-end metric, each side's quartiles and
 median over the pairs, the pairs in which the change is better (by the
 metric's direction in BENCHMARK.json, ties counting for neither side), the
 change of the medians in percent, and "gain": true when the change is
-better in at least nine tenths of the pairs and its median is better than
-the parent's by more than the parent's interquartile range; each summary
-row is also printed to stdout as one line. "machine" records the CPU, the
+better in at least nine tenths of the pairs, its median is better than
+the parent's by more than the parent's interquartile range and its runs
+fail no more operations than the parent's ("failed", summed per side);
+each summary row is also printed to stdout as one line. "machine" records the CPU, the
 CPU count, the OS and the Python and numpy that run this script, and
 "parent"/"change" the commits (read with git, or given with
 --parent-commit/--change-commit).
@@ -82,7 +83,8 @@ def quartiles(values):
 
 
 def summarize(runs, directions):
-    """Per workload and metric: quartiles of each side, wins of the change."""
+    """Per workload and metric: quartiles of each side, wins of the change,
+    failed operations of each side."""
     out = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -97,6 +99,8 @@ def summarize(runs, directions):
             stats = {s: quartiles(values[s]) for s in SIDES}
             iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
             ahead = stats["change"]["median"] - stats["parent"]["median"]
+            failed = {s: sum(r["result"]["failed"] for r in mine if r["side"] == s)
+                      for s in SIDES}
             out.append({
                 "workload": workload, "metric": name, "pairs": len(pairs),
                 "seeds": sorted({r["seed"] for r in mine}),
@@ -105,7 +109,9 @@ def summarize(runs, directions):
                 "change_better_pairs": wins,
                 "median_change_pct": 100.0 * (stats["change"]["median"]
                                               / stats["parent"]["median"] - 1.0),
-                "gain": wins >= 0.9 * len(pairs) and (ahead if higher else -ahead) > iqr,
+                "failed": failed,
+                "gain": (wins >= 0.9 * len(pairs) and (ahead if higher else -ahead) > iqr
+                         and failed["change"] <= failed["parent"]),
                 "all_correct": all(r["result"]["correct"] and r["result"]["failed"] == 0
                                    for r in mine),
             })
