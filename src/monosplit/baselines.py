@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metriclin import all_finite, as_rows, as_vector
+from .metriclin import SpdMap, all_finite, as_rows, as_vector
+from .operators import forward_backward_map
 
 
-def _with_momentum(x, x_prev, a):
-    """The (2, d) block of rows x and x + a (x - x_prev)."""
-    X = np.empty((2, len(x)))
+def _with_momentum(x, x_prev, a, X):
+    """The (2, d) block X, its rows set to x and x + a (x - x_prev)."""
     X[0] = x
     np.add(x, a * (x - x_prev), out=X[1])
     return X
@@ -108,11 +108,15 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
     if kind == "attouch_cabot" and ac_rho is None:
         ac_rho = 0.5 * ac_alpha * (ac_alpha - 2.0) * (1.0 - lam / (4.0 * beta))
 
+    fb = forward_backward_map(A, SpdMap.identity(problem.d), lam, B)
+    momentum = np.empty((2, problem.d))
+
     def inertial(x, x_prev, a):
         # z = x + a (x - x_prev), its forward-backward point and the
-        # residual at x, from one row call of B and of the resolvent
-        X = _with_momentum(x, x_prev, a)
-        FB = A.resolvent_rows(lam, X - lam * B._loop_rows(X))
+        # residual at x, from one row call of B and of the resolvent on the
+        # run's one momentum block, which no result keeps
+        X = _with_momentum(x, x_prev, a, momentum)
+        FB = fb(X)
         return X[1], FB[1], (x - FB[0]) / lam
 
     if kind == "ppa":
@@ -121,9 +125,8 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
             return jx, (x - jx) / lam
     elif kind == "fba":
         def step(n, x, x_prev):
-            X = x[None]
-            fb = A.resolvent_rows(lam, X - lam * B._loop_rows(X))[0]
-            return fb, (x - fb) / lam
+            x_next = fb(x[None])[0]
+            return x_next, (x - x_next) / lam
     elif kind == "fbf":
         def step(n, x, x_prev):
             X = x[None]
@@ -137,7 +140,7 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
             return x_next, x_next - x
     elif kind == "moudafi_oliny":
         def step(n, x, x_prev):
-            J = A.resolvent_rows(lam, _with_momentum(x, x_prev, inertia)
+            J = A.resolvent_rows(lam, _with_momentum(x, x_prev, inertia, momentum)
                                  - lam * B._loop_rows(x[None]))
             return J[1], (x - J[0]) / lam
     elif kind == "lorenz_pock":

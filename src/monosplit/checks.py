@@ -32,7 +32,7 @@ import numpy as np
 from .crifba import (decade_ratio, energy, graph_element, graph_point,
                      schedule, validate_metric)
 from .metriclin import as_rows, as_vector
-from .operators import _backward_rows
+from .operators import forward_backward_map
 
 
 DEFAULT_TOL = 1e-10
@@ -131,8 +131,8 @@ def check_g_cocoercivity(A, B, M, lam, pairs, delta=None, tol=DEFAULT_TOL):
     P = np.asarray(pairs, dtype=float).reshape(-1, 2, M.d)
     X1, X2 = P[:, 0], P[:, 1]
     B1, B2 = B.apply_rows(X1), B.apply_rows(X2)
-    dG = ((X1 - _backward_rows(A, M, lam, X1, lam * B1)) / lam
-          - (X2 - _backward_rows(A, M, lam, X2, lam * B2)) / lam)
+    dG = ((X1 - forward_backward_map(A, M, lam, lamB=lam * B1)(X1)) / lam
+          - (X2 - forward_backward_map(A, M, lam, lamB=lam * B2)(X2)) / lam)
     dB = B1 - B2
     lhs = M.inner_rows(dG, X1 - X2)
     dB_linv = _dots(dB, L.solve_rows(dB))
@@ -286,7 +286,7 @@ class _Block:
     def FB(self):
         """Forward-backward image of z_k, fed with B(z_k)."""
         r = self.run
-        return _backward_rows(r.A, r.M, r.p.lam, self.Z, r.p.lam * self.Bz)
+        return forward_backward_map(r.A, r.M, r.p.lam, lamB=r.p.lam * self.Bz)(self.Z)
 
     @cached_property
     def Y(self):

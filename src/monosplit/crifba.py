@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .metriclin import SpdMap, all_finite, as_rows, as_vector, min_eigenvalue_sym
-from .operators import _backward_rows, _forward_backward_rows, _one_row
+from .operators import _one_row, forward_backward_map
 
 
 @dataclass
@@ -147,14 +147,14 @@ def validate(params, d=None):
 
 def forward_backward(A, B, M, lam, x):
     """One forward-backward image (M + lam A)^{-1}(M x - lam B(x)), as a
-    one-row call of the loop's row path; M None is the identity.
+    one-row call of the loop's row map; M None is the identity.
 
     x is screened before B is called; B(x) is checked as the loop checks
-    it (operators._forward_backward_rows).
+    it (operators.forward_backward_map).
     """
     X = as_rows(_one_row(x))
     M = SpdMap.identity(X.shape[1]) if M is None else M
-    return _forward_backward_rows(A, B, M, lam, X)[0]
+    return forward_backward_map(A, M, lam, B)(X)[0]
 
 
 def residual_G(A, B, M, lam, x):
@@ -218,7 +218,7 @@ def iterate(state, step, residual, max_iter, tol):
     are not screened again: B is evaluated on them unscreened, and its
     rows are checked by the argument screen of the resolvent they feed,
     or on the way out in a metric whose path screens no argument
-    (operators._forward_backward_rows). The step's row is evaluated
+    (operators.forward_backward_map). The step's row is evaluated
     before the stop test, and the state's again alone after a failed
     call, so the operators must be pure; the step still runs only when
     the state does not stop. When the two-row call raises, the state's row
@@ -349,21 +349,30 @@ def _run(A, B, params, x0, max_iter, tol, x_prev=None, z_prev=None, B_value=None
     x = as_vector(x0).copy()
     xp = x.copy() if x_prev is None else as_vector(x_prev).copy()
     zp = x.copy() if z_prev is None else as_vector(z_prev).copy()
-    d = len(x)
-    M = params.metric(d)
+    M = params.metric(len(x))
     lam = params.lam
-    lamB = None if B_value is None else lam * B_value
+    fb = (forward_backward_map(A, M, lam, B) if B_value is None
+          else forward_backward_map(A, M, lam, lamB=lam * B_value))
+    Mm = None if M.is_identity else M.matrix
+    # the two-row blocks of even and odd n: z_{n-1}, in the other, is read
+    # while the block of n is written
+    blocks = (np.empty((2, len(x))), np.empty((2, len(x))))
 
     def residual(state, ahead):
+        x = state.x
         if ahead:
-            X = np.empty((2, d))
-            X[0] = state.x
+            X = blocks[state.n & 1]
+            X[0] = x
             z = extrapolate(params, state, out=X[1])
         else:
-            X = state.x[None]
-        FB = (_forward_backward_rows(A, B, M, lam, X) if lamB is None
-              else _backward_rows(A, M, lam, X, lamB))
-        return M.norm2((state.x - FB[0]) / lam), (z, FB[1]) if ahead else None
+            X = x[None]
+        FB = fb(X)
+        # M.norm2 of the residual, with its dots and its screen when not finite
+        g = (x - FB[0]) / lam
+        r2 = float(g.dot(g)) if Mm is None else float(g.dot(Mm).dot(g))
+        if not math.isfinite(r2):
+            as_vector(g)
+        return r2, (z, FB[1]) if ahead else None
 
     state, stopped, X, Z, res2 = iterate(
         KMState(0, xp, x, zp), lambda s, values: crifba_step(s, params, A, B, values),

@@ -69,7 +69,7 @@ def stacked_operators(problem):
 
     def gen_resolvent(M, lam, R):
         # (M + A)^{-1} r_i in the block metric; lam is fixed to 1 upstream,
-        # and tau and sigma are read off M. metric_resolvent_rows screens R
+        # and tau and sigma are read off M. forward_backward_map screens R
         # and the block returned
         tau, sigma = 1.0 / M.matrix[0, 0], 1.0 / M.matrix[dx, dx]
         X = problem.prox_G(tau, tau * R[:, :dx])

@@ -17,11 +17,13 @@ from .metriclin import SpdMap, as_rows, as_vector
 
 def _block_weights(weights, p):
     """The weights of p blocks as a float array, 1/p each by default; they
-    must be positive, below one when p > 1, and sum to one."""
+    must be positive, below one when p > 1, and sum to one, so no weight
+    may be NaN or infinite."""
     w = np.full(p, 1.0 / p) if weights is None else np.asarray(weights, float).reshape(-1)
     if len(w) != p:
         raise ValueError("one weight per block required")
-    if np.any(w <= 0) or np.any(w >= 1) and len(w) > 1 or abs(w.sum() - 1.0) > 1e-12:
+    if not (np.all(w > 0) and (np.all(w < 1) or len(w) == 1)
+            and abs(w.sum() - 1.0) <= 1e-12):
         raise ValueError("weights must be in (0,1) and sum to 1")
     return w
 
@@ -124,11 +126,14 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
     # the block steps lam/rho_j as Python floats: numpy's quotients, formed once
     steps = (lam / weights).tolist()
     wcol = weights[:, None]
+    b = np.tile(x0, (len(A_list), 1))
+    # the two-row stacks of even and odd n, as crifba._run keeps its blocks
+    stacks = (np.empty((2,) + b.shape), np.empty((2,) + b.shape))
 
     def residual(state, ahead):
         zb = state.x
         if ahead:
-            stack = np.empty((2,) + zb.shape)
+            stack = stacks[state.n & 1]
             stack[0] = zb
             z = extrapolate(params, state, out=stack[1])
         else:
@@ -142,7 +147,6 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
             raise ArithmeticError("non-finite residual at n=%d" % state.n)
         return r2, (z, U[1], R[1]) if ahead else None
 
-    b = np.tile(x0, (len(A_list), 1))
     state, stopped, Zeta, Z, res2 = iterate(
         KMState(0, b, b, b),
         lambda s, ahead: gcrifba_step(s, params, ahead),

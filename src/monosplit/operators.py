@@ -85,15 +85,13 @@ class MonotoneOp:
     any metric. With rows false, the default, the callables given are
     per-vector forms, resolvent(lam, x), graph_member(x, u, tol) and
     gen_resolvent(M, lam, r), each made here a row callable that calls it
-    once per row. resolvent_rows, member_rows and metric_resolvent_rows
-    (but for its affine solve) screen the blocks going in, and the
-    resolvent's coming out unless it is the block that went in (zero_op's);
-    _loop_resolvent_rows only the latter. The argument screens are also the
-    check of B's rows in the solver loops: they evaluate B on their own
-    rows, which are not screened again, and leave its rows unscreened (see
-    CocoerciveMap). The attributes resolvent, graph_member and
-    gen_resolvent are the one-row calls of the stored forms, or None where
-    A has no such map; each screens its vector arguments.
+    once per row. resolvent_rows and member_rows screen the blocks going
+    in, and the resolvent's coming out unless it is the block that went in
+    (zero_op's); _loop_resolvent_rows only the latter. The solver loops
+    call the stored forms through forward_backward_map, whose argument
+    screens are also the check of B's rows. The attributes resolvent,
+    graph_member and gen_resolvent are the one-row calls of the stored
+    forms, or None where A has no such map; each screens its vectors.
     The solvers evaluate a state's resolvent before its stop test and again
     alone after a failed call, so the callables must be pure.
     """
@@ -188,68 +186,63 @@ def affine_op(Q, b, label="affine"):
                       member, label=label, affine=(Q, b), rows=True)
 
 
-def _plain(A, M):
-    """True when _backward_rows takes the plain resolvent: in the identity
-    metric, when A has one."""
-    return M.is_identity and A.resolvent is not None
-
-
-def _backward_rows(A, M, lam, X, lamBX):
-    """(M + lam A)^{-1}(M x_i - lam B(x_i)) for every row x_i of X, given
-    lamBX, the rows lam B(x_i) or one shared row: the plain resolvent in
-    the identity metric, when A has one, which screens the argument
-    x_i - lam B(x_i), else metric_resolvent_rows with M applied to the rows
-    first, which screens the argument of a generalized resolvent. X is not
-    screened here."""
-    if _plain(A, M):
-        return A.resolvent_rows(lam, X - lamBX)
-    return metric_resolvent_rows(A, M, lam, M.apply_each(X) - lamBX)
-
-
-def _forward_backward_rows(A, B, M, lam, X):
-    """_backward_rows of the rows x_i of X, with B evaluated on them.
+def forward_backward_map(A, M, lam, B=None, lamB=0.0):
+    """The row callable of one run's forward-backward image: the rows
+    (M + lam A)^{-1}(M x_i - lam B(x_i)) of a (k, d) block X, with B
+    evaluated on X, or, with B None, lamB subtracted in place of the rows
+    lam B(x_i): those rows, one shared row or 0. The branches over M and
+    A's forms are taken here, once; the callable calls A's stored row
+    forms directly.
 
     X holds rows screened already and is not screened again. Nor are B's
-    rows where the resolvent screens its argument, the plain one or a
-    generalized one: a non-finite B(x_i) or an overflowing lam B(x_i)
-    makes the argument non-finite in the same row, so that screen raises
-    the ValueError that a screen of B's rows raised, before A is called.
-    On the affine solve, which screens no argument, B's rows are screened
-    as they come out."""
-    BX = B._loop_rows(X)
-    screened = _plain(A, M) or A._gen_resolvent_rows is not None
-    return _backward_rows(A, M, lam, X, lam * (BX if screened else as_rows(BX)))
+    rows where a resolvent screens its argument: the plain one, in the
+    identity metric when A has one, screens x_i - lam B(x_i), and A's
+    generalized resolvent M x_i - lam B(x_i), which a non-finite B(x_i) or
+    an overflowing lam B(x_i) makes non-finite in the same row, so that
+    screen raises the ValueError that a screen of B's rows raised, before
+    A is called. A resolvent's output is screened unless it is its
+    argument (zero_op's). An affine A otherwise gets a direct linear solve
+    per row, which screens no argument, so that an overflowing M x_i fails
+    where the solver tests its iterate; B's rows are screened there as
+    they come out. A block with rows is refused for any other A outside
+    the identity metric rather than approximated.
+    """
+    loop_B = None if B is None else B._loop_rows
+    if M.is_identity and A._resolvent_rows is not None:
+        J = A._resolvent_rows
+
+        def plain_rows(X):
+            R = as_rows(X - (lamB if loop_B is None else lam * loop_B(X)))
+            out = J(lam, R)
+            return out if out is R else as_rows(out)
+        return plain_rows
+    apply = M.apply_each
+    G = A._gen_resolvent_rows
+    if G is not None:
+        def metric_resolvent_rows(X):
+            lamBX = lamB if loop_B is None else lam * loop_B(X)
+            return as_rows(G(M, lam, as_rows(apply(X) - lamBX)))
+        return metric_resolvent_rows
+    Q, b = A.affine or (None, None)
+    Q = np.zeros((M.d, M.d)) if Q is None else np.asarray(Q, dtype=float)
+    lhs, lamb = M.matrix + lam * Q, lam * (np.zeros(M.d) if b is None else as_vector(b))
+
+    def affine_rows(X):
+        lamBX = lamB if loop_B is None else lam * as_rows(loop_B(X))
+        if A.affine is None and len(X):
+            raise ValueError("generalized resolvent unavailable: metric is not the "
+                             "identity and operator %r has no affine form or closed "
+                             "formula" % A)
+        return _solve_rows(lhs, apply(X) - lamBX - lamb)
+    return affine_rows
 
 
 def generalized_resolvent(A, M, lam, u):
     """Solve M p + lam a = M u with a in A(p), i.e. p = (M + lam A)^{-1}(M u),
-    as a one-row call of _backward_rows; M None is the identity."""
+    as a one-row call of forward_backward_map; M None is the identity."""
     U = as_rows(_one_row(u))
     M = SpdMap.identity(U.shape[1]) if M is None else M
-    return _backward_rows(A, M, lam, U, 0.0)[0]
-
-
-def metric_resolvent_rows(A, M, lam, R):
-    """(M + lam A)^{-1} r_i for every row r_i of a (k, d) block, in a
-    metric M other than the identity.
-
-    The operator's own generalized resolvent goes first, its argument and
-    output blocks screened; an affine operator gets a direct linear solve
-    per row of R as given, with no screen, so that an overflowing M x_i
-    fails where the solver tests its iterate. A block with rows is
-    rejected for anything else rather than approximated.
-    """
-    if A._gen_resolvent_rows is not None:
-        return as_rows(A._gen_resolvent_rows(M, lam, as_rows(R)))
-    if A.affine is None and len(R):
-        raise ValueError("generalized resolvent unavailable: metric is not the "
-                         "identity and operator %r has no affine form or closed "
-                         "formula" % A)
-    Q, b = A.affine or (None, None)
-    d = R.shape[1]
-    Q = np.zeros((d, d)) if Q is None else np.asarray(Q, dtype=float)
-    b = np.zeros(d) if b is None else as_vector(b)
-    return _solve_rows(M.matrix + lam * Q, R - lam * b)
+    return forward_backward_map(A, M, lam)(U)[0]
 
 
 class CocoerciveMap:
@@ -268,8 +261,8 @@ class CocoerciveMap:
     already and are not screened again, and B's rows are checked by the
     argument screen of the resolvent they feed, plain or generalized, or,
     on the affine solve, which screens no argument, as they come out
-    (operators._forward_backward_rows). The public entry points screen
-    their caller's argument.
+    (forward_backward_map). The public entry points screen their caller's
+    argument.
     """
 
     def __init__(self, apply, certificate_L, label="", rows=False):

@@ -83,3 +83,54 @@ def test_a_gain_does_not_count_when_the_change_fails_more_operations():
     even = only_row(synthetic_runs(parent, change,
                                    failed={(3, "change"): 1, (5, "parent"): 1}))
     assert even["failed"] == {"parent": 1, "change": 1} and even["gain"] is True
+
+
+def test_a_clear_loss_is_flagged_worse():
+    parent = [float(v) for v in range(100, 110)]
+    row = only_row(synthetic_runs(parent, [v - 10.0 for v in parent]))
+    assert row["change_worse_pairs"] == 10 and row["change_better_pairs"] == 0
+    assert row["worse"] is True and row["gain"] is False
+    # down 9.6 %, inside a 25 % bound
+    assert row["beyond_bound"] is False and row["bound"] is None
+    assert bench_pairs.verdict(row).endswith(
+        "-9.6 %, change better in 0/10 pairs, worse in 10/10 pairs")
+    # lower is better for wall_s: a slower change is worse there
+    slower = only_row(synthetic_runs([2.0 + 0.01 * i for i in range(10)],
+                                     [2.5 + 0.01 * i for i in range(10)], metric="wall_s"))
+    assert slower["worse"] is True and slower["change_worse_pairs"] == 10
+
+
+def test_worse_needs_nine_tenths_of_the_pairs_and_the_parent_iqr():
+    parent = [float(v) for v in range(100, 110)]
+    # 8 losses and 2 ties
+    eight = only_row(synthetic_runs(parent, [v - 10.0 for v in parent[:8]] + parent[8:]))
+    assert eight["change_worse_pairs"] == 8 and eight["worse"] is False
+    # every pair lost by 1, inside the parent's quartiles 4.5 apart
+    close = only_row(synthetic_runs(parent, [v - 1.0 for v in parent]))
+    assert close["change_worse_pairs"] == 10 and close["worse"] is False
+
+
+def test_beyond_bound_reads_the_bound_as_a_fraction_of_the_parent_median():
+    parent = [float(v) for v in range(100, 110)]
+    bounds = {"steps_per_s": 0.25, "wall_s": 0.25}
+
+    def row(change, metric="steps_per_s", base=parent):
+        rows = bench_pairs.summarize(synthetic_runs(base, change, metric=metric),
+                                     DIRECTIONS, bounds)
+        assert len(rows) == 1
+        return rows[0]
+
+    # the parent median is 104.5: a fall of 30 % is past the bound, 20 % is not
+    far = row([0.7 * v for v in parent])
+    assert far["beyond_bound"] is True and far["worse"] is True and far["bound"] == 0.25
+    assert bench_pairs.verdict(far).endswith(
+        "worse in 10/10 pairs, beyond the 25 % bound")
+    assert row([0.8 * v for v in parent])["beyond_bound"] is False
+    # a rise moves with the metric, however large
+    assert row([2.0 * v for v in parent])["beyond_bound"] is False
+    # one pair's outlier does not move the medians past the bound
+    assert row(parent[:9] + [10.0])["beyond_bound"] is False
+    # for wall_s a rise is against the metric
+    slow = row([1.3 * v for v in parent], metric="wall_s")
+    assert slow["beyond_bound"] is True and slow["change_better_pairs"] == 0
+    assert row([0.5 * v for v in parent], metric="wall_s")["beyond_bound"] is False

@@ -1,9 +1,10 @@
 """Row forms in the block metric of the primal-dual stack, bit for bit:
 SpdMap.apply_each against apply, the stacked operators of
 cripda.stacked_operators on k rows against their one-row calls, the
-metric_resolvent_rows dispatch and the forward-backward image of a block
-of rows in a non-identity metric against a per-row solve (the catalog's
-row forms against per-vector formulas are in test_reference_maps)."""
+paths of operators.forward_backward_map outside the identity metric and
+the forward-backward image of a block of rows in a non-identity metric
+against a per-row solve (the catalog's row forms against per-vector
+formulas are in test_reference_maps)."""
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ import _reference_maps as ref
 from monosplit import crifba, cripda, problems
 from monosplit.metriclin import SpdMap, operator_norm
 from monosplit.operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair,
-                                 _backward_rows, affine_op, l1_op,
-                                 metric_resolvent_rows)
+                                 affine_op, forward_backward_map, l1_op)
 
 PAIRS = ["p5_saddle", "p5_lasso_pd"]
 
@@ -76,15 +76,16 @@ def test_stacked_row_forms_match_one_row_calls(name, k):
     BU = B.apply_rows(U)
     same_rows(BU, [B(u) for u in U], d)
     for lam in (1.0, 0.6):
-        same_rows(metric_resolvent_rows(A, M, lam, U),
-                  [A.gen_resolvent(M, lam, u) for u in U], d)
-        same_rows(_backward_rows(A, M, lam, U, lam * BU),
-                  [crifba.forward_backward(A, B, M, lam, u) for u in U], d)
+        same_rows(forward_backward_map(A, M, lam)(U),
+                  [A.gen_resolvent(M, lam, M.apply(u)) for u in U], d)
+        fb = [crifba.forward_backward(A, B, M, lam, u) for u in U]
+        same_rows(forward_backward_map(A, M, lam, lamB=lam * BU)(U), fb, d)
+        same_rows(forward_backward_map(A, M, lam, B)(U), fb, d)
 
 
 def test_stacked_row_forms_screen_r_and_the_output():
-    # r as it enters, and the output block, whose rows carry every prox
-    # output on to the dual prox or out
+    # r = M u as it enters, and the output block, whose rows carry every
+    # prox output on to the dual prox or out
     pair = problems.get("p5_saddle").saddle
     A, B = cripda.stacked_operators(pair)
     M = metric(pair)
@@ -95,8 +96,8 @@ def test_stacked_row_forms_screen_r_and_the_output():
     bad = np.ones((3, 4))
     bad[2, 3] = np.nan
     for op, U in ((A, bad), (A_nan, np.ones((3, 4)))):
-        for call in (lambda: metric_resolvent_rows(op, M, 1.0, U[-1:]),
-                     lambda: metric_resolvent_rows(op, M, 1.0, U)):
+        for call in (lambda: forward_backward_map(op, M, 1.0)(U[-1:]),
+                     lambda: forward_backward_map(op, M, 1.0)(U)):
             with np.errstate(invalid="ignore"):
                 with pytest.raises(ValueError, match="^vector has non-finite entries$"):
                     call()
@@ -105,7 +106,7 @@ def test_stacked_row_forms_screen_r_and_the_output():
             call()
 
 
-def test_metric_resolvent_rows_dispatch():
+def test_forward_backward_map_outside_the_identity_metric():
     rng = np.random.default_rng(8)
     U = sample(rng, 6, 3)
     D = SpdMap(np.diag([1.0, 1.5, 2.0]))
@@ -114,19 +115,19 @@ def test_metric_resolvent_rows_dispatch():
     raw = rng.standard_normal((3, 3))
     Q, b = raw @ raw.T, rng.standard_normal(3)
     affine = affine_op(Q, b)
-    same_rows(metric_resolvent_rows(affine, D, 0.4, U),
-              [ref.metric_resolvent_affine(Q, b, D, 0.4, u) for u in U], 3)
-    assert metric_resolvent_rows(affine, D, 0.4, np.empty((0, 3))).shape == (0, 3)
+    same_rows(forward_backward_map(affine, D, 0.4)(U),
+              [ref.metric_resolvent_affine(Q, b, D, 0.4, D.apply(u)) for u in U], 3)
+    assert forward_backward_map(affine, D, 0.4)(np.empty((0, 3))).shape == (0, 3)
     # a generalized resolvent's output is screened
     nan_out = MonotoneOp(None, gen_resolvent=lambda M, lam, R: np.full_like(R, np.nan),
                          rows=True)
     for rows in (U[:1], U):
         with pytest.raises(ValueError, match="^vector has non-finite entries$"):
-            metric_resolvent_rows(nan_out, D, 0.4, rows)
+            forward_backward_map(nan_out, D, 0.4)(rows)
     # and a block with rows of an operator with neither form is refused
     for rows in (U[:1], U):
         with pytest.raises(ValueError, match="generalized resolvent unavailable"):
-            metric_resolvent_rows(l1, D, 0.4, rows)
+            forward_backward_map(l1, D, 0.4)(rows)
 
 
 def test_forward_backward_rows_per_row_in_a_non_identity_metric():
@@ -140,8 +141,10 @@ def test_forward_backward_rows_per_row_in_a_non_identity_metric():
     B = CocoerciveMap(lambda x: S @ x, SpdMap(np.eye(3)))
     M = SpdMap(np.diag([1.0, 1.5, 2.0]))
     X = sample(rng, 9, 3)
-    same_rows(_backward_rows(A, M, 0.3, X, 0.3 * B.apply_rows(X)),
-              [ref.metric_resolvent_affine(Q, b, M, 0.3, M.apply(x) - 0.3 * (S @ x))
-               for x in X], 3)
-    same_rows(_backward_rows(A, M, 0.3, X, 0.3 * B.apply_rows(X)),
-              [crifba.forward_backward(A, B, M, 0.3, x) for x in X], 3)
+    want = [ref.metric_resolvent_affine(Q, b, M, 0.3, M.apply(x) - 0.3 * (S @ x))
+            for x in X]
+    # B evaluated by the map, as the loop has it, and given as lam B's rows
+    for fb in (forward_backward_map(A, M, 0.3, B),
+               forward_backward_map(A, M, 0.3, lamB=0.3 * B.apply_rows(X))):
+        same_rows(fb(X), want, 3)
+        same_rows(fb(X), [crifba.forward_backward(A, B, M, 0.3, x) for x in X], 3)

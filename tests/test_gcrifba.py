@@ -18,6 +18,17 @@ def test_run_rejects_bad_weights():
             run_gcrifba(prob.A_list, prob.B, p, prob.start, weights=weights)
 
 
+@pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan], [0.5, np.inf]],
+                         ids=["nan_nan", "nan", "half_inf"])
+def test_run_refuses_non_finite_weights(weights):
+    # every comparison with NaN is false, so a NaN weight must be refused
+    # as such, not left to fail in the resolvent's argument screen
+    prob = problems.get("p4_three")
+    p = default_gcrifba_params(prob.beta)
+    with pytest.raises(ValueError, match=r"^weights must be in \(0,1\) and sum to 1$"):
+        run_gcrifba(prob.A_list[:len(weights)], prob.B, p, prob.start, weights=weights)
+
+
 @pytest.mark.parametrize("weights,mean", [([0.5, 0.5], 2.0), ([0.25, 0.75], 2.5)])
 def test_apply_T_zero_operators_projects(weights, mean):
     # with every A_k = 0 and B = 0 each output block equals the weighted mean

@@ -1,6 +1,6 @@
 """The merged screen: the solver loops evaluate B on their own rows, which
 they do not screen again, and leave B's rows to the argument screen of the
-resolvent they feed (operators._forward_backward_rows).
+resolvent they feed (operators.forward_backward_map).
 
 A B that returns +inf, -inf or NaN, or a finite row whose lam B(x)
 overflows, in row 0 (x_n) or row 1 (the point z_n the step starts from) of

@@ -10,7 +10,7 @@ import pytest
 import _reference_maps as ref
 from monosplit import cripda, problems
 from monosplit.metriclin import operator_norm
-from monosplit.operators import affine_op, box_op, l1_op, metric_resolvent_rows, zero_op
+from monosplit.operators import affine_op, box_op, forward_backward_map, l1_op, zero_op
 
 EPS = np.finfo(float).eps
 KS = [1, 2, 7]
@@ -173,5 +173,5 @@ def test_stacked_operators_match_reference(name, k):
     U = wide_block(np.random.default_rng(100 + k), k, d)
     assert_rows(B.apply_rows(U), [B_ref(u) for u in U], d)
     for lam in (1.0, 0.6):
-        assert_rows(metric_resolvent_rows(A, M, lam, U),
-                    [gen_resolvent(M, lam, u) for u in U], d)
+        assert_rows(forward_backward_map(A, M, lam)(U),
+                    [gen_resolvent(M, lam, M.apply(u)) for u in U], d)

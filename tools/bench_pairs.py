@@ -16,8 +16,14 @@ metric's direction in BENCHMARK.json, ties counting for neither side), the
 change of the medians in percent, and "gain": true when the change is
 better in at least nine tenths of the pairs, its median is better than
 the parent's by more than the parent's interquartile range and its runs
-fail no more operations than the parent's ("failed", summed per side);
-each summary row is also printed to stdout as one line. "machine" records the CPU, the
+fail no more operations than the parent's ("failed", summed per side).
+A row flags a regression two ways: "worse": true when the change is worse
+in at least nine tenths of the pairs and its median is worse than the
+parent's by more than the parent's interquartile range, and
+"beyond_bound": true when its median moved against the metric by more
+than the metric's BENCHMARK.json "bound", a fraction of the parent's
+median. Each summary row is also printed to stdout as one line, which
+names the gain and both flags when they hold. "machine" records the CPU, the
 CPU count, the OS and the Python and numpy that run this script, and
 "parent"/"change" the commits (read with git, or given with
 --parent-commit/--change-commit).
@@ -82,9 +88,11 @@ def quartiles(values):
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(runs, directions):
-    """Per workload and metric: quartiles of each side, wins of the change,
-    failed operations of each side."""
+def summarize(runs, directions, bounds=None):
+    """Per workload and metric: quartiles of each side, wins and losses of
+    the change, failed operations of each side, the gain and the two
+    regression flags; bounds maps a metric to its bound, and a metric
+    without one is never beyond it."""
     out = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -96,9 +104,13 @@ def summarize(runs, directions):
             higher = directions[name] == "higher"
             wins = sum((c > p) if higher else (c < p)
                        for p, c in zip(values["parent"], values["change"]))
+            losses = sum((c < p) if higher else (c > p)
+                         for p, c in zip(values["parent"], values["change"]))
             stats = {s: quartiles(values[s]) for s in SIDES}
             iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
             ahead = stats["change"]["median"] - stats["parent"]["median"]
+            ahead = ahead if higher else -ahead
+            bound = (bounds or {}).get(name)
             failed = {s: sum(r["result"]["failed"] for r in mine if r["side"] == s)
                       for s in SIDES}
             out.append({
@@ -107,11 +119,16 @@ def summarize(runs, directions):
                 "parent": stats["parent"], "change": stats["change"],
                 "parent_iqr": iqr,
                 "change_better_pairs": wins,
+                "change_worse_pairs": losses,
                 "median_change_pct": 100.0 * (stats["change"]["median"]
                                               / stats["parent"]["median"] - 1.0),
                 "failed": failed,
-                "gain": (wins >= 0.9 * len(pairs) and (ahead if higher else -ahead) > iqr
+                "gain": (wins >= 0.9 * len(pairs) and ahead > iqr
                          and failed["change"] <= failed["parent"]),
+                "worse": losses >= 0.9 * len(pairs) and -ahead > iqr,
+                "bound": bound,
+                "beyond_bound": (bound is not None
+                                 and -ahead > bound * abs(stats["parent"]["median"])),
                 "all_correct": all(r["result"]["correct"] and r["result"]["failed"] == 0
                                    for r in mine),
             })
@@ -120,12 +137,17 @@ def summarize(runs, directions):
 
 def verdict(row):
     """One line of a summary row: each side's median and interquartile
-    range, the change of the medians and the pairs the change won."""
+    range, the change of the medians, the pairs the change won, and the
+    gain and the regression flags that hold."""
     sides = ["%s %.6g (IQR %.3g)" % (s, row[s]["median"], row[s]["q3"] - row[s]["q1"])
              for s in SIDES]
+    flags = [text for key, text in (
+        ("gain", "gain"),
+        ("worse", "worse in %d/%d pairs" % (row["change_worse_pairs"], row["pairs"])),
+        ("beyond_bound", "beyond the %g %% bound" % (100 * (row["bound"] or 0)))) if row[key]]
     return "%s %s: %s; %+.1f %%, change better in %d/%d pairs%s" % (
         row["workload"], row["metric"], ", ".join(sides), row["median_change_pct"],
-        row["change_better_pairs"], row["pairs"], ", gain" if row["gain"] else "")
+        row["change_better_pairs"], row["pairs"], "".join(", " + f for f in flags))
 
 
 def main(argv=None):
@@ -145,7 +167,9 @@ def main(argv=None):
     checkouts = {"parent": os.path.abspath(args.parent),
                  "change": os.path.abspath(args.change)}
     with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as fh:
-        directions = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    directions = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
     runs = []
     for workload in args.workloads:
         for pair in range(args.pairs):
@@ -169,7 +193,7 @@ def main(argv=None):
         "machine": machine(),
         "parent": {"commit": commit_of(checkouts["parent"], args.parent_commit)},
         "change": {"commit": commit_of(checkouts["change"], args.change_commit)},
-        "summary": summarize(runs, directions),
+        "summary": summarize(runs, directions, bounds),
         "runs": runs,
     }
     with open(args.out, "w") as fh:
