@@ -110,6 +110,9 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
 
     fb = forward_backward_map(A, SpdMap.identity(problem.d), lam, B)
     momentum = np.empty((2, problem.d))
+    # lam and inertia as 0-d float64 arrays where they scale or divide an
+    # array, as in forward_backward_map; the resolvents get lam as given
+    lam_0d, inertia_0d = np.array(lam, dtype=float), np.array(inertia, dtype=float)
 
     def inertial(x, x_prev, a):
         # z = x + a (x - x_prev), its forward-backward point and the
@@ -117,22 +120,23 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
         # run's one momentum block, which no result keeps
         X = _with_momentum(x, x_prev, a, momentum)
         FB = fb(X)
-        return X[1], FB[1], (x - FB[0]) / lam
+        return X[1], FB[1], (x - FB[0]) / lam_0d
 
     if kind == "ppa":
         def step(n, x, x_prev):
             jx = A._loop_resolvent_rows(lam, x[None])[0]
-            return jx, (x - jx) / lam
+            return jx, (x - jx) / lam_0d
     elif kind == "fba":
         def step(n, x, x_prev):
             x_next = fb(x[None])[0]
-            return x_next, (x - x_next) / lam
+            return x_next, (x - x_next) / lam_0d
     elif kind == "fbf":
         def step(n, x, x_prev):
             X = x[None]
             BX = B._loop_rows(X)
-            Y = A.resolvent_rows(lam, X - lam * BX)
-            return (Y - lam * (as_rows(B._loop_rows(Y)) - BX))[0], (x - Y[0]) / lam
+            Y = A.resolvent_rows(lam, X - lam_0d * BX)
+            return ((Y - lam_0d * (as_rows(B._loop_rows(Y)) - BX))[0],
+                    (x - Y[0]) / lam_0d)
     elif kind == "dr":
         def step(n, x, x_prev):
             jb = B_res._loop_resolvent_rows(lam, x[None])[0]
@@ -140,12 +144,12 @@ def baseline_step(kind, problem, lam, alpha=3.1, inertia=0.3, ac_alpha=3.0,
             return x_next, x_next - x
     elif kind == "moudafi_oliny":
         def step(n, x, x_prev):
-            J = A.resolvent_rows(lam, _with_momentum(x, x_prev, inertia, momentum)
-                                 - lam * B._loop_rows(x[None]))
-            return J[1], (x - J[0]) / lam
+            J = A.resolvent_rows(lam, _with_momentum(x, x_prev, inertia_0d, momentum)
+                                 - lam_0d * B._loop_rows(x[None]))
+            return J[1], (x - J[0]) / lam_0d
     elif kind == "lorenz_pock":
         def step(n, x, x_prev):
-            _, fz, r = inertial(x, x_prev, inertia)
+            _, fz, r = inertial(x, x_prev, inertia_0d)
             return fz, r
     elif kind == "attouch_cabot":
         def step(n, x, x_prev):

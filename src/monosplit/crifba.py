@@ -181,12 +181,48 @@ class KMState:
 def extrapolate(params, state, out=None):
     """z_n = x_n + theta_n (x_n - x_{n-1}) + gamma_n (z_{n-1} - x_n), in out."""
     _, theta, gamma, _ = schedule(params, state.n)
+    return _extrapolate(state, theta, gamma, out)
+
+
+def _extrapolate(state, theta, gamma, out):
+    """extrapolate's z_n from the coefficients theta_n and gamma_n."""
     x = state.x
     return np.add(x + theta * (x - state.x_prev), gamma * (state.z_prev - x), out=out)
 
 
 # rows iterate allocates first; columns formed after a run go this many at a time
 RECORD_ROWS = 64
+
+
+def _ahead_blocks(params, shape):
+    """blocks(state) -> the block [x_n; z_n] of one run's state at step n,
+    z_n as extrapolate forms it, with x of the given shape. The run keeps
+    two blocks and writes the one of n's parity, so z_{n-1}, in the other,
+    is read while it is written.
+
+    theta_n and gamma_n come from a table of RECORD_ROWS steps, which an n
+    outside it refills from n on, with one call of schedule on an array of
+    indices: the same operations on the same float64 values as
+    schedule(params, n), so the same bits. They are handed to the
+    extrapolation as 0-d views, as operators.forward_backward_map takes
+    lam.
+    """
+    blocks = (np.empty((2,) + shape), np.empty((2,) + shape))
+    start, theta, gamma = -RECORD_ROWS, None, None
+
+    def ahead(state):
+        nonlocal start, theta, gamma
+        n = state.n
+        k = n - start
+        if not 0 <= k < RECORD_ROWS:
+            start, k = n, 0
+            _, theta, gamma, _ = schedule(params, np.arange(n, n + RECORD_ROWS))
+        X = blocks[n & 1]
+        X[0] = state.x
+        _extrapolate(state, theta[k, ...], gamma[k, ...], X[1])
+        return X
+
+    return ahead
 
 
 def root(r2):
@@ -354,25 +390,19 @@ def _run(A, B, params, x0, max_iter, tol, x_prev=None, z_prev=None, B_value=None
     fb = (forward_backward_map(A, M, lam, B) if B_value is None
           else forward_backward_map(A, M, lam, lamB=lam * B_value))
     Mm = None if M.is_identity else M.matrix
-    # the two-row blocks of even and odd n: z_{n-1}, in the other, is read
-    # while the block of n is written
-    blocks = (np.empty((2, len(x))), np.empty((2, len(x))))
+    lam_0d = np.array(lam, dtype=float)
+    blocks = _ahead_blocks(params, x.shape)
 
     def residual(state, ahead):
         x = state.x
-        if ahead:
-            X = blocks[state.n & 1]
-            X[0] = x
-            z = extrapolate(params, state, out=X[1])
-        else:
-            X = x[None]
+        X = blocks(state) if ahead else x[None]
         FB = fb(X)
         # M.norm2 of the residual, with its dots and its screen when not finite
-        g = (x - FB[0]) / lam
+        g = (x - FB[0]) / lam_0d
         r2 = float(g.dot(g)) if Mm is None else float(g.dot(Mm).dot(g))
         if not math.isfinite(r2):
             as_vector(g)
-        return r2, (z, FB[1]) if ahead else None
+        return r2, (X[1], FB[1]) if ahead else None
 
     state, stopped, X, Z, res2 = iterate(
         KMState(0, xp, x, zp), lambda s, values: crifba_step(s, params, A, B, values),

@@ -61,19 +61,27 @@ def stacked_operators(problem):
     The lower-triangular structure of metric-plus-operator lets the primal
     prox go first and feed the dual prox. The products with K are np.matvec
     calls, which take the path of a 1-D product, so each row is bit for bit
-    what a one-row call gives. run_cripda takes a B of two constant
-    gradients (Lipschitz constant 0) once per run.
+    what a one-row call gives. The proxes get tau and sigma as 0-d float64
+    arrays. run_cripda takes a B of two constant gradients (Lipschitz
+    constant 0) once per run.
     """
     K = problem.K
     dy, dx = K.shape
+    # the SpdMap last handed to gen_resolvent, with its tau, sigma and
+    # 2 sigma as 0-d float64 arrays, as forward_backward_map takes lam
+    steps = (None,)
 
     def gen_resolvent(M, lam, R):
         # (M + A)^{-1} r_i in the block metric; lam is fixed to 1 upstream,
         # and tau and sigma are read off M. forward_backward_map screens R
         # and the block returned
-        tau, sigma = 1.0 / M.matrix[0, 0], 1.0 / M.matrix[dx, dx]
+        nonlocal steps
+        if steps[0] is not M:
+            tau, sigma = 1.0 / M.matrix[0, 0], 1.0 / M.matrix[dx, dx]
+            steps = (M, np.array(tau), np.array(sigma), np.array(2.0 * sigma))
+        _, tau, sigma, two_sigma = steps
         X = problem.prox_G(tau, tau * R[:, :dx])
-        Y = problem.prox_Fstar(sigma, sigma * R[:, dx:] + 2.0 * sigma * np.matvec(K, X))
+        Y = problem.prox_Fstar(sigma, sigma * R[:, dx:] + two_sigma * np.matvec(K, X))
         return np.concatenate([X, Y], axis=1)
 
     def B_rows(U):

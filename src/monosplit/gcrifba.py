@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crifba import (RECORD_ROWS, CrifbaParams, KMState, extrapolate, iterate,
+from .crifba import (RECORD_ROWS, CrifbaParams, KMState, _ahead_blocks, iterate,
                      validate)
 from .metriclin import SpdMap, as_rows, as_vector
 
@@ -127,25 +127,21 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
     steps = (lam / weights).tolist()
     wcol = weights[:, None]
     b = np.tile(x0, (len(A_list), 1))
-    # the two-row stacks of even and odd n, as crifba._run keeps its blocks
-    stacks = (np.empty((2,) + b.shape), np.empty((2,) + b.shape))
+    # the two-row stacks [zeta_n; z_n], as crifba._run forms its blocks
+    stacks = _ahead_blocks(params, b.shape)
+    lam_0d = np.array(lam, dtype=float)     # as forward_backward_map takes it
 
     def residual(state, ahead):
         zb = state.x
-        if ahead:
-            stack = stacks[state.n & 1]
-            stack[0] = zb
-            z = extrapolate(params, state, out=stack[1])
-        else:
-            stack = zb[None]
-        U, R = _resolvents(stack, A_list, B, lam, weights, steps)
+        stack = stacks(state) if ahead else zb[None]
+        U, R = _resolvents(stack, A_list, B, lam_0d, weights, steps)
         diff = _T_blocks(zb, U[0], R[0]) - zb
         r2 = float((wcol * diff * diff).sum())
         # a non-finite entry of T(zeta_n) makes r2 non-finite, and this test
         # costs a fraction of a screen of T(zeta_n)
         if not math.isfinite(r2):
             raise ArithmeticError("non-finite residual at n=%d" % state.n)
-        return r2, (z, U[1], R[1]) if ahead else None
+        return r2, (stack[1], U[1], R[1]) if ahead else None
 
     state, stopped, Zeta, Z, res2 = iterate(
         KMState(0, b, b, b),

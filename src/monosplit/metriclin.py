@@ -159,9 +159,12 @@ class SpdMap:
     def solve_rows(self, rows):
         """Solve M x_i = b_i for every row b_i of a (k, d) block in one
         multi-right-hand-side solve; each row gets the residual check of
-        solve."""
+        solve. The identity returns the screened block itself, as
+        apply_rows does."""
         b = np.asarray(rows, dtype=float)
         as_vector(b.reshape(-1))
+        if self.is_identity:
+            return b
         x = np.linalg.solve(self.matrix, b.T).T
         res = np.linalg.norm(x @ self.matrix - b, axis=1)
         if np.any(res > 1e-10 * np.maximum(np.linalg.norm(b, axis=1), 1e-300)):

@@ -5,9 +5,14 @@ import numpy as np
 from .metriclin import _FLOAT64, SpdMap, as_rows, as_vector
 
 
+# 0 as a 0-d float64 array, as forward_backward_map takes lam
+_ZERO = np.array(0.0)
+_ZERO.flags.writeable = False
+
+
 def _soft(t, x):
     """sign(x_i) * max(|x_i| - t, 0) on an array x that is not screened."""
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    return np.sign(x) * np.maximum(np.abs(x) - t, _ZERO)
 
 
 def prox_l1(lam, x):
@@ -205,14 +210,18 @@ def forward_backward_map(A, M, lam, B=None, lamB=0.0):
     per row, which screens no argument, so that an overflowing M x_i fails
     where the solver tests its iterate; B's rows are screened there as
     they come out. A block with rows is refused for any other A outside
-    the identity metric rather than approximated.
+    the identity metric rather than approximated. lam B(x_i) is formed
+    with lam as a 0-d float64 array: numpy takes an array operand at less
+    call cost than a Python float or a float64 scalar, with the same bits
+    (tests/test_step_operands.py). A's maps get lam as given.
     """
     loop_B = None if B is None else B._loop_rows
+    lam_0d = np.array(lam, dtype=float)
     if M.is_identity and A._resolvent_rows is not None:
         J = A._resolvent_rows
 
         def plain_rows(X):
-            R = as_rows(X - (lamB if loop_B is None else lam * loop_B(X)))
+            R = as_rows(X - (lamB if loop_B is None else lam_0d * loop_B(X)))
             out = J(lam, R)
             return out if out is R else as_rows(out)
         return plain_rows
@@ -220,7 +229,7 @@ def forward_backward_map(A, M, lam, B=None, lamB=0.0):
     G = A._gen_resolvent_rows
     if G is not None:
         def metric_resolvent_rows(X):
-            lamBX = lamB if loop_B is None else lam * loop_B(X)
+            lamBX = lamB if loop_B is None else lam_0d * loop_B(X)
             return as_rows(G(M, lam, as_rows(apply(X) - lamBX)))
         return metric_resolvent_rows
     Q, b = A.affine or (None, None)
@@ -228,7 +237,7 @@ def forward_backward_map(A, M, lam, B=None, lamB=0.0):
     lhs, lamb = M.matrix + lam * Q, lam * (np.zeros(M.d) if b is None else as_vector(b))
 
     def affine_rows(X):
-        lamBX = lamB if loop_B is None else lam * as_rows(loop_B(X))
+        lamBX = lamB if loop_B is None else lam_0d * as_rows(loop_B(X))
         if A.affine is None and len(X):
             raise ValueError("generalized resolvent unavailable: metric is not the "
                              "identity and operator %r has no affine form or closed "

@@ -266,6 +266,11 @@ def test_solve_rows_checks_every_row(monkeypatch):
     assert np.array_equal(m.solve_rows(B), [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     with pytest.raises(ValueError):
         m.solve_rows(np.array([[1.0, np.nan]]))
+    # the identity hands the screened rows back unchanged, without a solve
+    eye = SpdMap.identity(2)
+    assert eye.solve_rows(B).tobytes() == B.tobytes()
+    with pytest.raises(ValueError):
+        eye.solve_rows(np.array([[1.0, np.nan]]))
     solve = np.linalg.solve
 
     def off_in_one_row(a, b):
