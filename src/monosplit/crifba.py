@@ -181,11 +181,6 @@ class KMState:
 def extrapolate(params, state, out=None):
     """z_n = x_n + theta_n (x_n - x_{n-1}) + gamma_n (z_{n-1} - x_n), in out."""
     _, theta, gamma, _ = schedule(params, state.n)
-    return _extrapolate(state, theta, gamma, out)
-
-
-def _extrapolate(state, theta, gamma, out):
-    """extrapolate's z_n from the coefficients theta_n and gamma_n."""
     x = state.x
     return np.add(x + theta * (x - state.x_prev), gamma * (state.z_prev - x), out=out)
 
@@ -194,102 +189,92 @@ def _extrapolate(state, theta, gamma, out):
 RECORD_ROWS = 64
 
 
-def _ahead_blocks(params, shape):
-    """blocks(state) -> the block [x_n; z_n] of one run's state at step n,
-    z_n as extrapolate forms it, with x of the given shape. The run keeps
-    two blocks and writes the one of n's parity, so z_{n-1}, in the other,
-    is read while it is written.
-
-    theta_n and gamma_n come from a table of RECORD_ROWS steps, which an n
-    outside it refills from n on, with one call of schedule on an array of
-    indices: the same operations on the same float64 values as
-    schedule(params, n), so the same bits. They are handed to the
-    extrapolation as 0-d views, as operators.forward_backward_map takes
-    lam.
-    """
-    blocks = (np.empty((2,) + shape), np.empty((2,) + shape))
-    start, theta, gamma = -RECORD_ROWS, None, None
-
-    def ahead(state):
-        nonlocal start, theta, gamma
-        n = state.n
-        k = n - start
-        if not 0 <= k < RECORD_ROWS:
-            start, k = n, 0
-            _, theta, gamma, _ = schedule(params, np.arange(n, n + RECORD_ROWS))
-        X = blocks[n & 1]
-        X[0] = state.x
-        _extrapolate(state, theta[k, ...], gamma[k, ...], X[1])
-        return X
-
-    return ahead
-
-
 def root(r2):
     """np.sqrt of one squared norm, without numpy's call cost: NaN for a
     negative or NaN r2."""
     return math.sqrt(r2) if r2 >= 0.0 else math.nan
 
 
-def iterate(state, step, residual, max_iter, tol):
-    """The corrected Krasnosel'skii-Mann loop of all three solvers.
+def iterate(x, x_prev, z_prev, params, evaluate, step, args, max_iter, tol):
+    """The corrected Krasnosel'skii-Mann loop of all three solvers, from
+    x_0 = x with x_{-1} = x_prev and z_{-1} = z_prev, for x of any shape.
 
-    Each pass stops on the root of residual(state) <= tol, else sets state =
-    step(state) and tests its iterate with one dot: past Euclidean norm 1e12
+    The loop owns the state's rows: x_n and x_{n-1} are views of the
+    record X (x_{-1} is x_prev) and z_{n-1} of the block [x_n; z_n] of the
+    other parity. Step n writes x_n and z_n into the block of n's parity,
+    z_n by extrapolate's ufuncs in their order, with positional out= into
+    work rows, theta_n and gamma_n 0-d views into a table that one call of
+    schedule on RECORD_ROWS indices fills (schedule(params, n)'s bits).
+    evaluate(block, n), the kind's one row call, returns (r2, ahead): the
+    squared residual at row 0 and the values the step takes. The loop
+    stops on root(r2) <= tol, else calls step(state, *args, ahead,
+    X[n + 1]), which writes x_{n+1} into that record row and returns the
+    new state, and tests the row with one dot: past Euclidean norm 1e12
     the loop stops as "diverged", or raises ArithmeticError("non-finite
-    iterate at n=%d") with the n stepped from when the iterate is not
-    finite, so the step need not screen it. The first state has n = 0.
-    Returns (state, stopped, X, Z, res2): the last state, whose n is the
-    number of steps N taken, the stop reason ("tol", "max_iter" or
-    "diverged"), the iterates x_0..x_N and the points z_0..z_{N-1} along a
-    new first axis, for x of any shape, and the N + 1 residuals, NaN at x_N
-    unless the run stopped on tol, each written in place into an array of
-    RECORD_ROWS rows that doubles as needed, up to max_iter rows.
+    iterate at n=%d") when it is not finite, so the step need not screen
+    it. X, Z (z_0..z_{N-1}, copied from the blocks) and res2 (NaN at x_N
+    unless the run stopped on tol) start at RECORD_ROWS rows and double in
+    place, up to max_iter rows, before the step that would write past
+    them; ndarray.resize may move them, so the state's views are taken
+    again there. Returns (N, stopped, X, Z, res2): the steps taken, the
+    stop reason ("tol", "max_iter" or "diverged") and the trimmed records.
 
-    residual(state, ahead) returns the squared norm to test and the values
-    step(state, values) needs. It calls each operator's row form once: with
-    ahead true on two rows, its own argument and the step's, so that the
-    step calls no operator; with ahead false on its own row alone, and the
-    values are None. Those rows, tested here or formed from tested rows,
+    The rows evaluate is handed, tested here or formed from tested rows,
     are not screened again: B is evaluated on them unscreened, and its
     rows are checked by the argument screen of the resolvent they feed,
     or on the way out in a metric whose path screens no argument
-    (operators.forward_backward_map). The step's row is evaluated
-    before the stop test, and the state's again alone after a failed
-    call, so the operators must be pure; the step still runs only when
-    the state does not stop. When the two-row call raises, the state's row
-    is tested alone: its own error stands, a stop on tol stands, else the
-    first error is raised again.
+    (operators.forward_backward_map). The step's row is evaluated before
+    the stop test, and the state's again alone after a failed call, so
+    the operators must be pure; the step still runs only when the state
+    does not stop. When the two-row call raises, the state's row is tested
+    alone: its own error stands, a stop on tol stands, else the first
+    error is raised again.
     """
-    shape = state.x.shape
-    rows = min(max(max_iter, 0), RECORD_ROWS)
-    X, Z = np.empty((rows + 1,) + shape), np.empty((rows,) + shape)
-    res2 = np.empty(rows + 1)
-    X[0] = state.x
+    shape = x.shape
+    cap = min(max(max_iter, 0), RECORD_ROWS)
+    X, Z = np.empty((cap + 1,) + shape), np.empty((cap,) + shape)
+    res2 = np.empty(cap + 1)
+    X[0] = x
+    blocks = np.empty((2, 2) + shape)
+    blocks[1, 1] = z_prev
+    # each parity's block with its x_n and z_n rows, and the work rows of z_n
+    parity = [(blk, blk[0], blk[1]) for blk in blocks]
+    dx, dz = np.empty(shape), np.empty(shape)
+    state = KMState(0, x_prev, X[0], blocks[1, 1])
     stopped = "max_iter"
-    for _ in range(max_iter):
+    for n in range(max_iter):
+        k = n % RECORD_ROWS
+        if not k:
+            _, theta, gamma, _ = schedule(params, np.arange(n, n + RECORD_ROWS))
+        block, xn, zn = parity[n & 1]
+        x = state.x
+        xn[...] = x
+        np.add(x, np.multiply(theta[k, ...], np.subtract(x, state.x_prev, dx), dx), dx)
+        np.add(dx, np.multiply(gamma[k, ...], np.subtract(state.z_prev, x, dz), dz), zn)
         try:
-            r2, values = residual(state, True)
+            r2, ahead = evaluate(block, n)
         except Exception:
-            r2, values = residual(state, False)
+            r2, _ = evaluate(block[:1], n)
             if not root(r2) <= tol:
                 raise
-        res2[state.n] = r2
+        res2[n] = r2
         if root(r2) <= tol:
             stopped = "tol"
             break
-        state = step(state, values)
-        if state.n > len(Z):
-            # iterate holds the only references, so they resize in place
-            rows = min(2 * len(Z), max_iter)
-            for a, k in ((X, rows + 1), (Z, rows), (res2, rows + 1)):
-                a.resize((k,) + a.shape[1:], refcheck=False)
-        X[state.n] = state.x
-        Z[state.n - 1] = state.z_prev
-        x = state.x.ravel()
+        if n == cap:
+            # resize may move the records: the state's views of X are taken
+            # again below, and x and out are not read before they are reset
+            cap = min(2 * n, max_iter)
+            for a, m in ((X, cap + 1), (Z, cap), (res2, cap + 1)):
+                a.resize((m,) + a.shape[1:], refcheck=False)
+            state = KMState(n, X[n - 1], X[n], state.z_prev)
+        out = X[n + 1]
+        state = step(state, *args, ahead, out)
+        Z[n] = zn
+        x = out.ravel()
         if not math.sqrt(x.dot(x)) <= 1e12:
             if not all_finite(x):
-                raise ArithmeticError("non-finite iterate at n=%d" % (state.n - 1))
+                raise ArithmeticError("non-finite iterate at n=%d" % n)
             stopped = "diverged"
             break
     N = state.n
@@ -297,25 +282,30 @@ def iterate(state, step, residual, max_iter, tol):
         res2[N] = np.nan
     for a, k in ((X, N + 1), (Z, N), (res2, N + 1)):
         a.resize((k,) + a.shape[1:], refcheck=False)
-    return state, stopped, X, Z, res2
+    return N, stopped, X, Z, res2
 
 
-def crifba_step(state, params, A, B, ahead=None):
-    """Advance one iteration; returns the new state.
+def crifba_step(state, params, A, B, ahead=None, out=None):
+    """Advance one iteration; returns the new state, with x_{n+1} written
+    into out when out is given, by the same ufuncs either way.
 
-    ahead, when given, is (z_n, forward_backward image of z_n), evaluated
-    already by the residual, and x_{n+1} is screened by iterate. Without
+    ahead, when given, is what crifba._run's residual hands the step: z_n
+    and its forward-backward image, the run's w with w and 1 - w as 0-d
+    float64 operands (a step given another params.w takes floats, with
+    the same bits) and a work row; x_{n+1} is screened by iterate. Without
     it, z_n is screened before B is called, the resolvent output by
     forward_backward and x_{n+1} here. The metric is params.M as given:
     None is the identity to forward_backward.
     """
-    w = params.w
     if ahead is None:
         z = extrapolate(params, state)
         fb = forward_backward(A, B, params.M, params.lam, z)
+        w, omw, work = params.w, 1.0 - params.w, None
     else:
-        z, fb = ahead
-    x_next = (1.0 - w) * z + w * fb
+        z, fb, w_run, w, omw, work = ahead
+        if params.w != w_run:
+            w, omw = params.w, 1.0 - params.w
+    x_next = np.add(np.multiply(omw, z, work), np.multiply(w, fb, out), out)
     if ahead is None and not all_finite(x_next):
         raise ArithmeticError("non-finite iterate at n=%d" % state.n)
     return KMState(state.n + 1, state.x, x_next, z)
@@ -382,34 +372,33 @@ def run(A, B, params, x0, max_iter=10**6, tol=1e-9, x_prev=None, z_prev=None):
 def _run(A, B, params, x0, max_iter, tol, x_prev=None, z_prev=None, B_value=None):
     """The loop of run on parameters validated already; B_value is the
     value of a constant B, which is then not called, or None."""
-    x = as_vector(x0).copy()
+    x = as_vector(x0)
     xp = x.copy() if x_prev is None else as_vector(x_prev).copy()
-    zp = x.copy() if z_prev is None else as_vector(z_prev).copy()
+    zp = x if z_prev is None else as_vector(z_prev)
     M = params.metric(len(x))
-    lam = params.lam
+    lam, w = params.lam, params.w
     fb = (forward_backward_map(A, M, lam, B) if B_value is None
           else forward_backward_map(A, M, lam, lamB=lam * B_value))
     Mm = None if M.is_identity else M.matrix
-    lam_0d = np.array(lam, dtype=float)
-    blocks = _ahead_blocks(params, x.shape)
+    lam_0d, w_0d, omw_0d = (np.array(c, dtype=float) for c in (lam, w, 1.0 - w))
+    work = np.empty_like(x)
 
-    def residual(state, ahead):
-        x = state.x
-        X = blocks(state) if ahead else x[None]
+    def evaluate(X, n):
         FB = fb(X)
-        # M.norm2 of the residual, with its dots and its screen when not finite
-        g = (x - FB[0]) / lam_0d
+        # M.norm2 of the residual at x_n, with its dots and its screen when
+        # not finite, formed in the work row, which the step may then take
+        g = np.divide(np.subtract(X[0], FB[0], work), lam_0d, work)
         r2 = float(g.dot(g)) if Mm is None else float(g.dot(Mm).dot(g))
         if not math.isfinite(r2):
             as_vector(g)
-        return r2, (X[1], FB[1]) if ahead else None
+        # on the one row of iterate's fallback no step is taken
+        return r2, (X[-1], FB[-1], w, w_0d, omw_0d, work)
 
-    state, stopped, X, Z, res2 = iterate(
-        KMState(0, xp, x, zp), lambda s, values: crifba_step(s, params, A, B, values),
-        residual, max_iter, tol)
+    N, stopped, X, Z, res2 = iterate(x, xp, zp, params, evaluate, crifba_step,
+                                     (params, A, B), max_iter, tol)
     if stopped != "tol":
-        res2[-1] = residual(state, False)[0]
-    return RunResult(X, Z, None, res2, xp, state.n, stopped, params, _v0=zp - x)
+        res2[-1] = evaluate(X[-1:], N)[0]
+    return RunResult(X, Z, None, res2, xp, N, stopped, params, _v0=zp - x)
 
 
 def energy(params, x, x_prev, v, n, s, q):

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crifba import (RECORD_ROWS, CrifbaParams, KMState, _ahead_blocks, iterate,
-                     validate)
+from .crifba import RECORD_ROWS, CrifbaParams, KMState, iterate, validate
 from .metriclin import SpdMap, as_rows, as_vector
 
 
@@ -76,15 +75,21 @@ def apply_T(z, weights, A_list, B, lam):
     return _T_blocks(z, U[0], R[0])
 
 
-def gcrifba_step(state, params, ahead):
-    """One inertial-corrected relaxed step over the product space.
+def gcrifba_step(state, params, ahead, out=None):
+    """One inertial-corrected relaxed step over the product space; returns
+    the new state, with its block array written into out when out is given,
+    by the same ufuncs either way.
 
     state.x is the (p, d) block array; ahead is the extrapolated block
     array with its weighted mean and block resolvents, evaluated already by
-    the residual (see crifba.iterate), which screens the new blocks.
+    the residual (see crifba.iterate), which screens the new blocks, and
+    the run's w with w as a 0-d float64 operand (a step given another
+    params.w takes it as a float, with the same bits).
     """
-    z, u, r = ahead
-    new_blocks = z + params.w * (r - u)
+    z, u, r, w_run, w = ahead
+    if params.w != w_run:
+        w = params.w
+    new_blocks = np.add(z, np.multiply(w, np.subtract(r, u, out), out), out)
     return KMState(state.n + 1, state.x, new_blocks, z)
 
 
@@ -127,27 +132,26 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
     steps = (lam / weights).tolist()
     wcol = weights[:, None]
     b = np.tile(x0, (len(A_list), 1))
-    # the two-row stacks [zeta_n; z_n], as crifba._run forms its blocks
-    stacks = _ahead_blocks(params, b.shape)
+    w, w_0d = params.w, np.array(params.w, dtype=float)
     lam_0d = np.array(lam, dtype=float)     # as forward_backward_map takes it
+    diff, prod = np.empty_like(b), np.empty_like(b)
 
-    def residual(state, ahead):
-        zb = state.x
-        stack = stacks(state) if ahead else zb[None]
-        U, R = _resolvents(stack, A_list, B, lam_0d, weights, steps)
-        diff = _T_blocks(zb, U[0], R[0]) - zb
-        r2 = float((wcol * diff * diff).sum())
+    def evaluate(S, n):
+        zb = S[0]
+        U, R = _resolvents(S, A_list, B, lam_0d, weights, steps)
+        # T(zeta_n) - zeta_n, T formed as _T_blocks forms it, in work rows
+        np.subtract(np.add(np.subtract(R[0], U[0], diff), zb, diff), zb, diff)
+        r2 = float(np.multiply(np.multiply(wcol, diff, prod), diff, prod).sum())
         # a non-finite entry of T(zeta_n) makes r2 non-finite, and this test
         # costs a fraction of a screen of T(zeta_n)
         if not math.isfinite(r2):
-            raise ArithmeticError("non-finite residual at n=%d" % state.n)
-        return r2, (stack[1], U[1], R[1]) if ahead else None
+            raise ArithmeticError("non-finite residual at n=%d" % n)
+        # on the one row of iterate's fallback no step is taken
+        return r2, (S[-1], U[-1], R[-1], w, w_0d)
 
-    state, stopped, Zeta, Z, res2 = iterate(
-        KMState(0, b, b, b),
-        lambda s, ahead: gcrifba_step(s, params, ahead),
-        residual, max_iter, tol)
-    N, tested = state.n, state.n + (stopped == "tol")
+    N, stopped, Zeta, Z, res2 = iterate(b, b, b, params, evaluate, gcrifba_step,
+                                        (params,), max_iter, tol)
+    tested = N + (stopped == "tol")
 
     def norm2_each(D):
         # the weighted norm of every block array of a (k, p, d) stack: each
@@ -160,6 +164,6 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
         vel2[a:c] = norm2_each(Zeta[a + 1:c + 1] - Zeta[a:c])
         vn2[a + 1:c + 1] = norm2_each(Zeta[a + 1:c + 1] - Z[a:c])
     # an empty ns is float, as np.array([]); np.arange makes no Python ints
-    return GcrifbaResult(state.x, weights @ state.x, N, stopped,
+    return GcrifbaResult(Zeta[N].copy(), weights @ Zeta[N], N, stopped,
                          np.arange(tested) if tested else np.empty(0),
                          weights @ Zeta, vel2, vn2, res2)

@@ -15,6 +15,22 @@ def _soft(t, x):
     return np.sign(x) * np.maximum(np.abs(x) - t, _ZERO)
 
 
+def _soft_rows(scale):
+    """The row map (t, X) -> _soft(t * scale, X), its threshold a read-only
+    0-d float64 formed once per t handed to it, keyed on t as
+    cripda.stacked_operators keys its steps on M."""
+    key, thresh = None, None
+
+    def soft(t, X):
+        nonlocal key, thresh
+        if t is not key:
+            key, thresh = t, np.array(t * scale, dtype=float)
+            thresh.flags.writeable = False
+        return _soft(thresh, X)
+
+    return soft
+
+
 def prox_l1(lam, x):
     """Soft thresholding: sign(x_i) * max(|x_i| - lam, 0)."""
     return _soft(lam, as_vector(x))
@@ -173,7 +189,7 @@ def l1_op(weight=1.0):
         ok = (np.abs(X) <= tol) | (np.abs(U - weight * np.sign(X)) <= tol)
         return ~outside & ok.all(axis=1)
 
-    return MonotoneOp(lambda lam, X: _soft(lam * weight, X), member,
+    return MonotoneOp(_soft_rows(weight), member,
                       label="l1_subdiff(w=%g)" % weight, rows=True)
 
 

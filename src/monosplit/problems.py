@@ -16,8 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .metriclin import SpdMap, as_vector, operator_norm
-from .operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair, _soft,
-                        affine_op, box_op, l1_op, prox_l1, zero_op)
+from .operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair,
+                        _soft_rows, affine_op, box_op, l1_op, prox_l1, zero_op)
 
 # the source of the recorded draws below: with rng = default_rng(SEED),
 # _LASSO_K is rng.standard_normal((5, 5)) and _LASSO_B the next
@@ -293,7 +293,7 @@ def _p5_saddle():
 def _p5_lasso_pd():
     K, b, mu, q = _lasso_data()
     pair = SaddleFunctionPair(
-        prox_G=lambda tau, U: _soft(tau * mu, U),
+        prox_G=_soft_rows(mu),
         prox_Fstar=lambda sigma, U: (U - sigma * b) / (1.0 + sigma),
         grad_Q=np.zeros_like, lip_Q=0.0,
         grad_Pstar=np.zeros_like, lip_Pstar=0.0,

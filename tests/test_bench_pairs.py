@@ -134,3 +134,59 @@ def test_beyond_bound_reads_the_bound_as_a_fraction_of_the_parent_median():
     slow = row([1.3 * v for v in parent], metric="wall_s")
     assert slow["beyond_bound"] is True and slow["change_better_pairs"] == 0
     assert row([0.5 * v for v in parent], metric="wall_s")["beyond_bound"] is False
+
+
+class Finished:
+    """What the stubbed subprocess.run returns."""
+
+    def __init__(self, stdout):
+        self.returncode, self.stdout, self.stderr = 0, stdout, ""
+
+
+def stub_subprocess(monkeypatch, calls):
+    """subprocess.run logging (cmd, env) into calls: a git call reads a
+    commit, a benchmark run prints one result line."""
+    def run(cmd, **kw):
+        calls.append((cmd, kw.get("env")))
+        if cmd[0] == "git":
+            return Finished("abc123\n")
+        result = {"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"steps_per_s": {"value": 100.0, "unit": "1/s"}}}
+        return Finished("table\n" + bench_pairs.json.dumps(result) + "\n")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+
+
+def test_a_run_compiles_without_bytecode_caches_on_one_blas_thread(monkeypatch):
+    # as the measuring machine runs it: a warm cache lowers setup_s and
+    # peak_rss_mb, so neither side may write or read one
+    calls = []
+    stub_subprocess(monkeypatch, calls)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("BENCH_PAIRS_TEST_MARK", "kept")
+    result = bench_pairs.run_once("/checkout", "long_core", 3, 2.0)
+    assert result["metrics"]["steps_per_s"]["value"] == 100.0
+    (cmd, env), = calls
+    assert cmd[1:] == ["/checkout/perfbench/run.py", "--workload", "long_core",
+                       "--seed", "3", "--seconds", "2.0", "--trace", "0"]
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert env["BENCH_PAIRS_TEST_MARK"] == "kept"
+
+
+def test_the_ab_file_records_the_run_environment(monkeypatch, tmp_path):
+    calls = []
+    stub_subprocess(monkeypatch, calls)
+    monkeypatch.setattr(bench_pairs, "machine", dict)
+    (tmp_path / "BENCHMARK.json").write_text(bench_pairs.json.dumps(
+        {"end_to_end": [{"name": "steps_per_s", "better": "higher", "bound": 0.25}]}))
+    out = tmp_path / "ab.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                             "--workloads", "long_core", "--pairs", "2",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    report = bench_pairs.json.loads(out.read_text())
+    assert report["settings"]["env"] == {"OPENBLAS_NUM_THREADS": "1",
+                                         "PYTHONDONTWRITEBYTECODE": "1"}
+    assert "PYTHONDONTWRITEBYTECODE=1" in report["what"]
+    runs = [env for cmd, env in calls if cmd[0] != "git"]
+    assert len(runs) == 4
+    assert all(env["PYTHONDONTWRITEBYTECODE"] == "1" for env in runs)

@@ -1,10 +1,12 @@
 """The lean driver: each run builds its forward-backward map once and
-reuses its small work arrays from step to step (two alternating two-row
-blocks in crifba's and gcrifba's residual, one momentum block in the
-inertial baselines). None of them may reach a result: two runs back to
-back on the same operators leave the first result's arrays byte for byte
-as they were and share no memory with the second's, and a warm start's
-caller-owned x_prev and z_prev are left as they were. The runs cross the
+reuses its small work arrays from step to step (in crifba.iterate two
+alternating two-row blocks [x_n; z_n] and the work rows of z_n, a work
+row in crifba's residual and step and two in gcrifba's residual, one
+momentum block in the inertial baselines). None of them may reach a
+result: two runs back to back on the same operators leave the first
+result's arrays byte for byte as they were and share no memory with the
+second's nor with the blocks and work rows the step hooks are handed,
+and a warm start's caller-owned x_prev and z_prev are left as they were. The runs cross the
 record's growth seams at 64 and 128 rows, and stop on tol at an odd and
 at an even n, one on each of the two alternating blocks."""
 
@@ -16,6 +18,7 @@ import pytest
 from monosplit import baselines, crifba, cripda, gcrifba, problems
 from monosplit.metriclin import operator_norm
 from test_reference_solvers import start
+from test_step_operands import watch_steps
 
 # below, at and past the growth seams of crifba.RECORD_ROWS and twice it
 CAPS = [63, 64, 65, 127, 128, 129, 300]
@@ -90,9 +93,27 @@ def arrays(res, prefix=""):
     return out
 
 
-def back_to_back(run, *args, **kw):
+@pytest.fixture
+def work_rows(monkeypatch):
+    """The arrays that hold the loop's work rows, by id, as the step hooks
+    are handed them: the parity blocks, in which z_n and z_{n-1} are rows,
+    and crifba's work row."""
+    held = {}
+
+    def collect(state, args):
+        ahead = args[-2]
+        for a in [ahead[0], state.z_prev] + ([ahead[-1]] if len(ahead) == 6 else []):
+            a = a if a.base is None else a.base
+            held[id(a)] = a
+
+    watch_steps(monkeypatch, collect)
+    return held
+
+
+def back_to_back(work_rows, run, *args, **kw):
     """Two runs of the same call, the first result's bytes checked after the
-    second, and no array of one result sharing memory with the other's."""
+    second, and no array of one result sharing memory with the other's or
+    with a work row of either run."""
     first = run(*args, **kw)
     held = {name: a.tobytes() for name, a in arrays(first).items()}
     second = run(*args, **kw)
@@ -100,6 +121,9 @@ def back_to_back(run, *args, **kw):
     for (n1, a1), (n2, a2) in itertools.product(arrays(first).items(),
                                                 arrays(second).items()):
         assert not np.shares_memory(a1, a2), (n1, n2)
+    for (name, a), w in itertools.product({**arrays(first), **arrays(second)}.items(),
+                                          work_rows.values()):
+        assert not np.shares_memory(a, w), name
     # the reused blocks carry nothing from one run into the next
     assert {name: a.tobytes() for name, a in arrays(second).items()} == held
     return first
@@ -107,9 +131,9 @@ def back_to_back(run, *args, **kw):
 
 @pytest.mark.parametrize("cap", CAPS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_capped_runs_back_to_back_keep_their_records(case, cap):
+def test_capped_runs_back_to_back_keep_their_records(work_rows, case, cap):
     run, _ = CASES[case]()
-    res = back_to_back(run, cap, 0.0)
+    res = back_to_back(work_rows, run, cap, 0.0)
     assert res.n_iters == cap and res.stopped == "max_iter"
 
 
@@ -125,24 +149,24 @@ def record_low(res2, parity, after):
 
 @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_tol_stops_on_either_block_keep_their_records(case, parity):
+def test_tol_stops_on_either_block_keep_their_records(work_rows, case, parity):
     run, res2 = CASES[case]()
     probe = res2(run(400, 0.0))
     n = record_low(probe, parity, after=130) or record_low(probe, parity, after=1)
     assert n is not None
-    res = back_to_back(run, 400, float(np.sqrt(probe[n])))
+    res = back_to_back(work_rows, run, 400, float(np.sqrt(probe[n])))
     assert res.stopped == "tol" and res.n_iters == n
 
 
 @pytest.mark.parametrize("cap", [64, 129])
 @pytest.mark.parametrize("case", ["crifba_p2_lasso", "crifba_p3_spectrum",
                                   "p5_saddle_stack"])
-def test_a_warm_start_leaves_the_callers_arrays_alone(case, cap):
+def test_a_warm_start_leaves_the_callers_arrays_alone(work_rows, case, cap):
     run, _ = CASES[case]()
     x = run(3, 0.0).X
     x_prev, z_prev = x[0].copy(), x[1] + 0.01
     held = x_prev.tobytes(), z_prev.tobytes()
-    res = back_to_back(run, cap, 0.0, x_prev=x_prev, z_prev=z_prev)
+    res = back_to_back(work_rows, run, cap, 0.0, x_prev=x_prev, z_prev=z_prev)
     assert (x_prev.tobytes(), z_prev.tobytes()) == held
     for a in arrays(res).values():
         assert not np.shares_memory(a, x_prev) and not np.shares_memory(a, z_prev)

@@ -26,6 +26,7 @@ from monosplit.operators import SaddleFunctionPair
 from test_deferred_residual import CASES, norms, same
 from test_lean_km_step import CASES as RELAXED, relax_at
 from test_reference_solvers import assert_close, outcome, same_failure, start
+from test_step_operands import watch_steps
 
 ROWS = crifba.RECORD_ROWS
 # the steps next to the seams where X, Z and res2 grow from 1024 to 2048
@@ -94,6 +95,39 @@ def test_records_are_trimmed_to_their_rows():
     for a, rows in ((res.X, N + 1), (res.Z, N), (res.res2, N + 1)):
         assert a.shape[0] == rows and a.flags.owndata and a.flags.c_contiguous
     assert res.res2.dtype == np.float64
+
+
+def inside_its_buffer(a):
+    """Whether the view a lies inside the buffer its base holds now: a view
+    taken before its base was resized elsewhere lies in the freed one."""
+    base = a.base
+    if base is None:
+        return True
+    lo, p = base.__array_interface__["data"][0], a.__array_interface__["data"][0]
+    return lo <= p and p + a.nbytes <= lo + base.nbytes
+
+
+# a run of each step hook: crifba's in the identity and in the block metric
+VIEW_RUNS = ["crifba:p3_spectrum", "crifba:p5_saddle_stack", "cripda:p5_lasso_pd",
+             "gcrifba:p4_three"]
+
+
+@pytest.mark.parametrize("steps", [ROWS + 1, 2 * ROWS + 1, 16 * ROWS + 1])
+@pytest.mark.parametrize("case", VIEW_RUNS)
+def test_no_stale_record_view_reaches_a_step(monkeypatch, case, steps):
+    # the records move when they grow at 64, 128, ... and 1024 rows; every
+    # step is handed x_n, x_{n-1} and its out row as views of the records
+    # as they are now
+    seen = []
+
+    def check(state, args):
+        for a in (state.x, state.x_prev, args[-1]):
+            assert inside_its_buffer(a), state.n
+        seen.append(state.n)
+
+    watch_steps(monkeypatch, check)
+    res = CASES[case]()[0](max_iter=steps, tol=-1.0)
+    assert res.n_iters == steps and seen == list(range(steps))
 
 
 # --- V on first read ----------------------------------------------------------

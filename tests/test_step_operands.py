@@ -1,17 +1,21 @@
 """The step path's coefficients and constants, pinned bit for bit.
 
 A run takes theta_n and gamma_n from a table that schedule fills for
-crifba.RECORD_ROWS indices at a time, and its constants (lam, inertia,
-tau and sigma, the 0 of soft thresholding) as 0-d float64 arrays. Both
-must give the bits of the one-step forms: the table those of
-schedule(params, n), and an array operand those of the Python float.
+crifba.RECORD_ROWS indices at a time, and its constants (lam, w and
+1 - w, inertia, tau and sigma, the 0 and the thresholds of soft
+thresholding) as 0-d float64 arrays. All must give the bits of the
+one-step forms: the table those of schedule(params, n), the z_n a run
+writes those of extrapolate, an array operand those of the Python float,
+and a step that writes x_{n+1} into its out row those of the step that
+returns a new array.
 """
 
 import numpy as np
 import pytest
 
-from monosplit import crifba
+from monosplit import crifba, cripda, gcrifba, problems
 from monosplit.crifba import RECORD_ROWS, CrifbaParams, KMState, schedule
+from monosplit.operators import _soft, l1_op
 
 
 def bits(c):
@@ -52,21 +56,65 @@ def test_the_table_gives_the_bits_of_schedule(name, walk):
             assert bits(gamma[k, ...]) == bits(want_gamma), a + k
 
 
-@pytest.mark.parametrize("shape", [(3,), (2, 4)], ids=["vector", "blocks"])
-@pytest.mark.parametrize("walk", list(WALKS))
-@pytest.mark.parametrize("name", ["defaults", "s1_zero", "random_7"])
-def test_the_run_blocks_hold_x_n_and_extrapolate_s_z_n(name, walk, shape):
-    # the steps of a run in turn across the seams, then a jump back and one
-    # ahead, which refill the table from their n
-    params = SCHEDULES[name]
-    rng = np.random.default_rng(4)
-    blocks = crifba._ahead_blocks(params, shape)
-    for n in list(WALKS[walk]) + [3, 10**6 + 5 * RECORD_ROWS]:
-        state = KMState(n, *rng.standard_normal((3,) + shape))
-        X = blocks(state)
-        assert X.shape == (2,) + shape
-        assert X[0].tobytes() == state.x.tobytes()
-        assert X[1].tobytes() == crifba.extrapolate(params, state).tobytes(), n
+def watch_steps(monkeypatch, watch):
+    """crifba_step and gcrifba_step, patched to call watch(state, args) with
+    the arguments after the state, (..., ahead, out), before each step."""
+    for module, name in ((crifba, "crifba_step"), (gcrifba, "gcrifba_step")):
+        def watched(state, *args, step=getattr(module, name)):
+            watch(state, args)
+            return step(state, *args)
+        monkeypatch.setattr(module, name, watched)
+
+
+def scheduled_run(kind, params):
+    """A capped run of kind with the schedule of params; its Z, or None for
+    gcrifba, whose result keeps no Z."""
+    sched = {f: getattr(params, f) for f in ("e", "s0", "s1", "nu0")}
+    steps = dict(max_iter=2 * RECORD_ROWS + 3, tol=-1.0)
+    if kind == "crifba_vector":
+        prob = problems.get("p3_spectrum")
+        p = crifba.default_params(prob.L_map(), **sched)
+        return crifba.run(prob.A, prob.B, p, prob.start + 0.5, **steps).Z
+    if kind == "p5_saddle_stack":
+        pair = problems.get("p5_saddle").saddle
+        A, B = cripda.stacked_operators(pair)
+        p = CrifbaParams(lam=1.0, w=0.3, M=cripda.build_metric(pair, 0.2, 0.2),
+                         L=B.certificate_L, **sched)
+        return crifba.run(A, B, p, np.array([0.5, -1.0, 0.25, 2.0]), **steps).Z
+    prob = problems.get("p6_res_sum")
+    p = gcrifba.default_gcrifba_params(prob.beta, **sched)
+    gcrifba.run_gcrifba(prob.A_list, prob.B, p, prob.start + 0.5, **steps)
+    return None
+
+
+# the schedules of the runs below: nu0 = 10^6 gives coefficients near those
+# of n = 10^6
+RUN_SCHEDULES = dict(SCHEDULES, nu0_1e6=CrifbaParams(nu0=1e6))
+
+
+@pytest.mark.parametrize("kind", ["crifba_vector", "p5_saddle_stack", "gcrifba_blocks"])
+@pytest.mark.parametrize("name", ["defaults", "s1_zero", "random_7", "nu0_1e6"])
+def test_the_run_writes_extrapolate_s_z_n(monkeypatch, name, kind):
+    # each step of a run from n = 0 across the table's and the records'
+    # seams at 63 | 64 and 127 | 128: the z_n the loop writes into its
+    # block, hands the step and records is extrapolate's z_n of the state
+    # the step is handed, bit for bit
+    params, log = RUN_SCHEDULES[name], []
+    # (n, x_{n-1}, x_n, z_{n-1}, z_n) of each step, copied
+    watch_steps(monkeypatch, lambda state, args: log.append(
+        (state.n, state.x_prev.copy(), state.x.copy(), state.z_prev.copy(),
+         args[-2][0].copy())))
+    Z = scheduled_run(kind, params)
+    assert [entry[0] for entry in log] == list(range(2 * RECORD_ROWS + 3))
+    for n, xp, x, zp, z in log:
+        assert z.shape == x.shape
+        want = crifba.extrapolate(params, KMState(n, xp, x, zp))
+        assert z.tobytes() == want.tobytes(), n
+        if Z is not None:
+            assert Z[n].tobytes() == want.tobytes(), n
+        if n:
+            # z_{n-1} is the z_n of the step before
+            assert zp.tobytes() == log[n - 1][4].tobytes(), n
 
 
 def rows(rng, scale):
@@ -94,7 +142,7 @@ def test_a_0d_operand_gives_the_bits_of_the_python_float(scale):
 
 
 def test_soft_thresholding_with_the_0d_zero_gives_the_bits_of_0_0():
-    from monosplit.operators import _ZERO, _soft
+    from monosplit.operators import _ZERO
     X = np.array([[0.0, -0.0, 1e-300, -2.5], [np.nan, np.inf, -np.inf, 3.0]])
     with np.errstate(invalid="ignore"):
         for D in (X, X[:, 1:]):
@@ -102,3 +150,91 @@ def test_soft_thresholding_with_the_0d_zero_gives_the_bits_of_0_0():
             want = np.sign(D) * np.maximum(np.abs(D) - 0.5, 0.0)
             assert _soft(0.5, D).tobytes() == want.tobytes()
     assert not _ZERO.flags.writeable
+
+
+def threshold(soft):
+    """The threshold a soft-thresholding row map holds in its closure."""
+    cells = zip(soft.__code__.co_freevars, soft.__closure__)
+    return {name: c.cell_contents for name, c in cells}["thresh"]
+
+
+def test_soft_thresholds_are_0d_operands_formed_once_per_step():
+    # l1_op's resolvent rows and p5_lasso_pd's prox_G form lam * weight
+    # and tau * mu once per lam or tau they are handed, as a read-only 0-d
+    # float64, with the bits of _soft on the float threshold
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((4, 5))
+    X[0, :2] = 0.0, -0.0
+    prob = problems.get("p5_lasso_pd")
+    mu = prob.extras["mu"]
+    cases = [(l1_op(0.3)._resolvent_rows, 0.3, (0.5, 1.7, 1e-300, 0.5)),
+             (prob.saddle.prox_G, mu, (np.array(0.37), np.array(1.9)))]
+    for soft, scale, steps in cases:
+        for t in steps:
+            for D in (X, X[:, 1:]):
+                assert soft(t, D).tobytes() == _soft(t * scale, D).tobytes(), t
+            thresh = threshold(soft)
+            assert type(thresh) is np.ndarray and thresh.shape == ()
+            assert thresh.dtype == float and not thresh.flags.writeable
+            assert bits(thresh) == bits(t * scale)
+            # handed the same step again, the map keeps its threshold
+            soft(t, X)
+            assert threshold(soft) is thresh
+
+
+# --- the step's out form ------------------------------------------------------
+
+OUT_WS = [0.5, 0.3, 0.7]
+
+
+def core_ahead(rng, w, shape=(5,)):
+    """A state and the values the loop hands crifba_step: ahead with the
+    run's w as 0-d operands and a work row full of NaN, which the step
+    must not read."""
+    state = KMState(7, *rng.standard_normal((3,) + shape) * 1e3)
+    z, fb = rng.standard_normal((2,) + shape) * [[1e-3], [1e5]]
+    work = np.full(shape, np.nan)
+    return state, (z, fb, w, np.array(w), np.array(1.0 - w), work)
+
+
+@pytest.mark.parametrize("run_w", OUT_WS)
+@pytest.mark.parametrize("step_w", OUT_WS)
+def test_crifba_step_fills_the_out_row_with_the_plain_form(run_w, step_w):
+    # a step whose params.w is the run's takes the run's 0-d w and 1 - w;
+    # one given another w (as relax_at gives it) forms both as floats. The
+    # out row of either holds the bits of the plain form and of
+    # (1 - w) z + w fb, and is the new state's x
+    rng = np.random.default_rng(int(10 * run_w + 100 * step_w))
+    params = CrifbaParams(w=step_w)
+    for _ in range(5):
+        state, ahead = core_ahead(rng, run_w)
+        z, fb = ahead[:2]
+        want = ((1.0 - step_w) * z + step_w * fb).tobytes()
+        plain = crifba.crifba_step(state, params, None, None, ahead)
+        assert plain.x.tobytes() == want
+        X = np.full((3, 5), np.nan)
+        new = crifba.crifba_step(state, params, None, None, ahead, X[1])
+        assert new.x.__array_interface__ == X[1].__array_interface__
+        assert X[1].tobytes() == want
+        assert np.isnan(X[[0, 2]]).all()
+        assert new.n == 8 and new.x_prev is state.x and new.z_prev is z
+
+
+@pytest.mark.parametrize("run_w", OUT_WS)
+@pytest.mark.parametrize("step_w", OUT_WS)
+def test_gcrifba_step_fills_the_out_row_with_the_plain_form(run_w, step_w):
+    rng = np.random.default_rng(int(10 * run_w + 100 * step_w) + 1)
+    params = CrifbaParams(w=step_w)
+    for _ in range(5):
+        state = KMState(7, *rng.standard_normal((3, 3, 4)))
+        z, r = rng.standard_normal((2, 3, 4)) * [[[1e-3]], [[1e5]]]
+        u = rng.standard_normal(4)
+        ahead = (z, u, r, run_w, np.array(run_w))
+        want = (z + step_w * (r - u)).tobytes()
+        assert gcrifba.gcrifba_step(state, params, ahead).x.tobytes() == want
+        X = np.full((3, 3, 4), np.nan)
+        new = gcrifba.gcrifba_step(state, params, ahead, X[1])
+        assert new.x.__array_interface__ == X[1].__array_interface__
+        assert X[1].tobytes() == want
+        assert np.isnan(X[[0, 2]]).all()
+        assert new.n == 8 and new.x_prev is state.x and new.z_prev is z

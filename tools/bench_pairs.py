@@ -6,25 +6,28 @@
         --seeds 21 22 23 --seconds 10 --out BENCH_prNN.json
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-once in each checkout, one after the other, with OPENBLAS_NUM_THREADS=1;
-the side that runs first alternates from pair to pair (the parent first in
-even pairs), and the seeds are used in turn. Every run is the JSON object
-on the last stdout line of run.py, kept whole under "runs". "summary"
-holds, per workload and end-to-end metric, each side's quartiles and
-median over the pairs, the pairs in which the change is better (by the
-metric's direction in BENCHMARK.json, ties counting for neither side), the
-change of the medians in percent, and "gain": true when the change is
-better in at least nine tenths of the pairs, its median is better than
-the parent's by more than the parent's interquartile range and its runs
-fail no more operations than the parent's ("failed", summed per side).
-A row flags a regression two ways: "worse": true when the change is worse
-in at least nine tenths of the pairs and its median is worse than the
-parent's by more than the parent's interquartile range, and
-"beyond_bound": true when its median moved against the metric by more
-than the metric's BENCHMARK.json "bound", a fraction of the parent's
-median. Each summary row is also printed to stdout as one line, which
-names the gain and both flags when they hold. "machine" records the CPU, the
-CPU count, the OS and the Python and numpy that run this script, and
+once in each checkout, one after the other, with the environment RUN_ENV,
+which "settings" records: OPENBLAS_NUM_THREADS=1, and
+PYTHONDONTWRITEBYTECODE=1, so that no run leaves a bytecode cache and every
+run in a fresh checkout compiles the package from source (a warm cache
+lowers setup_s and peak_rss_mb). The side that runs first alternates from
+pair to pair (the parent first in even pairs), and the seeds are used in
+turn. Every run is the JSON object on the last stdout line of run.py, kept
+whole under "runs". "summary" holds, per workload and end-to-end metric,
+each side's quartiles and median over the pairs, the pairs in which the
+change is better (by the metric's direction in BENCHMARK.json, ties
+counting for neither side), the change of the medians in percent, and
+"gain": true when the change is better in at least nine tenths of the
+pairs, its median is better than the parent's by more than the parent's
+interquartile range and its runs fail no more operations than the parent's
+("failed", summed per side). A row flags a regression two ways: "worse":
+true when the change is worse in at least nine tenths of the pairs and its
+median is worse than the parent's by more than the parent's interquartile
+range, and "beyond_bound": true when its median moved against the metric by
+more than the metric's BENCHMARK.json "bound", a fraction of the parent's
+median. Each summary row is also printed to stdout as one line, which names
+the gain and both flags when they hold. "machine" records the CPU, the CPU
+count, the OS and the Python and numpy that run this script, and
 "parent"/"change" the commits (read with git, or given with
 --parent-commit/--change-commit).
 """
@@ -38,6 +41,8 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+# the environment every benchmark run gets on top of this script's
+RUN_ENV = {"OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def commit_of(path, given):
@@ -71,7 +76,7 @@ def machine():
 
 def run_once(checkout, workload, seed, seconds):
     """The JSON result of one benchmark run in checkout."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, **RUN_ENV)
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -187,9 +192,10 @@ def main(argv=None):
             "A/B of perfbench/run.py between two checkouts, alternating which "
             "side runs first; each run is the last stdout line of one "
             "`python3 perfbench/run.py --workload W --seed S --seconds %g "
-            "--trace 0` with OPENBLAS_NUM_THREADS=1." % args.seconds),
+            "--trace 0` with %s." % (args.seconds, " and ".join(
+                "%s=%s" % kv for kv in RUN_ENV.items()))),
         "settings": {"workloads": args.workloads, "pairs": args.pairs,
-                     "seeds": args.seeds, "seconds": args.seconds},
+                     "seeds": args.seeds, "seconds": args.seconds, "env": RUN_ENV},
         "machine": machine(),
         "parent": {"commit": commit_of(checkouts["parent"], args.parent_commit)},
         "change": {"commit": commit_of(checkouts["change"], args.change_commit)},
