@@ -199,25 +199,26 @@ def iterate(x, x_prev, z_prev, params, evaluate, step, args, max_iter, tol):
     """The corrected Krasnosel'skii-Mann loop of all three solvers, from
     x_0 = x with x_{-1} = x_prev and z_{-1} = z_prev, for x of any shape.
 
-    The loop owns the state's rows: x_n and x_{n-1} are views of the
-    record X (x_{-1} is x_prev) and z_{n-1} of the block [x_n; z_n] of the
-    other parity. Step n writes x_n and z_n into the block of n's parity,
-    z_n by extrapolate's ufuncs in their order, with positional out= into
-    work rows, theta_n and gamma_n 0-d views into a table that one call of
-    schedule on RECORD_ROWS indices fills (schedule(params, n)'s bits).
-    evaluate(block, n), the kind's one row call, returns (r2, ahead): the
-    squared residual at row 0 and the values the step takes. The loop
-    stops on root(r2) <= tol, else calls step(state, *args, ahead,
-    X[n + 1]), which writes x_{n+1} into that record row and returns the
-    new state, and tests the row with one dot: past Euclidean norm 1e12
-    the loop stops as "diverged", or raises ArithmeticError("non-finite
-    iterate at n=%d") when it is not finite, so the step need not screen
-    it. X, Z (z_0..z_{N-1}, copied from the blocks) and res2 (NaN at x_N
-    unless the run stopped on tol) start at RECORD_ROWS rows and double in
-    place, up to max_iter rows, before the step that would write past
-    them; ndarray.resize may move them, so the state's views are taken
-    again there. Returns (N, stopped, X, Z, res2): the steps taken, the
-    stop reason ("tol", "max_iter" or "diverged") and the trimmed records.
+    The loop owns the state's rows: x_n and x_{n-1} are views of the record
+    X and z_{n-1} the last row of the other parity's window [x_{n-1}; x_n;
+    z_n]. Step n copies the three into its parity's window and forms z_n
+    over the last row with extrapolate's operations in their order, on
+    operands of the rows' shape: D = [x_n - x_{n-1}; z_{n-1} - x_n] times
+    C[k] (theta_n and gamma_n tiled, from a table one schedule call fills
+    per RECORD_ROWS steps), z_n = (x_n + D[0]) + D[1]. evaluate(rows, n),
+    the kind's one row call on [x_n; z_n], returns (r2, ahead): the squared
+    residual at row 0 and the values the step takes. The loop stops on
+    root(r2) <= tol, else calls step(state, *args, ahead, X[n + 1]), which
+    writes x_{n+1} into that record row and returns the new state, and
+    tests the row with one dot: past Euclidean norm 1e12 the loop stops as
+    "diverged", or raises ArithmeticError("non-finite iterate at n=%d")
+    when it is not finite, so the step need not screen it. X, Z
+    (z_0..z_{N-1}, copied from the windows) and res2 (NaN at x_N unless the
+    run stopped on tol) start at RECORD_ROWS rows and double in place, up
+    to max_iter rows, before the step that would write past them;
+    ndarray.resize may move them, so the state's views are taken again
+    there. Returns (N, stopped, X, Z, res2): the steps taken, the stop
+    reason ("tol", "max_iter" or "diverged") and the trimmed records.
 
     The rows evaluate is handed, tested here or formed from tested rows,
     are not screened again: B is evaluated on them unscreened, and its
@@ -235,30 +236,31 @@ def iterate(x, x_prev, z_prev, params, evaluate, step, args, max_iter, tol):
     X, Z = np.empty((cap + 1,) + shape), np.empty((cap,) + shape)
     res2 = np.empty(cap + 1)
     X[0] = x
-    blocks = np.empty((2, 2) + shape)
-    blocks[1, 1] = z_prev
-    # each parity's block with its x_n and z_n rows, and the work rows of z_n
-    parity = [(blk, blk[0], blk[1]) for blk in blocks]
-    dx, dz = np.empty(shape), np.empty(shape)
-    state = KMState(0, x_prev, X[0], blocks[1, 1])
+    windows = np.empty((2, 3) + shape)
+    parity = [(*win, win[1:], win[:2]) for win in windows]
+    dx, dz = D = np.empty((2,) + shape)
+    C = np.empty((RECORD_ROWS, 2) + shape)
+    coef = list(C)     # its row views, taken once rather than at every step
+    state = KMState(0, x_prev, X[0], z_prev)
     stopped = "max_iter"
     for n in range(max_iter):
         k = n % RECORD_ROWS
         if not k:
             _, theta, gamma, _ = schedule(params, np.arange(n, n + RECORD_ROWS))
-        block, xn, zn = parity[n & 1]
-        x = state.x
-        xn[...] = x
-        np.add(x, np.multiply(theta[k, ...], np.subtract(x, state.x_prev, dx), dx), dx)
-        np.add(dx, np.multiply(gamma[k, ...], np.subtract(state.z_prev, x, dz), dz), zn)
+            C.T[...] = theta, gamma     # C[k, 0] = theta_{n+k}, C[k, 1] = gamma_{n+k}
+        xp, xn, zn, rows, back = parity[n & 1]
+        xp[...], xn[...], zn[...] = state.x_prev, state.x, state.z_prev
+        np.multiply(np.subtract(rows, back, D), coef[k], D)
+        np.add(np.add(xn, dx, zn), dz, zn)
         try:
-            r2, ahead = evaluate(block, n)
+            r2, ahead = evaluate(rows, n)
+            done = root(r2) <= tol
         except Exception:
-            r2, _ = evaluate(block[:1], n)
-            if not root(r2) <= tol:
+            r2, _ = evaluate(rows[:1], n)
+            if not (done := root(r2) <= tol):
                 raise
         res2[n] = r2
-        if root(r2) <= tol:
+        if done:
             stopped = "tol"
             break
         if n == cap:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .crifba import RECORD_ROWS, CrifbaParams, KMState, iterate, validate
 from .metriclin import SpdMap, as_rows, as_vector
+from .operators import _TWO
 
 
 def _block_weights(weights, p):
@@ -49,7 +50,7 @@ def _resolvents(Z, A_list, B, lam, weights, steps):
     any A_j is called.
     """
     U = weights @ Z
-    FW = 2.0 * U - lam * B._loop_rows(U)
+    FW = _TWO * U - lam * B._loop_rows(U)
     R = np.empty_like(Z)
     for j, A in enumerate(A_list):
         R[:, j] = A.resolvent_rows(steps[j], FW - Z[:, j])

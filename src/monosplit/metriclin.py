@@ -25,6 +25,18 @@ def _zeros(n):
     return z
 
 
+def _row_constant(row):
+    """shape -> row tiled to shape, (k, d) for k rows, read-only and kept
+    for the last shape: numpy takes it at less call cost than the row."""
+    @lru_cache(maxsize=1)
+    def tile(shape):
+        t = np.tile(row, shape[:-1] + (1,))
+        t.flags.writeable = False
+        return t
+
+    return tile
+
+
 def as_vector(x):
     """Coerce to a 1-D float array and reject non-finite entries.
 

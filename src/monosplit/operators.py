@@ -2,12 +2,12 @@
 
 import numpy as np
 
-from .metriclin import _FLOAT64, SpdMap, as_rows, as_vector
+from .metriclin import _FLOAT64, SpdMap, _row_constant, as_rows, as_vector
 
 
-# 0 as a 0-d float64 array, as forward_backward_map takes lam
-_ZERO = np.array(0.0)
-_ZERO.flags.writeable = False
+# 0 and 2 as 0-d float64 arrays, as forward_backward_map takes lam
+_ZERO, _TWO = np.array(0.0), np.array(2.0)
+_ZERO.flags.writeable = _TWO.flags.writeable = False
 
 
 def _soft(t, x):
@@ -227,17 +227,18 @@ def forward_backward_map(A, M, lam, B=None, lamB=0.0):
     where the solver tests its iterate; B's rows are screened there as
     they come out. A block with rows is refused for any other A outside
     the identity metric rather than approximated. lam B(x_i) is formed
-    with lam as a 0-d float64 array: numpy takes an array operand at less
-    call cost than a Python float or a float64 scalar, with the same bits
-    (tests/test_step_operands.py). A's maps get lam as given.
+    with lam as a 0-d float64 array, and a shared row of lamB is tiled to
+    the block (_row_constant): numpy takes either at less call cost, with
+    the same bits (tests/test_step_operands.py). A's maps get lam as given.
     """
     loop_B = None if B is None else B._loop_rows
     lam_0d = np.array(lam, dtype=float)
+    lamB_rows = _row_constant(lamB) if np.ndim(lamB) == 1 else lambda shape: lamB
     if M.is_identity and A._resolvent_rows is not None:
         J = A._resolvent_rows
 
         def plain_rows(X):
-            R = as_rows(X - (lamB if loop_B is None else lam_0d * loop_B(X)))
+            R = as_rows(X - (lamB_rows(X.shape) if loop_B is None else lam_0d * loop_B(X)))
             out = J(lam, R)
             return out if out is R else as_rows(out)
         return plain_rows
@@ -245,7 +246,7 @@ def forward_backward_map(A, M, lam, B=None, lamB=0.0):
     G = A._gen_resolvent_rows
     if G is not None:
         def metric_resolvent_rows(X):
-            lamBX = lamB if loop_B is None else lam_0d * loop_B(X)
+            lamBX = lamB_rows(X.shape) if loop_B is None else lam_0d * loop_B(X)
             return as_rows(G(M, lam, as_rows(apply(X) - lamBX)))
         return metric_resolvent_rows
     Q, b = A.affine or (None, None)
@@ -253,7 +254,7 @@ def forward_backward_map(A, M, lam, B=None, lamB=0.0):
     lhs, lamb = M.matrix + lam * Q, lam * (np.zeros(M.d) if b is None else as_vector(b))
 
     def affine_rows(X):
-        lamBX = lamB if loop_B is None else lam_0d * as_rows(loop_B(X))
+        lamBX = lamB_rows(X.shape) if loop_B is None else lam_0d * as_rows(loop_B(X))
         if A.affine is None and len(X):
             raise ValueError("generalized resolvent unavailable: metric is not the "
                              "identity and operator %r has no affine form or closed "

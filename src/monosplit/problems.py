@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .metriclin import SpdMap, as_vector, operator_norm
+from .metriclin import SpdMap, _row_constant, as_vector, operator_norm
 from .operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair,
                         _soft_rows, affine_op, box_op, l1_op, prox_l1, zero_op)
 
@@ -74,7 +74,8 @@ def certify(problem, candidate, tol=1e-6):
 
 
 def _shift_map(c, label):
-    """x -> x - c in one dimension."""
+    """x -> x - c in one dimension, c a 0-d float64 operand."""
+    c = np.array(c, dtype=float)
     return CocoerciveMap(lambda X: X - c, SpdMap(np.eye(1)), label=label, rows=True)
 
 
@@ -198,12 +199,13 @@ def _lasso_data():
 def _p2_lasso():
     K, b, mu, q = _lasso_data()
     beta = _lasso_beta()
-    A = l1_op(mu)
+    A, b_rows = l1_op(mu), _row_constant(b)
 
     def grad_rows(X):
         # K^T (K x_i - b) by np.matvec, which takes the path of the 1-D
         # products for each row, where X @ K.T may sum in another order
-        return np.matvec(K.T, np.matvec(K, X) - b)
+        KX = np.matvec(K, X)
+        return np.matvec(K.T, np.subtract(KX, b_rows(KX.shape), KX))
 
     B = CocoerciveMap(grad_rows, SpdMap(np.eye(5) / beta),
                       label="least_squares_grad", rows=True)
@@ -237,7 +239,8 @@ def _p3_spectrum():
     Q = np.diag(mus)
     # mu <= 1 for every mode, so Q - Q^2 is PSD and the identity certifies
     # co-coercivity with modulus 1
-    B = CocoerciveMap(lambda X: mus * X, SpdMap(np.eye(d)),
+    mus_rows = _row_constant(mus)
+    B = CocoerciveMap(lambda X: mus_rows(X.shape) * X, SpdMap(np.eye(d)),
                       label="degenerate_quadratic", rows=True)
     return ProblemSpec(
         name="p3_spectrum", d=d, start=np.ones(d), A=zero_op(), B=B, beta=1.0,
@@ -267,14 +270,28 @@ def _p4_three():
         certify_fn=lambda x: float(np.abs(as_vector(x) - 1.5).max()))
 
 
+def _dual_prox(b=None):
+    """Rows of the prox of sigma (|y|^2 / 2 + <b, y>), b None as 0, with
+    1 + sigma (0-d) and sigma b (tiled) formed once per sigma value."""
+    consts = lru_cache(maxsize=1)(lambda s: (
+        np.array(1.0 + s), None if b is None else _row_constant(s * b)))
+
+    def prox(sigma, U):
+        scale, shift = consts(float(sigma))
+        return (U if shift is None else U - shift(U.shape)) / scale
+
+    return prox
+
+
 def _p5_saddle():
     K = np.array(_SADDLE_K)
     a = np.array(_SADDLE_A)
+    a_rows = _row_constant(a)
     pair = SaddleFunctionPair(
         prox_G=lambda tau, U: U,
-        prox_Fstar=lambda sigma, U: U / (1.0 + sigma),
-        grad_Q=lambda X: X - a, lip_Q=1.0,
-        grad_Pstar=np.zeros_like, lip_Pstar=0.0,
+        prox_Fstar=_dual_prox(),
+        grad_Q=lambda X: X - a_rows(X.shape), lip_Q=1.0,
+        grad_Pstar=lambda Y: np.zeros(Y.shape), lip_Pstar=0.0,
         K=K, label="quadratic_saddle", rows=True)
     xbar = np.linalg.solve(np.eye(2) + K.T @ K, a)
     ybar = K @ xbar
@@ -294,7 +311,7 @@ def _p5_lasso_pd():
     K, b, mu, q = _lasso_data()
     pair = SaddleFunctionPair(
         prox_G=_soft_rows(mu),
-        prox_Fstar=lambda sigma, U: (U - sigma * b) / (1.0 + sigma),
+        prox_Fstar=_dual_prox(b),
         grad_Q=np.zeros_like, lip_Q=0.0,
         grad_Pstar=np.zeros_like, lip_Pstar=0.0,
         K=K, label="l1_least_squares_saddle", rows=True)

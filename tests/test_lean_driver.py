@@ -1,14 +1,15 @@
 """The lean driver: each run builds its forward-backward map once and
 reuses its small work arrays from step to step (in crifba.iterate two
-alternating two-row blocks [x_n; z_n] and the work rows of z_n, a work
-row in crifba's residual and step and two in gcrifba's residual, one
-momentum block in the inertial baselines). None of them may reach a
+alternating three-row windows [x_{n-1}; x_n; z_n], the difference rows
+of z_n and the coefficient table, a work row in crifba's residual and
+step and two in gcrifba's residual, one momentum block in the inertial
+baselines). None of them may reach a
 result: two runs back to back on the same operators leave the first
 result's arrays byte for byte as they were and share no memory with the
-second's nor with the blocks and work rows the step hooks are handed,
+second's nor with the windows and work rows the step hooks are handed,
 and a warm start's caller-owned x_prev and z_prev are left as they were. The runs cross the
 record's growth seams at 64 and 128 rows, and stop on tol at an odd and
-at an even n, one on each of the two alternating blocks."""
+at an even n, one on each of the two alternating windows."""
 
 import itertools
 
@@ -96,8 +97,8 @@ def arrays(res, prefix=""):
 @pytest.fixture
 def work_rows(monkeypatch):
     """The arrays that hold the loop's work rows, by id, as the step hooks
-    are handed them: the parity blocks, in which z_n and z_{n-1} are rows,
-    and crifba's work row."""
+    are handed them: the parity windows, in which z_n and z_{n-1} are rows
+    (z_{-1} is the caller's z_prev), and crifba's work row."""
     held = {}
 
     def collect(state, args):

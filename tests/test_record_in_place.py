@@ -130,6 +130,27 @@ def test_no_stale_record_view_reaches_a_step(monkeypatch, case, steps):
     assert res.n_iters == steps and seen == list(range(steps))
 
 
+@pytest.mark.parametrize("steps", [ROWS + 1, 2 * ROWS + 1, 16 * ROWS + 1])
+@pytest.mark.parametrize("case", VIEW_RUNS)
+def test_z_prev_holds_z_n_minus_1_at_every_step(monkeypatch, case, steps):
+    # step n forms z_n in the window of n's parity; z_{n-1}, the last row
+    # of the other window, keeps the bits step n - 1 was handed until the
+    # hook of step n has it, at both parities and across the seams of the
+    # coefficient table and of the records
+    handed = []
+
+    def check(state, args):
+        z = args[-2][0]
+        if state.n:
+            assert state.z_prev.tobytes() == handed[-1], state.n
+            assert not np.shares_memory(state.z_prev, z), state.n
+        handed.append(z.tobytes())
+
+    watch_steps(monkeypatch, check)
+    res = CASES[case]()[0](max_iter=steps, tol=-1.0)
+    assert res.n_iters == steps and len(handed) == steps
+
+
 # --- V on first read ----------------------------------------------------------
 
 def eager_V(res, v0):

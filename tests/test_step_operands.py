@@ -3,19 +3,22 @@
 A run takes theta_n and gamma_n from a table that schedule fills for
 crifba.RECORD_ROWS indices at a time, and its constants (lam, w and
 1 - w, inertia, tau and sigma, the 0 and the thresholds of soft
-thresholding) as 0-d float64 arrays. All must give the bits of the
-one-step forms: the table those of schedule(params, n), the z_n a run
-writes those of extrapolate, an array operand those of the Python float,
-and a step that writes x_{n+1} into its out row those of the step that
-returns a new array.
+thresholding) as 0-d float64 arrays, and the per-run rows that meet a
+block (p2's b, p3's modes, p5_saddle's a, a constant lam B and sigma b)
+as tiles of the block's shape. All must give the bits of the one-step
+forms: the table those of schedule(params, n), the z_n a run writes those
+of extrapolate, an array operand those of the Python float, a tile those
+of the broadcast row, and a step that writes x_{n+1} into its out row
+those of the step that returns a new array.
 """
 
 import numpy as np
 import pytest
 
-from monosplit import crifba, cripda, gcrifba, problems
+from monosplit import crifba, cripda, gcrifba, metriclin, operators, problems
 from monosplit.crifba import RECORD_ROWS, CrifbaParams, KMState, schedule
-from monosplit.operators import _soft, l1_op
+from monosplit.metriclin import SpdMap, operator_norm
+from monosplit.operators import _soft, forward_backward_map, l1_op, zero_op
 
 
 def bits(c):
@@ -180,6 +183,152 @@ def test_soft_thresholds_are_0d_operands_formed_once_per_step():
             # handed the same step again, the map keeps its threshold
             soft(t, X)
             assert threshold(soft) is thresh
+
+
+# --- per-run rows tiled to the block ------------------------------------------
+
+# the row counts of the checks below, in the order one map is handed them:
+# a step's one and two rows, a replay's blocks, then a switch back and forth
+TILE_KS = [1, 2, 3, 64, 512, 2, 512, 2]
+
+
+def special_rows(rng, k, d, finite=False):
+    """k rows of d entries drawn from +-0, subnormals, +-1e300, ordinary
+    magnitudes and, unless finite, NaN and +-inf, with every one of these
+    values present when k d allows."""
+    pool = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.75, -1.5, 3e5]
+    pool = np.array(pool + ([] if finite else [np.nan, np.inf, -np.inf]))
+    X = rng.choice(pool, size=(k, d)) * rng.choice([1.0, 1.0, 0.5], size=(k, d))
+    X.flat[:min(X.size, len(pool))] = pool[:X.size]
+    return X
+
+
+def tile_recorder(monkeypatch):
+    """Patch the _row_constant every map reads to record each tile it
+    serves with the shape it was asked for; returns the record."""
+    served = []
+
+    def recording(row):
+        tile = metriclin._row_constant(row)
+
+        def rows(shape):
+            served.append((shape, tile(shape)))
+            return served[-1][1]
+        return rows
+
+    for module in (operators, problems):
+        monkeypatch.setattr(module, "_row_constant", recording)
+    return served
+
+
+def tile_forms():
+    """name -> (tiled map, broadcast form, d, finite): each map that meets
+    a per-run row, next to its form with the row broadcast; the maps of
+    the catalog are those of fresh specs. The constant-lamB map is taken
+    in each of its three branches, on finite rows (its screens refuse
+    others), and the proxes of F* at 0-d sigmas and a float sigma."""
+    p2, p3 = problems.get("p2_lasso"), problems.get("p3_spectrum")
+    saddle, lasso_pd = problems.get("p5_saddle"), problems.get("p5_lasso_pd")
+    K, b, mus, a = p2.extras["K"], p2.extras["b"], p3.extras["modes"], saddle.extras["a"]
+    forms = {
+        "p2_gradient": (p2.B._apply_rows,
+                        lambda X: np.matvec(K.T, np.matvec(K, X) - b), 5, False),
+        "p3_B": (p3.B._apply_rows, lambda X: mus * X, 21, False),
+        "p5_saddle_grad_Q": (saddle.saddle.grad_Q, lambda X: X - a, 2, False),
+    }
+    rng = np.random.default_rng(41)
+    step = 0.7 / operator_norm(lasso_pd.saddle.K)
+    stacked, _ = cripda.stacked_operators(lasso_pd.saddle)
+    for name, A, M in (("plain", l1_op(0.3), SpdMap.identity(4)),
+                       ("metric", stacked, cripda.build_metric(lasso_pd.saddle, step, step)),
+                       ("affine", zero_op(), SpdMap(np.diag([2.0, 0.5, 1.0, 3.0])))):
+        row = special_rows(rng, 1, M.d, finite=True)[0]
+        forms["lamB_" + name] = (
+            forward_backward_map(A, M, 0.7, lamB=row),
+            lambda X, A=A, M=M, row=row: forward_backward_map(
+                A, M, 0.7, lamB=np.broadcast_to(row, X.shape))(X), M.d, True)
+    for spec, bb in ((saddle, None), (lasso_pd, lasso_pd.extras["b"])):
+        prox = spec.saddle.prox_Fstar
+        for sigma in (np.array(0.37), np.array(1.9), 0.37):
+            want = ((lambda U, s=sigma: U / (1.0 + s)) if bb is None else
+                    (lambda U, s=sigma, bb=bb: (U - s * bb) / (1.0 + s)))
+            forms["%s_prox_Fstar_%r" % (spec.name, sigma)] = (
+                lambda U, s=sigma, prox=prox: prox(s, U), want, spec.saddle.d_dual, False)
+    return forms
+
+
+def same_bits(got, want):
+    """Both calls raise the same error, or return arrays of the same shape
+    and bytes."""
+    with np.errstate(all="ignore"):
+        results = []
+        for call in (got, want):
+            try:
+                results.append(call())
+            except Exception as err:
+                results.append(err)
+    g, w = results
+    if isinstance(w, Exception):
+        assert type(g) is type(w) and str(g) == str(w)
+    else:
+        assert not isinstance(g, Exception), g
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_tiles_give_the_broadcast_bits(monkeypatch):
+    # each map on blocks of 1, 2, 3, 64 and 512 rows, then 2 -> 512 -> 2,
+    # of special values, against its form with the row broadcast; then the
+    # proxes of F* once more with the sigma switched from call to call.
+    # Every tile served is read-only and has the shape of the block it
+    # meets: a tile of another row count can broadcast to the same values
+    served = tile_recorder(monkeypatch)
+    rng = np.random.default_rng(43)
+    forms = tile_forms()
+    for name, (tiled, broadcast, d, finite) in forms.items():
+        for k in TILE_KS:
+            # a map that screens its rows refuses a non-finite block alike
+            blocks = [special_rows(rng, k, d, finite), special_rows(rng, k, d)]
+            for X in blocks[:1 + finite]:
+                same_bits(lambda: tiled(X), lambda: broadcast(X))
+    for k in TILE_KS:
+        for name, (tiled, broadcast, d, finite) in forms.items():
+            if "prox_Fstar" in name:
+                U = special_rows(rng, k, d)
+                same_bits(lambda: tiled(U), lambda: broadcast(U))
+    assert {shape[0] for shape, _ in served} == set(TILE_KS)
+    for shape, tile in served:
+        assert tile.shape == shape and not tile.flags.writeable
+
+
+def test_two_specs_share_no_tile(monkeypatch):
+    # the tiles of one spec's maps are its own: the maps of a second
+    # problems.get call serve tiles that share no memory with the first's
+    served = tile_recorder(monkeypatch)
+    rng = np.random.default_rng(47)
+    held = []
+    for _ in range(2):
+        del served[:]
+        for name, (tiled, _, d, _) in tile_forms().items():
+            if not name.startswith("lamB"):
+                with np.errstate(all="ignore"):
+                    tiled(special_rows(rng, 3, d))
+        held.append([tile for _, tile in served])
+    assert len(held[0]) == len(held[1]) > 0
+    for t1 in held[0]:
+        for t2 in held[1]:
+            assert not np.shares_memory(t1, t2)
+
+
+def test_a_row_constant_tiles_to_the_shape_it_is_asked_for():
+    rng = np.random.default_rng(53)
+    row = special_rows(rng, 1, 6)[0]
+    rows = metriclin._row_constant(row)
+    for k in TILE_KS:
+        tile = rows((k, 6))
+        assert tile.shape == (k, 6) and not tile.flags.writeable
+        assert tile.tobytes() == np.tile(row, (k, 1)).tobytes()
+        assert rows((k, 6)) is tile     # kept for the last shape
+    assert rows((6,)).tobytes() == row.tobytes()
 
 
 # --- the step's out form ------------------------------------------------------
