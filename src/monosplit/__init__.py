@@ -3,8 +3,7 @@ diagnostics, plus a benchmark harness."""
 
 from .metriclin import SpdMap, operator_norm
 from .operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair,
-                        cocoercivity_check, generalized_resolvent, prox_box,
-                        prox_l1, prox_quadratic)
+                        cocoercivity_check, generalized_resolvent, prox_l1)
 from .crifba import (CrifbaParams, crifba_step, default_params, diagnostics,
                      energy, graph_sequence, residual_G, run, schedule,
                      validate_core, validate_metric)
@@ -13,8 +12,7 @@ from .problems import catalog, certify, get
 __all__ = [
     "SpdMap", "operator_norm", "CocoerciveMap", "MonotoneOp",
     "SaddleFunctionPair", "cocoercivity_check", "generalized_resolvent",
-    "prox_box", "prox_l1", "prox_quadratic", "CrifbaParams", "crifba_step",
-    "default_params", "diagnostics", "energy", "graph_sequence", "residual_G",
-    "run", "schedule", "validate_core", "validate_metric", "catalog",
-    "certify", "get",
+    "prox_l1", "CrifbaParams", "crifba_step", "default_params", "diagnostics",
+    "energy", "graph_sequence", "residual_G", "run", "schedule",
+    "validate_core", "validate_metric", "catalog", "certify", "get",
 ]

@@ -16,12 +16,32 @@ an operator given per vector calls its map once per row. Everything else
 is array arithmetic over the block, and each oracle is an accumulator fed
 block by block, carrying at most one row across a block seam, so the
 memory on top of the history is O(BLOCK_ROWS * d). ``standard_suite``
-runs the pass once for all its oracles; each public ``check_*`` replay
-runs it with its one oracle. Row-wise sums, and the row form of an
-operator that takes matrix products, are not bound to the summation order
-of a per-row loop, so a worst violation may differ from one computed row
-by row by at most 64 * d * eps (float64 machine epsilon), and
-E_first/E_last by that relative amount.
+runs the pass once for all its oracles, one named report each. Row-wise
+sums, and the row form of an operator that takes matrix products, are not
+bound to the summation order of a per-row loop, so a worst violation may
+differ from one computed row by row by at most 64 * d * eps (float64
+machine epsilon), and E_first/E_last by that relative amount.
+
+What each oracle states, by report name, with norms and inner products in
+the metric M (the L^{-1} norm for B's differences), xdot_n = x_n - x_{n-1}
+and G(z) = (z - J(z)) / lam for the forward-backward map J:
+- step_identities: v_{n+1} = lam w G(z_n), and the velocity-plus-correction
+  recursion xdot_{n+1} + v_{n+1} = theta_n xdot_n + gamma_n v_n.
+- drift_telescoping: for u_n = v_n + xdot_n, tau_n^2 |u_{n+1}|^2 -
+  tau_{n-1}^2 |u_n|^2 + (s0 - 2 s1) tau_n |u_n|^2 <= (e - s0 + s1)^2 / s0
+  tau_n |xdot_n|^2; details give the decay trend of n |u_n|.
+- residual_ratio: res2_{n+1} <= 2(w+1) |G(z_n)|^2, G(z_n) = v_{n+1} / (lam w).
+- ystar_bound: |y*_n| <= C |v_n|, with C = (||M|| / lam + rho^{-1/2}
+  sqrt(||M|| ||L||) (1 + sqrt(||L||))) / w and rho = 0.9 min_eig(M).
+- graph_inclusion: A's membership test holds at (y_n, y*_n - B(y_n)), with
+  B's part subtracted, so that only the multivalued part is tested.
+- energy_decrease: E_{n+1} <= E_n for n >= 1, E anchored at q (crifba.energy).
+- rilo: <v_n, x_n - q> >= lam w alpha |B(z_{n-1}) - B(q)|^2 + (1-w)^2/w
+  |v_n|^2 and <v_{n+1} - v_n, xdot_{n+1}> >= lam w alpha |B(z_n) -
+  B(z_{n-1})|^2 + (1-w)^2/w |v_{n+1} - v_n|^2 for n >= 1. alpha is 0.75
+  under condition 2 of the metric validation; under condition 1, it is
+  1 - lam ||L|| / (4 delta) with params.delta or, when that is unset, with
+  the midpoint of the admissible delta (details report both).
 """
 
 from dataclasses import dataclass, field
@@ -58,10 +78,6 @@ class CheckReport:
                             if np.isscalar(v) or isinstance(v, (dict, str))}}
 
 
-def _skipped(name, reason):
-    return CheckReport(name, 0, 0.0, True, status="skipped: " + reason)
-
-
 class _Worst:
     """Count and running maximum of violations. A NaN anywhere makes the
     maximum NaN, as np.max over all of them would."""
@@ -94,23 +110,6 @@ def _scaled(deficit, *terms):
     """Violation of lhs >= rhs given deficit = rhs - lhs, scaled by term size."""
     scale = 1.0 + sum(abs(t) for t in terms)
     return deficit / scale
-
-
-def check_step_identities(result, A, B, tol=DEFAULT_TOL):
-    """Replay the two per-step identities on a recorded run.
-
-    First: the correction residual equals lam*w times the fixed-point
-    residual at the extrapolated point. Second: the velocity-plus-correction
-    recursion driven by the schedule coefficients.
-    """
-    run = _Run(result, A, B)
-    return run.replay(_StepIdentities(run, tol))[0]
-
-
-def check_energy_decrease(result, q, tol=DEFAULT_TOL):
-    """Anchored energy must be non-increasing from n = 1 on."""
-    run = _Run(result)
-    return run.replay(_EnergyDecrease(run, q, tol))[0]
 
 
 def check_g_cocoercivity(A, B, M, lam, pairs, delta=None, tol=DEFAULT_TOL):
@@ -148,49 +147,6 @@ def check_g_cocoercivity(A, B, M, lam, pairs, delta=None, tol=DEFAULT_TOL):
     details = {k: _report(k, v).worst_violation for k, v in violations.items()}
     details["delta"] = delta
     return _report("g_cocoercivity", allv, tol=tol, details=details)
-
-
-def check_rilo(result, B, q, tol=DEFAULT_TOL):
-    """Lower bounds on the anchored and differenced correction products.
-
-    Needs the recorded extrapolation history and the selector from the
-    metric validation; the co-coercivity weight alpha depends on it. Under
-    condition 1, alpha = 1 - lam ||L|| / (4 delta) with params.delta, or,
-    when that is unset, the midpoint of the admissible delta; details
-    report both.
-    """
-    run = _Run(result, B=B)
-    return run.replay(_Rilo(run, q, tol))[0]
-
-
-def check_estimg2(result, tol=DEFAULT_TOL):
-    """Telescoping bound on the drift sequence v_n + xdot_n, plus the
-    decay trend of n times its norm."""
-    run = _Run(result)
-    return run.replay(_Drift(run, tol))[0]
-
-
-def check_ystar_bound(result, B, rho=None, tol=DEFAULT_TOL):
-    """Norm bound tying the graph elements to the correction residual."""
-    run = _Run(result, B=B)
-    return run.replay(_YstarBound(run, rho, tol))[0]
-
-
-def check_graph_inclusion(result, A, B, tol=GRAPH_TOL):
-    """Every graph element pair must lie in the operator-sum graph.
-
-    Uses the operator's membership test; the residual part coming from B is
-    subtracted so only the multivalued part is tested.
-    """
-    run = _Run(result, A, B)
-    return run.replay(_GraphInclusion(run, tol))[0]
-
-
-def check_residual_ratio(result, tol=DEFAULT_TOL):
-    """Residual at the new iterate against the residual at the
-    extrapolated point: the ratio is bounded by 2(w+1)."""
-    run = _Run(result)
-    return run.replay(_ResidualRatio(run, tol))[0]
 
 
 def standard_suite(result, A, B, q=None):
@@ -231,7 +187,7 @@ def _mnorms(M, rows):
 class _Run:
     """A recorded run and the operators it is replayed against."""
 
-    def __init__(self, result, A=None, B=None):
+    def __init__(self, result, A, B):
         self.p = result.params
         self.N = result.n_iters
         self.X = _screened("X", result.X)
@@ -320,7 +276,7 @@ class _Oracle:
 
     def report(self):
         if self.skip is not None:
-            return _skipped(self.name, self.skip)
+            return CheckReport(self.name, 0, 0.0, True, status="skipped: " + self.skip)
         return self.acc.report(self.name, self.tol, self.details)
 
 
@@ -452,15 +408,14 @@ class _Drift(_Oracle):
 
 
 class _YstarBound(_Oracle):
-    def __init__(self, run, rho=None, tol=DEFAULT_TOL):
+    def __init__(self, run, tol=DEFAULT_TOL):
         super().__init__("ystar_bound", tol)
         p = run.p
         self.M = M = run.M
         if run.Z.shape[0] == 0:
             self.skip = "no extrapolation history recorded"
             return
-        if rho is None:
-            rho = 0.9 * M.min_eigenvalue()   # keeps M - rho I positive definite
+        rho = 0.9 * M.min_eigenvalue()   # keeps M - rho I positive definite
         if rho <= 0:
             self.skip = "no valid rho found"
             return

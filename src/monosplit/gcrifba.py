@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crifba import RECORD_ROWS, CrifbaParams, KMState, iterate, validate
-from .metriclin import SpdMap, as_rows, as_vector
+from .metriclin import SpdMap, as_vector
 from .operators import _TWO
 
 
@@ -55,25 +55,6 @@ def _resolvents(Z, A_list, B, lam, weights, steps):
     for j, A in enumerate(A_list):
         R[:, j] = A.resolvent_rows(steps[j], FW - Z[:, j])
     return U, R
-
-
-def _T_blocks(z, u, r):
-    """T(z) from the weighted mean u and the block resolvents r that
-    _resolvents gives for the block array z: block j is r_j - u + z_j."""
-    return r - u + z
-
-
-def apply_T(z, weights, A_list, B, lam):
-    """One application of the splitting operator on the product space to
-    the (p, d) block array z with block weights rho_k.
-
-    Block k of the output is J_{(lam/rho_k) A_k}(2 zbar - lam B(zbar) - z_k)
-    - zbar + z_k, with zbar the weighted mean. z is screened before B is
-    called.
-    """
-    U, R = _resolvents(as_rows(z[None]), A_list, B, lam, weights,
-                       (lam / weights).tolist())
-    return _T_blocks(z, U[0], R[0])
 
 
 def gcrifba_step(state, params, ahead, out=None):
@@ -140,7 +121,8 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
     def evaluate(S, n):
         zb = S[0]
         U, R = _resolvents(S, A_list, B, lam_0d, weights, steps)
-        # T(zeta_n) - zeta_n, T formed as _T_blocks forms it, in work rows
+        # T(zeta_n) - zeta_n in work rows, with T(zeta_n) formed as r - u + z:
+        # the order of tests/_reference_solvers.apply_T, whose bits res2 keeps
         np.subtract(np.add(np.subtract(R[0], U[0], diff), zb, diff), zb, diff)
         r2 = float(np.multiply(np.multiply(wcol, diff, prod), diff, prod).sum())
         # a non-finite entry of T(zeta_n) makes r2 non-finite, and this test

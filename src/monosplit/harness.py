@@ -278,7 +278,7 @@ def check_history(history_path, cfg):
     """Replay every checker over a stored run history, an .npz archive of
     X, Z, res2, x_prev_init and v0, or of V in place of v0 as older runs
     wrote it; an error status when the config or the history cannot be
-    read."""
+    read, or an array is not finite or not of the shape a run records."""
     try:
         rc = read_config(cfg)
         if rc.kind not in ("crifba", "cripda"):
@@ -293,15 +293,24 @@ def check_history(history_path, cfg):
             raise ValueError("history %s is not an .npz archive" % history_path)
         with data:
             # an archive written before v0 holds V, which is read as stored
-            V = data["V"] if "V" in data.files else None
-            result = crifba.RunResult(
-                X=data["X"], Z=data["Z"], V=V, res2=data["res2"],
-                x_prev_init=data["x_prev_init"], n_iters=data["X"].shape[0] - 1,
-                stopped="replay", params=params,
-                _v0=data["v0"] if V is None else None)
+            names = ("X", "Z", "res2", "x_prev_init", "V" if "V" in data.files else "v0")
+            rec = {name: data[name] for name in names}
+        n, d = len(np.atleast_1d(rec["X"])), rc.problem.d
+        shapes = ((n, d), (n - 1, d), (n,), (d,), (n, d) if "V" in rec else (d,))
+        for name, shape in zip(names, shapes):
+            if rec[name].shape != shape:
+                raise ValueError("history %s has shape %s, not %s"
+                                 % (name, rec[name].shape, shape))
+        result = crifba.RunResult(
+            X=rec["X"], Z=rec["Z"], V=rec.get("V"), res2=rec["res2"],
+            x_prev_init=rec["x_prev_init"], n_iters=n - 1, stopped="replay",
+            params=params, _v0=rec.get("v0"))
     except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         return {"status": "error", "error": str(exc)}
-    reports = checks.standard_suite(result, A, B, q=_core_solution(rc.problem))
+    try:
+        reports = checks.standard_suite(result, A, B, q=_core_solution(rc.problem))
+    except ValueError as exc:       # a record with non-finite entries
+        return {"status": "error", "error": str(exc)}
     executed = [r for r in reports if not r.status.startswith("skipped")]
     return {
         "status": "ok",

@@ -36,13 +36,6 @@ def prox_l1(lam, x):
     return _soft(lam, as_vector(x))
 
 
-def prox_box(lo, hi, x):
-    """Componentwise clamp onto [lo, hi]."""
-    if lo > hi:
-        raise ValueError("empty box: lo > hi")
-    return as_vector(x).clip(lo, hi)
-
-
 def _per_row(fn):
     """The row form of a per-vector callable fn(..., x): fn on each row x
     of the (k, d) block, its last argument, in turn, each result flattened
@@ -80,17 +73,6 @@ def _quadratic_rows(lhs, R, X):
     if (res > 1e-10 * np.maximum(np.hypot.reduce(X, axis=1), 1.0)).any():
         raise ArithmeticError("resolvent solve failed; check Q is PSD")
     return P
-
-
-def prox_quadratic(lam, Q, b, x):
-    """Resolvent of the affine map u -> Qu + b, i.e. (I + lam Q)^{-1}(x - lam b).
-
-    Q must be positive semidefinite; the solve is verified by plugging the
-    result back into the defining equation.
-    """
-    x = as_vector(x)
-    lhs = np.eye(len(x)) + lam * np.asarray(Q, dtype=float)
-    return _quadratic_rows(lhs, (x - lam * as_vector(b))[None], x[None])[0]
 
 
 class MonotoneOp:
@@ -166,7 +148,8 @@ def zero_op():
 
 
 def box_op(lo, hi):
-    """Normal cone of the box [lo, hi]^d."""
+    """Normal cone of the box [lo, hi]^d; its resolvent clamps each
+    component onto [lo, hi]."""
     if lo > hi:
         raise ValueError("empty box: lo > hi")
 
@@ -194,7 +177,8 @@ def l1_op(weight=1.0):
 
 
 def affine_op(Q, b, label="affine"):
-    """Monotone map A(x) = Qx + b with Q positive semidefinite."""
+    """Monotone map A(x) = Qx + b with Q positive semidefinite; its
+    resolvent is (I + lam Q)^{-1}(x - lam b)."""
     Q = np.asarray(Q, dtype=float)
     b = as_vector(b)
     eye = np.eye(len(b))

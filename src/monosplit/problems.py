@@ -47,7 +47,7 @@ _SADDLE_A = (0.35170086403236667, -0.3403717362114469)
 @dataclass
 class ProblemSpec:
     name: str
-    d: int
+    d: int                 # of (x, y) stacked, for a saddle problem
     start: np.ndarray
     A: Optional[MonotoneOp] = None
     B: Optional[CocoerciveMap] = None

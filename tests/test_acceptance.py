@@ -14,9 +14,7 @@ import pytest
 from monosplit import problems
 from monosplit.baselines import run_baseline
 from monosplit.cli import main
-from monosplit.checks import (check_energy_decrease, check_g_cocoercivity,
-                              check_graph_inclusion, check_rilo,
-                              check_step_identities, check_ystar_bound)
+from monosplit.checks import check_g_cocoercivity, standard_suite
 from monosplit.cripda import (CripdaParams, build_metric, run_cripda,
                               stacked_operators)
 from monosplit.crifba import (CrifbaParams, decade_trend, default_params,
@@ -34,6 +32,12 @@ def crifba_run(name, max_iter, tol=0.0):
     res = run(prob.A, prob.B, default_params(prob.L_map()), prob.start,
               max_iter=max_iter, tol=tol)
     return prob, res
+
+
+def suite_report(prob, res, name):
+    """The named standard_suite report of a run, q the certified solution."""
+    reports = standard_suite(res, prob.A, prob.B, q=prob.certified_solution)
+    return {r.name: r for r in reports}[name]
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +77,7 @@ def test_step_identities_hold_over_long_runs(fix, request):
     prob, res = request.getfixturevalue(fix)
     assert res.n_iters >= 10**4
     t0 = time.perf_counter()
-    rep = check_step_identities(res, prob.A, prob.B)
+    rep = suite_report(prob, res, "step_identities")
     elapsed = time.perf_counter() - t0
     assert rep.passed, rep.worst_violation
     assert rep.worst_violation <= 1e-10
@@ -85,7 +89,7 @@ def test_step_identities_hold_over_long_runs(fix, request):
 @pytest.mark.parametrize("fix", ["p1_long", "p2_long"])
 def test_energy_nonincreasing(fix, request):
     prob, res = request.getfixturevalue(fix)
-    rep = check_energy_decrease(res, prob.certified_solution)
+    rep = suite_report(prob, res, "energy_decrease")
     assert rep.passed, rep.worst_violation
 
 
@@ -434,14 +438,14 @@ def test_metric_validation_matches_closed_form_region():
 
 def test_graph_elements_stay_in_graph(p1_long):
     prob, res = p1_long
-    rep = check_graph_inclusion(res, prob.A, prob.B)
+    rep = suite_report(prob, res, "graph_inclusion")
     assert rep.passed
     assert rep.n_checked == res.n_iters
 
 
 def test_graph_element_norm_bound(p1_long):
     prob, res = p1_long
-    rep = check_ystar_bound(res, prob.B)
+    rep = suite_report(prob, res, "ystar_bound")
     assert rep.passed, rep.worst_violation
 
 
@@ -460,5 +464,5 @@ def test_graph_elements_decay_fast(p1_long):
 
 def test_anchored_correction_bound(p2_long):
     prob, res = p2_long
-    rep = check_rilo(res, prob.B, prob.certified_solution)
+    rep = suite_report(prob, res, "rilo")
     assert rep.passed, rep.worst_violation

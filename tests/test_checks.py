@@ -6,11 +6,7 @@ import pytest
 
 import _reference_checks as reference
 from monosplit import cripda, problems
-from monosplit.checks import (BLOCK_ROWS, check_energy_decrease, check_estimg2,
-                              check_g_cocoercivity, check_graph_inclusion,
-                              check_residual_ratio, check_rilo,
-                              check_step_identities, check_ystar_bound,
-                              standard_suite)
+from monosplit.checks import BLOCK_ROWS, check_g_cocoercivity, standard_suite
 from monosplit.crifba import CrifbaParams, default_params, run
 from monosplit.metriclin import SpdMap
 from monosplit.operators import CocoerciveMap, MonotoneOp, affine_op
@@ -32,9 +28,14 @@ def lasso_run():
     return prob, res
 
 
+def by_name(res, A, B, q=None):
+    """The standard_suite reports of a run, by oracle name."""
+    return {r.name: r for r in standard_suite(res, A, B, q=q)}
+
+
 def test_step_identities_pass(clamp_run):
     prob, res = clamp_run
-    rep = check_step_identities(res, prob.A, prob.B)
+    rep = by_name(res, prob.A, prob.B)["step_identities"]
     assert rep.passed
     assert rep.n_checked == 2 * res.n_iters
     assert rep.worst_violation <= 1e-12
@@ -45,39 +46,39 @@ def test_step_identities_catch_corruption(clamp_run):
     import copy
     bad = copy.deepcopy(res)
     bad.X[100] += 0.05
-    rep = check_step_identities(bad, prob.A, prob.B)
+    rep = by_name(bad, prob.A, prob.B)["step_identities"]
     assert not rep.passed
 
 
 def test_energy_decrease_pass(lasso_run):
     prob, res = lasso_run
-    rep = check_energy_decrease(res, prob.certified_solution)
+    rep = by_name(res, prob.A, prob.B, prob.certified_solution)["energy_decrease"]
     assert rep.passed
     assert rep.details["E_last"] <= rep.details["E_first"]
 
 
 def test_residual_ratio_pass(lasso_run):
     prob, res = lasso_run
-    assert check_residual_ratio(res).passed
+    assert by_name(res, prob.A, prob.B)["residual_ratio"].passed
 
 
 def test_rilo_pass(lasso_run):
     prob, res = lasso_run
-    rep = check_rilo(res, prob.B, prob.certified_solution)
+    rep = by_name(res, prob.A, prob.B, prob.certified_solution)["rilo"]
     assert rep.passed
     assert rep.details["selector"] == 1
 
 
 def test_ystar_bound_pass(lasso_run):
     prob, res = lasso_run
-    rep = check_ystar_bound(res, prob.B)
+    rep = by_name(res, prob.A, prob.B)["ystar_bound"]
     assert rep.passed
     assert rep.details["const"] > 0
 
 
 def test_graph_inclusion_pass(clamp_run):
     prob, res = clamp_run
-    rep = check_graph_inclusion(res, prob.A, prob.B)
+    rep = by_name(res, prob.A, prob.B)["graph_inclusion"]
     assert rep.passed
     assert rep.n_checked == res.n_iters
 
@@ -87,14 +88,14 @@ def test_graph_inclusion_skips_without_membership(clamp_run):
     import copy
     bare = copy.copy(prob.A)
     bare.graph_member = None
-    rep = check_graph_inclusion(res, bare, prob.B)
+    rep = by_name(res, bare, prob.B)["graph_inclusion"]
     assert rep.status.startswith("skipped")
     assert rep.passed
 
 
 def test_estimg2_pass(lasso_run):
     prob, res = lasso_run
-    rep = check_estimg2(res)
+    rep = by_name(res, prob.A, prob.B)["drift_telescoping"]
     assert rep.passed
     assert "drift_trend" in rep.details
 
@@ -133,7 +134,7 @@ def test_standard_suite_all_pass(lasso_run):
 
 def test_report_serialization(clamp_run):
     prob, res = clamp_run
-    rep = check_step_identities(res, prob.A, prob.B)
+    rep = by_name(res, prob.A, prob.B)["step_identities"]
     d = rep.to_dict()
     assert d["name"] == "step_identities"
     assert isinstance(d["worst_violation"], float)
@@ -158,13 +159,12 @@ def test_rilo_tests_B_on_a_default_parameter_run(row):
         return prob.B._apply_rows(X) + 10.0 * np.all(X == z, axis=-1)[..., None]
 
     B = CocoerciveMap(bent, prob.B.certificate_L, rows=True)
-    clean = check_rilo(res, prob.B, q)
+    clean = by_name(res, prob.A, prob.B, q)["rilo"]
     assert clean.passed
     lam, ww, Lnorm = params.lam, params.w * (1.0 - params.w), params.L.norm()
     assert clean.details["delta"] == 0.5 * (lam * Lnorm / 4.0 + ww)
     assert clean.details["alpha"] == pytest.approx(1.0 - 0.9 / 0.95, rel=1e-12)
-    for rep in (check_rilo(res, B, q), reference.check_rilo(res, B, q),
-                {r.name: r for r in standard_suite(res, prob.A, B, q=q)}["rilo"]):
+    for rep in (reference.check_rilo(res, B, q), by_name(res, prob.A, B, q)["rilo"]):
         assert not rep.passed
         assert rep.details["delta"] == clean.details["delta"]
 
@@ -231,18 +231,6 @@ def test_standard_suite_matches_per_row_reference(name, steps):
     assert_matches_reference(standard_suite(res, A, B, q=q),
                              reference.standard_suite(res, A, B, q=q),
                              res.X.shape[1])
-
-
-def test_each_checker_reports_as_in_the_suite():
-    A, B, q, res = recorded("p2_lasso", LONG)
-    suite = {r.name: r for r in standard_suite(res, A, B, q=q)}
-    alone = [check_step_identities(res, A, B), check_estimg2(res),
-             check_residual_ratio(res), check_ystar_bound(res, B),
-             check_graph_inclusion(res, A, B),
-             check_energy_decrease(res, q), check_rilo(res, B, q)]
-    assert [r.name for r in alone] == list(suite)
-    for rep in alone:
-        assert rep == suite[rep.name]
 
 
 @pytest.mark.parametrize("row", [BLOCK_ROWS, BLOCK_ROWS + 1])

@@ -3,9 +3,8 @@ import pytest
 
 from monosplit import problems
 from monosplit.crifba import validate
-from monosplit.gcrifba import apply_T, default_gcrifba_params, run_gcrifba
+from monosplit.gcrifba import default_gcrifba_params, run_gcrifba
 from monosplit.metriclin import SpdMap
-from monosplit.operators import CocoerciveMap, zero_op
 
 
 def test_run_rejects_bad_weights():
@@ -27,23 +26,6 @@ def test_run_refuses_non_finite_weights(weights):
     p = default_gcrifba_params(prob.beta)
     with pytest.raises(ValueError, match=r"^weights must be in \(0,1\) and sum to 1$"):
         run_gcrifba(prob.A_list[:len(weights)], prob.B, p, prob.start, weights=weights)
-
-
-@pytest.mark.parametrize("weights,mean", [([0.5, 0.5], 2.0), ([0.25, 0.75], 2.5)])
-def test_apply_T_zero_operators_projects(weights, mean):
-    # with every A_k = 0 and B = 0 each output block equals the weighted mean
-    B = CocoerciveMap(lambda x: np.zeros_like(x), SpdMap(np.eye(1)))
-    out = apply_T(np.array([[1.0], [3.0]]), np.array(weights),
-                  [zero_op(), zero_op()], B, 0.5)
-    assert np.allclose(out, [[mean], [mean]])
-
-
-def test_apply_T_fixed_point():
-    # diagonal z with the mean at a zero of B and A_k = 0 is a fixed point
-    B = CocoerciveMap(lambda x: x - 1.5, SpdMap(np.eye(1)))
-    z = np.array([[1.5], [1.5]])
-    out = apply_T(z, np.array([0.5, 0.5]), [zero_op(), zero_op()], B, 0.5)
-    assert np.allclose(out, z)
 
 
 def test_default_params_and_validation():

@@ -681,6 +681,36 @@ def test_check_reports_a_history_it_cannot_read(tmp_path, capsys):
     assert "Z is not a file in the archive" in report["error"]
 
 
+LASSO_CFG = {"problem": "p2_lasso", "solver": {"kind": "crifba"},
+             "stop": {"max_iter": 50, "tol": 0.0}, "output": "lasso"}
+
+
+@pytest.mark.parametrize("defect, error", [
+    ("nan_in_X", "recorded X has non-finite entries"),
+    ("three_columns", "history X has shape (51, 3), not (51, 5)"),
+    ("short_legacy_V", "history V has shape (50, 5), not (51, 5)")])
+def test_check_reports_a_malformed_history(tmp_path, capsys, defect, error):
+    # an archive that loads but does not fit the config's problem: a NaN
+    # in X, every d-wide array cut to 3 of p2_lasso's 5 columns, or V in
+    # place of v0, as older runs wrote it, one row short
+    _, paths = harness.run_config(LASSO_CFG, outdir=str(tmp_path))
+    with np.load(paths["history"]) as data:
+        arrays = dict(data)
+    if defect == "nan_in_X":
+        arrays["X"][7, 2] = np.nan
+    elif defect == "three_columns":
+        arrays = {k: v if k == "res2" else v[..., :3] for k, v in arrays.items()}
+    else:
+        V = np.vstack((arrays.pop("v0"), arrays["Z"] - arrays["X"][1:]))
+        arrays["V"] = V[:-1]
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    cfg_path = write_cfg(tmp_path, "cfg.json", LASSO_CFG)
+    capsys.readouterr()
+    assert cli.main(["check", str(bad), cfg_path]) == 1
+    assert json.loads(capsys.readouterr().out) == {"status": "error", "error": error}
+
+
 def test_cli_compare(tmp_path):
     c1 = write_cfg(tmp_path, "c1.json", dict(CLAMP_CFG, output="c1"))
     c2 = write_cfg(tmp_path, "c2.json",

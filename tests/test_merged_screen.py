@@ -176,8 +176,6 @@ def entry_points(B, A):
         "residual_G": lambda: crifba.residual_G(A, B, None, 0.5, nan),
         "crifba_step": lambda: crifba.crifba_step(
             KMState(3, x, nan, x), crifba.default_params(B.certificate_L), A, B),
-        "apply_T": lambda: gcrifba.apply_T(np.array([[1.0, 2.0], [np.nan, 0.0]]),
-                                           np.array([0.5, 0.5]), [A, A], B, 0.5),
     }
 
 

@@ -4,8 +4,7 @@ import pytest
 from monosplit.metriclin import SpdMap
 from monosplit.operators import (CocoerciveMap, MonotoneOp, affine_op, box_op,
                                  cocoercivity_check, generalized_resolvent,
-                                 l1_op, prox_box, prox_l1, prox_quadratic,
-                                 zero_op)
+                                 l1_op, prox_l1, zero_op)
 
 
 def test_prox_l1_examples():
@@ -27,25 +26,26 @@ def test_prox_l1_subgradient_certificate():
         assert np.all(np.abs(r[~on]) <= lam + 1e-12)
 
 
-def test_prox_box_examples():
-    assert np.allclose(prox_box(0.0, 1.0, [-0.5, 0.5, 2.0]), [0.0, 0.5, 1.0])
-    assert np.allclose(prox_box(-np.inf, 2.0, [5.0, -7.0]), [2.0, -7.0])
+def test_box_resolvent_examples():
+    assert np.allclose(box_op(0.0, 1.0).resolvent(1.0, [-0.5, 0.5, 2.0]),
+                       [0.0, 0.5, 1.0])
+    assert np.allclose(box_op(-np.inf, 2.0).resolvent(1.0, [5.0, -7.0]), [2.0, -7.0])
     with pytest.raises(ValueError):
-        prox_box(1.0, 0.0, [0.0])
+        box_op(1.0, 0.0)
 
 
-def test_prox_quadratic_example():
+def test_affine_resolvent_example():
     # (I + 1*I)^{-1} (4 - 0) = 2
-    assert np.allclose(prox_quadratic(1.0, np.eye(1), [0.0], [4.0]), [2.0])
+    assert np.allclose(affine_op(np.eye(1), [0.0]).resolvent(1.0, [4.0]), [2.0])
 
 
-def test_prox_quadratic_plugback():
+def test_affine_resolvent_plugback():
     rng = np.random.default_rng(2)
     raw = rng.standard_normal((4, 4))
     Q = raw @ raw.T
     b = rng.standard_normal(4)
     x = rng.standard_normal(4)
-    p = prox_quadratic(0.7, Q, b, x)
+    p = affine_op(Q, b).resolvent(0.7, x)
     assert np.linalg.norm(p + 0.7 * (Q @ p + b) - x) <= 1e-10
 
 
