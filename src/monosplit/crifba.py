@@ -165,7 +165,7 @@ def residual_G(A, B, M, lam, x):
     return (x - forward_backward(A, B, M, lam, x)) / lam
 
 
-@dataclass
+@dataclass(slots=True)
 class KMState:
     """x_{n-1}, x_n and z_{n-1} at step n of any of the three solvers.
 
@@ -231,7 +231,7 @@ def iterate(x, x_prev, z_prev, params, evaluate, step, args, max_iter, tol):
     alone: its own error stands, a stop on tol stands, else the first
     error is raised again.
     """
-    shape = x.shape
+    shape, flat = x.shape, x.ndim == 1
     cap = min(max(max_iter, 0), RECORD_ROWS)
     X, Z = np.empty((cap + 1,) + shape), np.empty((cap,) + shape)
     res2 = np.empty(cap + 1)
@@ -254,7 +254,7 @@ def iterate(x, x_prev, z_prev, params, evaluate, step, args, max_iter, tol):
         np.add(np.add(xn, dx, zn), dz, zn)
         try:
             r2, ahead = evaluate(rows, n)
-            done = root(r2) <= tol
+            done = r2 >= 0.0 and math.sqrt(r2) <= tol
         except Exception:
             r2, _ = evaluate(rows[:1], n)
             if not (done := root(r2) <= tol):
@@ -273,7 +273,7 @@ def iterate(x, x_prev, z_prev, params, evaluate, step, args, max_iter, tol):
         out = X[n + 1]
         state = step(state, *args, ahead, out)
         Z[n] = zn
-        x = out.ravel()
+        x = out if flat else out.ravel()
         if not math.sqrt(x.dot(x)) <= 1e12:
             if not all_finite(x):
                 raise ArithmeticError("non-finite iterate at n=%d" % n)

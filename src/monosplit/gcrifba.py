@@ -40,21 +40,26 @@ def default_gcrifba_params(beta, safety=0.9, **overrides):
 
 
 def _resolvents(Z, A_list, B, lam, weights, steps):
-    """The weighted means U and the block resolvents R of a (k, p, d) stack
-    Z of block arrays: R[i, j] = J_{(lam/rho_j) A_j}(2 U_i - lam B(U_i) -
-    Z[i, j]), from one row call of B and of each A_j; steps[j] = lam/rho_j.
+    """R - U for the block resolvents R of a (k, p, d) stack Z of block
+    arrays and their weighted means U: R[i, j] = J_{(lam/rho_j) A_j}(2 U_i
+    - lam B(U_i) - Z[i, j]), from one row call of B and of each A_j, with U
+    taken off by one subtraction over the stack, in R; steps[j] = lam/rho_j.
 
-    Z is not screened here, nor are U and B's rows: a non-finite entry of
-    Z, U, B(U_i) or lam B(U_i) makes every block argument of row i
-    non-finite, so the argument screen of A_1's resolvent raises, before
-    any A_j is called.
+    Z, U and B's rows are not screened: a non-finite entry of any of them,
+    or of lam B(U_i), makes every block argument of row i non-finite, so
+    the argument screen of A_1's resolvent raises, before any A_j is
+    called. The later A_j's arguments are not screened either
+    (_loop_resolvent_rows): each differs from A_1's by the difference of two
+    blocks of the row, which the loop keeps far below where it could
+    overflow one argument and not the other. Every output is screened.
     """
     U = weights @ Z
     FW = _TWO * U - lam * B._loop_rows(U)
     R = np.empty_like(Z)
-    for j, A in enumerate(A_list):
-        R[:, j] = A.resolvent_rows(steps[j], FW - Z[:, j])
-    return U, R
+    R[:, 0] = A_list[0].resolvent_rows(steps[0], FW - Z[:, 0])
+    for j in range(1, len(A_list)):
+        R[:, j] = A_list[j]._loop_resolvent_rows(steps[j], FW - Z[:, j])
+    return np.subtract(R, U[:, None], R)
 
 
 def gcrifba_step(state, params, ahead, out=None):
@@ -62,16 +67,16 @@ def gcrifba_step(state, params, ahead, out=None):
     the new state, with its block array written into out when out is given,
     by the same ufuncs either way.
 
-    state.x is the (p, d) block array; ahead is the extrapolated block
-    array with its weighted mean and block resolvents, evaluated already by
-    the residual (see crifba.iterate), which screens the new blocks, and
-    the run's w with w as a 0-d float64 operand (a step given another
-    params.w takes it as a float, with the same bits).
+    state.x is the (p, d) block array; ahead holds the extrapolated block
+    array z and r - u, its block resolvents r centred on their weighted
+    mean u, from the residual (see crifba.iterate, which screens the new
+    blocks z + w (r - u)), and the run's w with w as a 0-d float64 operand
+    (a step given another params.w takes it as a float, with the same bits).
     """
-    z, u, r, w_run, w = ahead
+    z, ru, w_run, w = ahead
     if params.w != w_run:
         w = params.w
-    new_blocks = np.add(z, np.multiply(w, np.subtract(r, u, out), out), out)
+    new_blocks = np.add(z, np.multiply(w, ru, out), out)
     return KMState(state.n + 1, state.x, new_blocks, z)
 
 
@@ -117,20 +122,23 @@ def run_gcrifba(A_list, B, params, x0, max_iter=10**5, tol=1e-9, weights=None):
     w, w_0d = params.w, np.array(params.w, dtype=float)
     lam_0d = np.array(lam, dtype=float)     # as forward_backward_map takes it
     diff, prod = np.empty_like(b), np.empty_like(b)
+    flat = prod.ravel()     # a view: prod is contiguous
 
     def evaluate(S, n):
         zb = S[0]
-        U, R = _resolvents(S, A_list, B, lam_0d, weights, steps)
-        # T(zeta_n) - zeta_n in work rows, with T(zeta_n) formed as r - u + z:
-        # the order of tests/_reference_solvers.apply_T, whose bits res2 keeps
-        np.subtract(np.add(np.subtract(R[0], U[0], diff), zb, diff), zb, diff)
-        r2 = float(np.multiply(np.multiply(wcol, diff, prod), diff, prod).sum())
+        RU = _resolvents(S, A_list, B, lam_0d, weights, steps)
+        # T(zeta_n) - zeta_n in work rows, T(zeta_n) formed as r - u + z: the
+        # order of tests/_reference_solvers.apply_T, whose bits res2 keeps; the
+        # flat np.add.reduce has the bits of prod.sum() at half its cost
+        np.subtract(np.add(RU[0], zb, diff), zb, diff)
+        np.multiply(np.multiply(wcol, diff, prod), diff, prod)
+        r2 = float(np.add.reduce(flat))
         # a non-finite entry of T(zeta_n) makes r2 non-finite, and this test
         # costs a fraction of a screen of T(zeta_n)
         if not math.isfinite(r2):
             raise ArithmeticError("non-finite residual at n=%d" % n)
         # on the one row of iterate's fallback no step is taken
-        return r2, (S[-1], U[-1], R[-1], w, w_0d)
+        return r2, (S[-1], RU[-1], w, w_0d)
 
     N, stopped, Zeta, Z, res2 = iterate(b, b, b, params, evaluate, gcrifba_step,
                                         (params,), max_iter, tol)

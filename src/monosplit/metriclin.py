@@ -26,15 +26,19 @@ def _zeros(n):
 
 
 def _row_constant(row):
-    """shape -> row tiled to shape, (k, d) for k rows, read-only and kept
-    for the last shape: numpy takes it at less call cost than the row."""
-    @lru_cache(maxsize=1)
-    def tile(shape):
-        t = np.tile(row, shape[:-1] + (1,))
-        t.flags.writeable = False
-        return t
+    """shape -> row tiled to shape, (k, d) for k rows, read-only: numpy
+    takes it at less call cost than the row. The tile of the last shape is
+    kept, and the shape compared, which costs less than a cache's hash."""
+    last = tile = None
 
-    return tile
+    def rows(shape):
+        nonlocal last, tile
+        if shape != last:
+            last, tile = shape, np.tile(row, shape[:-1] + (1,))
+            tile.flags.writeable = False
+        return tile
+
+    return rows
 
 
 def as_vector(x):

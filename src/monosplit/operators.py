@@ -1,8 +1,11 @@
 """Monotone operators through their resolvents, plus a small prox catalog."""
 
+from functools import partial
+
 import numpy as np
 
-from .metriclin import _FLOAT64, SpdMap, _row_constant, as_rows, as_vector
+from .metriclin import (_FLOAT64, SCREEN_CHUNK, SpdMap, _row_constant, _zeros,
+                        all_finite, as_rows, as_vector)
 
 
 # 0 and 2 as 0-d float64 arrays, as forward_backward_map takes lam
@@ -18,7 +21,8 @@ def _soft(t, x):
 def _soft_rows(scale):
     """The row map (t, X) -> _soft(t * scale, X), its threshold a read-only
     0-d float64 formed once per t handed to it, keyed on t as
-    cripda.stacked_operators keys its steps on M."""
+    cripda.stacked_operators keys its steps on M; _soft's operations are
+    written out, which saves a call per row call."""
     key, thresh = None, None
 
     def soft(t, X):
@@ -26,7 +30,7 @@ def _soft_rows(scale):
         if t is not key:
             key, thresh = t, np.array(t * scale, dtype=float)
             thresh.flags.writeable = False
-        return _soft(thresh, X)
+        return np.sign(X) * np.maximum(np.abs(X) - thresh, _ZERO)
 
     return soft
 
@@ -90,13 +94,14 @@ class MonotoneOp:
     gen_resolvent(M, lam, r), each made here a row callable that calls it
     once per row. resolvent_rows and member_rows screen the blocks going
     in, and the resolvent's coming out unless it is the block that went in
-    (zero_op's); _loop_resolvent_rows only the latter. The solver loops
-    call the stored forms through forward_backward_map, whose argument
-    screens are also the check of B's rows. The attributes resolvent,
-    graph_member and gen_resolvent are the one-row calls of the stored
-    forms, or None where A has no such map; each screens its vectors.
-    The solvers evaluate a state's resolvent before its stop test and again
-    alone after a failed call, so the callables must be pure.
+    (zero_op's); _loop_resolvent_rows, which gcrifba's later blocks call,
+    only the latter. The solver loops call the stored forms through
+    forward_backward_map, whose argument screens also check B's rows. The
+    attributes resolvent, graph_member and gen_resolvent are the one-row
+    calls of the stored forms, or None where A has no such map; each
+    screens its vectors. The solvers evaluate a state's resolvent before
+    its stop test and again alone after a failed call, so the callables
+    must be pure.
     """
 
     def __init__(self, resolvent, graph_member=None, label="", affine=None,
@@ -196,55 +201,67 @@ def forward_backward_map(A, M, lam, B=None, lamB=0.0):
     (M + lam A)^{-1}(M x_i - lam B(x_i)) of a (k, d) block X, with B
     evaluated on X, or, with B None, lamB subtracted in place of the rows
     lam B(x_i): those rows, one shared row or 0. The branches over M and
-    A's forms are taken here, once; the callable calls A's stored row
-    forms directly.
+    A's forms are taken here, once; the callable calls B's and A's stored
+    row forms directly, M bound to the generalized one.
 
-    X holds rows screened already and is not screened again. Nor are B's
-    rows where a resolvent screens its argument: the plain one, in the
-    identity metric when A has one, screens x_i - lam B(x_i), and A's
-    generalized resolvent M x_i - lam B(x_i), which a non-finite B(x_i) or
-    an overflowing lam B(x_i) makes non-finite in the same row, so that
-    screen raises the ValueError that a screen of B's rows raised, before
-    A is called. A resolvent's output is screened unless it is its
-    argument (zero_op's). An affine A otherwise gets a direct linear solve
-    per row, which screens no argument, so that an overflowing M x_i fails
-    where the solver tests its iterate; B's rows are screened there as
-    they come out. A block with rows is refused for any other A outside
-    the identity metric rather than approximated. lam B(x_i) is formed
-    with lam as a 0-d float64 array, and a shared row of lamB is tiled to
-    the block (_row_constant): numpy takes either at less call cost, with
-    the same bits (tests/test_step_operands.py). A's maps get lam as given.
+    X holds rows screened already and is not screened again, nor are B's
+    rows where a resolvent screens its argument, x_i - lam B(x_i) for the
+    plain one (the identity metric, when A has one), else M x_i - lam
+    B(x_i): a non-finite B(x_i) or an overflowing lam B(x_i) makes it
+    non-finite in the same row, so that screen raises the ValueError of a
+    screen of B's rows, before A is called. The output is screened unless
+    it is the argument (zero_op's). Both screens, and B's float check, are
+    as_rows' and CocoerciveMap._loop_rows' written out, which saves a call
+    each; an output that is not a float64 array goes through as_rows. An
+    affine A otherwise gets a direct linear solve per row, which screens no
+    argument, so that an overflowing M x_i fails where the solver tests its
+    iterate; B's rows are screened there as they come out. Any other A
+    outside the identity metric refuses a block with rows. lam is a 0-d
+    float64 in lam B(x_i), and a shared row of lamB is tiled to the block
+    (_row_constant): numpy takes either at less call cost, with the same
+    bits (tests/test_step_operands.py). A's maps get lam as given.
     """
-    loop_B = None if B is None else B._loop_rows
+    apply_B = None if B is None else B._apply_rows
     lam_0d = np.array(lam, dtype=float)
     lamB_rows = _row_constant(lamB) if np.ndim(lamB) == 1 else lambda shape: lamB
     if M.is_identity and A._resolvent_rows is not None:
-        J = A._resolvent_rows
+        J, image = A._resolvent_rows, None
+    elif A._gen_resolvent_rows is not None:
+        J, image = partial(A._gen_resolvent_rows, M), M.apply_each
+    else:
+        Q, b = A.affine or (None, None)
+        Q = np.zeros((M.d, M.d)) if Q is None else np.asarray(Q, dtype=float)
+        lhs, lamb = M.matrix + lam * Q, lam * (np.zeros(M.d) if b is None else as_vector(b))
 
-        def plain_rows(X):
-            R = as_rows(X - (lamB_rows(X.shape) if loop_B is None else lam_0d * loop_B(X)))
-            out = J(lam, R)
+        def affine_rows(X):
+            lamBX = lamB_rows(X.shape) if B is None else lam_0d * as_rows(B._loop_rows(X))
+            if A.affine is None and len(X):
+                raise ValueError("generalized resolvent unavailable: metric is not the "
+                                 "identity and operator %r has no affine form or closed "
+                                 "formula" % A)
+            return _solve_rows(lhs, M.apply_each(X) - lamBX - lamb)
+        return affine_rows
+
+    def fb_rows(X):
+        if apply_B is None:
+            lamBX = lamB_rows(X.shape)
+        else:
+            BX = apply_B(X)
+            if type(BX) is not np.ndarray or BX.dtype is not _FLOAT64:
+                BX = np.asarray(BX, dtype=float)
+            lamBX = lam_0d * BX
+        R = (X if image is None else image(X)) - lamBX
+        if (R.ravel().dot(_zeros(R.size)) != 0.0 if R.size <= SCREEN_CHUNK
+                else not all_finite(R.ravel())):
+            raise ValueError("vector has non-finite entries")
+        out = J(lam, R)
+        if out is R or type(out) is not np.ndarray or out.dtype is not _FLOAT64:
             return out if out is R else as_rows(out)
-        return plain_rows
-    apply = M.apply_each
-    G = A._gen_resolvent_rows
-    if G is not None:
-        def metric_resolvent_rows(X):
-            lamBX = lamB_rows(X.shape) if loop_B is None else lam_0d * loop_B(X)
-            return as_rows(G(M, lam, as_rows(apply(X) - lamBX)))
-        return metric_resolvent_rows
-    Q, b = A.affine or (None, None)
-    Q = np.zeros((M.d, M.d)) if Q is None else np.asarray(Q, dtype=float)
-    lhs, lamb = M.matrix + lam * Q, lam * (np.zeros(M.d) if b is None else as_vector(b))
-
-    def affine_rows(X):
-        lamBX = lamB_rows(X.shape) if loop_B is None else lam_0d * as_rows(loop_B(X))
-        if A.affine is None and len(X):
-            raise ValueError("generalized resolvent unavailable: metric is not the "
-                             "identity and operator %r has no affine form or closed "
-                             "formula" % A)
-        return _solve_rows(lhs, apply(X) - lamBX - lamb)
-    return affine_rows
+        if (out.ravel().dot(_zeros(out.size)) != 0.0 if out.size <= SCREEN_CHUNK
+                else not all_finite(out.ravel())):
+            raise ValueError("vector has non-finite entries")
+        return out
+    return fb_rows
 
 
 def generalized_resolvent(A, M, lam, u):

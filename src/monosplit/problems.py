@@ -199,13 +199,13 @@ def _lasso_data():
 def _p2_lasso():
     K, b, mu, q = _lasso_data()
     beta = _lasso_beta()
-    A, b_rows = l1_op(mu), _row_constant(b)
+    A, b_rows, KT = l1_op(mu), _row_constant(b), K.T
 
     def grad_rows(X):
         # K^T (K x_i - b) by np.matvec, which takes the path of the 1-D
         # products for each row, where X @ K.T may sum in another order
         KX = np.matvec(K, X)
-        return np.matvec(K.T, np.subtract(KX, b_rows(KX.shape), KX))
+        return np.matvec(KT, np.subtract(KX, b_rows(KX.shape), KX))
 
     B = CocoerciveMap(grad_rows, SpdMap(np.eye(5) / beta),
                       label="least_squares_grad", rows=True)
@@ -272,12 +272,15 @@ def _p4_three():
 
 def _dual_prox(b=None):
     """Rows of the prox of sigma (|y|^2 / 2 + <b, y>), b None as 0, with
-    1 + sigma (0-d) and sigma b (tiled) formed once per sigma value."""
-    consts = lru_cache(maxsize=1)(lambda s: (
-        np.array(1.0 + s), None if b is None else _row_constant(s * b)))
+    1 + sigma (0-d) and sigma b (tiled) formed from float(sigma) once per
+    sigma handed to it, keyed on sigma as operators._soft_rows keys its t."""
+    key = scale = shift = None
 
     def prox(sigma, U):
-        scale, shift = consts(float(sigma))
+        nonlocal key, scale, shift
+        if sigma is not key:
+            key, s = sigma, float(sigma)
+            scale, shift = np.array(1.0 + s), None if b is None else _row_constant(s * b)
         return (U if shift is None else U - shift(U.shape)) / scale
 
     return prox

@@ -1,5 +1,5 @@
 """The lean step paths: the finiteness screens a solver step makes
-(as_vector and as_rows calls per step, pinned), the failures that a
+(as_vector calls and block screens per step, pinned), the failures that a
 put-off screen must still raise as the screen did, and the primal-dual
 run against its reference loop at w != 1/2, where (1 - w) products
 round."""
@@ -13,7 +13,7 @@ import _reference_solvers as reference
 from monosplit import (baselines, checks, crifba, cripda, gcrifba, harness,
                        metriclin, operators, problems)
 from monosplit.metriclin import as_vector, operator_norm
-from monosplit.operators import SaddleFunctionPair
+from monosplit.operators import SaddleFunctionPair, box_op
 from test_reference_solvers import (assert_close, saddle_case, same_failure,
                                     same_outcome, start)
 
@@ -23,20 +23,27 @@ MODULES = (metriclin, operators, crifba, cripda, gcrifba, baselines, problems,
 
 @pytest.fixture
 def screens(monkeypatch):
-    """as_vector and as_rows, counted through every module's binding of
-    them; returns the dict of counts."""
-    counts = {}
-    for name in ("as_vector", "as_rows"):
-        counts[name] = 0
+    """The screens, counted: "as_vector" its calls, and "rows" the block
+    screens, which are as_rows calls and the screens that the row callable
+    of operators.forward_backward_map writes out, each one call of the
+    operators module's binding of _zeros, or of all_finite on a block
+    longer than SCREEN_CHUNK; as_vector and as_rows are counted through
+    every module's binding of them. Returns the dict of counts."""
+    counts = {"as_vector": 0, "rows": 0}
+
+    def counted(fn, key):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+        return call
+
+    for name, key in (("as_vector", "as_vector"), ("as_rows", "rows")):
         screen = getattr(metriclin, name)
-
-        def counted(x, screen=screen, name=name):
-            counts[name] += 1
-            return screen(x)
-
         for mod in MODULES:
             if getattr(mod, name, None) is screen:
-                monkeypatch.setattr(mod, name, counted)
+                monkeypatch.setattr(mod, name, counted(screen, key))
+    for name in ("_zeros", "all_finite"):
+        monkeypatch.setattr(operators, name, counted(getattr(operators, name), "rows"))
     return counts
 
 
@@ -59,19 +66,19 @@ def test_cripda_screens_per_step(screens):
     # cripda runs the core step on the stack, with its residual and its
     # step sharing one row call of the resolvent. p5_lasso_pd's gradients
     # are both constant, so the stacked B is taken once per run and the
-    # loop makes no B call: the two screens left are metric_resolvent_rows
-    # screening the block M u - B(u) of x_n and z_n as it enters the
-    # stack's resolvent (1), and its output block (1); the catalog l1 prox row
-    # form soft-thresholds its block unscreened, and M u itself is not
-    # screened, nor is any of these values a second time. vel2 is formed
-    # RECORD_ROWS states at a time, one screen of each block
+    # loop makes no B call: the two screens left are forward_backward_map's
+    # row callable screening the block M u - B(u) of x_n and z_n as it
+    # enters the stack's resolvent (1), and its output block (1); the
+    # catalog l1 prox row form soft-thresholds its block unscreened, and
+    # M u itself is not screened, nor is any of these values a second time.
+    # vel2 is formed RECORD_ROWS states at a time, one screen of each block
     prob = problems.get("p5_lasso_pd")
     step = 0.7 / operator_norm(prob.saddle.K)
     params = cripda.CripdaParams(tau=step, sigma=step)
     y0 = 0.01 * np.random.default_rng(1).standard_normal(5)
     got = per_step(screens, lambda n: cripda.run_cripda(
         prob.saddle, params, start(prob, 1), y0, max_iter=n, tol=0.0))
-    assert got == {"as_vector": 0, "as_rows": 2 + 1 / crifba.RECORD_ROWS}
+    assert got == {"as_vector": 0, "rows": 2 + 1 / crifba.RECORD_ROWS}
 
 
 def test_crifba_and_gcrifba_screen_only_blocks(screens):
@@ -83,21 +90,23 @@ def test_crifba_and_gcrifba_screen_only_blocks(screens):
     got = per_step(screens, lambda n: crifba.run(
         p2.A, p2.B, crifba.default_params(p2.L_map()), start(p2, 2),
         max_iter=n, tol=0.0))
-    assert got == {"as_vector": 0, "as_rows": 2}
+    assert got == {"as_vector": 0, "rows": 2}
     # p3's A is zero_op, whose resolvent returns its screened argument:
     # that block is not screened again on the way out
     p3 = problems.get("p3_spectrum")
     got = per_step(screens, lambda n: crifba.run(
         p3.A, p3.B, crifba.default_params(p3.L_map()), start(p3, 2),
         max_iter=n, tol=0.0))
-    assert got == {"as_vector": 0, "as_rows": 1}
+    assert got == {"as_vector": 0, "rows": 1}
     # one row call of B, whose rows feed both block arguments, and of each
-    # of the two block resolvents, which screen their argument and output
+    # of the two block resolvents, which screen their output; only the first
+    # screens its argument, which is non-finite in every row where the
+    # second's is (gcrifba._resolvents, test_gcrifba_screens_one_block_argument)
     p4 = problems.get("p4_three")
     got = per_step(screens, lambda n: gcrifba.run_gcrifba(
         p4.A_list, p4.B, gcrifba.default_gcrifba_params(p4.beta), start(p4, 2),
         max_iter=n, tol=0.0))
-    assert got == {"as_vector": 0, "as_rows": 4}
+    assert got == {"as_vector": 0, "rows": 3}
 
 
 def stacked_saddle_run():
@@ -112,20 +121,21 @@ def stacked_saddle_run():
 
 
 def test_the_stacked_run_screens_B_in_the_resolvent_argument(screens):
-    # in the block metric metric_resolvent_rows screens the generalized
-    # resolvent's argument M u - B(u) (1), which checks B's rows, and its
-    # output (1)
+    # in the block metric forward_backward_map's row callable screens the
+    # generalized resolvent's argument M u - B(u) (1), which checks B's
+    # rows, and its output (1)
     _, _, run = stacked_saddle_run()
     got = per_step(screens, run)
-    assert got == {"as_vector": 0, "as_rows": 2}
+    assert got == {"as_vector": 0, "rows": 2}
 
 
 def test_a_nan_B_row_on_the_stacked_run_fails_in_the_argument_screen():
     # from B's fifth call on, one entry of its last row is NaN: the
-    # argument M u - B(u) is NaN in that row, and metric_resolvent_rows'
-    # screen of it raises the ValueError that a screen of B's rows raised,
-    # in the same row call, before the stack's generalized resolvent is
-    # called; the retry on x_n alone meets the same NaN and raises again
+    # argument M u - B(u) is NaN in that row, and its screen, written out in
+    # forward_backward_map's row callable, raises there the ValueError that
+    # a screen of B's rows raised, in the same row call, before the stack's
+    # generalized resolvent is called; the retry on x_n alone meets the same
+    # NaN and raises again
     A, B, run = stacked_saddle_run()
     apply_rows, gen_rows = B._apply_rows, A._gen_resolvent_rows
     events = []
@@ -144,8 +154,72 @@ def test_a_nan_B_row_on_the_stacked_run_fails_in_the_argument_screen():
     B._apply_rows, A._gen_resolvent_rows = B_rows, gen
     with pytest.raises(ValueError, match="^vector has non-finite entries$") as info:
         run(10)
-    assert traceback.extract_tb(info.tb)[-2].name == "metric_resolvent_rows"
+    assert traceback.extract_tb(info.tb)[-1].name == "fb_rows"
     assert events == ["B", "gen"] * 4 + ["B", "B"]
+
+
+def recorded_blocks(monkeypatch, p, events, nan_B_row=False):
+    """p box blocks and p4_three's B, each row call of which appends its
+    name ("B", "A0", "A1", ...) to events, as does each screen ("screen")
+    of a block argument or output; with nan_B_row, B's last row is NaN."""
+    A_list = [box_op(-np.inf, 2.0), box_op(1.0, np.inf), box_op(-5.0, 5.0)][:p]
+    B = problems.get("p4_three").B
+    apply_rows = B._apply_rows
+
+    def B_rows(U):
+        events.append("B")
+        out = apply_rows(U)
+        if nan_B_row:
+            out[-1, 0] = np.nan
+        return out
+
+    B._apply_rows = B_rows
+    for j, A in enumerate(A_list):
+        A._resolvent_rows = lambda lam, X, J=A._resolvent_rows, j=j: (
+            events.append("A%d" % j), J(lam, X))[1]
+    screen = operators.as_rows
+    monkeypatch.setattr(operators, "as_rows",
+                        lambda X: (events.append("screen"), screen(X))[1])
+    return A_list, B
+
+
+# a NaN in the last block of row 1 of Z; a NaN in B's last row; Z's row 1
+# at the largest float, whose weighted mean overflows under weights that
+# _block_weights accepts, summing to 1 + 8e-13
+SCREEN_CASES = ["finite", "nan_later_block", "nan_B_row", "inf_U_row"]
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES)
+@pytest.mark.parametrize("p", [2, 3])
+def test_gcrifba_screens_one_block_argument(monkeypatch, p, case):
+    # the block arguments of a row share 2 U_i - lam B(U_i): a non-finite
+    # entry of Z, U or B's rows makes all of them non-finite, so only A_1's
+    # is screened, and its screen raises before any A_j is called; every
+    # block output is screened
+    events = []
+    A_list, B = recorded_blocks(monkeypatch, p, events, nan_B_row=case == "nan_B_row")
+    Z = np.random.default_rng(p).standard_normal((2, p, 1))
+    weights = np.full(p, 1.0 / p)
+    if case == "nan_later_block":
+        Z[1, p - 1, 0] = np.nan
+    if case == "inf_U_row":
+        weights = gcrifba._block_weights(weights * (1.0 + 8e-13), p)
+        Z[1] = np.finfo(float).max
+        with np.errstate(over="ignore"):
+            assert np.isinf(weights @ Z[1]).all() and np.isfinite(Z).all()
+    lam = 0.5
+    call = lambda: gcrifba._resolvents(Z, A_list, B, np.array(lam), weights,
+                                       (lam / weights).tolist())
+    if case == "finite":
+        RU = call()
+        assert events == ["B", "screen"] + sum([["A%d" % j, "screen"]
+                                                for j in range(p)], [])
+        assert RU.shape == Z.shape and np.isfinite(RU).all()
+        return
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+            call()
+    assert events == ["B", "screen"]
 
 
 # every resolvent call is a row call, which screens its argument and its
@@ -168,7 +242,7 @@ def test_baseline_screens_per_step(screens, kind):
     prob = problems.get("p1_clamp" if kind in ("ppa", "dr") else "p2_lasso")
     got = per_step(screens, lambda n: baselines.run_baseline(
         kind, prob, start(prob, 3), max_iter=n, tol=-1.0))
-    assert got == {"as_vector": 0, "as_rows": BASELINE_SCREENS[kind]}
+    assert got == {"as_vector": 0, "rows": BASELINE_SCREENS[kind]}
 
 
 def big_prox_pair(k, big, rows=False):

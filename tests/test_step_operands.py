@@ -9,7 +9,10 @@ as tiles of the block's shape. All must give the bits of the one-step
 forms: the table those of schedule(params, n), the z_n a run writes those
 of extrapolate, an array operand those of the Python float, a tile those
 of the broadcast row, and a step that writes x_{n+1} into its out row
-those of the step that returns a new array.
+those of the step that returns a new array. So must the forms the row call
+writes out: gcrifba's flat np.add.reduce those of ndarray.sum, _soft_rows
+those of _soft, and _dual_prox's constants, keyed on the sigma object,
+those of the float forms.
 """
 
 import numpy as np
@@ -164,18 +167,21 @@ def threshold(soft):
 def test_soft_thresholds_are_0d_operands_formed_once_per_step():
     # l1_op's resolvent rows and p5_lasso_pd's prox_G form lam * weight
     # and tau * mu once per lam or tau they are handed, as a read-only 0-d
-    # float64, with the bits of _soft on the float threshold
+    # float64, with the bits of _soft on the float threshold, on ordinary
+    # and special values (_soft_rows writes _soft's operations out)
     rng = np.random.default_rng(9)
     X = rng.standard_normal((4, 5))
     X[0, :2] = 0.0, -0.0
+    S = special_rows(rng, 8, 5)
     prob = problems.get("p5_lasso_pd")
     mu = prob.extras["mu"]
     cases = [(l1_op(0.3)._resolvent_rows, 0.3, (0.5, 1.7, 1e-300, 0.5)),
              (prob.saddle.prox_G, mu, (np.array(0.37), np.array(1.9)))]
     for soft, scale, steps in cases:
         for t in steps:
-            for D in (X, X[:, 1:]):
-                assert soft(t, D).tobytes() == _soft(t * scale, D).tobytes(), t
+            for D in (X, X[:, 1:], S):
+                with np.errstate(invalid="ignore"):
+                    assert soft(t, D).tobytes() == _soft(t * scale, D).tobytes(), t
             thresh = threshold(soft)
             assert type(thresh) is np.ndarray and thresh.shape == ()
             assert thresh.dtype == float and not thresh.flags.writeable
@@ -328,6 +334,13 @@ def test_a_row_constant_tiles_to_the_shape_it_is_asked_for():
         assert tile.shape == (k, 6) and not tile.flags.writeable
         assert tile.tobytes() == np.tile(row, (k, 1)).tobytes()
         assert rows((k, 6)) is tile     # kept for the last shape
+    # the closure keeps one tile: a change of shape forms a fresh one, and
+    # so does a change back
+    first = rows((3, 6))
+    assert rows((3, 6)) is first and rows((4, 6)) is not first
+    again = rows((3, 6))
+    assert again is not first and again.tobytes() == first.tobytes()
+    assert not again.flags.writeable
     assert rows((6,)).tobytes() == row.tobytes()
 
 
@@ -372,14 +385,18 @@ def test_crifba_step_fills_the_out_row_with_the_plain_form(run_w, step_w):
 @pytest.mark.parametrize("run_w", OUT_WS)
 @pytest.mark.parametrize("step_w", OUT_WS)
 def test_gcrifba_step_fills_the_out_row_with_the_plain_form(run_w, step_w):
+    # the residual hands the step row 1 of r - u, formed by one subtraction
+    # over the (2, p, d) stack with u broadcast to the blocks: the new blocks
+    # hold the bits of z + w (r - u) with the row's own r and u
     rng = np.random.default_rng(int(10 * run_w + 100 * step_w) + 1)
     params = CrifbaParams(w=step_w)
     for _ in range(5):
         state = KMState(7, *rng.standard_normal((3, 3, 4)))
-        z, r = rng.standard_normal((2, 3, 4)) * [[[1e-3]], [[1e5]]]
-        u = rng.standard_normal(4)
-        ahead = (z, u, r, run_w, np.array(run_w))
-        want = (z + step_w * (r - u)).tobytes()
+        z = rng.standard_normal((3, 4)) * 1e-3
+        R, U = rng.standard_normal((2, 3, 4)) * 1e5, rng.standard_normal((2, 4))
+        ru = np.subtract(R, U[:, None])[1]
+        ahead = (z, ru, run_w, np.array(run_w))
+        want = (z + step_w * (R[1] - U[1])).tobytes()
         assert gcrifba.gcrifba_step(state, params, ahead).x.tobytes() == want
         X = np.full((3, 3, 4), np.nan)
         new = gcrifba.gcrifba_step(state, params, ahead, X[1])
@@ -387,3 +404,53 @@ def test_gcrifba_step_fills_the_out_row_with_the_plain_form(run_w, step_w):
         assert X[1].tobytes() == want
         assert np.isnan(X[[0, 2]]).all()
         assert new.n == 8 and new.x_prev is state.x and new.z_prev is z
+
+
+# --- the row call's rewritten forms ---------------------------------------------
+
+def test_the_flat_add_reduce_gives_the_bits_of_sum():
+    # gcrifba's residual sums its (p, d) products by np.add.reduce over
+    # their flat view: on p <= 5 blocks of d <= 21 special values, finite
+    # and not, the bits of ndarray.sum
+    rng = np.random.default_rng(59)
+    with np.errstate(all="ignore"):
+        for p in range(1, 6):
+            for d in range(1, 22):
+                for finite in (True, False):
+                    for _ in range(4):
+                        a = special_rows(rng, p, d, finite) * rng.standard_normal((p, d))
+                        assert bits(np.add.reduce(a.ravel())) == bits(a.sum()), (p, d)
+
+
+def dual_constants(prox):
+    """The (key, scale, shift) a _dual_prox map holds in its closure."""
+    cells = dict(zip(prox.__code__.co_freevars, prox.__closure__))
+    return tuple(cells[name].cell_contents for name in ("key", "scale", "shift"))
+
+
+@pytest.mark.parametrize("with_b", [False, True])
+def test_dual_prox_constants_are_the_float_forms_keyed_on_sigma(with_b):
+    # 1 + sigma and sigma b are formed from float(sigma) once per sigma
+    # object handed to the map: a 0-d array, a numpy scalar and a Python
+    # float give the bits of the float forms, the same object keeps its
+    # constants, and another object of the same value forms them again
+    rng = np.random.default_rng(67)
+    b = special_rows(rng, 1, 5, finite=True)[0] if with_b else None
+    prox = problems._dual_prox(b)
+    U = special_rows(rng, 2, 5)
+    for sigma in (np.array(0.37), np.float64(1.9), 0.37, np.array(1e-300)):
+        s = float(sigma)
+        with np.errstate(all="ignore"):
+            got = prox(sigma, U)
+            want = (U if b is None else U - s * b) / (1.0 + s)
+        assert got.tobytes() == want.tobytes(), sigma
+        key, scale, shift = dual_constants(prox)
+        assert key is sigma and bits(scale) == bits(1.0 + s)
+        if b is None:
+            assert shift is None
+        else:
+            assert shift(U.shape).tobytes() == np.tile(s * b, (2, 1)).tobytes()
+        prox(sigma, U)
+        assert dual_constants(prox)[1] is scale
+        prox(np.array(s), U)
+        assert dual_constants(prox)[1] is not scale
