@@ -54,12 +54,12 @@ def feasible_step_bound(M, L, w):
     return 4.0 * w * (1.0 - w) * M.min_eigenvalue() / L.norm()
 
 
-def default_params(L, M=None, safety=0.9, **overrides):
-    """Defaults with lam set strictly inside the feasibility region."""
+def default_params(L, M=None, **overrides):
+    """Defaults with lam, unless given, 0.9 times feasible_step_bound."""
     p = CrifbaParams(L=L, M=M, **overrides)
     Mm = M if M is not None else SpdMap.identity(L.d)
     if "lam" not in overrides:
-        p.lam = safety * feasible_step_bound(Mm, L, p.w)
+        p.lam = 0.9 * feasible_step_bound(Mm, L, p.w)
     return p
 
 

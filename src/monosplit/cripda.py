@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .crifba import RECORD_ROWS, CrifbaParams, RunResult, _run, validate
+from .crifba import CrifbaParams, RunResult, _run, validate
 from .metriclin import SpdMap, as_vector, operator_norm
 from .operators import MonotoneOp, CocoerciveMap
 
@@ -103,12 +103,8 @@ class CripdaResult:
     y: np.ndarray
     n_iters: int
     stopped: str
-    ns: np.ndarray
-    vel2: np.ndarray
-    fpr2: np.ndarray
-    hist: np.ndarray      # stacked (x, y) iterates
-    selector: int
-    core: Optional[RunResult] = None    # the run on the stacked inclusion
+    hist: np.ndarray      # stacked (x, y) iterates, the core run's X
+    core: RunResult       # the run on the stacked inclusion
 
 
 def stacked_problem(problem, params):
@@ -133,26 +129,15 @@ def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):
     from u_0 = (x_0, y_0), with its parameters checked by crifba.validate;
     with two constant gradients, B is taken once and not called: a
     non-finite z_n makes all of M z_n non-finite, which the resolvent
-    screens. core is that run.
-    The other columns are read off it: hist is its X; ns and fpr2 (its
-    res2) cover the states tested, which leave out x_N unless the run
-    stopped on tol; vel2 is the squared M-norm of u_{n+1} - u_n, formed
-    crifba.RECORD_ROWS states at a time, with 0 for the state that met tol.
+    screens. core is that run, and its res2 and crifba.diagnostics are the
+    saddle run's residual and trace; x, y and hist are read off its X.
     """
     A, B, core = stacked_problem(problem, params)
-    selector = validate(core).selector
+    validate(core)
     x0 = as_vector(x0)
-    y0 = as_vector(y0)
-    u0 = np.concatenate([x0, y0])
+    u0 = np.concatenate([x0, as_vector(y0)])
     c = B(u0) if problem.lip_Q == problem.lip_Pstar == 0.0 else None
     res = _run(A, B, core, u0, max_iter, tol, B_value=c)
-    N, X, M, dx = res.n_iters, res.X, core.M, len(x0)
-    tested = N + (res.stopped == "tol")
-    vel2 = np.zeros(tested)
-    for a in range(0, N, RECORD_ROWS):
-        c = min(a + RECORD_ROWS, N)
-        vel2[a:c] = M.norm2_each(np.diff(X[a:c + 1], axis=0))
-    # an empty ns is float, as np.array([]); np.arange makes no Python ints
-    return CripdaResult(res.x[:dx], res.x[dx:], N, res.stopped,
-                        np.arange(tested) if tested else np.empty(0), vel2,
-                        res.res2[:tested], X, selector, res)
+    dx = len(x0)
+    return CripdaResult(res.x[:dx], res.x[dx:], res.n_iters, res.stopped,
+                        res.X, res)

@@ -28,14 +28,14 @@ def _block_weights(weights, p):
     return w
 
 
-def default_gcrifba_params(beta, safety=0.9, **overrides):
+def default_gcrifba_params(beta, **overrides):
     """crifba parameters of a run on a problem whose B is beta-cocoercive:
     L = (1/beta) I_1, so that crifba.validate reads the step bound
     lam < 4w(1-w)beta as its condition 1 in the identity metric; lam, when
-    not given, is that bound times safety."""
+    not given, is 0.9 times that bound."""
     lam = overrides.pop("lam", None)
     p = CrifbaParams(L=SpdMap(np.eye(1) / beta), **overrides)
-    p.lam = lam if lam is not None else safety * 4.0 * p.w * (1.0 - p.w) * beta
+    p.lam = lam if lam is not None else 0.9 * 4.0 * p.w * (1.0 - p.w) * beta
     return p
 
 

@@ -66,7 +66,8 @@ def read_config(cfg):
     field must be a number, null only where the solver's default is None;
     the solvers' validators check its range. ValueError on a key the kind
     does not read, a key it needs that is missing (cripda's tau and sigma),
-    a field of the wrong type or a problem the kind does not run on;
+    a field of the wrong type, an output that is not a file name or a
+    problem the kind does not run on;
     KeyError on an unknown or missing problem. Defaults: kind crifba,
     stride 1, max_iter 10**6 (1e6 reads as an integer), tol 1e-9, output
     run_<config hash>, certify_tol 1e-6."""
@@ -92,6 +93,9 @@ def read_config(cfg):
     output = cfg.get("output", "run_%s" % config_hash(cfg))
     if type(output) is not str:
         raise ValueError("output must be a string, got %r" % (output,))
+    if not output or os.path.basename(output) != output:
+        # run writes <outdir>/<output>.*: a directory part would leave outdir
+        raise ValueError("output must be a file name, got %r" % (output,))
     certify_tol = _limit(cfg, "certify_tol", 1e-6)
     problem = problems.get(cfg["problem"])
     if getattr(problem, form) is None:

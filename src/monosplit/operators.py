@@ -13,16 +13,11 @@ _ZERO, _TWO = np.array(0.0), np.array(2.0)
 _ZERO.flags.writeable = _TWO.flags.writeable = False
 
 
-def _soft(t, x):
-    """sign(x_i) * max(|x_i| - t, 0) on an array x that is not screened."""
-    return np.sign(x) * np.maximum(np.abs(x) - t, _ZERO)
-
-
 def _soft_rows(scale):
-    """The row map (t, X) -> _soft(t * scale, X), its threshold a read-only
-    0-d float64 formed once per t handed to it, keyed on t as
-    cripda.stacked_operators keys its steps on M; _soft's operations are
-    written out, which saves a call per row call."""
+    """The row map (t, X) -> sign(X) * max(|X| - t scale, 0), the soft
+    threshold of the rows of X, which are not screened; t scale is a
+    read-only 0-d float64 formed once per t handed to it, keyed on t as
+    cripda.stacked_operators keys its steps on M."""
     key, thresh = None, None
 
     def soft(t, X):
@@ -33,11 +28,6 @@ def _soft_rows(scale):
         return np.sign(X) * np.maximum(np.abs(X) - thresh, _ZERO)
 
     return soft
-
-
-def prox_l1(lam, x):
-    """Soft thresholding: sign(x_i) * max(|x_i| - lam, 0)."""
-    return _soft(lam, as_vector(x))
 
 
 def _per_row(fn):

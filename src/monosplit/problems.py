@@ -17,7 +17,7 @@ import numpy as np
 
 from .metriclin import SpdMap, _row_constant, as_vector, operator_norm
 from .operators import (CocoerciveMap, MonotoneOp, SaddleFunctionPair,
-                        _soft_rows, affine_op, box_op, l1_op, prox_l1, zero_op)
+                        _soft_rows, affine_op, box_op, l1_op, zero_op)
 
 # the source of the recorded draws below: with rng = default_rng(SEED),
 # _LASSO_K is rng.standard_normal((5, 5)) and _LASSO_B the next
@@ -223,7 +223,7 @@ def _p2_lasso():
         # benchmark's choice of chambolle_dossal configs
         extras={"K": K, "b": b, "mu": mu,
                 "f_grad": lambda x: K.T @ (K @ x - b),
-                "g_prox": lambda lam, x: prox_l1(lam * mu, x),
+                "g_prox": A.resolvent,
                 "objective": theta, "objective_opt": theta(q)})
 
 
@@ -236,9 +236,8 @@ def p3_spectrum_modes():
 def _p3_spectrum():
     mus = p3_spectrum_modes()
     d = len(mus)
-    Q = np.diag(mus)
-    # mu <= 1 for every mode, so Q - Q^2 is PSD and the identity certifies
-    # co-coercivity with modulus 1
+    # mu <= 1 for every mode, so Q - Q^2 is PSD for Q = diag(mus), and the
+    # identity certifies co-coercivity with modulus 1
     mus_rows = _row_constant(mus)
     B = CocoerciveMap(lambda X: mus_rows(X.shape) * X, SpdMap(np.eye(d)),
                       label="degenerate_quadratic", rows=True)
@@ -247,7 +246,7 @@ def _p3_spectrum():
         certified_solution=np.zeros(d),
         certification="unique zero of a positive diagonal quadratic",
         certify_fn=lambda x: np.linalg.norm(mus * as_vector(x)),
-        extras={"modes": mus, "Q": Q})
+        extras={"modes": mus})
 
 
 def _flat_interval():

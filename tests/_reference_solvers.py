@@ -15,11 +15,13 @@ on recorded rows only. The state types, the schedule and the block
 vector type ``ProductVector`` are kept here as they were too; the
 product-space loop forms the package's columns from its old lists.
 Parameter types, validators, result types and the operators themselves
-are the package's own; the maps of a saddle pair, which the package
-stores only as row forms, are called here one vector at a time (one_row),
-and the primal-dual residual writes its closed-form resolvent out, with
-tau and sigma as given. The chambolle_dossal step reads B and A, as the
-package's does.
+are the package's own, but for the primal-dual result: ``CripdaResult``
+here keeps the columns the package's no longer forms, which
+test_reference_solvers.assert_close reads through its core run. The maps
+of a saddle pair, which the package stores only as row forms, are called
+here one vector at a time (one_row), and the primal-dual residual writes
+its closed-form resolvent out, with tau and sigma as given. The
+chambolle_dossal step reads B and A, as the package's does.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ import numpy as np
 
 from monosplit.baselines import _KINDS, BaselineResult, default_step
 from monosplit.crifba import RunResult, validate
-from monosplit.cripda import CripdaResult, stacked_problem
+from monosplit.cripda import stacked_problem
 from monosplit.gcrifba import GcrifbaResult
 from monosplit.metriclin import as_vector
 
@@ -237,6 +239,22 @@ def fixed_point_residual(problem, params, M, x, y):
                            + 2.0 * sigma * (problem.K @ px)))
     diff = u - np.concatenate([px, py])
     return np.sqrt(max(M.norm2(diff), 0.0))
+
+
+@dataclass
+class CripdaResult:
+    """The result run_cripda returned when it formed its own columns: ns and
+    fpr2 over the states tested, vel2 with 0 for the state that met tol, and
+    the selector of its parameters."""
+    x: np.ndarray
+    y: np.ndarray
+    n_iters: int
+    stopped: str
+    ns: np.ndarray
+    vel2: np.ndarray
+    fpr2: np.ndarray
+    hist: np.ndarray
+    selector: int
 
 
 def run_cripda(problem, params, x0, y0, max_iter=10**5, tol=1e-9):

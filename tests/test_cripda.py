@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from _reference_maps import prox_l1
 from monosplit import problems
 from monosplit.crifba import KMState, crifba_step, residual_G, validate
 from monosplit.cripda import (CripdaParams, build_metric, run_cripda,
                               stacked_operators, stacked_problem)
 from monosplit.metriclin import operator_norm
-from monosplit.operators import SaddleFunctionPair, prox_l1
+from monosplit.operators import SaddleFunctionPair
 
 
 def plain_pair(K, lip_Q=0.0, lip_Pstar=0.0, grad_Q=None, grad_Pstar=None):
@@ -135,10 +136,10 @@ def test_fixed_point_residual_at_solution():
 
 def test_run_quadratic_saddle():
     prob = problems.get("p5_saddle")
-    res = run_cripda(prob.saddle, CripdaParams(tau=0.2, sigma=0.2),
-                     prob.start, np.zeros(2), tol=1e-9)
+    params = CripdaParams(tau=0.2, sigma=0.2)
+    res = run_cripda(prob.saddle, params, prob.start, np.zeros(2), tol=1e-9)
     assert res.stopped == "tol"
-    assert res.selector == 1
+    assert validate(stacked_problem(prob.saddle, params)[2]).selector == 1
     ok, r = problems.certify(prob, (res.x, res.y))
     assert ok, r
 

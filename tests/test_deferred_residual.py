@@ -11,6 +11,7 @@ them, whose arrays agree with the reference loops within
 test_reference_solvers.REL relative."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -77,8 +78,8 @@ def saddle(name):
 
 # the catalog problems of each solver whose operators all have row forms,
 # the stacked primal-dual inclusion in its block metric, one product-space
-# problem in a higher dimension, and the saddle solver, which forms its
-# velocity column a block at a time
+# problem in a higher dimension, and the saddle solver, whose velocity the
+# trace of its core run forms a block at a time
 CASES = {"crifba:p2_lasso": lambda: core("p2_lasso"),
          "crifba:p3_spectrum": lambda: core("p3_spectrum"),
          "crifba:p5_saddle_stack": stack,
@@ -92,12 +93,17 @@ BOUNDED = {"crifba:p5_saddle_stack", "cripda:p5_lasso_pd", "cripda:p5_saddle"}
 
 
 def same(case):
+    """The comparison of the runs of case; a run_cripda result is read
+    through its pair (test_reference_solvers.saddle_columns)."""
+    kind, name = case.split(":")
+    if kind == "cripda":
+        return partial(assert_close, pair=problems.get(name).saddle)
     return assert_close if case in BOUNDED else assert_same
 
 
 def norms(res):
     """The residual norm of every tested state of a run (NaN past them)."""
-    return np.sqrt(res.fpr2 if isinstance(res, cripda.CripdaResult) else res.res2)
+    return np.sqrt(res.fpr2 if isinstance(res, reference.CripdaResult) else res.res2)
 
 
 @pytest.mark.parametrize("n", [2 * ROWS - 2, 2 * ROWS - 1, 2 * ROWS, 2 * ROWS + 1,
@@ -147,7 +153,8 @@ def test_divergence():
     params = cripda.CripdaParams(tau=0.2, sigma=0.2, delta=0.3)
     primal_dual = assert_close(
         cripda.run_cripda(pair, params, [1.0], [1.0], max_iter=1000, tol=0.0),
-        reference.run_cripda(pair, params, [1.0], [1.0], max_iter=1000, tol=0.0))
+        reference.run_cripda(pair, params, [1.0], [1.0], max_iter=1000, tol=0.0),
+        pair=pair)
     for res in (core_run, lifted, primal_dual):
         assert res.stopped == "diverged"
 

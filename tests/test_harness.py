@@ -235,6 +235,27 @@ def test_a_malformed_stop_block_is_refused(tmp_path, capsys, kind, stop,
     assert not os.path.exists(tmp_path / "s.csv")
 
 
+@pytest.mark.parametrize("output", ["sub/x", "../x", "/tmp/x", ""])
+def test_an_output_that_is_not_a_file_name_is_refused(tmp_path, capsys, output):
+    # run writes <outdir>/<output>.csv and .history.npz: a directory part
+    # would fail after the steps, or write outside outdir
+    cfg = {"problem": "p1_clamp", "stop": {"max_iter": 5}, "output": output}
+    message = "output must be a file name, got %r" % (output,)
+    ok, report = harness.validate_config(cfg)
+    assert not ok and report["error"] == message
+    outdir = tmp_path / "out" / "d"
+    outdir.mkdir(parents=True)
+    with pytest.raises(ValueError) as err:
+        harness.run_config(cfg, outdir=str(outdir))
+    assert str(err.value) == message
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    capsys.readouterr()
+    for argv in (["validate", path], ["run", path, "--outdir", str(outdir)]):
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == message
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "d", "out"]
+
+
 def test_a_stop_block_reads_integral_floats_and_integer_tolerances(tmp_path):
     # JSON writes 1e6 as a float; int() has always read it as 10**6
     rc = harness.read_config(dict(STRIDE_CFGS["fba"], stop={"max_iter": 1e6, "tol": 0}))

@@ -51,7 +51,7 @@ def cripda_case():
     x0 = start(prob, 5)
     return (lambda n, tol: cripda.run_cripda(prob.saddle, params, x0, y0,
                                              max_iter=n, tol=tol),
-            lambda res: res.fpr2)
+            lambda res: res.core.res2)
 
 
 def gcrifba_case():

@@ -5,6 +5,7 @@ run against its reference loop at w != 1/2, where (1 - w) products
 round."""
 
 import traceback
+from functools import partial
 
 import numpy as np
 import pytest
@@ -70,15 +71,14 @@ def test_cripda_screens_per_step(screens):
     # row callable screening the block M u - B(u) of x_n and z_n as it
     # enters the stack's resolvent (1), and its output block (1); the
     # catalog l1 prox row form soft-thresholds its block unscreened, and
-    # M u itself is not screened, nor is any of these values a second time.
-    # vel2 is formed RECORD_ROWS states at a time, one screen of each block
+    # M u itself is not screened, nor is any of these values a second time
     prob = problems.get("p5_lasso_pd")
     step = 0.7 / operator_norm(prob.saddle.K)
     params = cripda.CripdaParams(tau=step, sigma=step)
     y0 = 0.01 * np.random.default_rng(1).standard_normal(5)
     got = per_step(screens, lambda n: cripda.run_cripda(
         prob.saddle, params, start(prob, 1), y0, max_iter=n, tol=0.0))
-    assert got == {"as_vector": 0, "rows": 2 + 1 / crifba.RECORD_ROWS}
+    assert got == {"as_vector": 0, "rows": 2}
 
 
 def test_crifba_and_gcrifba_screen_only_blocks(screens):
@@ -307,11 +307,12 @@ def test_cripda_overflowing_residual_norm_is_recorded_as_before(k):
         return solve(big_prox_pair(k, 1e308), params, [1.0], [0.5],
                      max_iter=10, tol=0.0)
 
-    res = same_outcome(lambda: go(cripda.run_cripda),
-                       lambda: go(reference.run_cripda), same=assert_close)
+    res = same_outcome(lambda: go(cripda.run_cripda), lambda: go(reference.run_cripda),
+                       same=partial(assert_close, pair=big_prox_pair(k, 1e308)))
     assert res.stopped == "max_iter"
-    assert np.isinf(res.fpr2[k // 2])
-    assert np.isfinite(np.delete(res.fpr2, k // 2)).all()
+    res2 = res.core.res2[:res.n_iters]
+    assert np.isinf(res2[k // 2])
+    assert np.isfinite(np.delete(res2, k // 2)).all()
 
 
 # (x_0, k, big): the overflowing difference of the test above, the
@@ -334,8 +335,8 @@ def test_cripda_big_prox_through_either_path_of_the_constant_stack(rows, x0, k, 
         return solve(big_prox_pair(k, big, rows), params, [x0], [0.5],
                      max_iter=10, tol=0.0)
 
-    same_outcome(lambda: go(cripda.run_cripda),
-                 lambda: go(reference.run_cripda), same=assert_close)
+    same_outcome(lambda: go(cripda.run_cripda), lambda: go(reference.run_cripda),
+                 same=partial(assert_close, pair=big_prox_pair(k, big, rows)))
 
 
 @pytest.mark.parametrize("rows", [False, True], ids=["scalar_forms", "row_forms"])
@@ -365,5 +366,6 @@ def test_cripda_matches_reference_off_half(name, steps, tol):
                                  e=3.3, s0=2.2, s1=0.7)
     res = assert_close(
         cripda.run_cripda(pair, params, x0, y0, max_iter=steps, tol=tol),
-        reference.run_cripda(pair, params, x0, y0, max_iter=steps, tol=tol))
+        reference.run_cripda(pair, params, x0, y0, max_iter=steps, tol=tol),
+        pair=pair)
     assert res.stopped == ("tol" if tol else "max_iter")

@@ -4,10 +4,11 @@ import pytest
 from monosplit.metriclin import SpdMap
 from monosplit.operators import (CocoerciveMap, MonotoneOp, affine_op, box_op,
                                  cocoercivity_check, generalized_resolvent,
-                                 l1_op, prox_l1, zero_op)
+                                 l1_op, zero_op)
 
 
 def test_prox_l1_examples():
+    prox_l1 = l1_op(1.0).resolvent
     assert np.allclose(prox_l1(1.0, [2.0, -0.5, 0.0]), [1.0, 0.0, 0.0])
     assert np.allclose(prox_l1(0.0, [2.0, -0.5]), [2.0, -0.5])
     assert np.allclose(prox_l1(0.3, [-1.0]), [-0.7])
@@ -19,7 +20,7 @@ def test_prox_l1_subgradient_certificate():
     for _ in range(200):
         lam = rng.uniform(0.0, 2.0)
         x = rng.standard_normal(6) * 3
-        p = prox_l1(lam, x)
+        p = l1_op(1.0).resolvent(lam, x)
         r = x - p
         on = np.abs(p) > 0
         assert np.all(np.abs(r[on] - lam * np.sign(p[on])) <= 1e-12)
@@ -82,9 +83,9 @@ def test_graph_membership():
 def test_generalized_resolvent_identity_metric():
     op = l1_op(1.0)
     out = generalized_resolvent(op, SpdMap.identity(2), 0.5, [2.0, 0.1])
-    assert np.allclose(out, prox_l1(0.5, [2.0, 0.1]))
+    assert np.allclose(out, op.resolvent(0.5, [2.0, 0.1]))
     out = generalized_resolvent(op, None, 0.5, [2.0, 0.1])
-    assert np.allclose(out, prox_l1(0.5, [2.0, 0.1]))
+    assert np.allclose(out, op.resolvent(0.5, [2.0, 0.1]))
 
 
 def test_generalized_resolvent_affine_example():

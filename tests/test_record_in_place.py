@@ -321,7 +321,8 @@ def lasso_pd_run(**kw):
 
 
 def test_a_long_primal_dual_run_holds_its_record_once():
-    # ns and vel2 add 16 of the 168 bytes a state of the record takes
+    # the result holds the core run's record, 168 bytes a state, and no
+    # column of its own: hist is the record's X
     res, peak = traced_peak(lambda: lasso_pd_run(max_iter=10000, tol=0.0))
     assert res.n_iters == 10000
     assert peak <= 1.2 * record_bytes(res.core)
@@ -359,7 +360,8 @@ def test_primal_dual_run_in_an_identity_block_metric(rows, steps, tol):
     assert cripda.build_metric(pair, 1.0, 1.0).is_identity
     res = assert_close(
         cripda.run_cripda(pair, params, [2.0], [3.0], max_iter=steps, tol=tol),
-        reference.run_cripda(pair, params, [2.0], [3.0], max_iter=steps, tol=tol))
+        reference.run_cripda(pair, params, [2.0], [3.0], max_iter=steps, tol=tol),
+        pair=pair)
     assert res.stopped == ("tol" if tol else "max_iter")
     A, B, _ = cripda.stacked_problem(pair, params)
     assert all(r.passed for r in checks.standard_suite(res.core, A, B)

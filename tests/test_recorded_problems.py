@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import monosplit
+from _reference_maps import prox_l1
 from monosplit import operator_norm
-from monosplit.operators import prox_l1
 from monosplit.problems import SEED, _lasso_beta, get, lasso_oracle
 
 

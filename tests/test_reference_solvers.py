@@ -39,14 +39,37 @@ def assert_same(new, ref):
 REL = 1e-13
 
 
-def assert_close(new, ref, rel=REL):
+def saddle_columns(res, pair):
+    """The columns of the reference run_cripda read through what a
+    run_cripda result on pair keeps: ns and fpr2, the core run's res2, over
+    the states tested, which leave out x_N unless the run stopped on tol;
+    vel2, the trace's (crifba.diagnostics) over the N steps taken; and the
+    selector of the core run's parameters."""
+    N, tested = res.n_iters, res.n_iters + (res.stopped == "tol")
+    trace = crifba.diagnostics(res.core, *cripda.stacked_operators(pair))
+    return {"ns": np.arange(tested), "fpr2": res.core.res2[:tested],
+            "vel2": trace["vel2"][:N],
+            "selector": crifba.validate(res.core.params).selector}
+
+
+def assert_close(new, ref, rel=REL, pair=None):
     """Equal n_iters and stop reason, and every array field of equal shape
     and dtype, its non-finite entries equal and its finite ones within rel
-    of the largest finite magnitude in the reference's array."""
-    assert type(new) is type(ref)
+    of the largest finite magnitude in the reference's array. A run_cripda
+    result on pair meets the reference's columns through saddle_columns:
+    the reference's vel2 on the N steps taken, ns and selector equal."""
     assert (new.n_iters, new.stopped) == (ref.n_iters, ref.stopped)
-    for name, value in vars(ref).items():
-        got = getattr(new, name)
+    want, cols = vars(ref), {}
+    if isinstance(ref, reference.CripdaResult):
+        assert type(new) is cripda.CripdaResult
+        want, cols = dict(want), saddle_columns(new, pair)
+        assert cols.pop("selector") == want.pop("selector")
+        assert np.array_equal(cols.pop("ns"), want.pop("ns"))
+        want["vel2"] = want["vel2"][:new.n_iters]
+    else:
+        assert type(new) is type(ref)
+    for name, value in want.items():
+        got = cols[name] if name in cols else getattr(new, name)
         if isinstance(value, np.ndarray):
             assert (got.dtype, got.shape) == (value.dtype, value.shape), name
             finite = np.isfinite(value)
@@ -159,7 +182,8 @@ def test_cripda_fixed_steps(name, steps):
     pair, params, x0, y0 = saddle_case(name)
     res = assert_close(
         cripda.run_cripda(pair, params, x0, y0, max_iter=steps, tol=0.0),
-        reference.run_cripda(pair, params, x0, y0, max_iter=steps, tol=0.0))
+        reference.run_cripda(pair, params, x0, y0, max_iter=steps, tol=0.0),
+        pair=pair)
     assert res.n_iters == steps
 
 
@@ -168,7 +192,8 @@ def test_cripda_to_tolerance(name):
     pair, params, x0, y0 = saddle_case(name)
     res = assert_close(
         cripda.run_cripda(pair, params, x0, y0, max_iter=TO_TOL, tol=1e-6),
-        reference.run_cripda(pair, params, x0, y0, max_iter=TO_TOL, tol=1e-6))
+        reference.run_cripda(pair, params, x0, y0, max_iter=TO_TOL, tol=1e-6),
+        pair=pair)
     assert res.stopped == "tol"
 
 
@@ -198,7 +223,8 @@ def test_cripda_constant_gradient_once_per_run(steps, tol):
         cripda.run_cripda(constant_gradient_pair(calls), params, x0, y0,
                           max_iter=steps, tol=tol),
         reference.run_cripda(constant_gradient_pair(ref_calls), params, x0, y0,
-                             max_iter=steps, tol=tol))
+                             max_iter=steps, tol=tol),
+        pair=constant_gradient_pair([]))
     assert res.stopped == ("tol" if tol else "max_iter")
     assert len(calls) == 1
     assert len(ref_calls) == 2 * res.n_iters + (res.stopped == "tol")
@@ -214,7 +240,8 @@ def test_cripda_divergence():
     params = cripda.CripdaParams(tau=0.2, sigma=0.2, delta=0.3)
     res = assert_close(
         cripda.run_cripda(pair, params, [1.0], [1.0], max_iter=100, tol=0.0),
-        reference.run_cripda(pair, params, [1.0], [1.0], max_iter=100, tol=0.0))
+        reference.run_cripda(pair, params, [1.0], [1.0], max_iter=100, tol=0.0),
+        pair=pair)
     assert res.stopped == "diverged"
 
 
@@ -283,10 +310,11 @@ def same_outcome(new, ref, same=assert_same):
     both return the same result, compared by same (by default bit for bit,
     NaN where the other has NaN); returns the new outcome."""
     got, want = outcome(new), outcome(ref)
-    assert type(got) is type(want)
     if isinstance(want, Exception):
+        assert type(got) is type(want)
         assert str(got) == str(want)
     else:
+        assert not isinstance(got, Exception), got
         same(got, want)
     return got
 

@@ -11,17 +11,19 @@ of extrapolate, an array operand those of the Python float, a tile those
 of the broadcast row, and a step that writes x_{n+1} into its out row
 those of the step that returns a new array. So must the forms the row call
 writes out: gcrifba's flat np.add.reduce those of ndarray.sum, _soft_rows
-those of _soft, and _dual_prox's constants, keyed on the sigma object,
-those of the float forms.
+those of the reference prox_l1 of _reference_maps, row by row, and
+_dual_prox's constants, keyed on the sigma object, those of the float
+forms.
 """
 
 import numpy as np
 import pytest
 
+from _reference_maps import prox_l1
 from monosplit import crifba, cripda, gcrifba, metriclin, operators, problems
 from monosplit.crifba import RECORD_ROWS, CrifbaParams, KMState, schedule
 from monosplit.metriclin import SpdMap, operator_norm
-from monosplit.operators import _soft, forward_backward_map, l1_op, zero_op
+from monosplit.operators import _soft_rows, forward_backward_map, l1_op, zero_op
 
 
 def bits(c):
@@ -154,7 +156,7 @@ def test_soft_thresholding_with_the_0d_zero_gives_the_bits_of_0_0():
         for D in (X, X[:, 1:]):
             assert np.maximum(D, _ZERO).tobytes() == np.maximum(D, 0.0).tobytes()
             want = np.sign(D) * np.maximum(np.abs(D) - 0.5, 0.0)
-            assert _soft(0.5, D).tobytes() == want.tobytes()
+            assert _soft_rows(1.0)(0.5, D).tobytes() == want.tobytes()
     assert not _ZERO.flags.writeable
 
 
@@ -164,11 +166,19 @@ def threshold(soft):
     return {name: c.cell_contents for name, c in cells}["thresh"]
 
 
+def soft_row(t, x):
+    """The reference prox_l1 of row x at threshold t; where x is not
+    finite, which its screen refuses, its operations written out."""
+    if np.isfinite(x).all():
+        return prox_l1(t, x)
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
 def test_soft_thresholds_are_0d_operands_formed_once_per_step():
     # l1_op's resolvent rows and p5_lasso_pd's prox_G form lam * weight
     # and tau * mu once per lam or tau they are handed, as a read-only 0-d
-    # float64, with the bits of _soft on the float threshold, on ordinary
-    # and special values (_soft_rows writes _soft's operations out)
+    # float64, with the bits of the reference soft threshold on the float
+    # threshold, row by row, on ordinary and special values
     rng = np.random.default_rng(9)
     X = rng.standard_normal((4, 5))
     X[0, :2] = 0.0, -0.0
@@ -181,7 +191,8 @@ def test_soft_thresholds_are_0d_operands_formed_once_per_step():
         for t in steps:
             for D in (X, X[:, 1:], S):
                 with np.errstate(invalid="ignore"):
-                    assert soft(t, D).tobytes() == _soft(t * scale, D).tobytes(), t
+                    for row, x in zip(soft(t, D), D):
+                        assert row.tobytes() == soft_row(t * scale, x).tobytes(), t
             thresh = threshold(soft)
             assert type(thresh) is np.ndarray and thresh.shape == ()
             assert thresh.dtype == float and not thresh.flags.writeable
